@@ -22,6 +22,7 @@ from __future__ import annotations
 import os
 import random
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -321,7 +322,15 @@ def _reduce_scalar(v, p: int) -> int:
     den = v.denominator % p
     if den == 0:
         raise _BadPrime(p)
-    return num * pow(den, p - 2, p) % p
+    return num * pow(den, -1, p) % p
+
+
+def _dense_mod_p(ii, jj, values, nrows: int, ncols: int, p: int) -> np.ndarray:
+    """uint64 array with the residues mod p of ``values`` at ``(ii, jj)``, zero elsewhere."""
+    arr = np.zeros((nrows, ncols), dtype=np.uint64)
+    # ints, the common case, are reduced inline: a call per entry would double the cost
+    arr[ii, jj] = [v % p if type(v) is int else _reduce_scalar(v, p) for v in values]
+    return arr
 
 
 def mod_p_rank_rows(rows, ncols: int, p: int, mem_mb: int | None = None) -> int:
@@ -330,12 +339,9 @@ def mod_p_rank_rows(rows, ncols: int, p: int, mem_mb: int | None = None) -> int:
     if nrows == 0 or ncols == 0:
         return 0
     check_dense_budget(nrows, ncols, _MOD_CELL_BYTES, mem_mb, "mod_p_rank")
-    arr = np.zeros((nrows, ncols), dtype=np.uint64)
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            if v:
-                arr[i, j] = _reduce_scalar(v, p)
-    return int(_kernel.rank_mod_p_dense(arr, p))
+    cells = np.array(rows, dtype=object).reshape(nrows, ncols)
+    ii, jj = cells.nonzero()
+    return int(_kernel.rank_mod_p_dense(_dense_mod_p(ii, jj, cells[ii, jj], nrows, ncols, p), p))
 
 
 def mod_p_rank_sparse(entries, nrows: int, ncols: int, p: int, mem_mb: int | None = None) -> int:
@@ -343,11 +349,8 @@ def mod_p_rank_sparse(entries, nrows: int, ncols: int, p: int, mem_mb: int | Non
     if nrows == 0 or ncols == 0:
         return 0
     check_dense_budget(nrows, ncols, _MOD_CELL_BYTES, mem_mb, "mod_p_rank")
-    arr = np.zeros((nrows, ncols), dtype=np.uint64)
-    for (i, j), v in entries.items():
-        r = _reduce_scalar(v, p)
-        if r:
-            arr[i, j] = r
+    ij = np.fromiter(chain.from_iterable(entries), dtype=np.intp, count=2 * len(entries)).reshape(-1, 2)
+    arr = _dense_mod_p(ij[:, 0], ij[:, 1], entries.values(), nrows, ncols, p)
     return int(_kernel.rank_mod_p_dense(arr, p))
 
 

@@ -176,19 +176,93 @@ def test_bareiss_matches_rref_rank():
 # kernels: compiled vs pure python backend
 
 
+# the compiled kernel is checked against the reference too, when it is built
+try:
+    from bfsyz.exactalg import _speedups
+except ImportError:
+    _speedups = None
+KERNELS = [_fallback] + ([_speedups] if _speedups is not None else [])
+
+P50 = 2**50 + 55  # the smallest prime above 2**50
+P61 = 2**61 - 1
+P62 = 2**62 - 57  # the largest 62-bit prime
+P64 = 2**64 - 59  # above the long-double range: the twin computes with Python ints
+KERNEL_PRIMES = (P50, P61, P62, P64)
+
+
+def reference_rank_mod_p(rows, p):
+    """Row reduction over F_p in Python ints, one cell at a time (leftmost
+    column, first nonzero row), the loop the vectorised twin replaced."""
+    rows = [row[:] for row in rows]
+    nrows, r = len(rows), 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        rows[r] = [x * inv % p for x in rows[r]]
+        for i in range(r + 1, nrows):
+            f = rows[i][c]
+            if f:
+                rows[i] = [(y - f * x) % p for x, y in zip(rows[r], rows[i])]
+        r += 1
+        if r == nrows:
+            break
+    return r
+
+
+def kernel_cases(rng, p):
+    """Matrices over F_p (lists of rows): rank-deficient products, sparse,
+    tall and wide, all entries p - 1, all zero, and zero columns."""
+    cases = [[[0] * 7 for _ in range(5)], [[p - 1] * 9 for _ in range(6)]]
+    for _ in range(6):
+        nrows, ncols = rng.randint(1, 60), rng.randint(1, 60)
+        k = rng.randint(0, min(nrows, ncols))
+        left = [[rng.randrange(p) for _ in range(k)] for _ in range(nrows)]
+        right = [[rng.randrange(p) for _ in range(ncols)] for _ in range(k)]
+        cases.append([[sum(x * y for x, y in zip(row, col)) % p for col in zip(*right)] for row in left])
+    for density in (0.01, 0.03, 0.05):
+        for nrows, ncols in ((60, 12), (12, 60), (50, 50)):
+            cases.append([
+                [rng.randrange(1, p) if rng.random() < density else 0 for _ in range(ncols)]
+                for _ in range(nrows)
+            ])
+    zero_cols = [[rng.randrange(p) for _ in range(10)] for _ in range(8)]
+    for row in zero_cols:
+        row[0] = row[4] = row[9] = 0
+    cases.append(zero_cols)
+    return cases
+
+
 def test_backends_agree_on_mod_p_rank():
-    rng = random.Random(5)
-    p = 2**61 - 1
-    for _ in range(8):
-        nrows, ncols = rng.randint(1, 10), rng.randint(1, 10)
-        rows = [[rng.randrange(p) for _ in range(ncols)] for _ in range(nrows)]
-        via_active = mod_p_rank_rows(rows, ncols, p)
-        arr = np.zeros((nrows, ncols), dtype=np.uint64)
-        for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                arr[i, j] = v
-        via_pure = _fallback.rank_mod_p_dense(arr, p)
-        assert via_active == via_pure
+    assert all(is_prime(p) for p in KERNEL_PRIMES)
+    for p in KERNEL_PRIMES:
+        for rows in kernel_cases(random.Random(p % 1000), p):
+            want = reference_rank_mod_p(rows, p)
+            assert mod_p_rank_rows(rows, len(rows[0]), p) == want
+            for kernel in KERNELS:
+                arr = np.array(rows, dtype=np.uint64)
+                assert kernel.rank_mod_p_dense(arr, p) == want, (kernel.BACKEND_NAME, p)
+
+
+@pytest.mark.parametrize("addmul", [
+    pytest.param(_fallback._addmul_longdouble, marks=pytest.mark.skipif(
+        not _fallback._LONG_DOUBLE_EXACT, reason="long double has no 64-bit mantissa here")),
+    _fallback._addmul_object,
+])
+@pytest.mark.parametrize("p", (P50, P61, P62))
+def test_twin_update_is_exact(addmul, p):
+    rng = random.Random(p % 997)
+    edge = [0, 1, 2, p // 2, p - 2] + [rng.randrange(p) for _ in range(10)] + [p - 1]
+    f = np.array(edge[1:], dtype=np.uint64)  # multipliers are never zero
+    u = np.array(edge, dtype=np.uint64)  # 0 * f and (p - 1) * (p - 1) + (p - 1)
+    acc = np.array([[rng.choice(edge) for _ in edge] for _ in edge[1:]], dtype=np.uint64)
+    acc[-1, -1] = p - 1
+    got = addmul(acc, f, u, p)
+    assert got.dtype == np.uint64
+    want = [[(int(acc[i, j]) + int(fi) * int(uj)) % p for j, uj in enumerate(u)] for i, fi in enumerate(f)]
+    assert got.tolist() == want
 
 
 def test_pure_python_backend_env_switch():
