@@ -32,16 +32,13 @@ from .homres import (
     power_ideal_betti,
     power_locus_betti,
     regularity,
+    regularity_formula,
     verify_explicit_betti,
     verify_ia3_resolution,
     verify_power_betti,
 )
 from .polyring import MultiPoly, PolyRing, hilbert_function, ideal_power
 from .sl2rep import BinaryForm, char_identity_check, transvectant
-
-
-def _reg_formula(a: int, b: int) -> int:
-    return ((b + 2) // 2) * a - b // 2
 
 
 def _criterion_1(ctx) -> str:
@@ -128,7 +125,7 @@ def _criterion_6(ctx) -> str:
     direct = 0
     for a in (1, 2, 3):
         for b in (1, 2, 3):
-            formula = _reg_formula(a, b)
+            formula = regularity_formula(a, b)
             table = power_ideal_betti(
                 a, b, 1, t_max=formula + 1, seed=ctx["seed"], mem_mb=ctx["mem_mb"],
                 cache=ctx["cache"], threads=ctx["threads"],
@@ -139,7 +136,7 @@ def _criterion_6(ctx) -> str:
     monomial = 0
     for a in (1, 2, 3, 4):
         for b in (1, 2, 3, 4, 5):
-            formula = _reg_formula(a, b)
+            formula = regularity_formula(a, b)
             rng = random.Random(f"{ctx['seed']}:acc6:{a}:{b}")
             rep = initial_ideal_regularity(a, b, rng=rng, mem_mb=ctx["mem_mb"], cache=ctx["cache"])
             assert rep["hf_agree"], f"({a},{b}) Hilbert functions diverge"

@@ -39,6 +39,7 @@ from .homres import (
     power_resolution,
     power_strand_formula,
     regularity,
+    regularity_formula,
     tor_betti,
     verify_explicit_betti,
 )
@@ -118,8 +119,6 @@ def _jsonable(value):
 def _emit(args, report: dict, text_lines=None) -> None:
     if args.format == "text" and text_lines is not None:
         payload = "\n".join(text_lines) + "\n"
-    elif args.format == "text":
-        payload = json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n"
     else:
         payload = json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n"
     if args.out:
@@ -270,12 +269,8 @@ def _cmd_betti(args) -> int:
     return _status_exit(status)
 
 
-def _reg_formula(a: int, b: int) -> int:
-    return ((b + 2) // 2) * a - b // 2
-
-
 def _reg_betti_route(args, cache) -> dict:
-    formula = _reg_formula(args.a, args.b)
+    formula = regularity_formula(args.a, args.b)
     table = power_ideal_betti(
         args.a, args.b, 1, args.mode, t_max=formula + 1, seed=_resolve_seed(args),
         trials=args.trials, mem_mb=args.mem_mb, cache=cache, threads=args.threads,
@@ -296,7 +291,7 @@ def _reg_initial_route(args, cache) -> dict:
 
 def _cmd_reg(args) -> int:
     cache = _resolve_cache(args)
-    formula = _reg_formula(args.a, args.b)
+    formula = regularity_formula(args.a, args.b)
     routes = []
     if args.route in ("betti", "both"):
         routes.append(_reg_betti_route(args, cache))

@@ -8,9 +8,15 @@ Deterministic building blocks used by every other module:
   Modular mode draws two (or more) distinct random 50-62 bit primes and
   escalates to exact arithmetic whenever the per-prime ranks disagree, so a
   reported modular rank always carries agreeing primes in its provenance.
-* :func:`rref` -- fully reduced row echelon form with leftmost-pivot
-  deterministic pivoting; :func:`kernel_basis` -- primitive integer kernel
-  vectors (content 1, first nonzero entry positive).
+* :func:`rref` -- fully reduced row echelon form; :func:`kernel_basis` --
+  primitive integer kernel vectors (content 1, first nonzero entry positive).
+
+All exact arithmetic runs through one engine, ``_echelon``: sparse
+fraction-free elimination over primitive integer rows (Bareiss-style
+integer-preserving updates, applied only to the rows the pivot touches), with
+the sparsest row that is nonzero in the current column as pivot.  Rank does
+not depend on the pivot order and the reduced row echelon form of a row space
+is unique, so results depend only on the input, not on that choice.
 
 Row-level engines (`exact_rank_rows`, `rref_rows`, `mod_p_rank_rows`, ...) are
 exposed for the modules that assemble large matrices blockwise and do not want
@@ -202,92 +208,113 @@ def primitive_int_vector(vec) -> tuple[int, ...]:
     return tuple(ints)
 
 
-def bareiss_rank_rows(rows: list[list[int]], ncols: int) -> int:
-    """Fraction-free rank of integer rows.  Mutates ``rows``."""
-    nrows = len(rows)
-    r = 0
-    prev = 1
+def _sparse_int_row(row) -> dict[int, int]:
+    """Primitive ``{col: int}`` multiple of a dense int/Fraction row (zeros dropped)."""
+    nz = {j: v for j, v in enumerate(row) if v}
+    den = 1
+    for v in nz.values():
+        if isinstance(v, Fraction):
+            den = lcm(den, v.denominator)
+    if den == 1:
+        return _primitive({j: int(v) for j, v in nz.items()})
+    return _primitive({j: int(v * den) for j, v in nz.items()})
+
+
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    g = gcd(*row.values())
+    if g > 1:
+        return {j: v // g for j, v in row.items()}
+    return row
+
+
+def _eliminate(pr: dict[int, int], c: int, ri: dict[int, int]) -> dict[int, int]:
+    """Primitive ``(pc/g)*ri - (f/g)*pr`` with ``g = gcd(pc, f)``; zero in column ``c``."""
+    pc = pr[c]
+    f = ri[c]
+    g = gcd(pc, f)
+    a = pc // g
+    b = f // g
+    out = dict(ri) if a == 1 else {j: a * v for j, v in ri.items()}
+    for j, v in pr.items():
+        w = out.get(j, 0) - b * v
+        if w:
+            out[j] = w
+        else:
+            del out[j]
+    return _primitive(out)
+
+
+def _echelon(rows, ncols: int) -> tuple[list[int], list[dict[int, int]]]:
+    """Sparse fraction-free forward elimination of dense int/Fraction rows.
+
+    Returns the pivot columns (increasing) and the matching primitive integer
+    pivot rows; the pivot row of column ``c`` is zero left of ``c``.  Columns
+    are taken left to right.  An active row that is nonzero in column ``c``
+    has its leading entry there, since every earlier column has been cleared,
+    so rows wait in buckets keyed by their leading column.  The pivot is the
+    sparsest row of the bucket (Markowitz); only the other rows of the bucket
+    are updated, and each then moves to the bucket of its new leading column.
+    """
+    buckets: dict[int, list[dict[int, int]]] = {}
+    for row in rows:
+        sparse = _sparse_int_row(row)
+        if sparse:
+            buckets.setdefault(min(sparse), []).append(sparse)
+    pivots: list[int] = []
+    pivot_rows: list[dict[int, int]] = []
     for c in range(ncols):
-        if r == nrows:
-            break
-        piv = -1
-        for i in range(r, nrows):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv < 0:
+        bucket = buckets.pop(c, None)
+        if bucket is None:
             continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-        pr = rows[r]
-        pc = pr[c]
-        for i in range(r + 1, nrows):
-            ri = rows[i]
-            f = ri[c]
-            for j in range(c + 1, ncols):
-                ri[j] = (ri[j] * pc - f * pr[j]) // prev
-            ri[c] = 0
-        prev = pc
-        r += 1
-    return r
+        pr = min(bucket, key=len)
+        for ri in bucket:
+            if ri is pr:
+                continue
+            ri = _eliminate(pr, c, ri)
+            if ri:
+                buckets.setdefault(min(ri), []).append(ri)
+        pivots.append(c)
+        pivot_rows.append(pr)
+    return pivots, pivot_rows
+
+
+def bareiss_rank_rows(rows, ncols: int) -> int:
+    """Rank over QQ of dense int/Fraction rows (not mutated): the pivot count of ``_echelon``."""
+    return len(_echelon(rows, ncols)[0])
 
 
 def exact_rank_rows(rows, ncols: int) -> int:
     """Rank over QQ of rows with int/Fraction entries (rows are not mutated)."""
-    int_rows = [clear_denominators(row) for row in rows]
-    return bareiss_rank_rows(int_rows, ncols)
+    return bareiss_rank_rows(rows, ncols)
 
 
 def rref_rows(rows, ncols: int):
     """Fully reduced row echelon form over QQ.
 
     ``rows`` is a list of dense rows (int/Fraction); a *new* list of nonzero
-    reduced rows is returned together with the pivot column list.  Pivots are
-    1, pivot columns are zero elsewhere, pivoting is leftmost-column /
-    first-nonzero-row, so the output depends only on the row span and the
-    input row order.
+    dense reduced rows is returned together with the pivot column list, in
+    increasing pivot order.  Pivots are 1, pivot columns are zero elsewhere,
+    and an entry is an int when it is integral and a Fraction otherwise.  The
+    reduced echelon form of a row space is unique, so the output depends only
+    on the row span, not on the pivot order of the sparse fraction-free
+    elimination (see ``_echelon``) that computes it.  The rows are not mutated.
     """
-    work = [list(row) for row in rows]
-    nrows = len(work)
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        piv = -1
-        for i in range(r, nrows):
-            if work[i][c]:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        if piv != r:
-            work[r], work[piv] = work[piv], work[r]
-        pr = work[r]
+    pivots, pivot_rows = _echelon(rows, ncols)
+    # back substitution from the last pivot: a row used to clear its pivot
+    # column is already zero in every later pivot column
+    for k in range(len(pivots) - 1, 0, -1):
+        c, pr = pivots[k], pivot_rows[k]
+        for i in range(k):
+            if c in pivot_rows[i]:
+                pivot_rows[i] = _eliminate(pr, c, pivot_rows[i])
+    reduced = []
+    for c, pr in zip(pivots, pivot_rows):
         lead = pr[c]
-        if lead != 1:
-            inv = Fraction(1, 1) / Fraction(lead)
-            for j in range(c, ncols):
-                if pr[j]:
-                    pr[j] = _frac_trim(pr[j] * inv)
-        for i in range(nrows):
-            if i == r:
-                continue
-            ri = work[i]
-            f = ri[c]
-            if f:
-                for j in range(c, ncols):
-                    if pr[j]:
-                        ri[j] = _frac_trim(ri[j] - f * pr[j])
-        pivots.append(c)
-        r += 1
-    return work[:r], pivots
-
-
-def _frac_trim(v):
-    if isinstance(v, Fraction) and v.denominator == 1:
-        return int(v)
-    return v
+        out = [0] * ncols
+        for j, v in pr.items():
+            out[j] = v // lead if v % lead == 0 else Fraction(v, lead)
+        reduced.append(out)
+    return reduced, pivots
 
 
 def kernel_rows_from_rref(reduced, pivots, ncols: int) -> list[tuple[int, ...]]:
@@ -387,7 +414,8 @@ def rank_details(
 
     Modular mode computes the rank for ``trials`` distinct random primes; on
     any disagreement it recomputes exactly (``escalated=True``).  Exact mode
-    is fraction-free integer elimination.
+    is sparse fraction-free elimination over primitive integer rows with a
+    sparsest-row pivot (``bareiss_rank_rows``).
     """
     use = _resolve_mode(mode, m.nrows, m.ncols)
     if m.nnz == 0:
@@ -539,7 +567,9 @@ def blocked_rank_details(
 
     The exact/modular decision is made once from the *full* matrix dimensions
     (so provenance matches the unblocked computation); all blocks then run in
-    that mode with a shared prime set.
+    that mode with a shared prime set.  The reported primes are those the
+    blocks actually used, in first-use order: a block resamples a prime that
+    one of its denominators vanishes modulo.
     """
     use = _resolve_mode(mode, nrows, ncols)
     if not entries:
@@ -552,6 +582,7 @@ def blocked_rank_details(
         chosen = []
     total = 0
     escalated = False
+    used: dict[int, None] = {}
     for _w, (row_ids, col_ids, sub) in split_blocks(entries, row_labels, col_labels).items():
         if not sub:
             continue
@@ -562,8 +593,9 @@ def blocked_rank_details(
             res = rank_details(block, "modular", rng=rng, trials=trials, primes=chosen, mem_mb=mem_mb)
             total += res.rank
             escalated = escalated or res.escalated
+            used.update(dict.fromkeys(res.primes))
     if use == "exact":
         return RankResult(total, "exact")
     # blocks that disagreed were settled exactly; the rest carry double-prime
     # confidence, so the aggregate is reported at modular strength
-    return RankResult(total, "modular", tuple(chosen), escalated=escalated)
+    return RankResult(total, "modular", tuple(used), escalated=escalated)

@@ -922,6 +922,11 @@ def power_strand_formula(a: int, b: int) -> dict:
     return {key: v for key, v in out.items() if v}
 
 
+def regularity_formula(a: int, b: int) -> int:
+    """Regularity of the power ideal for parameters (a, b) predicted by the paper."""
+    return ((b + 2) // 2) * a - b // 2
+
+
 def verify_power_betti(a: int, b: int, computed: BettiTable) -> dict:
     """Compare a computed table of the (b-1)-st power against its two strands.
 

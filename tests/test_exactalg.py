@@ -25,9 +25,11 @@ from bfsyz.exactalg import (
 from bfsyz.exactalg import _fallback
 from bfsyz.exactalg.matrix import (
     bareiss_rank_rows,
+    clear_denominators,
     exact_rank_rows,
     mod_p_rank_rows,
     primitive_int_vector,
+    rref_rows,
     split_blocks,
 )
 
@@ -162,14 +164,126 @@ def test_fraction_heavy_matrix_rank():
     assert rank(ExactMatrix.from_rows(rows), "modular", rng=random.Random(0)) == 3
 
 
-def test_bareiss_matches_rref_rank():
+# ---------------------------------------------------------------------------
+# the sparse exact engine against dense reference engines
+
+
+def reference_bareiss_rank(rows, ncols):
+    """Dense Bareiss rank of integer rows; mutates ``rows``."""
+    nrows = len(rows)
+    r = 0
+    prev = 1
+    for c in range(ncols):
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if rows[i][c]), -1)
+        if piv < 0:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        pr = rows[r]
+        pc = pr[c]
+        for i in range(r + 1, nrows):
+            ri = rows[i]
+            f = ri[c]
+            for j in range(c + 1, ncols):
+                ri[j] = (ri[j] * pc - f * pr[j]) // prev
+            ri[c] = 0
+        prev = pc
+        r += 1
+    return r
+
+
+def _trim(v):
+    return int(v) if isinstance(v, Fraction) and v.denominator == 1 else v
+
+
+def reference_rref(rows, ncols):
+    """Dense Fraction Gauss-Jordan, leftmost column / first nonzero row pivoting."""
+    work = [list(row) for row in rows]
+    nrows = len(work)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if work[i][c]), -1)
+        if piv < 0:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        pr = work[r]
+        lead = pr[c]
+        if lead != 1:
+            inv = Fraction(1) / Fraction(lead)
+            for j in range(c, ncols):
+                if pr[j]:
+                    pr[j] = _trim(pr[j] * inv)
+        for i in range(nrows):
+            f = work[i][c]
+            if i != r and f:
+                for j in range(c, ncols):
+                    if pr[j]:
+                        work[i][j] = _trim(work[i][j] - f * pr[j])
+        pivots.append(c)
+        r += 1
+    return work[:r], pivots
+
+
+def _random_exact_rows(rng):
+    """A small matrix of one of the shapes the exact engine must handle.
+
+    Entries are stored as ExactMatrix stores them: integral values as int.
+    """
+    nrows, ncols = rng.randint(0, 15), rng.randint(0, 15)
+    kind = rng.choice(("fraction", "huge", "product", "small"))
+    density = rng.choice((0.15, 0.5, 1.0))
+
+    def entry():
+        if rng.random() >= density:
+            return 0
+        if kind == "fraction":
+            return _trim(Fraction(rng.randint(-20, 20), rng.randint(1, 12)))
+        if kind == "huge":
+            return rng.randint(-10**12, 10**12)
+        return rng.randint(-9, 9)
+
+    if kind == "product":
+        inner = rng.randint(0, min(nrows, ncols))
+        left = [[entry() for _ in range(inner)] for _ in range(nrows)]
+        right = [[entry() for _ in range(ncols)] for _ in range(inner)]
+        rows = [[sum(x * y for x, y in zip(lrow, col)) for col in zip(*right)] if inner else [0] * ncols
+                for lrow in left]
+    else:
+        rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    for _ in range(rng.randint(0, 2)):
+        if nrows and rng.random() < 0.5:
+            rows[rng.randrange(nrows)] = [0] * ncols
+        elif ncols:
+            j = rng.randrange(ncols)
+            for row in rows:
+                row[j] = 0
+    return rows, ncols
+
+
+def _typed(rows):
+    return [[(type(v), v) for v in row] for row in rows]
+
+
+def test_exact_engines_match_dense_references():
     rng = random.Random(23)
-    for _ in range(10):
-        rows = [[rng.randint(-9, 9) for _ in range(5)] for _ in range(4)]
-        m = ExactMatrix.from_rows(rows)
-        reduced = rref(m)
-        assert bareiss_rank_rows([r[:] for r in rows], 5) == len(reduced.pivot_cols)
-        assert exact_rank_rows(rows, 5) == len(reduced.pivot_cols)
+    cases = [_random_exact_rows(rng) for _ in range(300)]
+    cases += [([], 4), ([[], [], []], 0), ([[0, 0, 0]] * 2, 3)]
+    for rows, ncols in cases:
+        snapshot = _typed(rows)
+        reduced, pivots = rref_rows(rows, ncols)
+        want_reduced, want_pivots = reference_rref(rows, ncols)
+        assert pivots == want_pivots
+        assert _typed(reduced) == _typed(want_reduced)
+        int_rows = [clear_denominators(row) for row in rows]
+        want_rank = reference_bareiss_rank(int_rows, ncols)
+        assert want_rank == len(want_pivots)
+        assert bareiss_rank_rows(rows, ncols) == want_rank
+        assert exact_rank_rows(rows, ncols) == want_rank
+        assert _typed(rows) == snapshot, "an exact engine mutated its input"
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +484,18 @@ def test_blocked_kernel_matches_unblocked():
         if ker:
             km = ExactMatrix.from_rows([list(v) for v in ker])
             assert rank(km, "exact") == len(ker)
+
+
+def test_blocked_rank_reports_resampled_primes():
+    # 5 divides a denominator in block 0, so that block resamples it; block 1 uses 5
+    entries = {(0, 0): Fraction(1, 5), (1, 1): 3}
+    res = blocked_rank_details(2, 2, entries, [0, 1], [0, 1], "modular", rng=random.Random(4), primes=[5, 7])
+    block0 = rank_details(
+        ExactMatrix(1, 1, {(0, 0): Fraction(1, 5)}), "modular", rng=random.Random(4), primes=[5, 7]
+    )
+    assert 5 not in block0.primes and 7 in block0.primes
+    assert res.rank == 2
+    assert res.primes == block0.primes + (5,)
 
 
 def test_blocked_rank_empty_matrix():
