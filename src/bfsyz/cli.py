@@ -20,6 +20,7 @@ from math import comb
 from . import __version__
 from .errors import InconclusiveError, ResourceLimitError
 from .exactalg import KERNEL_BACKEND
+from .exactalg.matrix import resolve_seed
 from .fhmaps import (
     fh_rank_report,
     hw_triple_report,
@@ -80,12 +81,6 @@ def _nonnegative(text: str) -> int:
     return value
 
 
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    return int(os.environ.get("BFSYZ_SEED", "0"))
-
-
 def _resolve_cache(args):
     if args.cache is not None:
         return args.cache
@@ -133,7 +128,7 @@ def _envelope(command: str, args, parameters: dict, status: str, body: dict) -> 
         "command": command,
         "parameters": parameters,
         "mode": args.mode,
-        "seed": _resolve_seed(args),
+        "seed": resolve_seed(args.seed),
         "version": __version__,
         "kernel_backend": KERNEL_BACKEND,
         "status": status,
@@ -164,7 +159,7 @@ def _banner(table, convention: str = "total") -> list[str]:
 
 
 def _cmd_fh_rank(args) -> int:
-    rng = random.Random(f"{_resolve_seed(args)}:fh-rank")
+    rng = random.Random(f"{resolve_seed(args.seed)}:fh-rank")
     report = fh_rank_report(
         args.a, args.b, args.k, args.mode, rng=rng, trials=args.trials,
         mem_mb=args.mem_mb, cache=_resolve_cache(args),
@@ -213,7 +208,7 @@ def _cmd_betti(args) -> int:
     params = {"a": args.a, "b": args.b, "target": args.target}
     if args.target == "ix":
         res = power_locus_betti(
-            args.a, args.b, args.mode, seed=_resolve_seed(args), trials=args.trials,
+            args.a, args.b, args.mode, seed=resolve_seed(args.seed), trials=args.trials,
             mem_mb=args.mem_mb, cache=cache, threads=args.threads,
         )
         table = res.ideal_table
@@ -236,7 +231,7 @@ def _cmd_betti(args) -> int:
     if args.target == "iab-pow" and args.j is None:
         raise ValueError("--target iab-pow needs --j")
     table = power_ideal_betti(
-        args.a, args.b, power, args.mode, seed=_resolve_seed(args), trials=args.trials,
+        args.a, args.b, power, args.mode, seed=resolve_seed(args.seed), trials=args.trials,
         mem_mb=args.mem_mb, cache=cache, threads=args.threads,
     )
     params["power"] = power
@@ -272,7 +267,7 @@ def _cmd_betti(args) -> int:
 def _reg_betti_route(args, cache) -> dict:
     formula = regularity_formula(args.a, args.b)
     table = power_ideal_betti(
-        args.a, args.b, 1, args.mode, t_max=formula + 1, seed=_resolve_seed(args),
+        args.a, args.b, 1, args.mode, t_max=formula + 1, seed=resolve_seed(args.seed),
         trials=args.trials, mem_mb=args.mem_mb, cache=cache, threads=args.threads,
     )
     value = regularity(table)
@@ -280,7 +275,7 @@ def _reg_betti_route(args, cache) -> dict:
 
 
 def _reg_initial_route(args, cache) -> dict:
-    rng = random.Random(f"{_resolve_seed(args)}:reg-initial")
+    rng = random.Random(f"{resolve_seed(args.seed)}:reg-initial")
     report = initial_ideal_regularity(
         args.a, args.b, args.mode, rng=rng, trials=args.trials,
         mem_mb=args.mem_mb, cache=cache,
@@ -315,7 +310,7 @@ def _cmd_initial_ideal(args) -> int:
     kmax = args.kmax if args.kmax is not None else c * (a - 1) + 1
     J = initial_ideal_Jab(a, b)
     hf_j = monomial_quotient_hf(J, kmax)
-    rng = random.Random(f"{_resolve_seed(args)}:initial")
+    rng = random.Random(f"{resolve_seed(args.seed)}:initial")
     hf_i = hilbert_function(
         power_ideal(a, b), kmax, args.mode, rng=rng, trials=args.trials,
         mem_mb=args.mem_mb, cache=_resolve_cache(args),
@@ -342,7 +337,7 @@ def _cmd_initial_ideal(args) -> int:
 
 
 def _cmd_minors_check(args) -> int:
-    rng = random.Random(f"{_resolve_seed(args)}:minors")
+    rng = random.Random(f"{resolve_seed(args.seed)}:minors")
     report = minors_generate_check(
         args.a, args.b, args.mode, rng=rng, trials=args.trials,
         mem_mb=args.mem_mb, cache=_resolve_cache(args),
@@ -421,7 +416,7 @@ def _cmd_hw_triple(args) -> int:
 def _cmd_coker_hf(args) -> int:
     from .homres import coker_hilbert
 
-    rng = random.Random(f"{_resolve_seed(args)}:coker")
+    rng = random.Random(f"{resolve_seed(args.seed)}:coker")
     values = coker_hilbert(
         args.a, args.b, args.kmax, args.mode, rng=rng, trials=args.trials,
         mem_mb=args.mem_mb, cache=_resolve_cache(args),
@@ -449,7 +444,7 @@ def _cmd_conjecture_scan(args) -> int:
             i_max = module.ring.nvars
             table = tor_betti(
                 module, i_max, i_max + predicted + 2, args.mode, t_max=predicted + 2,
-                seed=_resolve_seed(args), trials=args.trials, mem_mb=args.mem_mb,
+                seed=resolve_seed(args.seed), trials=args.trials, mem_mb=args.mem_mb,
                 threads=args.threads,
             )
             value = regularity(table)
@@ -482,7 +477,7 @@ def _cmd_conjecture_scan(args) -> int:
 
 def _cmd_exactness(args) -> int:
     res = power_resolution(
-        args.a, args.b, args.mode, seed=_resolve_seed(args), trials=args.trials,
+        args.a, args.b, args.mode, seed=resolve_seed(args.seed), trials=args.trials,
         mem_mb=args.mem_mb, cache=_resolve_cache(args), max_attempts=args.max_attempts,
         window_hi=args.window_hi,
     )
@@ -518,7 +513,7 @@ def _cmd_repro(args) -> int:
     from . import acceptance
 
     results = acceptance.run_all(
-        seed=_resolve_seed(args), mem_mb=args.mem_mb, cache=_resolve_cache(args),
+        seed=resolve_seed(args.seed), mem_mb=args.mem_mb, cache=_resolve_cache(args),
         threads=args.threads, only=args.only,
     )
     overall = acceptance.overall_status(results)

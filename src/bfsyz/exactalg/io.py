@@ -24,6 +24,8 @@ VERSION = "v1"
 
 def _format_scalar(v, rational: bool) -> str:
     if rational:
+        if type(v) is int:
+            return f"{v}/1"
         f = Fraction(v)
         return f"{f.numerator}/{f.denominator}"
     return str(int(v))
@@ -31,11 +33,15 @@ def _format_scalar(v, rational: bool) -> str:
 
 def _parse_scalar(tok: str, rational: bool):
     if rational:
-        if "/" in tok:
-            num, den = tok.split("/", 1)
-            f = Fraction(int(num), int(den))
-        else:
-            f = Fraction(int(tok))
+        if "/" not in tok:
+            return int(tok)
+        num, den = tok.split("/", 1)
+        if den == "1":
+            return int(num)
+        den = int(den)
+        if den == 0:
+            raise ValueError(f"zero denominator in {tok!r}")
+        f = Fraction(int(num), den)
         return int(f) if f.denominator == 1 else f
     return int(tok)
 

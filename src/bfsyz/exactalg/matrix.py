@@ -75,12 +75,21 @@ def check_dense_budget(nrows: int, ncols: int, bytes_per_cell: int, mem_mb: int 
         )
 
 
+def resolve_seed(seed: int | None = None) -> int:
+    """``seed`` when given, else BFSYZ_SEED (default 0); the one reader of BFSYZ_SEED."""
+    if seed is not None:
+        return int(seed)
+    return int(os.environ.get("BFSYZ_SEED", "0"))
+
+
 def default_rng() -> random.Random:
     """Seeded generator honouring BFSYZ_SEED (default 0)."""
-    return random.Random(int(os.environ.get("BFSYZ_SEED", "0")))
+    return random.Random(resolve_seed())
 
 
 def _normalize_scalar(v):
+    if type(v) is int:
+        return v
     if isinstance(v, Fraction):
         if v.denominator == 1:
             return int(v)
@@ -170,6 +179,31 @@ class ExactMatrix:
         return f"ExactMatrix({self.nrows} x {self.ncols}, nnz={self.nnz}, field={self.field})"
 
 
+def _trusted_matrix(nrows: int, ncols: int, entries: dict) -> ExactMatrix:
+    """Wrap entries that are already in range, normalized and nonzero, without
+    validating them again (the blocks of ``split_blocks``)."""
+    m = ExactMatrix.__new__(ExactMatrix)
+    m.nrows = nrows
+    m.ncols = ncols
+    m.field = "QQ"
+    m.entries = entries
+    m.pivot_cols = None
+    return m
+
+
+def _sparse_rows(m: ExactMatrix, mem_mb: int | None = None) -> list[dict]:
+    """``{col: value}`` rows of ``m`` for the exact engine.
+
+    The engine's work is bounded like that of dense rows, so the budget check
+    is the one of :meth:`ExactMatrix.to_rows`.
+    """
+    check_dense_budget(m.nrows, m.ncols, _EXACT_CELL_BYTES, mem_mb, "to_rows")
+    rows: list[dict] = [{} for _ in range(m.nrows)]
+    for (i, j), v in m.entries.items():
+        rows[i][j] = v
+    return rows
+
+
 class RankResult(NamedTuple):
     rank: int
     mode: str  # "exact" or "modular"
@@ -209,8 +243,14 @@ def primitive_int_vector(vec) -> tuple[int, ...]:
 
 
 def _sparse_int_row(row) -> dict[int, int]:
-    """Primitive ``{col: int}`` multiple of a dense int/Fraction row (zeros dropped)."""
-    nz = {j: v for j, v in enumerate(row) if v}
+    """Primitive ``{col: int}`` multiple of an int/Fraction row (zeros dropped).
+
+    ``row`` is a dense list or a ``{col: value}`` dict.
+    """
+    if type(row) is dict:
+        nz = {j: v for j, v in row.items() if v}
+    else:
+        nz = {j: v for j, v in enumerate(row) if v}
     den = 1
     for v in nz.values():
         if isinstance(v, Fraction):
@@ -245,7 +285,9 @@ def _eliminate(pr: dict[int, int], c: int, ri: dict[int, int]) -> dict[int, int]
 
 
 def _echelon(rows, ncols: int) -> tuple[list[int], list[dict[int, int]]]:
-    """Sparse fraction-free forward elimination of dense int/Fraction rows.
+    """Sparse fraction-free forward elimination of int/Fraction rows.
+
+    Each row is a dense list or a ``{col: value}`` dict; neither is mutated.
 
     Returns the pivot columns (increasing) and the matching primitive integer
     pivot rows; the pivot row of column ``c`` is zero left of ``c``.  Columns
@@ -279,7 +321,8 @@ def _echelon(rows, ncols: int) -> tuple[list[int], list[dict[int, int]]]:
 
 
 def bareiss_rank_rows(rows, ncols: int) -> int:
-    """Rank over QQ of dense int/Fraction rows (not mutated): the pivot count of ``_echelon``."""
+    """Rank over QQ of int/Fraction rows, dense lists or ``{col: value}`` dicts
+    (not mutated): the pivot count of ``_echelon``."""
     return len(_echelon(rows, ncols)[0])
 
 
@@ -291,13 +334,14 @@ def exact_rank_rows(rows, ncols: int) -> int:
 def rref_rows(rows, ncols: int):
     """Fully reduced row echelon form over QQ.
 
-    ``rows`` is a list of dense rows (int/Fraction); a *new* list of nonzero
-    dense reduced rows is returned together with the pivot column list, in
-    increasing pivot order.  Pivots are 1, pivot columns are zero elsewhere,
-    and an entry is an int when it is integral and a Fraction otherwise.  The
-    reduced echelon form of a row space is unique, so the output depends only
-    on the row span, not on the pivot order of the sparse fraction-free
-    elimination (see ``_echelon``) that computes it.  The rows are not mutated.
+    ``rows`` is a list of int/Fraction rows, each a dense list or a
+    ``{col: value}`` dict; a *new* list of nonzero dense reduced rows is
+    returned together with the pivot column list, in increasing pivot order.
+    Pivots are 1, pivot columns are zero elsewhere, and an entry is an int
+    when it is integral and a Fraction otherwise.  The reduced echelon form of
+    a row space is unique, so the output depends only on the row span, not on
+    the pivot order of the sparse fraction-free elimination (see ``_echelon``)
+    that computes it.  The rows are not mutated.
     """
     pivots, pivot_rows = _echelon(rows, ncols)
     # back substitution from the last pivot: a row used to clear its pivot
@@ -421,7 +465,7 @@ def rank_details(
     if m.nnz == 0:
         return RankResult(0, "exact")
     if use == "exact":
-        return RankResult(exact_rank_rows(m.to_rows(mem_mb), m.ncols), "exact")
+        return RankResult(exact_rank_rows(_sparse_rows(m, mem_mb), m.ncols), "exact")
 
     if rng is None:
         rng = default_rng()
@@ -438,7 +482,7 @@ def rank_details(
                 p = _primes.distinct_random_primes(rng, 1, tuple(used) + (p,))[0]
     if len(set(ranks)) == 1:
         return RankResult(ranks[0], "modular", tuple(used))
-    exact = exact_rank_rows(m.to_rows(mem_mb), m.ncols)
+    exact = exact_rank_rows(_sparse_rows(m, mem_mb), m.ncols)
     return RankResult(exact, "exact", tuple(used), escalated=True)
 
 
@@ -448,7 +492,7 @@ def rank(m: ExactMatrix, mode: str = "auto", **kw) -> int:
 
 def rref(m: ExactMatrix, mem_mb: int | None = None) -> ExactMatrix:
     """Reduced row echelon form (same shape, zero rows kept, pivots recorded)."""
-    reduced, pivots = rref_rows(m.to_rows(mem_mb), m.ncols)
+    reduced, pivots = rref_rows(_sparse_rows(m, mem_mb), m.ncols)
     entries = {}
     for i, row in enumerate(reduced):
         for j, v in enumerate(row):
@@ -474,7 +518,7 @@ def kernel_basis(m: ExactMatrix, mem_mb: int | None = None) -> list[tuple[int, .
             vec[f] = 1
             basis.append(tuple(vec))
         return basis
-    reduced, pivots = rref_rows(m.to_rows(mem_mb), m.ncols)
+    reduced, pivots = rref_rows(_sparse_rows(m, mem_mb), m.ncols)
     return kernel_rows_from_rref(reduced, pivots, m.ncols)
 
 
@@ -487,8 +531,10 @@ def split_blocks(entries, row_labels, col_labels):
 
     Every nonzero entry must connect a row and column with equal labels,
     otherwise the map is not equivariant for the labelling and a
-    ConventionError is raised.  Returns {label: (row_ids, col_ids, subdict)}
-    with deterministic (sorted) index order.
+    ConventionError is raised; an index outside the label lists raises
+    ValueError.  Returns {label: (row_ids, col_ids, subdict)} with
+    deterministic (sorted) index order; the subdicts hold normalized nonzero
+    entries, as ExactMatrix stores them.
     """
     rows_by = {}
     cols_by = {}
@@ -506,13 +552,21 @@ def split_blocks(entries, row_labels, col_labels):
         for k, j in enumerate(ids):
             col_pos[j] = (w, k)
     for (i, j), v in entries.items():
-        wi, ki = row_pos[i]
-        wj, kj = col_pos[j]
+        try:
+            wi, ki = row_pos[i]
+            wj, kj = col_pos[j]
+        except KeyError:
+            raise ValueError(
+                f"entry index ({i}, {j}) outside {len(row_labels)} x {len(col_labels)}"
+            ) from None
         if wi != wj:
             raise ConventionError(
                 f"entry ({i}, {j}) connects label {wj} to label {wi}; matrix is not label-preserving"
             )
-        sub[wi][(ki, kj)] = v
+        if type(v) is not int:
+            v = _normalize_scalar(v)
+        if v:
+            sub[wi][(ki, kj)] = v
     out = {}
     for w in sorted(set(rows_by) | set(cols_by)):
         out[w] = (rows_by.get(w, []), cols_by.get(w, []), sub.get(w, {}))
@@ -541,7 +595,7 @@ def blocked_kernel_basis(
         row_ids, col_ids, sub = blocks[w]
         if not col_ids:
             continue
-        block = ExactMatrix(len(row_ids), len(col_ids), sub)
+        block = _trusted_matrix(len(row_ids), len(col_ids), sub)
         for vec in kernel_basis(block, mem_mb):
             full = [0] * ncols
             for k, v in enumerate(vec):
@@ -586,9 +640,9 @@ def blocked_rank_details(
     for _w, (row_ids, col_ids, sub) in split_blocks(entries, row_labels, col_labels).items():
         if not sub:
             continue
-        block = ExactMatrix(len(row_ids), len(col_ids), sub)
+        block = _trusted_matrix(len(row_ids), len(col_ids), sub)
         if use == "exact":
-            total += exact_rank_rows(block.to_rows(mem_mb), block.ncols)
+            total += exact_rank_rows(_sparse_rows(block, mem_mb), block.ncols)
         else:
             res = rank_details(block, "modular", rng=rng, trials=trials, primes=chosen, mem_mb=mem_mb)
             total += res.rank

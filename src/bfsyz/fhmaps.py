@@ -39,7 +39,14 @@ from .exactalg.matrix import (
     check_dense_budget,
     default_rng,
 )
-from .polyring import GradedIdeal, MultiPoly, PolyRing, atomic_dump, cache_directory
+from .polyring import (
+    GradedIdeal,
+    MultiPoly,
+    PolyRing,
+    atomic_dump,
+    cache_directory,
+    load_cached,
+)
 from .sl2rep import (
     CLASSICAL_REFERENCE_TRIPLE,
     HW_SOURCE_VECTORS_2_2,
@@ -115,14 +122,25 @@ class FoulkesHoweMatrix(NamedTuple):
         return self.matrix.nrows
 
 
-def _product_tree(polys, k: int, d: int):
-    """Memoized monomial products P^beta for all |beta| <= k.
+def _pack(exp, base: int) -> int:
+    """The exponent vector ``exp`` as the integer sum_i exp_i * base^i."""
+    out = 0
+    for e in reversed(exp):
+        out = out * base + e
+    return out
 
-    Recursion strips the leftmost nonzero index, so every product of degree
-    t is one sparse multiplication on top of a degree t-1 product.
+
+def _product_tree(polys, base: int):
+    """Memoized monomial products P^beta, keyed by the index vector beta.
+
+    A product maps packed c-monomials (see ``_pack``) to coefficients.  With
+    ``base`` above every exponent that occurs, packing is injective and turns
+    a monomial product into one integer addition.  Recursion strips the
+    leftmost nonzero index, so every product of degree t is one sparse
+    multiplication on top of a degree t-1 product.
     """
-    memo: dict = {(0,) * (d + 1): {(): 1}}
-    base = [dict(p.terms) for p in polys]
+    memo: dict = {(0,) * len(polys): {0: 1}}
+    packed = [{_pack(e, base): c for e, c in p.terms.items()} for p in polys]
 
     def product(beta):
         got = memo.get(beta)
@@ -133,10 +151,10 @@ def _product_tree(polys, k: int, d: int):
         parent[j] -= 1
         prev = product(tuple(parent))
         out: dict = {}
-        pj = base[j]
+        pj = packed[j]
         for e1, c1 in prev.items():
             for e2, c2 in pj.items():
-                key = tuple(x + y for x, y in zip(e1, e2)) if e1 else e2
+                key = e1 + e2
                 out[key] = out.get(key, 0) + c1 * c2
         memo[beta] = out
         return out
@@ -150,7 +168,8 @@ def foulkes_howe(a: int, b: int, k: int, mem_mb=None, cache=None) -> FoulkesHowe
     Column for the z-monomial z^beta is the coefficient vector of
     prod_j P_j^{beta_j} over the degree-ak c-monomials.  k = 0 gives the
     1 x 1 identity.  Matrices are cached on disk when a cache directory is
-    active, keyed by (a, b, k).
+    active, keyed by (a, b, k); a cached file that does not parse, or holds a
+    matrix of another shape or field, is rebuilt and rewritten.
     """
     if a < 1 or b < 1 or k < 0:
         raise ValueError("need a >= 1, b >= 1, k >= 0")
@@ -165,15 +184,17 @@ def foulkes_howe(a: int, b: int, k: int, mem_mb=None, cache=None) -> FoulkesHowe
     path = None
     if cdir is not None:
         path = cdir / f"fh-a{a}-b{b}-k{k}.mat"
-        if path.exists():
-            matrix = load_matrix(path)
+        matrix = load_cached(path, len(row_basis), len(col_basis))
+        if matrix is not None:
             return FoulkesHoweMatrix(
                 a, b, k, d, matrix, row_basis, col_basis, row_weights, col_weights
             )
 
     gens = power_generators(a, b)
-    row_index = plethysm_index(a * k, b)
-    product = _product_tree(gens.polys, k, d)
+    # degree-ak monomials have exponents <= ak, so base ak + 1 packs them injectively
+    base = a * k + 1
+    row_index = {_pack(e, base): i for i, e in enumerate(row_basis)}
+    product = _product_tree(gens.polys, base)
     entries: dict = {}
     for colno, beta in enumerate(col_basis):
         if k == 0:

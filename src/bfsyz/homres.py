@@ -14,7 +14,6 @@ unconditional.  Resource overruns mark entries unknown, never guessed.
 
 from __future__ import annotations
 
-import os
 import random
 from concurrent.futures import ThreadPoolExecutor
 from math import comb
@@ -29,7 +28,7 @@ from .exactalg import (
     kernel_basis,
     memory_budget_mb,
 )
-from .exactalg.matrix import rref_rows, split_blocks
+from .exactalg.matrix import resolve_seed, rref_rows, split_blocks
 from .fhmaps import fh_rank_report, foulkes_howe, phi_matrix, power_generators, power_ideal
 from .polyring import (
     GradedIdeal,
@@ -41,12 +40,6 @@ from .polyring import (
     monomial_quotient_hf,
 )
 from .sl2rep import coord_weight, plethysm_basis, plethysm_index, wedge_basis, wedge_index
-
-
-def _resolve_seed(seed) -> int:
-    if seed is not None:
-        return int(seed)
-    return int(os.environ.get("BFSYZ_SEED", "0"))
 
 
 def _column_echelon(entries, row_labels, col_labels):
@@ -66,11 +59,10 @@ def _column_echelon(entries, row_labels, col_labels):
             _src_ids, mono_ids, sub = blocks[w]
             if not sub:
                 continue
-            nloc = len(mono_ids)
-            dense = [[0] * nloc for _ in range(len(_src_ids))]
+            rows: list[dict] = [{} for _ in _src_ids]
             for (i, j), v in sub.items():
-                dense[i][j] = v
-            red, piv = rref_rows(dense, nloc)
+                rows[i][j] = v
+            red, piv = rref_rows(rows, len(mono_ids))
             for row, p in zip(red, piv):
                 vec = {mono_ids[j]: v for j, v in enumerate(row) if v}
                 reduced.append((mono_ids[p], vec))
@@ -536,7 +528,7 @@ def tor_betti(
     rank task draws primes from its own (seed, i, t)-keyed generator.
     """
     nv = module.ring.nvars
-    base_seed = _resolve_seed(seed)
+    base_seed = resolve_seed(seed)
     cap = j_max if t_max is None else t_max
     window = [
         (i, j)
@@ -674,7 +666,7 @@ def power_locus_betti(
         i_max = d + 2
     if t_max is None:
         t_max = b + 1
-    rng = random.Random(f"{_resolve_seed(seed)}:certificates:{a}:{b}")
+    rng = random.Random(f"{resolve_seed(seed)}:certificates:{a}:{b}")
     module = GradedModule.power_quotient(
         a, b, mode=mode, rng=rng, trials=trials, mem_mb=mem_mb, cache=cache
     )
@@ -1280,7 +1272,7 @@ def exactness_check(
     lo, hi = (0, degree_window) if isinstance(degree_window, int) else degree_window
     if lo > hi:
         raise ValueError("empty degree window")
-    base_seed = _resolve_seed(seed)
+    base_seed = resolve_seed(seed)
     npos = len(C.gen_degrees)
     cache: dict = {}
 
@@ -1338,7 +1330,7 @@ def resolution_check(
     """
     report = exactness_check(C, degree_window, mode, seed=seed, trials=trials, mem_mb=mem_mb)
     lo, hi = report["window"]
-    rng = random.Random(f"{_resolve_seed(seed)}:piece-dims")
+    rng = random.Random(f"{resolve_seed(seed)}:piece-dims")
     dims = []
     matched = True
     for t in range(lo, hi + 1):
@@ -1400,7 +1392,7 @@ def power_resolution(
     """
     if b < 2:
         raise ValueError("the cone construction needs b >= 2")
-    base_seed = _resolve_seed(seed)
+    base_seed = resolve_seed(seed)
     phi = phi_matrix(a, b)
     d = phi.d
     cring = phi.ring

@@ -21,6 +21,7 @@ import json
 import os
 from fractions import Fraction
 from math import comb
+from operator import add
 from pathlib import Path
 from typing import NamedTuple
 
@@ -37,6 +38,24 @@ def cache_directory(override=None) -> Path | None:
     path = Path(base)
     path.mkdir(parents=True, exist_ok=True)
     return path
+
+
+def load_cached(path: Path, nrows: int, ncols: int | None = None) -> ExactMatrix | None:
+    """The QQ matrix cached at ``path``, or None for a miss.
+
+    A file that is absent, does not parse, holds another field or is not
+    ``nrows`` x ``ncols`` (any column count when ``ncols`` is None) is a miss;
+    the caller rebuilds the matrix and rewrites the file.
+    """
+    if not path.exists():
+        return None
+    try:
+        m = load_matrix(path)
+    except ValueError:
+        return None
+    if m.field != "QQ" or m.nrows != nrows or (ncols is not None and m.ncols != ncols):
+        return None
+    return m
 
 
 def atomic_dump(matrix: ExactMatrix, path: Path) -> None:
@@ -352,8 +371,7 @@ class GradedIdeal:
                 mw = self.ring.monomial_weight(m) if self.weight_graded else 0
                 col_labels.append(gw + mw)
                 for exp, coeff in g.terms.items():
-                    key = tuple(a + b for a, b in zip(m, exp))
-                    entries[(index[key], col)] = coeff
+                    entries[(index[tuple(map(add, m, exp))], col)] = coeff
                 col += 1
         return entries, col, row_labels, col_labels
 
@@ -362,15 +380,18 @@ class GradedIdeal:
 
         Rows = degree-k monomials, columns = reduced basis vectors ordered by
         pivot monomial; the piece dimension is the column count.  Exact
-        arithmetic always; cached to disk when a cache directory is active.
+        arithmetic always; cached to disk when a cache directory is active.  A
+        cached file that does not parse, or has the wrong row count or field,
+        is recomputed and rewritten.
         """
+        nrows = self.ring.dimension(k)
         cdir = cache_directory(cache)
         path = None
         if cdir is not None:
             path = cdir / f"piece-{self.fingerprint()}-deg{k}.mat"
-            if path.exists():
-                return load_matrix(path)
-        nrows = self.ring.dimension(k)
+            cached = load_cached(path, nrows)
+            if cached is not None:
+                return cached
         entries, ncols, row_labels, col_labels = self.spanning_data(k)
         reduced_rows = []
         if entries:
@@ -380,10 +401,10 @@ class GradedIdeal:
                 # block rows = products restricted to this weight's monomials
                 if not sub:
                     continue
-                dense = [[0] * len(col_ids) for _ in range(len(row_ids))]
+                rows: list[dict] = [{} for _ in row_ids]
                 for (i, j), v in sub.items():
-                    dense[i][j] = v
-                red, piv = rref_rows(dense, len(col_ids))
+                    rows[i][j] = v
+                red, piv = rref_rows(rows, len(col_ids))
                 for row, p in zip(red, piv):
                     full = {}
                     for j, v in enumerate(row):

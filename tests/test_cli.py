@@ -214,12 +214,25 @@ def test_cache_does_not_change_the_report(capsys, tmp_path):
     assert cold == warm == plain
 
 
+def test_damaged_cache_gives_the_cold_report(capsys, tmp_path):
+    argv = ("fh-rank", "--a", "2", "--b", "3", "--k", "2", "--cache")
+    _, cold = run_cli(capsys, *argv, str(tmp_path / "cold"))
+    run_cli(capsys, "fh-rank", "--a", "2", "--b", "3", "--k", "3", "--cache", str(tmp_path))
+    wrong_shape = (tmp_path / "fh-a2-b3-k3.mat").read_bytes()
+    for data in (wrong_shape, b"BFSYZ-MAT v1 35 28 sparse QQ\n0 0\n"):
+        (tmp_path / "fh-a2-b3-k2.mat").write_bytes(data)
+        code, out = run_cli(capsys, *argv, str(tmp_path))
+        assert (code, out) == (0, cold)
+
+
 def test_seed_env_and_flag_precedence(capsys, monkeypatch):
     monkeypatch.setenv("BFSYZ_SEED", "7")
     _, rep = run_json(capsys, "fh-rank", "--a", "2", "--b", "2", "--k", "1")
     assert rep["seed"] == 7
     _, rep = run_json(capsys, "fh-rank", "--a", "2", "--b", "2", "--k", "1", "--seed", "3")
     assert rep["seed"] == 3
+    monkeypatch.setenv("BFSYZ_SEED", "abc")
+    assert main(["fh-rank", "--a", "2", "--b", "2", "--k", "1"]) == 3
 
 
 def test_out_flag_writes_file_and_silences_stdout(capsys, tmp_path):

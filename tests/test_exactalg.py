@@ -265,6 +265,8 @@ def _random_exact_rows(rng):
 
 
 def _typed(rows):
+    if rows and isinstance(rows[0], dict):
+        return [sorted((j, type(v), v) for j, v in row.items()) for row in rows]
     return [[(type(v), v) for v in row] for row in rows]
 
 
@@ -273,17 +275,20 @@ def test_exact_engines_match_dense_references():
     cases = [_random_exact_rows(rng) for _ in range(300)]
     cases += [([], 4), ([[], [], []], 0), ([[0, 0, 0]] * 2, 3)]
     for rows, ncols in cases:
-        snapshot = _typed(rows)
-        reduced, pivots = rref_rows(rows, ncols)
         want_reduced, want_pivots = reference_rref(rows, ncols)
-        assert pivots == want_pivots
-        assert _typed(reduced) == _typed(want_reduced)
         int_rows = [clear_denominators(row) for row in rows]
         want_rank = reference_bareiss_rank(int_rows, ncols)
         assert want_rank == len(want_pivots)
-        assert bareiss_rank_rows(rows, ncols) == want_rank
-        assert exact_rank_rows(rows, ncols) == want_rank
-        assert _typed(rows) == snapshot, "an exact engine mutated its input"
+        # the engines take dense rows and {col: value} rows (zero rows as {})
+        sparse = [{j: v for j, v in enumerate(row) if v} for row in rows]
+        for given in (rows, sparse):
+            snapshot = _typed(given)
+            reduced, pivots = rref_rows(given, ncols)
+            assert pivots == want_pivots
+            assert _typed(reduced) == _typed(want_reduced)
+            assert bareiss_rank_rows(given, ncols) == want_rank
+            assert exact_rank_rows(given, ncols) == want_rank
+            assert _typed(given) == snapshot, "an exact engine mutated its input"
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +438,19 @@ def test_split_blocks_rejects_label_mixing():
         split_blocks({(0, 0): 1}, [1], [2])
 
 
+def test_split_blocks_rejects_index_outside_labels():
+    for entries in ({(2, 0): 1}, {(0, 3): 1}, {(-1, 0): 1}):
+        with pytest.raises(ValueError):
+            split_blocks(entries, [0, 0], [0, 0, 0])
+
+
+def test_split_blocks_normalizes_entries():
+    blocks = split_blocks({(0, 0): Fraction(4, 2), (1, 1): 0, (1, 0): Fraction(1, 3)}, [0, 0], [0, 0])
+    ((_w, (_rows, _cols, sub)),) = blocks.items()
+    assert sub == {(0, 0): 2, (1, 0): Fraction(1, 3)}
+    assert type(sub[(0, 0)]) is int
+
+
 def test_blocked_rank_matches_plain_rank():
     rng = random.Random(31)
     for trial in range(10):
@@ -560,5 +578,45 @@ def test_io_rejects_bad_header(tmp_path):
 def test_io_rejects_explicit_zero_in_sparse(tmp_path):
     path = tmp_path / "z.mat"
     path.write_text("BFSYZ-MAT v1 2 2 sparse QQ\n0 0 0\n")
+    with pytest.raises(ValueError):
+        load_matrix(path)
+
+
+def test_io_golden_bytes(tmp_path):
+    # v1 cache files must stay byte-identical: this text is the v1 format
+    sparse = ExactMatrix(
+        3, 5, {(2, 3): 2**70, (0, 1): -5, (1, 0): Fraction(-3, 7), (0, 0): Fraction(4, 2)}
+    )
+    dense = ExactMatrix.from_rows([[1, -2], [Fraction(1, 3), 2**65 + 1]])
+    golden = {
+        "s.mat": (
+            sparse,
+            "BFSYZ-MAT v1 3 5 sparse QQ\n"
+            "0 0 2/1\n"
+            "0 1 -5/1\n"
+            "1 0 -3/7\n"
+            "2 3 1180591620717411303424/1\n",
+        ),
+        "d.mat": (
+            dense,
+            "BFSYZ-MAT v1 2 2 dense QQ\n"
+            "1/1 -2/1\n"
+            "1/3 36893488147419103233/1\n",
+        ),
+    }
+    for name, (m, text) in golden.items():
+        dump_matrix(m, tmp_path / name)
+        assert (tmp_path / name).read_bytes() == text.encode()
+        assert load_matrix(tmp_path / name) == m
+
+
+def test_io_load_scalar_types(tmp_path):
+    path = tmp_path / "t.mat"
+    path.write_text("BFSYZ-MAT v1 1 4 sparse QQ\n0 0 7/1\n0 1 -3/7\n0 2 4/2\n0 3 -9\n")
+    back = load_matrix(path)
+    got = [back.entry(0, j) for j in range(4)]
+    assert got == [7, Fraction(-3, 7), 2, -9]
+    assert [type(v) for v in got] == [int, Fraction, int, int]
+    path.write_text("BFSYZ-MAT v1 1 1 sparse QQ\n0 0 1/0\n")
     with pytest.raises(ValueError):
         load_matrix(path)

@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from bfsyz.exactalg import rank
+from bfsyz.exactalg import ExactMatrix, dump_matrix, rank
 from bfsyz.fhmaps import (
     fh_rank_report,
     foulkes_howe,
@@ -23,7 +23,7 @@ from bfsyz.fhmaps import (
     sr_wr_terms,
 )
 from bfsyz.polyring import MultiPoly, PolyRing
-from bfsyz.sl2rep import BinaryForm
+from bfsyz.sl2rep import BinaryForm, plethysm_basis, plethysm_index
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +92,42 @@ def test_fh_2_2_shapes_and_ranks():
     assert rank(fh3.matrix, "exact") == 28
 
 
+def reference_slice_entries(a, b, k):
+    """Entries of alpha_k from a product tree keyed by exponent tuples."""
+    polys = [dict(p.terms) for p in power_generators(a, b).polys]
+    memo = {(0,) * (a * b + 1): {(0,) * (b + 1): 1}}
+
+    def product(beta):
+        if beta not in memo:
+            j = next(i for i, v in enumerate(beta) if v)
+            parent = list(beta)
+            parent[j] -= 1
+            out = {}
+            for e1, c1 in product(tuple(parent)).items():
+                for e2, c2 in polys[j].items():
+                    key = tuple(x + y for x, y in zip(e1, e2))
+                    out[key] = out.get(key, 0) + c1 * c2
+            memo[beta] = out
+        return memo[beta]
+
+    row_index = plethysm_index(a * k, b)
+    entries = {}
+    for colno, beta in enumerate(plethysm_basis(k, a * b)):
+        for exp, coeff in product(beta).items():
+            entries[(row_index[exp], colno)] = coeff
+    return entries
+
+
+@pytest.mark.parametrize(
+    "a, b, k", [(1, 1, 0), (1, 1, 1), (1, 1, 4), (1, 3, 3), (3, 1, 2), (2, 3, 0), (2, 3, 1), (3, 4, 4)]
+)
+def test_fh_matches_tuple_keyed_reference(a, b, k):
+    fh = foulkes_howe(a, b, k)
+    # same entries in the same order, so every consumer sees the same matrix
+    assert list(fh.matrix.entries.items()) == list(reference_slice_entries(a, b, k).items())
+    assert fh.matrix.shape == (comb(a * k + b, b), comb(k + a * b, k))
+
+
 def test_fh_multiplicativity():
     # column(beta + delta_j) = P_j * column(beta), sampled over (2, 2)
     rng = random.Random(10)
@@ -122,6 +158,27 @@ def test_fh_cache_roundtrip(tmp_path):
     assert (tmp_path / "fh-a2-b2-k2.mat").exists()
     warm = foulkes_howe(2, 2, 2, cache=str(tmp_path))
     assert warm.matrix == cold.matrix
+
+
+def test_fh_damaged_cache_is_rebuilt(tmp_path):
+    cold = foulkes_howe(2, 3, 2, cache=str(tmp_path / "cold"))
+    cold_bytes = (tmp_path / "cold" / "fh-a2-b3-k2.mat").read_bytes()
+    other = tmp_path / "other"
+    foulkes_howe(2, 3, 3, cache=str(other))
+    wrong_shape = (other / "fh-a2-b3-k3.mat").read_bytes()
+    dump_matrix(ExactMatrix(*cold.matrix.shape, {(0, 0): 1}, field="GF:7"), other / "gf.mat")
+    damaged = {
+        "wrong shape": wrong_shape,
+        "unparseable": b"BFSYZ-MAT v1 35 28 sparse QQ\n0 0 1/0\n",
+        "not a matrix": b"\xff\xfe",
+        "wrong field": (other / "gf.mat").read_bytes(),
+    }
+    for name, data in damaged.items():
+        path = tmp_path / "fh-a2-b3-k2.mat"
+        path.write_bytes(data)
+        warm = foulkes_howe(2, 3, 2, cache=str(tmp_path))
+        assert warm.matrix == cold.matrix, name
+        assert path.read_bytes() == cold_bytes, name
 
 
 def test_fh_rank_report_bijective_cases():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from bfsyz.exactalg import rank
+from bfsyz.exactalg import load_matrix, rank
 from bfsyz.polyring import (
     GradedIdeal,
     MonomialIdeal,
@@ -158,6 +158,19 @@ def test_piece_cache_roundtrip(tmp_path):
     assert len(files) == 1
     warm = ideal.graded_piece(3, cache=str(tmp_path))
     assert warm == cold
+
+
+def test_piece_cache_with_wrong_shape_is_rebuilt(tmp_path):
+    r = ring3()
+    ideal = GradedIdeal(r, i22_generators(r))
+    cold = ideal.graded_piece(3)
+    ideal.graded_piece(2, cache=str(tmp_path))
+    (deg2,) = tmp_path.glob("piece-*-deg2.mat")
+    deg3 = deg2.with_name(deg2.name.replace("deg2", "deg3"))
+    for data in (deg2.read_bytes(), b"BFSYZ-MAT v1 10"):
+        deg3.write_bytes(data)
+        assert ideal.graded_piece(3, cache=str(tmp_path)) == cold
+        assert load_matrix(deg3) == cold
 
 
 def test_fingerprint_is_order_independent():
