@@ -1,11 +1,15 @@
 """Benchmark the modular elimination kernel: compiled extension vs pure Python.
 
 Two views of the same question.  The microbenchmark times rank_mod_p_dense on
-random dense matrices with both backends loaded side by side in one process;
-the end-to-end run times a fixed rank certification workload in subprocesses,
-once as installed and once with BFSYZ_PURE=1 forcing the fallback.
+random matrices of several densities with both backends loaded side by side in
+one process, and the pure-Python twin's dense loop alone next to them: at low
+density the twin eliminates sparse rows first, so the table shows where that
+beats its dense loop and where the compiled (dense) kernel still wins.  The
+end-to-end run times a fixed rank certification workload in subprocesses, once
+as installed and once with BFSYZ_PURE=1 forcing the fallback.
 
-Usage: python3 benchmarks/bench_modrank.py [--sizes 100,200,300] [--repeats 3]
+Usage: python3 benchmarks/bench_modrank.py [--sizes 100,200,300]
+       [--densities 0.02,0.05,0.3] [--repeats 3]
 """
 
 from __future__ import annotations
@@ -58,23 +62,29 @@ def time_backend(fn, arr: np.ndarray, p: int, repeats: int) -> tuple[float, int]
     return min(best), rank
 
 
-def microbenchmark(sizes, density: float, repeats: int, seed: int) -> None:
+def microbenchmark(sizes, densities, repeats: int, seed: int) -> None:
     rng = random.Random(seed)
     p = random_prime(rng)
-    print(f"rank_mod_p_dense, prime {p}, density {density}, best of {repeats}")
-    header = f"{'n':>6} {'python':>12} {'compiled':>12} {'speedup':>9}"
+    print(f"rank_mod_p_dense, prime {p}, best of {repeats}; the twin starts sparse "
+          f"at density <= {_fallback.SPARSE_ENTRY_DENSITY}")
+    header = f"{'n':>6} {'density':>8} {'twin':>10} {'dense loop':>11} {'compiled':>10} {'twin/compiled':>14}"
     print(header)
     print("-" * len(header))
-    for n in sizes:
-        arr = random_matrix(rng, n, p, density)
-        t_py, r_py = time_backend(_fallback.rank_mod_p_dense, arr, p, repeats)
-        if _speedups is None:
-            print(f"{n:>6} {t_py:>11.4f}s {'absent':>12} {'':>9}")
-            continue
-        t_c, r_c = time_backend(_speedups.rank_mod_p_dense, arr, p, repeats)
-        if r_py != r_c:
-            raise SystemExit(f"backends disagree at n = {n}: {r_py} vs {r_c}")
-        print(f"{n:>6} {t_py:>11.4f}s {t_c:>11.4f}s {t_py / t_c:>8.1f}x")
+    for density in densities:
+        for n in sizes:
+            arr = random_matrix(rng, n, p, density)
+            t_py, r_py = time_backend(_fallback.rank_mod_p_dense, arr, p, repeats)
+            t_loop, r_loop = time_backend(_fallback._rank_dense, arr, p, repeats)
+            if r_loop != r_py:
+                raise SystemExit(f"twin paths disagree at n = {n}, density {density}: {r_py} vs {r_loop}")
+            row = f"{n:>6} {density:>8} {t_py:>9.4f}s {t_loop:>10.4f}s"
+            if _speedups is None:
+                print(f"{row} {'absent':>10}")
+                continue
+            t_c, r_c = time_backend(_speedups.rank_mod_p_dense, arr, p, repeats)
+            if r_py != r_c:
+                raise SystemExit(f"backends disagree at n = {n}, density {density}: {r_py} vs {r_c}")
+            print(f"{row} {t_c:>9.4f}s {t_py / t_c:>13.1f}x")
 
 
 def end_to_end() -> None:
@@ -93,13 +103,14 @@ def end_to_end() -> None:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", default="100,200,300")
-    parser.add_argument("--density", type=float, default=0.3)
+    parser.add_argument("--densities", default="0.02,0.05,0.3")
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--skip-end-to-end", action="store_true")
     args = parser.parse_args()
     sizes = [int(s) for s in args.sizes.split(",") if s]
-    microbenchmark(sizes, args.density, args.repeats, args.seed)
+    densities = [float(d) for d in args.densities.split(",") if d]
+    microbenchmark(sizes, densities, args.repeats, args.seed)
     if not args.skip_end_to_end:
         end_to_end()
 

@@ -3,8 +3,8 @@
 
 Row-reduces a dense uint64 matrix modulo a prime of up to 62 bits, using
 128-bit intermediates for the multiply-accumulate.  Pivoting is deterministic
-(leftmost column, first nonzero row) so the compiled and pure-Python kernels
-are interchangeable.
+(leftmost column, first nonzero row).  The pure-Python twin gives the same
+rank; both clobber the buffer and leave its contents unspecified.
 """
 
 cdef extern from *:

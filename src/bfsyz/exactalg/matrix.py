@@ -57,12 +57,23 @@ _MOD_CELL_BYTES = 8
 
 
 def memory_budget_mb(override: int | None = None) -> int:
+    """Memory budget in MiB: ``override``, else BFSYZ_MEM_MB, else the default.
+
+    A BFSYZ_MEM_MB that is not a positive integer raises ``ValueError``, which
+    the CLI reports as a usage error.
+    """
     if override is not None:
         return override
     env = os.environ.get("BFSYZ_MEM_MB")
-    if env:
-        return int(env)
-    return DEFAULT_MEM_MB
+    if not env:
+        return DEFAULT_MEM_MB
+    try:
+        value = int(env)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError(f"BFSYZ_MEM_MB must be a positive integer, got {env!r}")
+    return value
 
 
 def check_dense_budget(nrows: int, ncols: int, bytes_per_cell: int, mem_mb: int | None, what: str) -> None:

@@ -434,18 +434,24 @@ class GradedIdeal:
         self, k: int, mode: str = "auto", *, rng=None, trials: int = 2,
         mem_mb=None, cache=None,
     ) -> RankResult:
-        """dim I_k with provenance; exact mode reuses the cached echelon basis."""
+        """dim I_k with provenance; exact mode reuses the cached echelon basis.
+
+        The mode is picked from the shape alone, so the spanning matrix is
+        built only on the modular route; ``graded_piece`` builds its own on a
+        cache miss.
+        """
         if k < 0 or not self.generators or k < min(self.generator_degrees()):
             return RankResult(0, "exact")
         nrows = self.ring.dimension(k)
-        entries, ncols, row_labels, col_labels = self.spanning_data(k)
-        if not entries:
-            return RankResult(0, "exact")
+        ncols = sum(self.ring.dimension(k - d) for d in self.generator_degrees())
         from .exactalg.matrix import _resolve_mode
 
         use = _resolve_mode(mode, nrows, ncols)
         if use == "exact":
             return RankResult(self.graded_piece(k, mem_mb, cache).ncols, "exact")
+        entries, ncols, row_labels, col_labels = self.spanning_data(k)
+        if not entries:
+            return RankResult(0, "exact")
         return blocked_rank_details(
             nrows, ncols, entries, row_labels, col_labels, "modular",
             rng=rng, trials=trials, mem_mb=mem_mb,

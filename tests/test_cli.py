@@ -235,6 +235,13 @@ def test_seed_env_and_flag_precedence(capsys, monkeypatch):
     assert main(["fh-rank", "--a", "2", "--b", "2", "--k", "1"]) == 3
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-5"])
+def test_bad_mem_mb_env_is_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("BFSYZ_MEM_MB", value)
+    assert main(["fh-rank", "--a", "2", "--b", "3", "--k", "3"]) == 3
+    assert "BFSYZ_MEM_MB" in capsys.readouterr().err
+
+
 def test_out_flag_writes_file_and_silences_stdout(capsys, tmp_path):
     target = tmp_path / "report.json"
     code, out = run_cli(capsys, "gens", "--a", "2", "--b", "2", "--out", str(target))

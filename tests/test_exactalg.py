@@ -354,10 +354,81 @@ def kernel_cases(rng, p):
     return cases
 
 
+def sparse_kernel_cases(rng, p):
+    """Matrices over F_p at most 10% nonzero, which the twin starts in its
+    sparse phase: block diagonal, permutation-like, sparse rank-deficient
+    products, zero rows and columns, single rows and columns, and a chain
+    whose fill-in crosses into the dense finish."""
+
+    def unit():
+        return rng.randrange(1, p)
+
+    def shuffled(rows):
+        order = rng.sample(range(len(rows[0])), len(rows[0]))
+        return [[row[j] for j in order] for row in rng.sample(rows, len(rows))]
+
+    def product(left, right):
+        return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*right)] for row in left]
+
+    cases = []
+    # twelve 4x5 blocks of rank <= 2 on the diagonal
+    blocks = [[[0] * 60 for _ in range(4)] for _ in range(12)]
+    for k, block in enumerate(blocks):
+        values = product([[unit(), unit()] for _ in range(4)], [[unit() for _ in range(5)] for _ in range(2)])
+        for row, vals in zip(block, values):
+            row[5 * k:5 * k + 5] = vals
+    cases.append(shuffled([row for block in blocks for row in block]))
+    # a scaled permutation, then one row repeated (scaled) and one cleared
+    perm = [[0] * 40 for _ in range(40)]
+    for i, j in enumerate(rng.sample(range(40), 40)):
+        perm[i][j] = unit()
+    perm[3] = [x * 5 % p for x in perm[11]]
+    perm[20] = [0] * 40
+    cases.append(perm)
+    # rank <= 6: each row of the left factor is one or two scaled units
+    right = [[0] * 50 for _ in range(6)]
+    for row in right:
+        for j in rng.sample(range(50), 3):
+            row[j] = unit()
+    left = [[0] * 6 for _ in range(50)]
+    for i, row in enumerate(left):
+        for k in rng.sample(range(6), 2 if i % 5 == 0 else 1):
+            row[k] = unit()
+    cases.append(product(left, right))
+    # about 6% nonzero with three zero rows and three zero columns
+    holes = [[unit() if rng.random() < 0.06 else 0 for _ in range(36)] for _ in range(30)]
+    for i in (0, 13, 29):
+        holes[i] = [0] * 36
+    for row in holes:
+        row[2] = row[17] = row[35] = 0
+    cases.append(holes)
+    wide = [0] * 40
+    wide[3], wide[21], wide[39] = unit(), unit(), unit()
+    tall = [[0] for _ in range(40)]
+    tall[7][0], tall[30][0] = unit(), unit()
+    cases += [[wide], tall, [[0] * 39 + [unit()]]]
+    # rows a_i = e_i + heavy_i and b_i = e_i + e_{i+1} over 40 light and 6
+    # heavy columns, with heavy parts of rank 2: eliminating the light columns
+    # spreads the heavy ones through the active part, which turns half full
+    # well before the end (the twin finishes a 12 x 46 remainder densely)
+    u, v = [unit() for _ in range(6)], [unit() for _ in range(6)]
+    chain = []
+    for i in range(40):
+        s, t = unit(), unit()
+        chain.append([unit() if j == i else 0 for j in range(40)] + [(s * x + t * y) % p for x, y in zip(u, v)])
+        chain.append([unit() if j in (i, i + 1) else 0 for j in range(40)] + [0] * 6)
+    cases.append(chain)
+    return cases
+
+
 def test_backends_agree_on_mod_p_rank():
     assert all(is_prime(p) for p in KERNEL_PRIMES)
     for p in KERNEL_PRIMES:
-        for rows in kernel_cases(random.Random(p % 1000), p):
+        rng = random.Random(p % 1000)
+        cases = kernel_cases(rng, p)
+        sparse = sparse_kernel_cases(rng, p)
+        assert all(np.count_nonzero(rows) <= _fallback.SPARSE_ENTRY_DENSITY * np.size(rows) for rows in sparse)
+        for rows in cases + sparse:
             want = reference_rank_mod_p(rows, p)
             assert mod_p_rank_rows(rows, len(rows[0]), p) == want
             for kernel in KERNELS:
