@@ -1,8 +1,8 @@
-"""Pure-Python twin of the compiled elimination kernel, sparse first.
+"""Rank over F_p of a uint64 buffer of residues, sparse first.
 
-It gives the same rank as ``_speedups.pyx`` on the same uint64 buffers of
-residues, and clobbers them too, but leaves them with unspecified contents: the
-two kernels agree on the rank, not on the pivot order or the buffer.
+``rank_mod_p_dense`` is the one mod-p elimination kernel: every modular rank
+in the package ends here.  It clobbers its buffer and leaves it with
+unspecified contents; only the rank is defined.
 
 A matrix with at most ``SPARSE_ENTRY_DENSITY`` of its cells nonzero (most
 Koszul blocks) is first eliminated as ``{col: residue}`` rows in Python ints,
@@ -14,10 +14,9 @@ the rows still active fill ``DENSE_SWITCH_DENSITY`` of the columns still
 active, they are written into a fresh buffer and finished by the dense loop,
 which also takes every denser matrix whole.
 
-The dense loop pivots like the compiled kernel (leftmost column, first nonzero
-row) and updates, at each step, only the rows that are nonzero in the pivot
-column and, in them, only the columns where the pivot row is nonzero.  Its
-update ``acc + f * u mod p`` involves products of up to 124 bits.  Where long
+The dense loop pivots on the leftmost column and its first nonzero row, and
+updates, at each step, only the rows that are nonzero in the pivot column and,
+in them, only the columns where the pivot row is nonzero.  Its update ``acc + f * u mod p`` involves products of up to 124 bits.  Where long
 double has a 64-bit mantissa (x86-64 Linux) it runs in uint64 with the quotient
 estimated in long double, which is exact for primes below 2**62.  Elsewhere
 (macOS arm64, Windows), and for larger primes, the same loop does the update in
@@ -27,8 +26,6 @@ numpy object dtype, that is, in exact Python-int arithmetic.
 from itertools import chain, islice
 
 import numpy as np
-
-BACKEND_NAME = "python"
 
 _LONG_DOUBLE_EXACT = np.finfo(np.longdouble).nmant >= 63
 

@@ -18,7 +18,7 @@ the sparsest row that is nonzero in the current column as pivot.  Rank does
 not depend on the pivot order and the reduced row echelon form of a row space
 is unique, so results depend only on the input, not on that choice.
 
-Row-level engines (`exact_rank_rows`, `rref_rows`, `mod_p_rank_rows`, ...) are
+Row-level engines (`bareiss_rank_rows`, `rref_rows`, `mod_p_rank_rows`, ...) are
 exposed for the modules that assemble large matrices blockwise and do not want
 to round-trip through ExactMatrix.
 """
@@ -35,17 +35,11 @@ from typing import NamedTuple
 import numpy as np
 
 from ..errors import ConventionError, ResourceLimitError
+from . import _modp as _kernel
 from . import primes as _primes
 
-if os.environ.get("BFSYZ_PURE") == "1":
-    from . import _fallback as _kernel
-else:
-    try:
-        from . import _speedups as _kernel  # type: ignore[no-redef]
-    except ImportError:
-        from . import _fallback as _kernel
-
-KERNEL_BACKEND: str = _kernel.BACKEND_NAME
+# the kernel's name in the CLI report envelope (``kernel_backend``)
+KERNEL_BACKEND = "python"
 
 # auto mode: matrices whose larger dimension exceeds this go modular
 EXACT_DIM_LIMIT = 2000
@@ -59,10 +53,12 @@ _MOD_CELL_BYTES = 8
 def memory_budget_mb(override: int | None = None) -> int:
     """Memory budget in MiB: ``override``, else BFSYZ_MEM_MB, else the default.
 
-    A BFSYZ_MEM_MB that is not a positive integer raises ``ValueError``, which
-    the CLI reports as a usage error.
+    An override or a BFSYZ_MEM_MB that is not a positive integer raises
+    ``ValueError``, which the CLI reports as a usage error.
     """
     if override is not None:
+        if override < 1:
+            raise ValueError(f"mem_mb must be a positive integer, got {override!r}")
         return override
     env = os.environ.get("BFSYZ_MEM_MB")
     if not env:
@@ -337,11 +333,6 @@ def bareiss_rank_rows(rows, ncols: int) -> int:
     return len(_echelon(rows, ncols)[0])
 
 
-def exact_rank_rows(rows, ncols: int) -> int:
-    """Rank over QQ of rows with int/Fraction entries (rows are not mutated)."""
-    return bareiss_rank_rows(rows, ncols)
-
-
 def rref_rows(rows, ncols: int):
     """Fully reduced row echelon form over QQ.
 
@@ -476,7 +467,7 @@ def rank_details(
     if m.nnz == 0:
         return RankResult(0, "exact")
     if use == "exact":
-        return RankResult(exact_rank_rows(_sparse_rows(m, mem_mb), m.ncols), "exact")
+        return RankResult(bareiss_rank_rows(_sparse_rows(m, mem_mb), m.ncols), "exact")
 
     if rng is None:
         rng = default_rng()
@@ -493,7 +484,7 @@ def rank_details(
                 p = _primes.distinct_random_primes(rng, 1, tuple(used) + (p,))[0]
     if len(set(ranks)) == 1:
         return RankResult(ranks[0], "modular", tuple(used))
-    exact = exact_rank_rows(_sparse_rows(m, mem_mb), m.ncols)
+    exact = bareiss_rank_rows(_sparse_rows(m, mem_mb), m.ncols)
     return RankResult(exact, "exact", tuple(used), escalated=True)
 
 
@@ -653,7 +644,7 @@ def blocked_rank_details(
             continue
         block = _trusted_matrix(len(row_ids), len(col_ids), sub)
         if use == "exact":
-            total += exact_rank_rows(_sparse_rows(block, mem_mb), block.ncols)
+            total += bareiss_rank_rows(_sparse_rows(block, mem_mb), block.ncols)
         else:
             res = rank_details(block, "modular", rng=rng, trials=trials, primes=chosen, mem_mb=mem_mb)
             total += res.rank

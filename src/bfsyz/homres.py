@@ -805,25 +805,6 @@ def hilbert_numerator(hf, nvars: int) -> list[int]:
     return out
 
 
-def minimal_generator_counts(
-    ideal: GradedIdeal, degrees, mode: str = "auto", *, rng=None, trials: int = 2,
-    mem_mb=None, cache=None,
-) -> dict:
-    """dim I_j - dim (m I)_j per degree: the beta_{0,j} oracle."""
-    ring = ideal.ring
-    bumped = GradedIdeal(
-        ring, [ring.variable(v) * g for v in range(ring.nvars) for g in ideal.generators]
-    )
-    if rng is None:
-        rng = default_rng()
-    out = {}
-    for j in degrees:
-        full = ideal.piece_dimension_details(j, mode, rng=rng, trials=trials, mem_mb=mem_mb, cache=cache)
-        sub = bumped.piece_dimension_details(j, mode, rng=rng, trials=trials, mem_mb=mem_mb, cache=cache)
-        out[j] = full.rank - sub.rank
-    return out
-
-
 # ---------------------------------------------------------------------------
 # closed-form cross-checks
 

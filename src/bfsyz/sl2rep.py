@@ -413,53 +413,6 @@ def dual_raising_action(n: int, poly: dict) -> dict:
     return _derivation(poly, n, lambda i: i + 1, +1)
 
 
-_ACTIONS = {
-    "lowering": lowering_action,
-    "raising": raising_action,
-    "dual_lowering": dual_lowering_action,
-    "dual_raising": dual_raising_action,
-}
-
-
-def operator_matrix(action: str, m: int, n: int) -> dict:
-    """Sparse matrix {(row, col): coeff} of an sl2 action on plethysm_basis(m, n)."""
-    fn = _ACTIONS[action]
-    basis = plethysm_basis(m, n)
-    index = plethysm_index(m, n)
-    entries = {}
-    for col, exp in enumerate(basis):
-        for key, val in fn(n, {exp: 1}).items():
-            entries[(index[key], col)] = val
-    return entries
-
-
-def highest_weight_vectors(m: int, n: int, weight: int) -> list[dict]:
-    """Plain-realization highest weight vectors of a given weight.
-
-    Returns primitive integer vectors (as exponent dicts) spanning the kernel
-    of the plain raising operator restricted to the weight space of
-    Sym^m(Sym^n U).
-    """
-    from .exactalg import ExactMatrix, kernel_basis
-
-    basis = plethysm_basis(m, n)
-    cols = [e for e in basis if plain_weight(e, n) == weight]
-    if not cols:
-        return []
-    # raising sends weight w to w + 2
-    target = [e for e in basis if plain_weight(e, n) == weight + 2]
-    tindex = {e: k for k, e in enumerate(target)}
-    entries = {}
-    for j, e in enumerate(cols):
-        for key, val in raising_action(n, {e: 1}).items():
-            entries[(tindex[key], j)] = val
-    mat = ExactMatrix(len(target), len(cols), entries)
-    out = []
-    for vec in kernel_basis(mat):
-        out.append({cols[i]: v for i, v in enumerate(vec) if v})
-    return out
-
-
 # ---------------------------------------------------------------------------
 # self-duality and highest-weight proportionality scalars
 

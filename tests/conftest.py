@@ -1,11 +1,6 @@
 import numpy as np
 
-from bfsyz.exactalg import KERNEL_BACKEND
-
 
 def pytest_report_header(config):
-    """Name the elimination kernel the run used, and the arithmetic its twin takes."""
-    return (
-        f"bfsyz kernel backend: {KERNEL_BACKEND}; "
-        f"np.longdouble mantissa bits: {np.finfo(np.longdouble).nmant}"
-    )
+    """Name the arithmetic the mod-p kernel's dense loop takes on this platform."""
+    return f"np.longdouble mantissa bits: {np.finfo(np.longdouble).nmant}"

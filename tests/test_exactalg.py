@@ -1,8 +1,6 @@
 """Exact linear algebra layer: rank, rref, kernels, modular agreement, IO."""
 
 import random
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
@@ -22,11 +20,10 @@ from bfsyz.exactalg import (
     rank_details,
     rref,
 )
-from bfsyz.exactalg import _fallback
+from bfsyz.exactalg import _modp
 from bfsyz.exactalg.matrix import (
     bareiss_rank_rows,
     clear_denominators,
-    exact_rank_rows,
     mod_p_rank_rows,
     primitive_int_vector,
     rref_rows,
@@ -287,31 +284,22 @@ def test_exact_engines_match_dense_references():
             assert pivots == want_pivots
             assert _typed(reduced) == _typed(want_reduced)
             assert bareiss_rank_rows(given, ncols) == want_rank
-            assert exact_rank_rows(given, ncols) == want_rank
             assert _typed(given) == snapshot, "an exact engine mutated its input"
 
 
 # ---------------------------------------------------------------------------
-# kernels: compiled vs pure python backend
-
-
-# the compiled kernel is checked against the reference too, when it is built
-try:
-    from bfsyz.exactalg import _speedups
-except ImportError:
-    _speedups = None
-KERNELS = [_fallback] + ([_speedups] if _speedups is not None else [])
+# the mod-p kernel against a Python-int reference
 
 P50 = 2**50 + 55  # the smallest prime above 2**50
 P61 = 2**61 - 1
 P62 = 2**62 - 57  # the largest 62-bit prime
-P64 = 2**64 - 59  # above the long-double range: the twin computes with Python ints
+P64 = 2**64 - 59  # above the long-double range: the kernel computes with Python ints
 KERNEL_PRIMES = (P50, P61, P62, P64)
 
 
 def reference_rank_mod_p(rows, p):
     """Row reduction over F_p in Python ints, one cell at a time (leftmost
-    column, first nonzero row), the loop the vectorised twin replaced."""
+    column, first nonzero row), the loop the vectorised kernel replaced."""
     rows = [row[:] for row in rows]
     nrows, r = len(rows), 0
     for c in range(len(rows[0]) if rows else 0):
@@ -355,7 +343,7 @@ def kernel_cases(rng, p):
 
 
 def sparse_kernel_cases(rng, p):
-    """Matrices over F_p at most 10% nonzero, which the twin starts in its
+    """Matrices over F_p at most 10% nonzero, which the kernel starts in its
     sparse phase: block diagonal, permutation-like, sparse rank-deficient
     products, zero rows and columns, single rows and columns, and a chain
     whose fill-in crosses into the dense finish."""
@@ -410,7 +398,7 @@ def sparse_kernel_cases(rng, p):
     # rows a_i = e_i + heavy_i and b_i = e_i + e_{i+1} over 40 light and 6
     # heavy columns, with heavy parts of rank 2: eliminating the light columns
     # spreads the heavy ones through the active part, which turns half full
-    # well before the end (the twin finishes a 12 x 46 remainder densely)
+    # well before the end (the kernel finishes a 12 x 46 remainder densely)
     u, v = [unit() for _ in range(6)], [unit() for _ in range(6)]
     chain = []
     for i in range(40):
@@ -427,19 +415,17 @@ def test_backends_agree_on_mod_p_rank():
         rng = random.Random(p % 1000)
         cases = kernel_cases(rng, p)
         sparse = sparse_kernel_cases(rng, p)
-        assert all(np.count_nonzero(rows) <= _fallback.SPARSE_ENTRY_DENSITY * np.size(rows) for rows in sparse)
+        assert all(np.count_nonzero(rows) <= _modp.SPARSE_ENTRY_DENSITY * np.size(rows) for rows in sparse)
         for rows in cases + sparse:
             want = reference_rank_mod_p(rows, p)
             assert mod_p_rank_rows(rows, len(rows[0]), p) == want
-            for kernel in KERNELS:
-                arr = np.array(rows, dtype=np.uint64)
-                assert kernel.rank_mod_p_dense(arr, p) == want, (kernel.BACKEND_NAME, p)
+            assert _modp.rank_mod_p_dense(np.array(rows, dtype=np.uint64), p) == want, p
 
 
 @pytest.mark.parametrize("addmul", [
-    pytest.param(_fallback._addmul_longdouble, marks=pytest.mark.skipif(
-        not _fallback._LONG_DOUBLE_EXACT, reason="long double has no 64-bit mantissa here")),
-    _fallback._addmul_object,
+    pytest.param(_modp._addmul_longdouble, marks=pytest.mark.skipif(
+        not _modp._LONG_DOUBLE_EXACT, reason="long double has no 64-bit mantissa here")),
+    _modp._addmul_object,
 ])
 @pytest.mark.parametrize("p", (P50, P61, P62))
 def test_twin_update_is_exact(addmul, p):
@@ -455,19 +441,8 @@ def test_twin_update_is_exact(addmul, p):
     assert got.tolist() == want
 
 
-def test_pure_python_backend_env_switch():
-    code = (
-        "import os; os.environ['BFSYZ_PURE'] = '1'; "
-        "import bfsyz.exactalg as e; print(e.KERNEL_BACKEND)"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "python"
-
-
 def test_active_backend_is_named():
-    assert KERNEL_BACKEND in ("compiled", "python")
+    assert KERNEL_BACKEND == "python"
 
 
 # ---------------------------------------------------------------------------

@@ -221,6 +221,13 @@ def test_fh_validation():
         fh_rank_report(2, 2, -1)
 
 
+@pytest.mark.parametrize("mem_mb", [0, -5])
+def test_fh_rank_report_rejects_non_positive_mem_mb(mem_mb):
+    # a usage error, as for --mem-mb and BFSYZ_MEM_MB, not an inconclusive budget
+    with pytest.raises(ValueError, match="mem_mb must be a positive integer"):
+        fh_rank_report(2, 3, 3, "modular", mem_mb=mem_mb)
+
+
 # ---------------------------------------------------------------------------
 # omega matrix and maximal minors
 
@@ -365,14 +372,14 @@ def test_minor_span_inside_ix_ideal():
     ring = ix.ring
     index = ring.monomial_index(3)
     piece = ix.graded_piece(3)
-    from bfsyz.exactalg.matrix import exact_rank_rows
+    from bfsyz.exactalg.matrix import bareiss_rank_rows
 
     base_rows = piece.transpose().to_rows()
     for minor in maximal_minors(omega_matrix(2, 2)):
         row = [0] * ring.dimension(3)
         for exp, coeff in minor.terms.items():
             row[index[exp]] = coeff
-        assert exact_rank_rows(base_rows + [row], ring.dimension(3)) == piece.ncols
+        assert bareiss_rank_rows(base_rows + [row], ring.dimension(3)) == piece.ncols
 
 
 def test_power_ideal_matches_generators():

@@ -5,6 +5,7 @@ from math import comb
 import pytest
 
 from bfsyz.errors import ConventionError, InconclusiveError
+from bfsyz.exactalg import default_rng
 from bfsyz.fhmaps import ix_kernel_ideal, power_ideal
 from bfsyz.homres import (
     BettiTable,
@@ -17,7 +18,6 @@ from bfsyz.homres import (
     hilbert_numerator,
     ia3_expected_table,
     koszul_complex,
-    minimal_generator_counts,
     power_ideal_betti,
     power_locus_betti,
     power_resolution,
@@ -101,6 +101,19 @@ def test_betti_of_free_module_is_generators_only():
     mod = GradedModule.free(ring, [0, 2])
     table = tor_betti(mod, 3, 5, t_max=3, seed=5)
     assert table.nonzero() == {(0, 0): 1, (0, 2): 1}
+
+
+def minimal_generator_counts(ideal: GradedIdeal, degrees) -> dict:
+    """dim I_j - dim (m I)_j per degree: the beta_{0,j} oracle."""
+    ring = ideal.ring
+    bumped = GradedIdeal(
+        ring, [ring.variable(v) * g for v in range(ring.nvars) for g in ideal.generators]
+    )
+    rng = default_rng()
+    return {
+        j: ideal.piece_dimension_details(j, rng=rng).rank - bumped.piece_dimension_details(j, rng=rng).rank
+        for j in degrees
+    }
 
 
 def test_betti_generator_row_matches_piece_counts():

@@ -7,6 +7,7 @@ from math import comb
 import pytest
 
 from bfsyz.errors import EquivarianceError
+from bfsyz.exactalg import ExactMatrix, kernel_basis
 from bfsyz.sl2rep import (
     HW_SOURCE_VECTORS_2_2,
     HW_TARGET_VECTORS_2_2,
@@ -20,10 +21,8 @@ from bfsyz.sl2rep import (
     coordinates_to_plain,
     dual_lowering_action,
     dual_raising_action,
-    highest_weight_vectors,
     hw_triple,
     lowering_action,
-    operator_matrix,
     plain_to_coordinates,
     plain_weight,
     plethysm_basis,
@@ -216,8 +215,18 @@ def test_operator_weight_shifts():
             assert coord_weight(key, n) == coord_weight(e, n) + 2
 
 
+def operator_matrix(action, m: int, n: int) -> dict:
+    """Sparse matrix {(row, col): coeff} of an sl2 action on plethysm_basis(m, n)."""
+    index = plethysm_index(m, n)
+    entries = {}
+    for col, exp in enumerate(plethysm_basis(m, n)):
+        for key, val in action(n, {exp: 1}).items():
+            entries[(index[key], col)] = val
+    return entries
+
+
 def test_operator_matrix_matches_action():
-    entries = operator_matrix("lowering", 2, 2)
+    entries = operator_matrix(lowering_action, 2, 2)
     basis = plethysm_basis(2, 2)
     index = plethysm_index(2, 2)
     for col, e in enumerate(basis):
@@ -264,6 +273,28 @@ def test_duality_preserves_weight():
 
 # ---------------------------------------------------------------------------
 # highest weight vectors
+
+
+def highest_weight_vectors(m: int, n: int, weight: int) -> list[dict]:
+    """Plain-realization highest weight vectors of a given weight.
+
+    Returns primitive integer vectors (as exponent dicts) spanning the kernel
+    of the plain raising operator restricted to the weight space of
+    Sym^m(Sym^n U).
+    """
+    basis = plethysm_basis(m, n)
+    cols = [e for e in basis if plain_weight(e, n) == weight]
+    if not cols:
+        return []
+    # raising sends weight w to w + 2
+    target = [e for e in basis if plain_weight(e, n) == weight + 2]
+    tindex = {e: k for k, e in enumerate(target)}
+    entries = {}
+    for j, e in enumerate(cols):
+        for key, val in raising_action(n, {e: 1}).items():
+            entries[(tindex[key], j)] = val
+    mat = ExactMatrix(len(target), len(cols), entries)
+    return [{cols[i]: v for i, v in enumerate(vec) if v} for vec in kernel_basis(mat)]
 
 
 def test_hw_vectors_sym2_sym2():
