@@ -22,6 +22,7 @@ from .errors import InconclusiveError, ResourceLimitError
 from .exactalg import KERNEL_BACKEND
 from .exactalg.matrix import resolve_seed
 from .fhmaps import (
+    SYMMETRY,
     fh_rank_report,
     hw_triple_report,
     minors_generate_check,
@@ -150,6 +151,11 @@ def _table_primes(table) -> list[int]:
     return sorted({p for e in table.entries.values() for p in e.primes})
 
 
+def _table_symmetry(table) -> dict:
+    """The ``symmetry`` provenance of a table whose ranks were halved, else {}."""
+    return {"symmetry": table.meta["symmetry"]} if "symmetry" in table.meta else {}
+
+
 def _banner(table, convention: str = "total") -> list[str]:
     return table.render(convention).splitlines()
 
@@ -271,7 +277,9 @@ def _reg_betti_route(args, cache) -> dict:
         trials=args.trials, mem_mb=args.mem_mb, cache=cache, threads=args.threads,
     )
     value = regularity(table)
-    return {"route": "betti", "value": value, "primes": _table_primes(table)}
+    route = {"route": "betti", "value": value, "primes": _table_primes(table)}
+    route.update(_table_symmetry(table))
+    return route
 
 
 def _reg_initial_route(args, cache) -> dict:
@@ -421,7 +429,11 @@ def _cmd_coker_hf(args) -> int:
         args.a, args.b, args.kmax, args.mode, rng=rng, trials=args.trials,
         mem_mb=args.mem_mb, cache=_resolve_cache(args),
     )
-    body = {"values": values, "vanishes_from_b_on": all(v == 0 for v in values[args.b :])}
+    body = {
+        "values": values,
+        "vanishes_from_b_on": all(v == 0 for v in values[args.b :]),
+        "symmetry": SYMMETRY,
+    }
     out = _envelope("coker-hf", args, {"a": args.a, "b": args.b, "kmax": args.kmax}, "computed", body)
     lines = [f"substitution-map cokernel dimensions, k = 0..{args.kmax}: {values}"]
     _emit(args, out, lines)
@@ -450,6 +462,7 @@ def _cmd_conjecture_scan(args) -> int:
             value = regularity(table)
             entry["computed"] = value
             entry["primes"] = _table_primes(table)
+            entry.update(_table_symmetry(table))
             entry["status"] = "matches" if value == predicted else "differs"
             any_differs = any_differs or entry["status"] == "differs"
         except (InconclusiveError, ResourceLimitError) as exc:

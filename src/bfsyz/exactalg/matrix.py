@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import os
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -34,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..errors import ConventionError, ResourceLimitError
+from ..errors import ConventionError, EquivarianceError, ResourceLimitError
 from . import _modp as _kernel
 from . import primes as _primes
 
@@ -618,6 +619,7 @@ def blocked_rank_details(
     trials: int = 2,
     primes: list[int] | None = None,
     mem_mb: int | None = None,
+    weyl: bool = False,
 ) -> RankResult:
     """Rank of a label-preserving map as the sum of per-label block ranks.
 
@@ -626,7 +628,26 @@ def blocked_rank_details(
     that mode with a shared prime set.  The reported primes are those the
     blocks actually used, in first-use order: a block resamples a prime that
     one of its denominators vanishes modulo.
+
+    ``weyl=True`` declares the map SL2-equivariant with the labels as torus
+    weights.  The Weyl element carries the weight-w block onto the weight -w
+    block, so rank_w = rank_{-w} over QQ and only the blocks with label >= 0
+    are ranked: the total is rank_0 + 2 * sum_{w > 0} rank_w.  Entries with a
+    negative label may be absent (a half-built map) and are ignored.  The
+    row and column label multisets of the full map must each be symmetric
+    under w -> -w, otherwise ``EquivarianceError`` is raised.  A halved
+    modular total is still a lower bound of the true rank, and a block of
+    full rank still certifies its mirror, so the certificate rules hold.
+    Only SL2-stable constructions set the flag (see ``homres.tor_betti`` and
+    ``fhmaps.fh_rank_details``).
     """
+    if weyl:
+        for side, labels in (("row", row_labels), ("column", col_labels)):
+            if Counter(labels) != Counter(-w for w in labels):
+                raise EquivarianceError(
+                    f"{side} labels are not symmetric under w -> -w, so the map "
+                    "cannot be SL2-equivariant"
+                )
     use = _resolve_mode(mode, nrows, ncols)
     if not entries:
         return RankResult(0, "exact")
@@ -639,17 +660,18 @@ def blocked_rank_details(
     total = 0
     escalated = False
     used: dict[int, None] = {}
-    for _w, (row_ids, col_ids, sub) in split_blocks(entries, row_labels, col_labels).items():
-        if not sub:
+    for w, (row_ids, col_ids, sub) in split_blocks(entries, row_labels, col_labels).items():
+        if not sub or weyl and w < 0:
             continue
         block = _trusted_matrix(len(row_ids), len(col_ids), sub)
         if use == "exact":
-            total += bareiss_rank_rows(_sparse_rows(block, mem_mb), block.ncols)
+            r = bareiss_rank_rows(_sparse_rows(block, mem_mb), block.ncols)
         else:
             res = rank_details(block, "modular", rng=rng, trials=trials, primes=chosen, mem_mb=mem_mb)
-            total += res.rank
+            r = res.rank
             escalated = escalated or res.escalated
             used.update(dict.fromkeys(res.primes))
+        total += 2 * r if weyl and w > 0 else r
     if use == "exact":
         return RankResult(total, "exact")
     # blocks that disagreed were settled exactly; the rest carry double-prime

@@ -60,6 +60,11 @@ from .sl2rep import (
 )
 
 
+# provenance of a rank that rests on rank_w = rank_{-w} (Weyl symmetry of an
+# SL2-equivariant map), recorded in every report built on one
+SYMMETRY = "sl2-weyl"
+
+
 def _multinomial(a: int, exp) -> int:
     out = 1
     rest = a
@@ -97,9 +102,10 @@ def power_generators(a: int, b: int) -> PowerGenerators:
 
 
 def power_ideal(a: int, b: int) -> GradedIdeal:
-    """The ideal of R generated by P_0..P_d."""
+    """The ideal of R generated by P_0..P_d, marked SL2-stable: the P_j span
+    the copy of Sym^d U in the degree-a piece."""
     gens = power_generators(a, b)
-    return GradedIdeal(gens.ring, list(gens.polys))
+    return GradedIdeal(gens.ring, list(gens.polys), sl2_stable=True)
 
 
 class FoulkesHoweMatrix(NamedTuple):
@@ -211,7 +217,13 @@ def foulkes_howe(a: int, b: int, k: int, mem_mb=None, cache=None) -> FoulkesHowe
 def fh_rank_details(
     fh: FoulkesHoweMatrix, mode: str = "auto", *, rng=None, trials: int = 2, mem_mb=None
 ) -> RankResult:
-    """Weight-blocked rank of an alpha_k matrix with provenance."""
+    """Weight-blocked rank of an alpha_k matrix with provenance.
+
+    alpha_k is SL2-equivariant, so only its blocks of weight >= 0 are ranked
+    (``blocked_rank_details(..., weyl=True)``); the slice itself is built and
+    cached in full.  Reports resting on this rank say so with
+    ``"symmetry": "sl2-weyl"``.
+    """
     return blocked_rank_details(
         fh.target_dim,
         fh.source_dim,
@@ -222,6 +234,7 @@ def fh_rank_details(
         rng=rng,
         trials=trials,
         mem_mb=mem_mb,
+        weyl=True,
     )
 
 
@@ -261,6 +274,7 @@ def fh_rank_report(
         "primes": list(result.primes),
         "escalated": result.escalated,
         "status": status,
+        "symmetry": SYMMETRY,
     }
     if status == "inconclusive":
         # the modular rank is only a lower bound here
@@ -276,7 +290,8 @@ def ix_kernel_ideal(a: int, b: int, mem_mb=None, cache=None) -> GradedIdeal:
 
     These degree-(b+1) kernel elements generate the full ideal of the power
     locus; the kernel is computed per weight block with primitive integer
-    vectors.
+    vectors.  The kernel of an SL2-equivariant map is SL2-stable, and the
+    ideal is marked so.
     """
     fh = foulkes_howe(a, b, b + 1, mem_mb, cache)
     sring = PolyRing(fh.d + 1, "z")
@@ -292,7 +307,7 @@ def ix_kernel_ideal(a: int, b: int, mem_mb=None, cache=None) -> GradedIdeal:
     for vec in vectors:
         terms = {fh.col_basis[i]: v for i, v in enumerate(vec) if v}
         gens.append(MultiPoly(sring, terms))
-    return GradedIdeal(sring, gens)
+    return GradedIdeal(sring, gens, sl2_stable=True)
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +477,7 @@ def minors_generate_check(
         "mode": span.mode,
         "primes": sorted(set(span.primes) | set(rank_alpha.primes)),
         "status": status,
+        "symmetry": SYMMETRY,
     }
 
 

@@ -306,11 +306,17 @@ class GradedIdeal:
     The degree-k piece is span{m * g : g generator, m monomial of degree
     k - deg g}.  When every generator is weight-homogeneous the piece
     computation runs per weight block.
+
+    ``sl2_stable`` marks an ideal that SL2 maps to itself (the power ideal,
+    its powers, the ideal of the power locus).  It is a claim about the
+    ideal, not its generators, so it is not part of ``fingerprint()``; a
+    Koszul-homology module built from a marked ideal ranks only the weight
+    >= 0 half of each map (see ``homres.tor_betti``).
     """
 
-    __slots__ = ("ring", "generators", "weight_graded")
+    __slots__ = ("ring", "generators", "weight_graded", "sl2_stable")
 
-    def __init__(self, ring: PolyRing, generators):
+    def __init__(self, ring: PolyRing, generators, *, sl2_stable: bool = False):
         gens = []
         for g in generators:
             if not isinstance(g, MultiPoly) or g.ring != ring:
@@ -325,6 +331,7 @@ class GradedIdeal:
         self.ring = ring
         self.generators = tuple(gens)
         self.weight_graded = all(g.weight() is not None for g in gens)
+        self.sl2_stable = sl2_stable
 
     def generator_degrees(self) -> tuple[int, ...]:
         return tuple(g.homogeneous_degree for g in self.generators)
@@ -464,7 +471,7 @@ def ideal_power(ideal: GradedIdeal, j: int) -> GradedIdeal:
     Products are deduplicated by degreewise span reduction: within each
     product degree only a maximal independent subset is kept (greedy in
     product order), which leaves the ideal unchanged and keeps downstream
-    matrices small.
+    matrices small.  A power of an SL2-stable ideal is SL2-stable.
     """
     from itertools import combinations_with_replacement
 
@@ -492,7 +499,7 @@ def ideal_power(ideal: GradedIdeal, j: int) -> GradedIdeal:
                 entries[(index[exp], colno)] = coeff
         mat = ExactMatrix(ideal.ring.dimension(deg), len(group), entries)
         kept.extend(group[c] for c in independent_columns(mat))
-    return GradedIdeal(ideal.ring, kept)
+    return GradedIdeal(ideal.ring, kept, sl2_stable=ideal.sl2_stable)
 
 
 def independent_columns(m: ExactMatrix) -> tuple[int, ...]:

@@ -1,4 +1,4 @@
-"""Binary forms, plethysm/wedge bases, q-characters, and sl2 operators.
+"""Binary forms, plethysm/wedge bases, q-characters, and highest-weight duality.
 
 Conventions used throughout the package:
 
@@ -361,56 +361,6 @@ def char_identity_check(a: int, b: int, i: int) -> bool:
     lhs = char_wedge(i, d + b - 2) * char_plethysm(b - 1 - i, d)
     rhs = char_plethysm(i, d) * char_wedge(b - 1 - i, d + b - 2)
     return lhs.normalized() == rhs.normalized()
-
-
-# ---------------------------------------------------------------------------
-# sl2 operator actions on plethysm (or coordinate-ring) monomial spaces
-#
-# Polynomials are sparse dicts {exponent tuple: coefficient}.  All four
-# actions are derivations; "plain" acts on basis monomials u_i, "dual" on
-# coordinate functions phi_i.
-
-
-def _derivation(poly: dict, n: int, rate, step: int) -> dict:
-    out: dict = {}
-    for exp, coeff in poly.items():
-        if not coeff:
-            continue
-        for i, e in enumerate(exp):
-            if not e:
-                continue
-            r = rate(i)
-            if not r:
-                continue
-            j = i + step
-            if j < 0 or j > n:
-                continue
-            new = list(exp)
-            new[i] -= 1
-            new[j] += 1
-            key = tuple(new)
-            out[key] = out.get(key, 0) + coeff * e * r
-    return {k: v for k, v in out.items() if v}
-
-
-def lowering_action(n: int, poly: dict) -> dict:
-    """Plain lowering: derivation extending u_i -> (n-i) u_{i+1}."""
-    return _derivation(poly, n, lambda i: n - i, +1)
-
-
-def raising_action(n: int, poly: dict) -> dict:
-    """Plain raising: derivation extending u_i -> i u_{i-1}."""
-    return _derivation(poly, n, lambda i: i, -1)
-
-
-def dual_lowering_action(n: int, poly: dict) -> dict:
-    """Lowering on coordinate functions: phi_m -> (n-m+1) phi_{m-1}."""
-    return _derivation(poly, n, lambda i: n - i + 1, -1)
-
-
-def dual_raising_action(n: int, poly: dict) -> dict:
-    """Raising on coordinate functions: phi_m -> (m+1) phi_{m+1}."""
-    return _derivation(poly, n, lambda i: i + 1, +1)
 
 
 # ---------------------------------------------------------------------------

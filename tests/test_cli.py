@@ -52,6 +52,14 @@ def test_iab_pow_requires_power(capsys):
     assert code == 3
 
 
+def test_module_entry_point_runs():
+    proc = subprocess.run(
+        [sys.executable, "-m", "bfsyz", "--version"], capture_output=True, text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == f"bfsyz {__version__}"
+
+
 def test_installed_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "bfsyz.cli", "hw-triple"],
@@ -74,6 +82,25 @@ def test_betti_power_locus_2_2(capsys):
     values = {(e["i"], e["j"]): e["value"] for e in rep["table"]["entries"] if e["value"]}
     assert values == {(0, 3): 7, (1, 4): 10, (2, 5): 5, (3, 6): 1}
     assert rep["verification"]["ok"] is True
+
+
+@pytest.mark.parametrize(
+    "a,b,nonzero,pd",
+    [
+        (1, 1, {}, None),  # a = 1: the zero ideal, every closed-form value vanishes
+        (1, 2, {}, None),
+        (2, 1, {(0, 2): 1}, 0),  # b = 1: the top closed-form values vanish
+        (3, 1, {(0, 2): 3, (1, 3): 2}, 1),
+        (2, 2, {(0, 3): 7, (1, 4): 10, (2, 5): 5, (3, 6): 1}, 3),
+    ],
+)
+def test_betti_power_locus_degenerate_cases_verify(capsys, a, b, nonzero, pd):
+    code, rep = run_json(capsys, "betti", "--target", "ix", "--a", str(a), "--b", str(b))
+    assert code == 0
+    assert rep["status"] == "verified"
+    values = {(e["i"], e["j"]): e["value"] for e in rep["table"]["entries"] if e["value"]}
+    assert values == nonzero
+    assert rep["verification"]["projective_dimension"] == {"expected": pd, "computed": pd, "match": True}
 
 
 def test_betti_text_render_has_strand_row(capsys):
@@ -121,6 +148,8 @@ def test_reg_both_routes_agree(capsys):
     assert code == 0
     assert rep["formula"] == 3
     assert [r["value"] for r in rep["routes"]] == [3, 3]
+    # the Betti route rests on Weyl-halved ranks, the lead-term model does not
+    assert [r.get("symmetry") for r in rep["routes"]] == ["sl2-weyl", None]
 
 
 def test_initial_ideal_generator_count_and_agreement(capsys):
@@ -129,6 +158,7 @@ def test_initial_ideal_generator_count_and_agreement(capsys):
     assert rep["generator_count"] == 5
     assert rep["agree"] is True
     assert rep["hf_initial_quotient"] == rep["hf_power_quotient"]
+    assert "symmetry" not in rep
 
 
 def test_conjecture_scan_is_labeled_evidence(capsys):
@@ -137,6 +167,7 @@ def test_conjecture_scan_is_labeled_evidence(capsys):
     assert rep["label"] == "evidence"
     assert [e["status"] for e in rep["entries"]] == ["matches", "matches"]
     assert [e["computed"] for e in rep["entries"]] == [3, 4]
+    assert [e["symmetry"] for e in rep["entries"]] == ["sl2-weyl", "sl2-weyl"]
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +178,7 @@ def test_minors_check_verifies(capsys):
     code, rep = run_json(capsys, "minors-check", "--a", "2", "--b", "2")
     assert code == 0
     assert rep["report"]["span_dim"] == 7
+    assert rep["report"]["symmetry"] == "sl2-weyl"
 
 
 def test_phi_reports_syzygy_and_skew(capsys):
@@ -169,6 +201,7 @@ def test_coker_hf_values(capsys):
     assert code == 0
     assert rep["values"] == [0, 1, 0, 0]
     assert rep["vanishes_from_b_on"] is True
+    assert rep["symmetry"] == "sl2-weyl"
 
 
 def test_exactness_certificate(capsys):
@@ -176,6 +209,7 @@ def test_exactness_certificate(capsys):
     assert code == 0
     assert rep["status"] == "verified"
     assert [s["rank"] for s in rep["shape"]] == [5, 5, 1]
+    assert "symmetry" not in json.dumps(rep)
     assert rep["certificate"]["resolves"] is True
 
 

@@ -19,16 +19,12 @@ from bfsyz.sl2rep import (
     char_wedge,
     coord_weight,
     coordinates_to_plain,
-    dual_lowering_action,
-    dual_raising_action,
     hw_triple,
-    lowering_action,
     plain_to_coordinates,
     plain_weight,
     plethysm_basis,
     plethysm_index,
     q_binomial,
-    raising_action,
     transvectant,
     wedge_basis,
     x1_count,
@@ -177,7 +173,53 @@ def test_char_identity_small_grid():
 
 
 # ---------------------------------------------------------------------------
-# sl2 operators
+# sl2 operators on plethysm (or coordinate-ring) monomial spaces
+#
+# Polynomials are sparse dicts {exponent tuple: coefficient}.  All four
+# actions are derivations; "plain" acts on basis monomials u_i, "dual" on
+# coordinate functions phi_i.
+
+
+def _derivation(poly: dict, n: int, rate, step: int) -> dict:
+    out: dict = {}
+    for exp, coeff in poly.items():
+        if not coeff:
+            continue
+        for i, e in enumerate(exp):
+            if not e:
+                continue
+            r = rate(i)
+            if not r:
+                continue
+            j = i + step
+            if j < 0 or j > n:
+                continue
+            new = list(exp)
+            new[i] -= 1
+            new[j] += 1
+            key = tuple(new)
+            out[key] = out.get(key, 0) + coeff * e * r
+    return {k: v for k, v in out.items() if v}
+
+
+def lowering_action(n: int, poly: dict) -> dict:
+    """Plain lowering: derivation extending u_i -> (n-i) u_{i+1}."""
+    return _derivation(poly, n, lambda i: n - i, +1)
+
+
+def raising_action(n: int, poly: dict) -> dict:
+    """Plain raising: derivation extending u_i -> i u_{i-1}."""
+    return _derivation(poly, n, lambda i: i, -1)
+
+
+def dual_lowering_action(n: int, poly: dict) -> dict:
+    """Lowering on coordinate functions: phi_m -> (n-m+1) phi_{m-1}."""
+    return _derivation(poly, n, lambda i: n - i + 1, -1)
+
+
+def dual_raising_action(n: int, poly: dict) -> dict:
+    """Raising on coordinate functions: phi_m -> (m+1) phi_{m+1}."""
+    return _derivation(poly, n, lambda i: i + 1, +1)
 
 
 def test_operator_commutators_give_weight():

@@ -1,0 +1,222 @@
+"""Weyl halving: ranking only the weight >= 0 half of SL2-equivariant maps.
+
+The halved ranks rest on rank_w = rank_{-w}, so every acceptance-range case
+is run both ways and compared, and the block ranks of every Koszul slab are
+checked in pairs.  The unhalved runs flip the mark on the module or ideal
+object (or force ``weyl=False`` for the slices); no library switch exists.
+"""
+
+import hashlib
+import json
+import random
+
+import pytest
+
+from bfsyz import fhmaps, homres
+from bfsyz.errors import EquivarianceError
+from bfsyz.exactalg import blocked_rank_details
+from bfsyz.exactalg.matrix import bareiss_rank_rows, split_blocks
+from bfsyz.homres import (
+    GradedModule,
+    exactness_check,
+    initial_ideal_regularity,
+    koszul_complex,
+    koszul_slab,
+    power_ideal_betti,
+    power_locus_betti,
+    verify_ia3_resolution,
+)
+from bfsyz.polyring import PolyRing, ideal_power
+
+LOCUS_CASES = [(2, 2), (3, 2), (2, 3)]
+IDEAL_CASES = sorted(
+    {(a, b, p) for a in (1, 2, 3) for b in (1, 2, 3) for p in (1, b - 1) if p >= 1}
+)
+
+
+@pytest.fixture
+def unmarked_power_ideal(monkeypatch):
+    """homres builds its power ideals unmarked, so their modules rank in full."""
+    def unmarked(a, b):
+        ideal = fhmaps.power_ideal(a, b)
+        ideal.sl2_stable = False
+        return ideal
+
+    monkeypatch.setattr(homres, "power_ideal", unmarked)
+
+
+@pytest.fixture
+def unflagged_power_quotient(monkeypatch):
+    original = GradedModule.power_quotient
+
+    def unflagged(*args, **kw):
+        module = original(*args, **kw)
+        module.weyl = False
+        return module
+
+    monkeypatch.setattr(GradedModule, "power_quotient", unflagged)
+
+
+@pytest.fixture
+def unhalved_slices(monkeypatch):
+    """fhmaps ranks every block of its slices."""
+    def unhalved(*args, **kw):
+        kw["weyl"] = False
+        return blocked_rank_details(*args, **kw)
+
+    monkeypatch.setattr(fhmaps, "blocked_rank_details", unhalved)
+
+
+def entry_values(table):
+    return {key: (e.value, e.mode, e.primes) for key, e in table.entries.items()}
+
+
+# ---------------------------------------------------------------------------
+# halved and full runs agree
+
+
+@pytest.fixture(scope="module")
+def halved_locus():
+    return {ab: power_locus_betti(*ab, seed=3) for ab in LOCUS_CASES}
+
+
+@pytest.mark.parametrize("a,b", LOCUS_CASES)
+def test_power_locus_halved_equals_full(a, b, halved_locus, unflagged_power_quotient):
+    halved = halved_locus[(a, b)]
+    full = power_locus_betti(a, b, seed=3)
+    assert halved.module.weyl and not full.module.weyl
+    assert halved.quotient_table.meta["symmetry"] == "sl2-weyl"
+    assert halved.ideal_table.meta["symmetry"] == "sl2-weyl"
+    assert "symmetry" not in full.quotient_table.meta
+    assert entry_values(halved.quotient_table) == entry_values(full.quotient_table)
+    assert halved.quotient_table.unknown == full.quotient_table.unknown == set()
+
+
+@pytest.fixture(scope="module")
+def halved_ideal_tables():
+    return {abp: power_ideal_betti(*abp, seed=4) for abp in IDEAL_CASES}
+
+
+@pytest.mark.parametrize("a,b,power", IDEAL_CASES)
+def test_power_ideal_halved_equals_full(a, b, power, halved_ideal_tables, unmarked_power_ideal):
+    halved = halved_ideal_tables[(a, b, power)]
+    full = power_ideal_betti(a, b, power, seed=4)
+    assert halved.meta["symmetry"] == "sl2-weyl"
+    assert "symmetry" not in full.meta
+    assert entry_values(halved) == entry_values(full)
+
+
+def test_ia3_resolution_halved_equals_full(monkeypatch):
+    halved = verify_ia3_resolution(2, seed=2)
+    ideal = fhmaps.power_ideal(2, 3)
+    ideal.sl2_stable = False
+    monkeypatch.setattr(homres, "power_ideal", lambda a, b: ideal)
+    assert verify_ia3_resolution(2, seed=2) == halved
+    assert halved["ok"]
+
+
+def criterion_1_slices():
+    return [(a, b, k) for a in (1, 2, 3) for b in (1, 2, 3) for k in range(b + 2)]
+
+
+@pytest.fixture(scope="module")
+def halved_slice_reports():
+    return {
+        (a, b, k, mode): fhmaps.fh_rank_report(a, b, k, mode, rng=random.Random(f"{a}:{b}:{k}"))
+        for a, b, k in criterion_1_slices() for mode in ("exact", "modular")
+    }
+
+
+def test_slices_halved_equal_full(halved_slice_reports, unhalved_slices):
+    for (a, b, k, mode), halved in halved_slice_reports.items():
+        full = fhmaps.fh_rank_report(a, b, k, mode, rng=random.Random(f"{a}:{b}:{k}"))
+        assert halved == full, (a, b, k, mode)
+        assert halved["symmetry"] == "sl2-weyl"
+        assert halved["maximal_rank"] is True
+
+
+def test_minors_check_halved_equals_full(monkeypatch):
+    halved = fhmaps.minors_generate_check(2, 2, rng=random.Random(5))
+    assert halved["symmetry"] == "sl2-weyl" and halved["equal"] is True
+    monkeypatch.setattr(
+        fhmaps, "blocked_rank_details",
+        lambda *args, **kw: blocked_rank_details(*args, **{**kw, "weyl": False}),
+    )
+    assert fhmaps.minors_generate_check(2, 2, rng=random.Random(5)) == halved
+
+
+# ---------------------------------------------------------------------------
+# rank_w == rank_{-w} on every slab, and the half slab is the full one cut
+
+
+def slab_cases():
+    cases = [
+        pytest.param(lambda a=a, b=b: GradedModule.power_quotient(a, b), b + 1, id=f"quotient-{a}-{b}")
+        for a, b in LOCUS_CASES
+    ]
+    for a, b, power in IDEAL_CASES:
+        def build(a=a, b=b, power=power):
+            ideal = fhmaps.power_ideal(a, b)
+            return GradedModule.from_ideal(ideal_power(ideal, power) if power > 1 else ideal)
+
+        cases.append(pytest.param(build, a * b, id=f"ideal-{a}-{b}-power-{power}"))
+    # verify_ia3_resolution(2) reads strands up to 2a = 4
+    cases.append(pytest.param(lambda: GradedModule.from_ideal(fhmaps.power_ideal(2, 3)), 4, id="ia3-2"))
+    return cases
+
+
+@pytest.mark.parametrize("build,t_max", slab_cases())
+def test_block_ranks_are_weyl_symmetric(build, t_max):
+    module = build()
+    assert module.weyl
+    for i in range(1, module.ring.nvars + 1):
+        for t in range(t_max + 1):
+            module.weyl = True
+            half = koszul_slab(module, i, t)
+            module.weyl = False
+            nrows, ncols, entries, rl, cl = koszul_slab(module, i, t)
+            assert half[:2] == (nrows, ncols) and half[3:] == (rl, cl)
+            assert half[2] == {key: v for key, v in entries.items() if cl[key[1]] >= 0}
+            ranks = {}
+            for w, (_rows, cols, sub) in split_blocks(entries, rl, cl).items():
+                rows: list[dict] = [{} for _ in _rows]
+                for (r, c), v in sub.items():
+                    rows[r][c] = v
+                ranks[w] = bareiss_rank_rows(rows, len(cols))
+            for w, r in ranks.items():
+                assert ranks.get(-w, 0) == r, (i, t, w)
+
+
+# ---------------------------------------------------------------------------
+# the guard, and the paths that stay fully blocked
+
+
+def test_weyl_rejects_asymmetric_labels():
+    with pytest.raises(EquivarianceError):
+        blocked_rank_details(2, 2, {(0, 0): 1, (1, 1): 1}, [1, 1], [1, 1], weyl=True)
+    with pytest.raises(EquivarianceError):
+        blocked_rank_details(2, 2, {(0, 0): 1}, [1, -1], [1, 1], weyl=True)
+    # the same map ranks in full without the flag
+    assert blocked_rank_details(2, 2, {(0, 0): 1, (1, 1): 1}, [1, 1], [1, 1]).rank == 2
+
+
+def test_weyl_counts_positive_blocks_twice():
+    # blocks -1, 0, 1 of ranks 1, 1, 1; the -1 block is never looked at
+    entries = {(0, 0): 1, (1, 1): 2, (2, 2): 3}
+    labels = [-1, 0, 1]
+    assert blocked_rank_details(3, 3, entries, labels, labels, weyl=True).rank == 3
+    assert blocked_rank_details(3, 3, {(1, 1): 2, (2, 2): 3}, labels, labels, weyl=True).rank == 3
+
+
+def test_unflagged_reports_are_unchanged():
+    assert initial_ideal_regularity(2, 3) == {
+        "a": 2, "b": 3, "top_degree": 2, "hf_initial": [1, 4, 3, 0],
+        "hf_power": [1, 4, 3, 0], "hf_agree": True, "value": 3,
+    }
+    rep = dict(exactness_check(koszul_complex(PolyRing(3, "c")), (0, 4), "modular", seed=5))
+    rep["homology"] = sorted([p, t, h] for (p, t), h in rep["homology"].items())
+    canon = json.dumps(rep, sort_keys=True, separators=(",", ":"))
+    assert "symmetry" not in canon
+    assert hashlib.sha256(canon.encode()).hexdigest() == (
+        "2f7a499c05d775408588892c3ba62296daec7690baed08f6aa5678b3dce351ea"
+    )
