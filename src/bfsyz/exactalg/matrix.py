@@ -187,13 +187,13 @@ class ExactMatrix:
         return f"ExactMatrix({self.nrows} x {self.ncols}, nnz={self.nnz}, field={self.field})"
 
 
-def _trusted_matrix(nrows: int, ncols: int, entries: dict) -> ExactMatrix:
+def _trusted_matrix(nrows: int, ncols: int, entries: dict, field: str = "QQ") -> ExactMatrix:
     """Wrap entries that are already in range, normalized and nonzero, without
-    validating them again (the blocks of ``split_blocks``)."""
+    validating them again (the blocks of ``split_blocks``, a checked file)."""
     m = ExactMatrix.__new__(ExactMatrix)
     m.nrows = nrows
     m.ncols = ncols
-    m.field = "QQ"
+    m.field = field
     m.entries = entries
     m.pivot_cols = None
     return m
@@ -529,7 +529,7 @@ def kernel_basis(m: ExactMatrix, mem_mb: int | None = None) -> list[tuple[int, .
 # weight-blocked rank for label-preserving (equivariant) matrices
 
 
-def split_blocks(entries, row_labels, col_labels):
+def split_blocks(entries, row_labels, col_labels, *, _nonnegative=False):
     """Group sparse entries of a label-preserving map by label.
 
     Every nonzero entry must connect a row and column with equal labels,
@@ -537,7 +537,9 @@ def split_blocks(entries, row_labels, col_labels):
     ConventionError is raised; an index outside the label lists raises
     ValueError.  Returns {label: (row_ids, col_ids, subdict)} with
     deterministic (sorted) index order; the subdicts hold normalized nonzero
-    entries, as ExactMatrix stores them.
+    entries, as ExactMatrix stores them.  ``_nonnegative`` (the Weyl path of
+    ``blocked_rank_details``) checks every entry but files only those with
+    label >= 0, leaving the negative subdicts empty.
     """
     rows_by = {}
     cols_by = {}
@@ -566,6 +568,8 @@ def split_blocks(entries, row_labels, col_labels):
             raise ConventionError(
                 f"entry ({i}, {j}) connects label {wj} to label {wi}; matrix is not label-preserving"
             )
+        if _nonnegative and wi < 0:
+            continue
         if type(v) is not int:
             v = _normalize_scalar(v)
         if v:
@@ -660,8 +664,9 @@ def blocked_rank_details(
     total = 0
     escalated = False
     used: dict[int, None] = {}
-    for w, (row_ids, col_ids, sub) in split_blocks(entries, row_labels, col_labels).items():
-        if not sub or weyl and w < 0:
+    blocks = split_blocks(entries, row_labels, col_labels, _nonnegative=weyl)
+    for w, (row_ids, col_ids, sub) in blocks.items():
+        if not sub:
             continue
         block = _trusted_matrix(len(row_ids), len(col_ids), sub)
         if use == "exact":

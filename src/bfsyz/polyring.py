@@ -31,26 +31,35 @@ from .sl2rep import coord_weight, plethysm_basis, plethysm_index
 
 
 def cache_directory(override=None) -> Path | None:
-    """Cache root from the BFSYZ_CACHE environment variable (None = disabled)."""
+    """Cache root from ``override``, else BFSYZ_CACHE (None = disabled).
+
+    The directory is created if needed; a path that names a file raises
+    ``ValueError``, which the CLI reports as a usage error.
+    """
     base = override if override is not None else os.environ.get("BFSYZ_CACHE")
     if not base:
         return None
     path = Path(base)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise ValueError(f"cache path {str(path)!r} is not a directory") from None
     return path
 
 
 def load_cached(path: Path, nrows: int, ncols: int | None = None) -> ExactMatrix | None:
     """The QQ matrix cached at ``path``, or None for a miss.
 
-    A file that is absent, does not parse, holds another field or is not
-    ``nrows`` x ``ncols`` (any column count when ``ncols`` is None) is a miss;
-    the caller rebuilds the matrix and rewrites the file.
+    A file that is absent, fails any check of ``load_matrix`` (a damaged body,
+    another format version, a producer key other than the file stem), holds
+    another field or is not ``nrows`` x ``ncols`` (any column count when
+    ``ncols`` is None) is a miss; the caller rebuilds the matrix and rewrites
+    the file.
     """
     if not path.exists():
         return None
     try:
-        m = load_matrix(path)
+        m = load_matrix(path, key=path.stem)
     except ValueError:
         return None
     if m.field != "QQ" or m.nrows != nrows or (ncols is not None and m.ncols != ncols):
@@ -59,9 +68,13 @@ def load_cached(path: Path, nrows: int, ncols: int | None = None) -> ExactMatrix
 
 
 def atomic_dump(matrix: ExactMatrix, path: Path) -> None:
+    """Write ``matrix`` to ``path`` keyed by the file stem, through a temporary file."""
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    dump_matrix(matrix, tmp)
-    os.replace(tmp, path)
+    try:
+        dump_matrix(matrix, tmp, key=path.stem)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 class PolyRing:

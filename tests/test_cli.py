@@ -3,11 +3,13 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from bfsyz import __version__
 from bfsyz.cli import main
+from bfsyz.exactalg import load_matrix
 
 
 def run_cli(capsys, *argv):
@@ -257,6 +259,56 @@ def test_damaged_cache_gives_the_cold_report(capsys, tmp_path):
         (tmp_path / "fh-a2-b3-k2.mat").write_bytes(data)
         code, out = run_cli(capsys, *argv, str(tmp_path))
         assert (code, out) == (0, cold)
+
+
+def v1_text(matrix) -> str:
+    """The matrix in the retired text format v1, as earlier releases cached it."""
+    lines = [f"BFSYZ-MAT v1 {matrix.nrows} {matrix.ncols} sparse QQ"]
+    for (i, j), v in sorted(matrix.entries.items()):
+        lines.append(f"{i} {j} {Fraction(v).numerator}/{Fraction(v).denominator}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("kind", ["truncated", "flipped byte", "wrong key", "v1"])
+def test_damaged_cache_file_is_rebuilt_with_the_cold_report(capsys, tmp_path, kind):
+    argv = ("fh-rank", "--a", "3", "--b", "2", "--k", "1", "--cache", str(tmp_path))
+    path = tmp_path / "fh-a3-b2-k1.mat"
+    cold_code, cold = run_cli(capsys, *argv)
+    good = path.read_bytes()
+    header, body = good.split(b"\n", 1)
+    if kind == "truncated":
+        path.write_bytes(header + b"\n" + body[: len(body) // 2])
+    elif kind == "flipped byte":
+        # the top byte of the last int64 value: only the sha256 can tell
+        flipped = bytearray(body)
+        flipped[-1] ^= 0x01
+        path.write_bytes(header + b"\n" + bytes(flipped))
+    elif kind == "wrong key":
+        # alpha_1 of (2, 3) has the same 10 x 7 shape as alpha_1 of (3, 2)
+        run_cli(capsys, "fh-rank", "--a", "2", "--b", "3", "--k", "1", "--cache", str(tmp_path))
+        other = (tmp_path / "fh-a2-b3-k1.mat").read_bytes()
+        assert other != good and load_matrix(tmp_path / "fh-a2-b3-k1.mat").shape == (10, 7)
+        path.write_bytes(other)
+    else:
+        path.write_text(v1_text(load_matrix(path)))
+    assert path.read_bytes() != good
+    assert run_cli(capsys, *argv) == (cold_code, cold) == (0, cold)
+    assert path.read_bytes() == good
+
+
+@pytest.mark.parametrize("via,under", [("flag", ""), ("env", ""), ("flag", "sub")])
+def test_cache_path_that_is_a_file_is_usage_error(capsys, monkeypatch, tmp_path, via, under):
+    regular = tmp_path / "F"
+    regular.write_text("")
+    cache = str(regular / under) if under else str(regular)
+    argv = ["fh-rank", "--a", "2", "--b", "3", "--k", "3"]
+    if via == "flag":
+        argv += ["--cache", cache]
+    else:
+        monkeypatch.setenv("BFSYZ_CACHE", cache)
+    assert main(argv) == 3
+    assert cache in capsys.readouterr().err
+    assert regular.read_text() == ""
 
 
 def test_seed_env_and_flag_precedence(capsys, monkeypatch):

@@ -1,6 +1,8 @@
 """Exact linear algebra layer: rank, rref, kernels, modular agreement, IO."""
 
+import hashlib
 import random
+import struct
 from fractions import Fraction
 
 import pytest
@@ -592,17 +594,45 @@ def test_transpose_roundtrip():
 # matrix file format
 
 
-def test_io_roundtrip_sparse_and_dense(tmp_path):
-    sparse = ExactMatrix(5, 7, {(0, 0): 1, (4, 6): Fraction(-3, 7)})
-    dense = ExactMatrix.from_rows([[1, 2], [3, Fraction(5, 2)]])
-    for name, m in [("s.mat", sparse), ("d.mat", dense)]:
-        path = tmp_path / name
+def write_v2(path, nrows, ncols, rows, cols, values, encoding, *, key="-", field="QQ", nnz=None):
+    """A v2 file written by hand from its parts, with the right sha256 of the body."""
+    n = len(rows)
+    body = struct.pack(f"<{n}i", *rows) + struct.pack(f"<{len(cols)}i", *cols)
+    if encoding == "i8":
+        body += struct.pack(f"<{len(values)}q", *values)
+    else:
+        body += " ".join(values).encode()
+    nnz = n if nnz is None else nnz
+    digest = hashlib.sha256(body).hexdigest()
+    path.write_bytes(
+        f"BFSYZ-MAT v2 {nrows} {ncols} {field} {nnz} {encoding} {key} {digest}\n".encode() + body
+    )
+
+
+def header_of(path):
+    return path.read_bytes().split(b"\n", 1)[0].decode().split(" ")
+
+
+def test_io_roundtrips(tmp_path):
+    cases = {
+        "sparse": (ExactMatrix(5, 7, {(0, 0): 1, (4, 6): Fraction(-3, 7)}), "q"),
+        "dense": (ExactMatrix.from_rows([[1, 2], [3, Fraction(5, 2)]]), "q"),
+        # numpy casts a Fraction to int64 as its integer part, silently
+        "fractions": (ExactMatrix(2, 2, {(0, 0): Fraction(1, 2), (1, 1): Fraction(7, 3)}), "q"),
+        "empty shape": (ExactMatrix(0, 0), "i8"),
+        "no entries": (ExactMatrix(5, 7), "i8"),
+        "int64 ends": (ExactMatrix(1, 3, {(0, 0): 2**63 - 1, (0, 1): -(2**63 - 1), (0, 2): -(2**63)}), "i8"),
+        "beyond int64": (ExactMatrix(2, 1, {(0, 0): 2**63, (1, 0): -1}), "q"),
+    }
+    for name, (m, encoding) in cases.items():
+        path = tmp_path / f"{name}.mat"
         dump_matrix(m, path)
+        assert header_of(path)[6] == encoding, name
         back = load_matrix(path)
-        assert back == m
-    text = (tmp_path / "s.mat").read_text()
-    assert text.startswith("BFSYZ-MAT v1 5 7 sparse QQ")
-    assert "-3/7" in text
+        assert back == m, name
+        assert {k: type(v) for k, v in back.entries.items()} == {
+            k: type(v) for k, v in m.entries.items()
+        }, name
 
 
 def test_io_gf_field(tmp_path):
@@ -623,46 +653,106 @@ def test_io_rejects_bad_header(tmp_path):
 
 def test_io_rejects_explicit_zero_in_sparse(tmp_path):
     path = tmp_path / "z.mat"
-    path.write_text("BFSYZ-MAT v1 2 2 sparse QQ\n0 0 0\n")
+    write_v2(path, 2, 2, [0, 1], [0, 1], [3, 0], "i8")
+    with pytest.raises(ValueError, match="zero"):
+        load_matrix(path)
+    write_v2(path, 2, 2, [0, 1], [0, 1], ["3", "0"], "q")
     with pytest.raises(ValueError):
         load_matrix(path)
 
 
 def test_io_golden_bytes(tmp_path):
-    # v1 cache files must stay byte-identical: this text is the v1 format
-    sparse = ExactMatrix(
+    # v2 cache files must stay byte-identical: these bytes are the v2 format
+    ints = ExactMatrix(2, 3, {(1, 2): -1, (0, 0): 7, (0, 2): 2**40})
+    ints_body = struct.pack("<3i", 0, 0, 1) + struct.pack("<3i", 0, 2, 2) + struct.pack("<3q", 7, 2**40, -1)
+    rationals = ExactMatrix(
         3, 5, {(2, 3): 2**70, (0, 1): -5, (1, 0): Fraction(-3, 7), (0, 0): Fraction(4, 2)}
     )
-    dense = ExactMatrix.from_rows([[1, -2], [Fraction(1, 3), 2**65 + 1]])
+    rationals_body = (
+        struct.pack("<4i", 0, 0, 1, 2) + struct.pack("<4i", 0, 1, 0, 3)
+        + b"2 -5 -3/7 1180591620717411303424"
+    )
     golden = {
-        "s.mat": (
-            sparse,
-            "BFSYZ-MAT v1 3 5 sparse QQ\n"
-            "0 0 2/1\n"
-            "0 1 -5/1\n"
-            "1 0 -3/7\n"
-            "2 3 1180591620717411303424/1\n",
+        "demo-i8": (
+            ints,
+            b"BFSYZ-MAT v2 2 3 QQ 3 i8 demo-i8 "
+            b"0a659e1102976106db081e9c147aaeb9ab18c91f9d1594f68b5ece6cc4fbd048\n" + ints_body,
         ),
-        "d.mat": (
-            dense,
-            "BFSYZ-MAT v1 2 2 dense QQ\n"
-            "1/1 -2/1\n"
-            "1/3 36893488147419103233/1\n",
+        "demo-q": (
+            rationals,
+            b"BFSYZ-MAT v2 3 5 QQ 4 q demo-q "
+            b"b5f9e10e88803c417ec70f3d7d8dd9023e1f30c0aab649158d2ef101326cc6cd\n" + rationals_body,
         ),
     }
-    for name, (m, text) in golden.items():
-        dump_matrix(m, tmp_path / name)
-        assert (tmp_path / name).read_bytes() == text.encode()
-        assert load_matrix(tmp_path / name) == m
+    for key, (m, data) in golden.items():
+        path = tmp_path / f"{key}.mat"
+        dump_matrix(m, path, key=key)
+        assert path.read_bytes() == data
+        assert load_matrix(path, key=key) == m
 
 
 def test_io_load_scalar_types(tmp_path):
     path = tmp_path / "t.mat"
-    path.write_text("BFSYZ-MAT v1 1 4 sparse QQ\n0 0 7/1\n0 1 -3/7\n0 2 4/2\n0 3 -9\n")
+    write_v2(path, 1, 4, [0] * 4, [0, 1, 2, 3], ["7", "-3/7", "2", "-9"], "q")
     back = load_matrix(path)
     got = [back.entry(0, j) for j in range(4)]
     assert got == [7, Fraction(-3, 7), 2, -9]
     assert [type(v) for v in got] == [int, Fraction, int, int]
-    path.write_text("BFSYZ-MAT v1 1 1 sparse QQ\n0 0 1/0\n")
+    write_v2(path, 1, 2, [0, 0], [0, 1], [5, -2**62], "i8")
+    assert [type(v) for v in load_matrix(path).entries.values()] == [int, int]
+    for token in ("1/0", "4/2", "4/1", "-0", "+3", "0x10", "1.5", ""):
+        write_v2(path, 1, 1, [0], [0], [token], "q")
+        with pytest.raises(ValueError):
+            load_matrix(path)
+
+
+def damaged_files():
+    """name -> writer(path, good_bytes) producing one kind of bad file."""
+    def edit_body(fn):
+        def write(path, good):
+            header, body = good.split(b"\n", 1)
+            path.write_bytes(header + b"\n" + fn(bytearray(body)))
+        return write
+
+    def flip(body):
+        body[len(body) // 2] ^= 0x01
+        return bytes(body)
+
+    return {
+        "truncated": edit_body(lambda body: bytes(body[: len(body) // 2])),
+        "flipped byte": edit_body(flip),
+        "extra byte": edit_body(lambda body: bytes(body) + b"\x00"),
+        "v1": lambda path, good: path.write_text("BFSYZ-MAT v1 2 3 sparse QQ\n0 0 7/1\n"),
+        "version": lambda path, good: path.write_bytes(good.replace(b" v2 ", b" v3 ", 1)),
+        "field": lambda path, good: path.write_bytes(good.replace(b" QQ ", b" RR ", 1)),
+        "encoding": lambda path, good: path.write_bytes(good.replace(b" i8 ", b" i4 ", 1)),
+        "key": lambda path, good: path.write_bytes(good.replace(b" want ", b" else ", 1)),
+        "row range": lambda path, good: write_v2(path, 2, 3, [0, 2], [0, 0], [1, 1], "i8", key="want"),
+        "col range": lambda path, good: write_v2(path, 2, 3, [0, 1], [0, -1], [1, 1], "i8", key="want"),
+        "order": lambda path, good: write_v2(path, 2, 3, [1, 0], [0, 0], [1, 1], "i8", key="want"),
+        "repeat": lambda path, good: write_v2(path, 2, 3, [0, 0], [1, 1], [1, 1], "i8", key="want"),
+        "token count": lambda path, good: write_v2(
+            path, 2, 3, [0, 1], [0, 0], ["1", "2", "3"], "q", key="want"
+        ),
+        "nnz": lambda path, good: write_v2(path, 2, 3, [0, 1], [0, 0], [1, 1], "i8", key="want", nnz=3),
+        "huge shape": lambda path, good: write_v2(path, 2**40, 3, [0], [0], [1], "i8", key="want"),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(damaged_files()))
+def test_io_rejects_damaged_files(tmp_path, kind):
+    path = tmp_path / "want.mat"
+    dump_matrix(ExactMatrix(2, 3, {(0, 0): 7, (1, 2): -1}), path, key="want")
+    good = path.read_bytes()
+    assert load_matrix(path, key="want").nnz == 2
+    damaged_files()[kind](path, good)
+    assert path.read_bytes() != good
     with pytest.raises(ValueError):
-        load_matrix(path)
+        load_matrix(path, key="want")
+
+
+def test_io_dump_rejects_indices_beyond_int32(tmp_path):
+    with pytest.raises(ValueError):
+        dump_matrix(ExactMatrix(2**31 + 1, 1, {(2**31, 0): 1}), tmp_path / "big.mat")
+    with pytest.raises(ValueError):
+        dump_matrix(ExactMatrix(1, 1), tmp_path / "k.mat", key="two words")

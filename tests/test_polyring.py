@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from bfsyz.exactalg import load_matrix, rank
+from bfsyz import polyring
+from bfsyz.exactalg import ExactMatrix, load_matrix, rank
 from bfsyz.polyring import (
     GradedIdeal,
     MonomialIdeal,
     MultiPoly,
     PolyRing,
+    atomic_dump,
     hilbert_function,
     hilbert_function_details,
     ideal_power,
@@ -171,6 +173,32 @@ def test_piece_cache_with_wrong_shape_is_rebuilt(tmp_path):
         deg3.write_bytes(data)
         assert ideal.graded_piece(3, cache=str(tmp_path)) == cold
         assert load_matrix(deg3) == cold
+
+
+def test_piece_cache_file_is_keyed_by_its_name(tmp_path):
+    r = ring3()
+    ideal = GradedIdeal(r, i22_generators(r))
+    cold = ideal.graded_piece(3, cache=str(tmp_path))
+    (path,) = tmp_path.glob("piece-*-deg3.mat")
+    assert load_matrix(path, key=path.stem) == cold
+    with pytest.raises(ValueError):
+        load_matrix(path, key=path.stem.replace("deg3", "deg2"))
+
+
+def test_atomic_dump_that_fails_leaves_no_temporary_file(tmp_path, monkeypatch):
+    path = tmp_path / "m.mat"
+    atomic_dump(ExactMatrix(1, 1, {(0, 0): 1}), path)
+    old = path.read_bytes()
+
+    def failing_dump(matrix, target, key=None):
+        target.write_bytes(b"half a file")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(polyring, "dump_matrix", failing_dump)
+    with pytest.raises(OSError):
+        atomic_dump(ExactMatrix(1, 1, {(0, 0): 2}), path)
+    assert [p.name for p in tmp_path.iterdir()] == ["m.mat"]
+    assert path.read_bytes() == old
 
 
 def test_fingerprint_is_order_independent():

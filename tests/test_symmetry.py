@@ -9,11 +9,12 @@ object (or force ``weyl=False`` for the slices); no library switch exists.
 import hashlib
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
 from bfsyz import fhmaps, homres
-from bfsyz.errors import EquivarianceError
+from bfsyz.errors import ConventionError, EquivarianceError
 from bfsyz.exactalg import blocked_rank_details
 from bfsyz.exactalg.matrix import bareiss_rank_rows, split_blocks
 from bfsyz.homres import (
@@ -206,6 +207,17 @@ def test_weyl_counts_positive_blocks_twice():
     labels = [-1, 0, 1]
     assert blocked_rank_details(3, 3, entries, labels, labels, weyl=True).rank == 3
     assert blocked_rank_details(3, 3, {(1, 1): 2, (2, 2): 3}, labels, labels, weyl=True).rank == 3
+
+
+def test_weyl_still_checks_negative_weight_entries():
+    # the negative half is not filed, but every entry is still checked
+    labels = [-1, 0, 1]
+    with pytest.raises(ConventionError):
+        blocked_rank_details(3, 3, {(0, 1): 1, (1, 1): 1}, labels, labels, weyl=True)
+    with pytest.raises(ValueError):
+        blocked_rank_details(3, 3, {(0, 3): 1, (1, 1): 1}, labels, labels, weyl=True)
+    blocks = split_blocks({(0, 0): 5, (2, 2): Fraction(4, 2)}, labels, labels, _nonnegative=True)
+    assert blocks[-1] == ([0], [0], {}) and blocks[1] == ([2], [2], {(0, 0): 2})
 
 
 def test_unflagged_reports_are_unchanged():
