@@ -1,18 +1,27 @@
-"""Rank over F_p of a uint64 buffer of residues, sparse first.
+"""Rank of an integer matrix modulo several primes at once, sparse first.
 
-``rank_mod_p_dense`` is the one mod-p elimination kernel: every modular rank
-in the package ends here.  It clobbers its buffer and leaves it with
-unspecified contents; only the rank is defined.
+``rank_mod_p_dense(a, primes)`` is the one mod-p elimination kernel: every
+modular rank in the package ends here.  It takes the integer matrix ``a``
+(int64, uint64, or object for values beyond int64) and the distinct primes of
+one certificate, and returns the rank that every prime gives; when the ranks
+differ it raises ``PrimesDisagree``.  It may clobber ``a``.
 
 A matrix with at most ``SPARSE_ENTRY_DENSITY`` of its cells nonzero (most
-Koszul blocks) is first eliminated as ``{col: residue}`` rows in Python ints,
-the classic first stage for sparse systems over finite fields (LaMacchia and
-Odlyzko, CRYPTO '90).  The rows are those of the shorter side (the transpose
+Koszul blocks) is first eliminated once for all the primes, as
+``{col: value}`` rows of Python ints modulo their product N, the classic first
+stage for sparse systems over finite fields (LaMacchia and Odlyzko, CRYPTO
+'90).  By the Chinese remainder theorem Z/N is the product of the fields F_p,
+so a row operation mod N is the same row operation modulo each prime, and a
+pivot that is a unit mod N is nonzero modulo each prime: it raises every
+prime's rank by one.  The rows are those of the shorter side (the transpose
 has the same rank), and columns are taken in order of ascending nonzero count,
-which keeps the fill-in low; both choices are valid for the rank only.  Once
-the rows still active fill ``DENSE_SWITCH_DENSITY`` of the columns still
-active, they are written into a fresh buffer and finished by the dense loop,
-which also takes every denser matrix whole.
+which keeps the fill-in low; both choices are valid for the rank only.  The
+shared stage ends once the rows still active fill ``DENSE_SWITCH_DENSITY`` of
+the columns still active, or at a pivot that is not a unit mod N (one that
+some prime divides; with 50-62 bit primes, at most about one pivot in
+2**49).  The active rows are then reduced modulo each prime in turn and
+finished by the dense loop, which also takes every denser matrix whole, once
+per prime.
 
 The dense loop pivots on the leftmost column and its first nonzero row, and
 updates, at each step, only the rows that are nonzero in the pivot column and,
@@ -24,6 +33,7 @@ numpy object dtype, that is, in exact Python-int arithmetic.
 """
 
 from itertools import chain, islice
+from math import gcd, prod
 
 import numpy as np
 
@@ -63,13 +73,49 @@ def _addmul_object(acc, f, u, p: int):
     return r.astype(np.uint64)
 
 
-def rank_mod_p_dense(a, p: int) -> int:
-    """Return the rank of ``a`` (2-D uint64 numpy array of residues) over F_p.
+class PrimesDisagree(Exception):
+    """The primes of one kernel call gave different ranks (``ranks``: prime -> rank)."""
 
-    ``a`` is clobbered; its contents afterwards are unspecified.
+    def __init__(self, ranks: dict[int, int]):
+        super().__init__(f"ranks differ by prime: {ranks}")
+        self.ranks = ranks
+
+
+def _agreed(primes, ranks) -> int:
+    if len(set(ranks)) > 1:
+        raise PrimesDisagree(dict(zip(primes, ranks)))
+    return ranks[0]
+
+
+def _residues(a, p: int):
+    """``a`` modulo ``p < 2**64`` as a fresh uint64 array."""
+    if a.dtype == object:
+        return (a % p).astype(np.uint64)
+    if a.dtype == np.uint64 or p < 1 << 63:
+        # residues are non-negative, so int64 ones read the same as uint64
+        return (a % a.dtype.type(p)).view(np.uint64)
+    # int64 and p >= 2**63: the residue of v < 0 is v + p, that is v + 2**64
+    # (its uint64 image) minus 2**64 - p; every other value is below p already
+    r = a.astype(np.uint64)
+    r[a < 0] -= np.uint64((1 << 64) - p)
+    return r
+
+
+def rank_mod_p_dense(a, primes) -> int:
+    """Return the rank of the 2-D integer array ``a`` modulo each of ``primes``.
+
+    ``a`` is int64, uint64, or object (Python ints) and may be clobbered.  The
+    primes must be distinct (``ValueError`` otherwise); the rank is returned
+    only when every prime gives the same one, else ``PrimesDisagree`` is raised.
     """
+    primes = tuple(primes)
+    if not primes or len(set(primes)) != len(primes):
+        raise ValueError(f"the kernel needs distinct primes, got {primes}")
     if np.count_nonzero(a) > SPARSE_ENTRY_DENSITY * a.size:
-        return _rank_dense(a, p)
+        return _agreed(primes, [_rank_dense(_residues(a, p), p) for p in primes])
+    n = prod(primes)
+    if a.dtype == object:
+        a = a % n  # ints beyond int64: smaller ones make cheaper row operations
     if a.shape[0] > a.shape[1]:
         # same rank; every row beyond the rank costs updates until it vanishes
         a = a.T
@@ -100,19 +146,24 @@ def rank_mod_p_dense(a, p: int) -> int:
         if bucket is None:
             continue
         pr = min(bucket, key=len)  # the sparsest row makes the least fill-in
+        if gcd(pr[c], n) != 1:
+            # a prime divides the pivot (an int value is not reduced first,
+            # and may be a multiple of a small n): the primes part ways here
+            buckets[c] = bucket
+            return _finish_per_prime(buckets, active, nnz, c, width, rank, primes)
         rank += 1
         active -= 1
         nnz -= len(pr)
         if len(bucket) > 1:
-            inv = pow(pr[c], -1, p)
+            inv = pow(pr[c], -1, n)
             tail = [(j, v) for j, v in pr.items() if j != c]
             for ri in bucket:
                 if ri is pr:
                     continue
                 nnz -= len(ri)
-                f = ri.pop(c) * inv % p
+                f = ri.pop(c) * inv % n
                 for j, v in tail:
-                    w = (ri.get(j, 0) - f * v) % p
+                    w = (ri.get(j, 0) - f * v) % n
                     if w:
                         ri[j] = w
                     else:
@@ -124,15 +175,26 @@ def rank_mod_p_dense(a, p: int) -> int:
                     active -= 1
         if not active:
             break
-        left = width - c - 1
-        if nnz >= DENSE_SWITCH_DENSITY * active * left:
-            rows = [row for bucket in buckets.values() for row in bucket]
-            rem = np.zeros((active, left), dtype=np.uint64)
-            at = np.repeat(np.arange(active), [len(row) for row in rows])
-            to = np.fromiter(chain.from_iterable(rows), dtype=np.intp, count=nnz) - (c + 1)
-            rem[at, to] = list(chain.from_iterable(row.values() for row in rows))
-            return rank + _rank_dense(rem, p)
+        if nnz >= DENSE_SWITCH_DENSITY * active * (width - c - 1):
+            return _finish_per_prime(buckets, active, nnz, c + 1, width, rank, primes)
     return rank
+
+
+def _finish_per_prime(buckets, active: int, nnz: int, start: int, width: int, rank: int, primes) -> int:
+    """``rank`` plus the rank of the ``active`` rows left in ``buckets``, which
+    hold ``nnz`` entries in columns ``start`` to ``width - 1``, modulo each
+    prime by the dense loop; the per-prime totals must agree."""
+    rows = [row for bucket in buckets.values() for row in bucket]
+    at = np.repeat(np.arange(active), [len(row) for row in rows])
+    to = np.fromiter(chain.from_iterable(rows), dtype=np.intp, count=nnz) - start
+    values = list(chain.from_iterable(row.values() for row in rows))
+
+    def residues(p: int):
+        rem = np.zeros((active, width - start), dtype=np.uint64)
+        rem[at, to] = [v % p for v in values]
+        return rem
+
+    return _agreed(primes, [rank + _rank_dense(residues(p), p) for p in primes])
 
 
 def _rank_dense(a, p: int) -> int:

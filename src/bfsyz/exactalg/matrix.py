@@ -48,7 +48,7 @@ EXACT_DIM_LIMIT = 2000
 DEFAULT_MEM_MB = 4096
 
 _EXACT_CELL_BYTES = 48  # conservative per-cell estimate for Fraction rows
-_MOD_CELL_BYTES = 8
+_MOD_CELL_BYTES = 16  # the int64 matrix and one uint64 residue plane
 
 
 def memory_budget_mb(override: int | None = None) -> int:
@@ -386,46 +386,62 @@ def kernel_rows_from_rref(reduced, pivots, ncols: int) -> list[tuple[int, ...]]:
 
 
 class _BadPrime(Exception):
-    """A denominator vanished mod p; resample the prime."""
+    """A chosen prime divides a denominator; resample it."""
 
 
-def _reduce_scalar(v, p: int) -> int:
-    if isinstance(v, int):
-        return v % p
-    num = v.numerator % p
-    den = v.denominator % p
-    if den == 0:
-        raise _BadPrime(p)
-    return num * pow(den, -1, p) % p
+_INT64 = np.iinfo(np.int64)
 
 
-def _dense_mod_p(ii, jj, values, nrows: int, ncols: int, p: int) -> np.ndarray:
-    """uint64 array with the residues mod p of ``values`` at ``(ii, jj)``, zero elsewhere."""
-    arr = np.zeros((nrows, ncols), dtype=np.uint64)
-    # ints, the common case, are reduced inline: a call per entry would double the cost
-    arr[ii, jj] = [v % p if type(v) is int else _reduce_scalar(v, p) for v in values]
-    return arr
+def _cleared_values(entries, primes) -> np.ndarray:
+    """The values of ``entries``, each row holding a Fraction scaled by the lcm
+    of its denominators: int64, or object when a value does not fit.
+
+    Scaling a row by a unit mod p keeps the rank mod p.  The content is never
+    divided out, since a prime may divide it.  Raises ``_BadPrime(p)`` for the
+    first of ``primes`` that divides a denominator.
+    """
+    dens: dict[int, int] = {}
+    for (i, _j), v in entries.items():
+        if isinstance(v, Fraction):
+            dens[i] = lcm(dens.get(i, 1), v.denominator)
+    common = lcm(*dens.values())
+    for p in primes:
+        if common % p == 0:
+            raise _BadPrime(p)
+    values = [
+        v.numerator * (dens[i] // v.denominator) if isinstance(v, Fraction) else int(v) * dens.get(i, 1)
+        for (i, _j), v in entries.items()
+    ]
+    if all(_INT64.min <= v <= _INT64.max for v in values):
+        return np.array(values, dtype=np.int64)
+    return np.array(values, dtype=object)
 
 
-def mod_p_rank_rows(rows, ncols: int, p: int, mem_mb: int | None = None) -> int:
-    """Rank over F_p of dense int/Fraction rows."""
-    nrows = len(rows)
-    if nrows == 0 or ncols == 0:
-        return 0
-    check_dense_budget(nrows, ncols, _MOD_CELL_BYTES, mem_mb, "mod_p_rank")
-    cells = np.array(rows, dtype=object).reshape(nrows, ncols)
-    ii, jj = cells.nonzero()
-    return int(_kernel.rank_mod_p_dense(_dense_mod_p(ii, jj, cells[ii, jj], nrows, ncols, p), p))
+def mod_p_rank_rows(rows, ncols: int, primes, mem_mb: int | None = None) -> int:
+    """Rank of dense int/Fraction rows modulo each of ``primes`` (see ``mod_p_rank_sparse``)."""
+    entries = {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row) if v}
+    return mod_p_rank_sparse(entries, len(rows), ncols, primes, mem_mb)
 
 
-def mod_p_rank_sparse(entries, nrows: int, ncols: int, p: int, mem_mb: int | None = None) -> int:
-    """Rank over F_p of a sparse entry dict {(i, j): value}."""
+def mod_p_rank_sparse(entries, nrows: int, ncols: int, primes, mem_mb: int | None = None) -> int:
+    """Rank of a sparse entry dict {(i, j): value} modulo each of the distinct ``primes``.
+
+    The integer matrix is built once for all the primes and ranked by one
+    kernel call, which raises ``PrimesDisagree`` when the primes give
+    different ranks.
+    """
     if nrows == 0 or ncols == 0:
         return 0
     check_dense_budget(nrows, ncols, _MOD_CELL_BYTES, mem_mb, "mod_p_rank")
     ij = np.fromiter(chain.from_iterable(entries), dtype=np.intp, count=2 * len(entries)).reshape(-1, 2)
-    arr = _dense_mod_p(ij[:, 0], ij[:, 1], entries.values(), nrows, ncols, p)
-    return int(_kernel.rank_mod_p_dense(arr, p))
+    # a list of ints that all fit infers int64; anything else (a Fraction, a
+    # big int) takes the slow path
+    values = np.array(list(entries.values()))
+    if values.dtype != np.int64:
+        values = _cleared_values(entries, primes)
+    arr = np.zeros((nrows, ncols), dtype=values.dtype)
+    arr[ij[:, 0], ij[:, 1]] = values
+    return int(_kernel.rank_mod_p_dense(arr, primes))
 
 
 def draw_primes(rng: random.Random | None, trials: int, avoid: tuple[int, ...] = ()) -> list[int]:
@@ -459,7 +475,9 @@ def rank_details(
 ) -> RankResult:
     """Rank with provenance.
 
-    Modular mode computes the rank for ``trials`` distinct random primes; on
+    Modular mode computes the rank for ``trials`` distinct random primes (or
+    the given ``primes``) in one kernel call; a prime that divides a
+    denominator is replaced, in place, by a fresh draw before the call.  On
     any disagreement it recomputes exactly (``escalated=True``).  Exact mode
     is sparse fraction-free elimination over primitive integer rows with a
     sparsest-row pivot (``bareiss_rank_rows``).
@@ -473,20 +491,20 @@ def rank_details(
     if rng is None:
         rng = default_rng()
     chosen = list(primes) if primes else draw_primes(rng, trials)
-    ranks = []
-    used: list[int] = []
-    for p in chosen:
-        while True:
-            try:
-                ranks.append(mod_p_rank_sparse(m.entries, m.nrows, m.ncols, p, mem_mb))
-                used.append(p)
-                break
-            except _BadPrime:
-                p = _primes.distinct_random_primes(rng, 1, tuple(used) + (p,))[0]
-    if len(set(ranks)) == 1:
-        return RankResult(ranks[0], "modular", tuple(used))
-    exact = bareiss_rank_rows(_sparse_rows(m, mem_mb), m.ncols)
-    return RankResult(exact, "exact", tuple(used), escalated=True)
+    rejected: list[int] = []
+    while True:
+        try:
+            r = mod_p_rank_sparse(m.entries, m.nrows, m.ncols, chosen, mem_mb)
+        except _BadPrime as bad:
+            # the replacement avoids every chosen and every rejected prime
+            (p,) = bad.args
+            rejected.append(p)
+            chosen[chosen.index(p)] = _primes.distinct_random_primes(rng, 1, tuple(chosen + rejected))[0]
+            continue
+        except _kernel.PrimesDisagree:
+            exact = bareiss_rank_rows(_sparse_rows(m, mem_mb), m.ncols)
+            return RankResult(exact, "exact", tuple(chosen), escalated=True)
+        return RankResult(r, "modular", tuple(chosen))
 
 
 def rank(m: ExactMatrix, mode: str = "auto", **kw) -> int:

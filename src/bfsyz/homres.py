@@ -402,8 +402,8 @@ def koszul_slab(module: GradedModule, i: int, t: int, mem_mb=None):
         col_labels = [0] * ncols
     else:
         varw = [module.ring.monomial_weight(tuple(1 if u == v else 0 for u in range(nv))) for v in range(nv)]
-        col_labels = [sum(varw[v] for v in T) + w for T in wsrc for w in mw]
-        row_labels = [sum(varw[v] for v in T) + w for T in wdst for w in mw1]
+        col_labels = [tw + w for tw in (sum(varw[v] for v in T) for T in wsrc) for w in mw]
+        row_labels = [tw + w for tw in (sum(varw[v] for v in T) for T in wdst) for w in mw1]
     cs = range(dim_t)
     entries: dict = {}
     for wi, T in enumerate(wsrc):

@@ -54,10 +54,14 @@ def load_cached(path: Path, nrows: int, ncols: int | None = None) -> ExactMatrix
     another format version, a producer key other than the file stem), holds
     another field or is not ``nrows`` x ``ncols`` (any column count when
     ``ncols`` is None) is a miss; the caller rebuilds the matrix and rewrites
-    the file.
+    the file.  An entry that exists but is not a regular file (a directory)
+    cannot be rewritten either: it raises ``ValueError`` naming the path,
+    which the CLI reports as a usage error.
     """
     if not path.exists():
         return None
+    if not path.is_file():
+        raise ValueError(f"cache entry {str(path)!r} is not a regular file")
     try:
         m = load_matrix(path, key=path.stem)
     except ValueError:

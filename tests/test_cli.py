@@ -311,6 +311,14 @@ def test_cache_path_that_is_a_file_is_usage_error(capsys, monkeypatch, tmp_path,
     assert regular.read_text() == ""
 
 
+def test_cache_entry_that_is_a_directory_is_usage_error(capsys, tmp_path):
+    entry = tmp_path / "fh-a2-b3-k3.mat"
+    entry.mkdir()
+    assert main(["fh-rank", "--a", "2", "--b", "3", "--k", "3", "--cache", str(tmp_path)]) == 3
+    assert str(entry) in capsys.readouterr().err
+    assert entry.is_dir() and not any(entry.iterdir())
+
+
 def test_seed_env_and_flag_precedence(capsys, monkeypatch):
     monkeypatch.setenv("BFSYZ_SEED", "7")
     _, rep = run_json(capsys, "fh-rank", "--a", "2", "--b", "2", "--k", "1")

@@ -23,7 +23,9 @@ from bfsyz.exactalg import (
     rref,
 )
 from bfsyz.exactalg import _modp
+from bfsyz.exactalg import primes as primes_module
 from bfsyz.exactalg.matrix import (
+    _BadPrime,
     bareiss_rank_rows,
     clear_denominators,
     mod_p_rank_rows,
@@ -150,6 +152,15 @@ def test_bad_prime_is_resampled():
     res = rank_details(m, "modular", rng=random.Random(3), primes=[5, 7])
     assert res.rank == 1
     assert 5 not in res.primes
+
+
+def test_resampled_prime_avoids_the_primes_still_queued(monkeypatch):
+    # the first draw repeats the queued 7; the replacement of 5 must not be it
+    draws = iter([7, 11])
+    monkeypatch.setattr(primes_module, "random_prime", lambda rng: next(draws))
+    m = ExactMatrix(1, 1, {(0, 0): Fraction(1, 5)})
+    res = rank_details(m, "modular", rng=random.Random(0), primes=[5, 7])
+    assert res == (1, "modular", (11, 7), False)
 
 
 def test_fraction_heavy_matrix_rank():
@@ -411,17 +422,139 @@ def sparse_kernel_cases(rng, p):
     return cases
 
 
+def residue(v, p):
+    if isinstance(v, Fraction):
+        return v.numerator * pow(v.denominator, -1, p) % p
+    return v % p
+
+
+def kernel_array(rows):
+    """Integer ``rows`` as the kernel takes them: int64, else uint64, else object."""
+    flat = [v for row in rows for v in row]
+    for dtype in (np.int64, np.uint64):
+        info = np.iinfo(dtype)
+        if all(int(info.min) <= v <= int(info.max) for v in flat):
+            return np.array(rows, dtype=dtype)
+    return np.array(rows, dtype=object)
+
+
+def check_ranks(rows, primes):
+    """``mod_p_rank_rows`` and, for integer rows, the kernel itself give the
+    reference rank when every prime's reference agrees, and otherwise raise
+    ``PrimesDisagree`` carrying the per-prime reference ranks.  A prime that
+    divides a denominator is rejected first, as ``_BadPrime``."""
+    dens = [v.denominator for row in rows for v in row if isinstance(v, Fraction)]
+    bad = [p for p in primes if any(d % p == 0 for d in dens)]
+    if bad:
+        with pytest.raises(_BadPrime) as err:
+            mod_p_rank_rows(rows, len(rows[0]), primes)
+        assert err.value.args == (bad[0],)
+        return
+    want = {p: reference_rank_mod_p([[residue(v, p) for v in row] for row in rows], p) for p in primes}
+    calls = [lambda: mod_p_rank_rows(rows, len(rows[0]), primes)]
+    if all(type(v) is int for row in rows for v in row):
+        calls.append(lambda: _modp.rank_mod_p_dense(kernel_array(rows), primes))
+    for call in calls:
+        if len(set(want.values())) == 1:
+            assert call() == want[primes[0]], primes
+        else:
+            with pytest.raises(_modp.PrimesDisagree) as err:
+                call()
+            assert err.value.ranks == want
+
+
 def test_backends_agree_on_mod_p_rank():
     assert all(is_prime(p) for p in KERNEL_PRIMES)
-    for p in KERNEL_PRIMES:
+    for k, p in enumerate(KERNEL_PRIMES):
+        q = KERNEL_PRIMES[(k + 1) % len(KERNEL_PRIMES)]
         rng = random.Random(p % 1000)
         cases = kernel_cases(rng, p)
         sparse = sparse_kernel_cases(rng, p)
         assert all(np.count_nonzero(rows) <= _modp.SPARSE_ENTRY_DENSITY * np.size(rows) for rows in sparse)
         for rows in cases + sparse:
-            want = reference_rank_mod_p(rows, p)
-            assert mod_p_rank_rows(rows, len(rows[0]), p) == want
-            assert _modp.rank_mod_p_dense(np.array(rows, dtype=np.uint64), p) == want, p
+            check_ranks(rows, (p,))
+            check_ranks(rows, (p, q))
+            check_ranks(rows, (q, p))
+
+
+def random_integer_rows(rng, nrows, ncols, density, values):
+    return [[rng.choice(values) if rng.random() < density else 0 for _ in range(ncols)] for _ in range(nrows)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_kernel_matches_per_prime_references(seed):
+    """Random sparse and dense matrices, rows holding Fractions, and values near
+    and beyond +-2**63, at pairs of large primes (the ranks agree) and of small
+    primes (they often do not)."""
+    rng = random.Random(1000 + seed)
+    big = [2**63 - 1, -(2**63), 2**63 - 2, -(2**63) + 1]
+    beyond = [2**63, -(2**63) - 1, 2**64 + 5, -(2**70)]
+    small = list(range(-9, 10))
+    cases = []
+    for density in (0.04, 0.08, 0.3, 0.9):
+        for values in (small, small + big, small + beyond):
+            nrows, ncols = rng.randint(1, 30), rng.randint(1, 30)
+            cases.append(random_integer_rows(rng, nrows, ncols, density, values))
+    # rank-deficient: every row a small combination of three sparse rows
+    base = random_integer_rows(rng, 3, 40, 0.05, small + big)
+    cases.append([[sum(c * x for c, x in zip(coefs, col)) for col in zip(*base)]
+                  for coefs in ([rng.randint(-2, 2) for _ in range(3)] for _ in range(25))])
+    fractions = random_integer_rows(rng, 20, 20, 0.07, small)
+    for row in fractions[::3]:
+        j = rng.randrange(20)
+        row[j] = Fraction(rng.choice([1, -3, 7, 2**64]), rng.choice([11, 13, 2**61 - 1]))
+    cases.append(fractions)
+    pairs = [(P61, P50), (P64, P62), (random_prime(rng), random_prime(rng)), (5, 7), (2, 3), (3, P61)]
+    for rows in cases:
+        for primes in pairs:
+            if primes[0] == primes[1]:
+                continue
+            check_ranks(rows, primes)
+
+
+def cycle_rows(n, first, last):
+    """n x n, row i holding ones at columns i and i + 1 (mod n), except that the
+    (0, 0) entry is ``first`` and the (n - 1, 0) entry is ``last``; its
+    determinant is ``first - last`` for even n."""
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 1
+        rows[i][(i + 1) % n] = 1
+    rows[0][0], rows[n - 1][0] = first, last
+    return rows
+
+
+@pytest.mark.parametrize("last, want", [(1, {5: 30, 7: 30}), (12, {5: 30, 7: 29})])
+def test_kernel_splits_per_prime_at_a_zero_divisor_pivot(monkeypatch, last, want):
+    # the first pivot is 5, a zero divisor mod 35: the shared stage ends there
+    # and each prime finishes alone; det = 5 - last is 4 (ranks agree) or -7
+    rows = cycle_rows(30, 5, last)
+    assert np.count_nonzero(rows) <= _modp.SPARSE_ENTRY_DENSITY * np.size(rows)
+    assert {p: reference_rank_mod_p([[v % p for v in row] for row in rows], p) for p in (5, 7)} == want
+    starts = []
+    finish = _modp._finish_per_prime
+
+    def spy(buckets, active, nnz, start, *rest):
+        starts.append(start)
+        return finish(buckets, active, nnz, start, *rest)
+
+    monkeypatch.setattr(_modp, "_finish_per_prime", spy)
+    check_ranks(rows, (5, 7))
+    assert starts and set(starts) == {0}
+
+
+def test_disagreeing_primes_escalate_to_the_exact_rank():
+    m = ExactMatrix.from_rows(cycle_rows(30, 5, 12))
+    res = rank_details(m, "modular", primes=[5, 7])
+    assert res == (30, "exact", (5, 7), True)
+    assert rank(m, "exact") == 30
+
+
+def test_kernel_rejects_a_repeated_prime():
+    with pytest.raises(ValueError):
+        _modp.rank_mod_p_dense(np.eye(3, dtype=np.int64), (P61, P61))
+    with pytest.raises(ValueError):
+        rank_details(ExactMatrix.from_rows([[1, 2], [3, 4]]), "modular", primes=[P50, P50])
 
 
 @pytest.mark.parametrize("addmul", [
