@@ -138,7 +138,7 @@ def _criterion_6(ctx) -> str:
         for b in (1, 2, 3, 4, 5):
             formula = regularity_formula(a, b)
             rng = random.Random(f"{ctx['seed']}:acc6:{a}:{b}")
-            rep = initial_ideal_regularity(a, b, rng=rng, mem_mb=ctx["mem_mb"], cache=ctx["cache"])
+            rep = initial_ideal_regularity(a, b, rng=rng, mem_mb=ctx["mem_mb"])
             assert rep["hf_agree"], f"({a},{b}) Hilbert functions diverge"
             assert rep["value"] == formula, f"({a},{b}) monomial route {rep['value']} != {formula}"
             monomial += 1
@@ -183,10 +183,7 @@ def _criterion_9(ctx) -> str:
     for a, b in ((2, 2), (2, 3), (3, 2)):
         d = a * b
         rng = random.Random(f"{ctx['seed']}:acc9:{a}:{b}")
-        hf = hilbert_function(
-            ideal_power(power_ideal(a, b), b), d, rng=rng,
-            mem_mb=ctx["mem_mb"], cache=ctx["cache"],
-        )
+        hf = hilbert_function(ideal_power(power_ideal(a, b), b), d, rng=rng, mem_mb=ctx["mem_mb"])
         assert hf[d] == 0, f"({a},{b}) degree-{d} quotient has dimension {hf[d]}"
         dims.append(comb(d + b, b))
     return f"degree-d pieces saturate at dimensions {dims[0]}, {dims[1]}, {dims[2]}"

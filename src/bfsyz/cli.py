@@ -151,9 +151,9 @@ def _table_primes(table) -> list[int]:
     return sorted({p for e in table.entries.values() for p in e.primes})
 
 
-def _table_symmetry(table) -> dict:
-    """The ``symmetry`` provenance of a table whose ranks were halved, else {}."""
-    return {"symmetry": table.meta["symmetry"]} if "symmetry" in table.meta else {}
+def _symmetry(provenance: dict) -> dict:
+    """The ``symmetry`` field of a table's meta or a certificate whose ranks were halved, else {}."""
+    return {"symmetry": provenance["symmetry"]} if "symmetry" in provenance else {}
 
 
 def _banner(table, convention: str = "total") -> list[str]:
@@ -278,15 +278,14 @@ def _reg_betti_route(args, cache) -> dict:
     )
     value = regularity(table)
     route = {"route": "betti", "value": value, "primes": _table_primes(table)}
-    route.update(_table_symmetry(table))
+    route.update(_symmetry(table.meta))
     return route
 
 
-def _reg_initial_route(args, cache) -> dict:
+def _reg_initial_route(args) -> dict:
     rng = random.Random(f"{resolve_seed(args.seed)}:reg-initial")
     report = initial_ideal_regularity(
-        args.a, args.b, args.mode, rng=rng, trials=args.trials,
-        mem_mb=args.mem_mb, cache=cache,
+        args.a, args.b, args.mode, rng=rng, trials=args.trials, mem_mb=args.mem_mb,
     )
     report["route"] = "initial"
     return report
@@ -299,7 +298,7 @@ def _cmd_reg(args) -> int:
     if args.route in ("betti", "both"):
         routes.append(_reg_betti_route(args, cache))
     if args.route in ("initial", "both"):
-        routes.append(_reg_initial_route(args, cache))
+        routes.append(_reg_initial_route(args))
     ok = all(r["value"] == formula for r in routes)
     status = "verified" if ok else "mismatch"
     body = {"formula": formula, "routes": routes}
@@ -319,9 +318,9 @@ def _cmd_initial_ideal(args) -> int:
     J = initial_ideal_Jab(a, b)
     hf_j = monomial_quotient_hf(J, kmax)
     rng = random.Random(f"{resolve_seed(args.seed)}:initial")
+    ideal = power_ideal(a, b)
     hf_i = hilbert_function(
-        power_ideal(a, b), kmax, args.mode, rng=rng, trials=args.trials,
-        mem_mb=args.mem_mb, cache=_resolve_cache(args),
+        ideal, kmax, args.mode, rng=rng, trials=args.trials, mem_mb=args.mem_mb,
     )
     agree = hf_j == hf_i
     status = "verified" if agree else "mismatch"
@@ -333,6 +332,8 @@ def _cmd_initial_ideal(args) -> int:
         "agree_through": kmax,
         "agree": agree,
     }
+    if ideal.weyl:
+        body["symmetry"] = SYMMETRY
     out = _envelope("initial-ideal", args, {"a": a, "b": b, "kmax": kmax}, status, body)
     lines = [
         f"monomial model of the power ideal, a = {a}, b = {b}: {len(J.generators)} generators",
@@ -462,7 +463,7 @@ def _cmd_conjecture_scan(args) -> int:
             value = regularity(table)
             entry["computed"] = value
             entry["primes"] = _table_primes(table)
-            entry.update(_table_symmetry(table))
+            entry.update(_symmetry(table.meta))
             entry["status"] = "matches" if value == predicted else "differs"
             any_differs = any_differs or entry["status"] == "differs"
         except (InconclusiveError, ResourceLimitError) as exc:
@@ -491,7 +492,7 @@ def _cmd_conjecture_scan(args) -> int:
 def _cmd_exactness(args) -> int:
     res = power_resolution(
         args.a, args.b, args.mode, seed=resolve_seed(args.seed), trials=args.trials,
-        mem_mb=args.mem_mb, cache=_resolve_cache(args), max_attempts=args.max_attempts,
+        mem_mb=args.mem_mb, max_attempts=args.max_attempts,
         window_hi=args.window_hi,
     )
     cert = res.certificate
@@ -511,6 +512,7 @@ def _cmd_exactness(args) -> int:
             "nonzero_homology": cert["homology"]["nonzero"],
             "modes": cert["homology"]["modes"],
             "primes": cert["homology"]["primes"],
+            **_symmetry(cert),
         },
     }
     out = _envelope("exactness", args, {"a": args.a, "b": args.b}, status, body)

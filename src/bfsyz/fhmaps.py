@@ -429,11 +429,13 @@ def minors_generate_check(
     cols: list[dict] = [{} for _ in range(ncols)]
     for (i, j), v in entries.items():
         cols[j][i] = v
+    alpha_cols: dict = {}
+    for (r, c), av in fh.matrix.entries.items():
+        alpha_cols.setdefault(c, []).append((r, av))
     for vec in cols:
         image: dict = {}
-        for (r, c), av in fh.matrix.entries.items():
-            x = vec.get(c)
-            if x:
+        for c, x in vec.items():
+            for r, av in alpha_cols.get(c, ()):
                 image[r] = image.get(r, 0) + av * x
         if any(image.values()):
             contained = False

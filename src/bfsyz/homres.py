@@ -776,8 +776,7 @@ def euler_characteristic_ok(module: GradedModule, table: BettiTable, j: int) -> 
 
 
 def initial_ideal_regularity(
-    a: int, b: int, mode: str = "auto", *, rng=None, trials: int = 2,
-    mem_mb=None, cache=None,
+    a: int, b: int, mode: str = "auto", *, rng=None, trials: int = 2, mem_mb=None,
 ) -> dict:
     """Regularity of the power ideal through its monomial lead-term model.
 
@@ -787,15 +786,14 @@ def initial_ideal_regularity(
     agreement, vanishing there pins the quotient's length (zero in one
     degree stays zero in all later ones), so reg of the ideal is the top
     degree plus one.  Disagreement leaves value None; a rank budget failure
-    raises InconclusiveError.
+    raises InconclusiveError.  The power ideal's piece dimensions are ranked
+    on their weight >= 0 half, which ``"symmetry": "sl2-weyl"`` records.
     """
     c = (b + 2) // 2
     top = c * (a - 1)
+    ideal = power_ideal(a, b)
     hf_initial = monomial_quotient_hf(initial_ideal_Jab(a, b), top + 1)
-    hf_power = hilbert_function(
-        power_ideal(a, b), top + 1, mode, rng=rng, trials=trials,
-        mem_mb=mem_mb, cache=cache,
-    )
+    hf_power = hilbert_function(ideal, top + 1, mode, rng=rng, trials=trials, mem_mb=mem_mb)
     report = {
         "a": a,
         "b": b,
@@ -805,6 +803,8 @@ def initial_ideal_regularity(
         "hf_agree": hf_initial == hf_power,
         "value": None,
     }
+    if ideal.weyl:
+        report["symmetry"] = SYMMETRY
     if not report["hf_agree"]:
         return report
     if hf_power[top + 1] != 0 or (top > 0 and hf_power[top] == 0):
@@ -1352,14 +1352,15 @@ def resolution_check(
     seed=None,
     trials: int = 2,
     mem_mb=None,
-    cache=None,
 ) -> dict:
     """Certify degreewise that the complex resolves the ideal.
 
     Homology must vanish at every positive position over the window and the
     position-0 homology dimensions must match the ideal's graded pieces; an
     augmentation-compatible surjection with matching dimensions pins the
-    cokernel down to the ideal itself.
+    cokernel down to the ideal itself.  When the ideal's piece dimensions
+    are Weyl-halved (``GradedIdeal.weyl``) the certificate says so with
+    ``"symmetry": "sl2-weyl"``.
     """
     report = exactness_check(C, degree_window, mode, seed=seed, trials=trials, mem_mb=mem_mb)
     lo, hi = report["window"]
@@ -1367,17 +1368,20 @@ def resolution_check(
     dims = []
     matched = True
     for t in range(lo, hi + 1):
-        res = ideal.piece_dimension_details(t, mode, rng=rng, trials=trials, mem_mb=mem_mb, cache=cache)
+        res = ideal.piece_dimension_details(t, mode, rng=rng, trials=trials, mem_mb=mem_mb)
         dims.append(res.rank)
         if report["homology"][(0, t)] != res.rank:
             matched = False
-    return {
+    certificate = {
         "window": [lo, hi],
         "resolves": matched and report["exact_in_positive_positions"],
         "cokernel_matches_ideal": matched,
         "ideal_dimensions": dims,
         "homology": report,
     }
+    if ideal.weyl:
+        certificate["symmetry"] = SYMMETRY
+    return certificate
 
 
 # ---------------------------------------------------------------------------
@@ -1403,7 +1407,6 @@ def power_resolution(
     seed=None,
     trials: int = 2,
     mem_mb=None,
-    cache=None,
     max_attempts: int = 4,
     window_hi: int | None = None,
 ) -> PowerResolution:
@@ -1657,7 +1660,7 @@ def power_resolution(
             if not total.is_zero():
                 raise ConventionError("augmentation does not annihilate the first differential")
         certificate = resolution_check(
-            cone, ideal, (0, hi), mode, seed=seed, trials=trials, mem_mb=mem_mb, cache=cache
+            cone, ideal, (0, hi), mode, seed=seed, trials=trials, mem_mb=mem_mb
         )
         if certificate["resolves"]:
             return PowerResolution(

@@ -326,9 +326,10 @@ class GradedIdeal:
 
     ``sl2_stable`` marks an ideal that SL2 maps to itself (the power ideal,
     its powers, the ideal of the power locus).  It is a claim about the
-    ideal, not its generators, so it is not part of ``fingerprint()``; a
-    Koszul-homology module built from a marked ideal ranks only the weight
-    >= 0 half of each map (see ``homres.tor_betti``).
+    ideal, not its generators, so it is not part of ``fingerprint()``.  The
+    dimensions of a marked ideal's graded pieces, and the maps of a
+    Koszul-homology module built from it (see ``homres.tor_betti``), are
+    ranked on their weight >= 0 half only.
     """
 
     __slots__ = ("ring", "generators", "weight_graded", "sl2_stable")
@@ -369,13 +370,26 @@ class GradedIdeal:
         )
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
-    def spanning_data(self, k: int):
+    @property
+    def weyl(self) -> bool:
+        """True when graded pieces are ranked on their weight >= 0 half.
+
+        Each graded piece of an SL2-stable ideal is an SL2-representation, so
+        dim (I_k)_w = dim (I_k)_{-w}.  The halving reads torus-weight labels,
+        so the ideal must also be weight-graded.
+        """
+        return self.sl2_stable and self.weight_graded
+
+    def spanning_data(self, k: int, half: bool = False):
         """Sparse entries of the degree-k spanning matrix.
 
         Returns (entries, ncols, row_labels, col_labels): rows are indexed by
         the degree-k monomials, columns by the products m * g, labels are
         torus weights (all zero when the ideal is not weight-graded, which
-        collapses the computation to a single block).
+        collapses the computation to a single block).  ``half=True`` emits
+        only the entries of the columns of label >= 0, so of the rows of
+        label >= 0 too; shape and labels stay those of the full matrix, which
+        ``blocked_rank_details(..., weyl=True)`` checks for symmetry.
         """
         index = self.ring.monomial_index(k)
         row_labels = (
@@ -392,10 +406,11 @@ class GradedIdeal:
                 continue
             gw = g.weight() if self.weight_graded else 0
             for m in self.ring.monomials(k - dg):
-                mw = self.ring.monomial_weight(m) if self.weight_graded else 0
-                col_labels.append(gw + mw)
-                for exp, coeff in g.terms.items():
-                    entries[(index[tuple(map(add, m, exp))], col)] = coeff
+                w = gw + self.ring.monomial_weight(m) if self.weight_graded else 0
+                col_labels.append(w)
+                if not half or w >= 0:
+                    for exp, coeff in g.terms.items():
+                        entries[(index[tuple(map(add, m, exp))], col)] = coeff
                 col += 1
         return entries, col, row_labels, col_labels
 
@@ -455,30 +470,21 @@ class GradedIdeal:
         return [MultiPoly(self.ring, c) for c in cols]
 
     def piece_dimension_details(
-        self, k: int, mode: str = "auto", *, rng=None, trials: int = 2,
-        mem_mb=None, cache=None,
+        self, k: int, mode: str = "auto", *, rng=None, trials: int = 2, mem_mb=None,
     ) -> RankResult:
-        """dim I_k with provenance; exact mode reuses the cached echelon basis.
+        """dim I_k with provenance: the blocked rank of the spanning matrix.
 
-        The mode is picked from the shape alone, so the spanning matrix is
-        built only on the modular route; ``graded_piece`` builds its own on a
-        cache miss.
+        The mode is picked from the full shape, as for the unhalved matrix.
+        An ideal with ``weyl`` set is ranked on its weight >= 0 half
+        (``blocked_rank_details(..., weyl=True)``); reports resting on such a
+        dimension carry ``"symmetry": "sl2-weyl"``.
         """
         if k < 0 or not self.generators or k < min(self.generator_degrees()):
             return RankResult(0, "exact")
-        nrows = self.ring.dimension(k)
-        ncols = sum(self.ring.dimension(k - d) for d in self.generator_degrees())
-        from .exactalg.matrix import _resolve_mode
-
-        use = _resolve_mode(mode, nrows, ncols)
-        if use == "exact":
-            return RankResult(self.graded_piece(k, mem_mb, cache).ncols, "exact")
-        entries, ncols, row_labels, col_labels = self.spanning_data(k)
-        if not entries:
-            return RankResult(0, "exact")
+        entries, ncols, row_labels, col_labels = self.spanning_data(k, half=self.weyl)
         return blocked_rank_details(
-            nrows, ncols, entries, row_labels, col_labels, "modular",
-            rng=rng, trials=trials, mem_mb=mem_mb,
+            self.ring.dimension(k), ncols, entries, row_labels, col_labels, mode,
+            rng=rng, trials=trials, mem_mb=mem_mb, weyl=self.weyl,
         )
 
 
@@ -528,14 +534,12 @@ def independent_columns(m: ExactMatrix) -> tuple[int, ...]:
 
 def hilbert_function_details(
     ideal: GradedIdeal, k_max: int, mode: str = "auto", *, rng=None, trials: int = 2,
-    mem_mb=None, cache=None,
+    mem_mb=None,
 ) -> list[PieceValue]:
     """HF(S/I)(k) for k = 0..k_max with per-degree rank provenance."""
     out = []
     for k in range(k_max + 1):
-        res = ideal.piece_dimension_details(
-            k, mode, rng=rng, trials=trials, mem_mb=mem_mb, cache=cache
-        )
+        res = ideal.piece_dimension_details(k, mode, rng=rng, trials=trials, mem_mb=mem_mb)
         out.append(PieceValue(ideal.ring.dimension(k) - res.rank, res))
     return out
 
@@ -576,9 +580,37 @@ class MonomialIdeal:
         exp = tuple(exp)
         return any(_divides(g, exp) for g in self.generators)
 
+    def _standard_layers(self, k_max: int) -> list[list[tuple[int, ...]]]:
+        """The standard monomials of degrees 0..k_max, each lex-descending.
+
+        Standard monomials form an order ideal, so degree k grows from degree
+        k - 1: a standard m times x_i, for i at least the last index m
+        raises, reaches every degree-k monomial whose divisors are standard
+        exactly once, and taking the m in lex-descending order and i
+        ascending keeps that order.  Such a product lies in the ideal only
+        through a generator that raises x_i (any other would divide m), so
+        only those are tested.
+        """
+        if k_max < 0:
+            return []
+        n = self.ring.nvars
+        raising = [[g for g in self.generators if g[i]] for i in range(n)]
+        layer = [((0,) * n, 0)]  # (monomial, last index it raises)
+        layers = [[(0,) * n]]
+        for _ in range(k_max):
+            grown = []
+            for m, last in layer:
+                for i in range(last, n):
+                    e = m[:i] + (m[i] + 1,) + m[i + 1 :]
+                    if not any(_divides(g, e) for g in raising[i]):
+                        grown.append((e, i))
+            layer = grown
+            layers.append([e for e, _i in grown])
+        return layers
+
     def standard_monomials(self, k: int) -> list[tuple[int, ...]]:
-        """Degree-k monomials outside the ideal, by enumeration with pruning."""
-        return [m for m in self.ring.monomials(k) if not self.contains_monomial(m)]
+        """Degree-k monomials outside the ideal, lex-descending: grown with pruning."""
+        return self._standard_layers(k)[k] if k >= 0 else []
 
     def __repr__(self) -> str:
         shown = ", ".join(str(self.ring.monomial(g)) for g in self.generators[:6])
@@ -610,5 +642,5 @@ def initial_ideal_Jab(a: int, b: int) -> MonomialIdeal:
 
 
 def monomial_quotient_hf(ideal: MonomialIdeal, k_max: int) -> list[int]:
-    """HF of (ring modulo monomial ideal) in degrees 0..k_max by enumeration."""
-    return [len(ideal.standard_monomials(k)) for k in range(k_max + 1)]
+    """HF of (ring modulo monomial ideal) in degrees 0..k_max: standard monomial counts."""
+    return [len(layer) for layer in ideal._standard_layers(k_max)]

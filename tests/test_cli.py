@@ -150,8 +150,8 @@ def test_reg_both_routes_agree(capsys):
     assert code == 0
     assert rep["formula"] == 3
     assert [r["value"] for r in rep["routes"]] == [3, 3]
-    # the Betti route rests on Weyl-halved ranks, the lead-term model does not
-    assert [r.get("symmetry") for r in rep["routes"]] == ["sl2-weyl", None]
+    # both routes rest on Weyl-halved ranks: Betti tables and piece dimensions
+    assert [r.get("symmetry") for r in rep["routes"]] == ["sl2-weyl", "sl2-weyl"]
 
 
 def test_initial_ideal_generator_count_and_agreement(capsys):
@@ -160,7 +160,7 @@ def test_initial_ideal_generator_count_and_agreement(capsys):
     assert rep["generator_count"] == 5
     assert rep["agree"] is True
     assert rep["hf_initial_quotient"] == rep["hf_power_quotient"]
-    assert "symmetry" not in rep
+    assert rep["symmetry"] == "sl2-weyl"
 
 
 def test_conjecture_scan_is_labeled_evidence(capsys):
@@ -211,7 +211,9 @@ def test_exactness_certificate(capsys):
     assert code == 0
     assert rep["status"] == "verified"
     assert [s["rank"] for s in rep["shape"]] == [5, 5, 1]
-    assert "symmetry" not in json.dumps(rep)
+    # the ideal's piece dimensions are Weyl-halved, the complex's ranks are not
+    assert rep["certificate"]["symmetry"] == "sl2-weyl"
+    assert json.dumps(rep).count("symmetry") == 1
     assert rep["certificate"]["resolves"] is True
 
 

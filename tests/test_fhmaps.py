@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+from bfsyz import fhmaps
 from bfsyz.exactalg import ExactMatrix, dump_matrix, rank
 from bfsyz.fhmaps import (
     fh_rank_report,
@@ -295,6 +296,23 @@ def test_minors_generate_check_values():
     rep = minors_generate_check(3, 2)
     assert rep["span_dim"] == rep["kernel_dim"] == 29
     assert rep["equal"]
+
+
+def test_minors_check_sees_a_column_outside_the_kernel(monkeypatch):
+    """A planted unit vector that alpha does not annihilate breaks containment."""
+    fh = foulkes_howe(2, 2, 3)
+    c = min(c for _r, c in fh.matrix.entries)  # alpha's column c is nonzero
+    original = fhmaps.minors_span_matrix
+
+    def planted(a, b):
+        entries, ncols, row_labels, col_labels = original(a, b)
+        entries = {**entries, (c, ncols): 1}
+        return entries, ncols + 1, row_labels, col_labels + [row_labels[c]]
+
+    monkeypatch.setattr(fhmaps, "minors_span_matrix", planted)
+    rep = minors_generate_check(2, 2, rng=random.Random(5))
+    assert rep["contained"] is False and rep["equal"] is False
+    assert rep["kernel_dim"] == 7 and rep["span_dim"] == 8
 
 
 # ---------------------------------------------------------------------------

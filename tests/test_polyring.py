@@ -313,3 +313,30 @@ def test_initial_ideal_matches_i22_hf():
     c = 2  # floor((b+2)/2) for b=2
     top = c * 1 + 1
     assert hilbert_function(ideal, top) == monomial_quotient_hf(initial_ideal_Jab(2, 2), top)
+
+
+def enumerated_standard_monomials(ideal: MonomialIdeal, k: int) -> list:
+    """Reference: every degree-k monomial, tested against every generator."""
+    return [m for m in ideal.ring.monomials(k) if not ideal.contains_monomial(m)]
+
+
+def mixed_degree_ideals():
+    r4 = PolyRing(4, "c")
+    return [
+        MonomialIdeal(ring3(), [(1, 0, 0)]),
+        MonomialIdeal(ring3(), [(0, 0, 3), (1, 1, 0), (0, 2, 2)]),
+        MonomialIdeal(r4, [(2, 0, 0, 0), (0, 1, 1, 1), (0, 0, 0, 4), (0, 3, 0, 0)]),
+        MonomialIdeal(r4, [(0, 0, 1, 0), (1, 0, 0, 2), (3, 2, 0, 0)]),
+        MonomialIdeal(PolyRing(2, "c"), [(0, 5), (2, 1)]),
+    ]
+
+
+def test_grown_standard_monomials_match_enumeration():
+    cases = [(initial_ideal_Jab(a, b), (b + 2) // 2 * (a - 1) + 2) for a in range(1, 5) for b in range(1, 6)]
+    cases += [(ideal, 6) for ideal in mixed_degree_ideals()]
+    for ideal, k_max in cases:
+        reference = [enumerated_standard_monomials(ideal, k) for k in range(k_max + 1)]
+        assert monomial_quotient_hf(ideal, k_max) == [len(ms) for ms in reference], ideal
+        for k in range(k_max + 1):
+            assert ideal.standard_monomials(k) == reference[k], (ideal, k)
+    assert ideal.standard_monomials(-1) == [] and monomial_quotient_hf(ideal, -1) == []

@@ -1,8 +1,8 @@
 """Weyl halving: ranking only the weight >= 0 half of SL2-equivariant maps.
 
 The halved ranks rest on rank_w = rank_{-w}, so every acceptance-range case
-is run both ways and compared, and the block ranks of every Koszul slab are
-checked in pairs.  The unhalved runs flip the mark on the module or ideal
+is run both ways and compared, and the block ranks of every Koszul slab and
+every graded-piece spanning matrix are checked in pairs.  The unhalved runs flip the mark on the module or ideal
 object (or force ``weyl=False`` for the slices); no library switch exists.
 """
 
@@ -25,9 +25,17 @@ from bfsyz.homres import (
     koszul_slab,
     power_ideal_betti,
     power_locus_betti,
+    power_resolution,
+    resolution_check,
     verify_ia3_resolution,
 )
-from bfsyz.polyring import PolyRing, ideal_power
+from bfsyz.polyring import (
+    GradedIdeal,
+    PolyRing,
+    hilbert_function,
+    hilbert_function_details,
+    ideal_power,
+)
 
 LOCUS_CASES = [(2, 2), (3, 2), (2, 3)]
 IDEAL_CASES = sorted(
@@ -146,8 +154,96 @@ def test_minors_check_halved_equals_full(monkeypatch):
     assert fhmaps.minors_generate_check(2, 2, rng=random.Random(5)) == halved
 
 
+def piece_ideals():
+    """(name, builder, top degree) of the marked ideals whose pieces are halved."""
+    cases = [
+        (f"power-{a}-{b}", lambda a=a, b=b: fhmaps.power_ideal(a, b), (b + 2) // 2 * (a - 1) + 1)
+        for a in (1, 2, 3) for b in (1, 2, 3)
+    ]
+    cases.append(("power-4-5", lambda: fhmaps.power_ideal(4, 5), 10))
+    cases.append(("power-2-2-squared", lambda: ideal_power(fhmaps.power_ideal(2, 2), 2), 7))
+    cases.append(("ix-2-2", lambda: fhmaps.ix_kernel_ideal(2, 2), 7))
+    return [pytest.param(build, k_max, id=name) for name, build, k_max in cases]
+
+
+@pytest.mark.parametrize("mode", ["exact", "modular"])
+@pytest.mark.parametrize("build,k_max", piece_ideals())
+def test_piece_dimensions_halved_equal_full(build, k_max, mode):
+    halved, full = build(), build()
+    full.sl2_stable = False
+    assert halved.weyl and not full.weyl
+    got = hilbert_function_details(halved, k_max, mode, rng=random.Random(f"{k_max}:{mode}"))
+    want = hilbert_function_details(full, k_max, mode, rng=random.Random(f"{k_max}:{mode}"))
+    # values, modes, primes and escalation flags all agree
+    assert got == want
+    ranked = [pv.rank for pv in got if pv.rank.rank]
+    assert ranked and {r.mode for r in ranked} == {mode}
+    if mode == "modular":
+        assert all(len(r.primes) >= 2 for r in ranked)
+
+
+def test_initial_ideal_regularity_report_is_flagged(monkeypatch):
+    values = {
+        "a": 2, "b": 3, "top_degree": 2, "hf_initial": [1, 4, 3, 0],
+        "hf_power": [1, 4, 3, 0], "hf_agree": True, "value": 3,
+    }
+    assert initial_ideal_regularity(2, 3) == {**values, "symmetry": "sl2-weyl"}
+    ideal = fhmaps.power_ideal(2, 3)
+    ideal.sl2_stable = False
+    monkeypatch.setattr(homres, "power_ideal", lambda a, b: ideal)
+    assert initial_ideal_regularity(2, 3) == values
+
+
+def test_resolution_certificate_halved_equals_full():
+    res = power_resolution(2, 2, seed=7)
+    assert res.ideal.weyl and res.certificate["symmetry"] == "sl2-weyl"
+    full = fhmaps.power_ideal(2, 2)
+    full.sl2_stable = False
+    window = tuple(res.certificate["window"])
+    unflagged = resolution_check(res.complex, full, window, seed=7)
+    assert unflagged == {k: v for k, v in res.certificate.items() if k != "symmetry"}
+    assert unflagged["resolves"]
+
+
+def test_wrongly_marked_ideal_is_refused():
+    ring = PolyRing(3, "c")
+    c0 = ring.variable(0)
+    ideal = GradedIdeal(ring, [c0 * c0], sl2_stable=True)
+    assert ideal.weyl
+    with pytest.raises(EquivarianceError):
+        ideal.piece_dimension_details(2)
+    with pytest.raises(EquivarianceError):
+        hilbert_function(ideal, 3, "modular", rng=random.Random(1))
+    ideal.sl2_stable = False
+    assert hilbert_function(ideal, 3) == [1, 3, 5, 7]
+
+
 # ---------------------------------------------------------------------------
-# rank_w == rank_{-w} on every slab, and the half slab is the full one cut
+# rank_w == rank_{-w} on every slab and spanning matrix, and each half is the
+# full map cut
+
+
+def block_ranks(entries, row_labels, col_labels) -> dict:
+    ranks = {}
+    for w, (row_ids, cols, sub) in split_blocks(entries, row_labels, col_labels).items():
+        rows: list[dict] = [{} for _ in row_ids]
+        for (r, c), v in sub.items():
+            rows[r][c] = v
+        ranks[w] = bareiss_rank_rows(rows, len(cols))
+    return ranks
+
+
+@pytest.mark.parametrize("build,k_max", piece_ideals())
+def test_spanning_block_ranks_are_weyl_symmetric(build, k_max):
+    ideal = build()
+    for k in range(k_max + 1):
+        entries, ncols, rl, cl = ideal.spanning_data(k)
+        half = ideal.spanning_data(k, half=True)
+        assert half[1:] == (ncols, rl, cl)
+        assert half[0] == {key: v for key, v in entries.items() if cl[key[1]] >= 0}
+        ranks = block_ranks(entries, rl, cl)
+        for w, r in ranks.items():
+            assert ranks.get(-w, 0) == r, (k, w)
 
 
 def slab_cases():
@@ -178,12 +274,7 @@ def test_block_ranks_are_weyl_symmetric(build, t_max):
             nrows, ncols, entries, rl, cl = koszul_slab(module, i, t)
             assert half[:2] == (nrows, ncols) and half[3:] == (rl, cl)
             assert half[2] == {key: v for key, v in entries.items() if cl[key[1]] >= 0}
-            ranks = {}
-            for w, (_rows, cols, sub) in split_blocks(entries, rl, cl).items():
-                rows: list[dict] = [{} for _ in _rows]
-                for (r, c), v in sub.items():
-                    rows[r][c] = v
-                ranks[w] = bareiss_rank_rows(rows, len(cols))
+            ranks = block_ranks(entries, rl, cl)
             for w, r in ranks.items():
                 assert ranks.get(-w, 0) == r, (i, t, w)
 
@@ -221,10 +312,6 @@ def test_weyl_still_checks_negative_weight_entries():
 
 
 def test_unflagged_reports_are_unchanged():
-    assert initial_ideal_regularity(2, 3) == {
-        "a": 2, "b": 3, "top_degree": 2, "hf_initial": [1, 4, 3, 0],
-        "hf_power": [1, 4, 3, 0], "hf_agree": True, "value": 3,
-    }
     rep = dict(exactness_check(koszul_complex(PolyRing(3, "c")), (0, 4), "modular", seed=5))
     rep["homology"] = sorted([p, t, h] for (p, t), h in rep["homology"].items())
     canon = json.dumps(rep, sort_keys=True, separators=(",", ":"))
