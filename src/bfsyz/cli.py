@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 from fractions import Fraction
@@ -34,6 +33,7 @@ from .fhmaps import (
 )
 from .homres import (
     GradedModule,
+    compare_table,
     ia3_expected_table,
     initial_ideal_regularity,
     power_ideal_betti,
@@ -46,6 +46,7 @@ from .homres import (
     verify_explicit_betti,
 )
 from .polyring import (
+    cache_directory,
     hilbert_function,
     ideal_power,
     initial_ideal_Jab,
@@ -82,17 +83,12 @@ def _nonnegative(text: str) -> int:
     return value
 
 
-def _resolve_cache(args):
-    if args.cache is not None:
-        return args.cache
-    return os.environ.get("BFSYZ_CACHE") or None
-
-
-def _add_common(parser, *, threads=False):
+def _add_common(parser, *, threads=False, cache=True):
     parser.add_argument("--mode", choices=["auto", "exact", "modular"], default="auto")
     parser.add_argument("--seed", type=int, default=None, help="default: BFSYZ_SEED or 0")
     parser.add_argument("--trials", type=_positive, default=2, help="modular prime trials")
-    parser.add_argument("--cache", default=None, help="matrix cache directory (default: BFSYZ_CACHE)")
+    if cache:
+        parser.add_argument("--cache", default=None, help="matrix cache directory (default: BFSYZ_CACHE)")
     parser.add_argument("--mem-mb", type=_positive, default=None, help="memory budget override")
     parser.add_argument("--format", choices=["json", "text"], default="json")
     parser.add_argument("--out", default=None, help="write the report here instead of stdout")
@@ -168,7 +164,7 @@ def _cmd_fh_rank(args) -> int:
     rng = random.Random(f"{resolve_seed(args.seed)}:fh-rank")
     report = fh_rank_report(
         args.a, args.b, args.k, args.mode, rng=rng, trials=args.trials,
-        mem_mb=args.mem_mb, cache=_resolve_cache(args),
+        mem_mb=args.mem_mb, cache=args.cache,
     )
     if report["status"] != "ok":
         status = "inconclusive"
@@ -197,25 +193,12 @@ def _cmd_gens(args) -> int:
     return EXIT_VERIFIED
 
 
-def _compare_table(table, expected: dict):
-    rows = []
-    ok = True
-    for key in sorted(set(expected) | set(table.nonzero())):
-        want = expected.get(key, 0)
-        got = table.value(*key) if table.covers(*key) else None
-        match = got == want
-        ok = ok and match
-        rows.append({"i": key[0], "j": key[1], "expected": want, "computed": got, "match": match})
-    return ok, rows
-
-
 def _cmd_betti(args) -> int:
-    cache = _resolve_cache(args)
     params = {"a": args.a, "b": args.b, "target": args.target}
     if args.target == "ix":
         res = power_locus_betti(
             args.a, args.b, args.mode, seed=resolve_seed(args.seed), trials=args.trials,
-            mem_mb=args.mem_mb, cache=cache, threads=args.threads,
+            mem_mb=args.mem_mb, cache=args.cache, threads=args.threads,
         )
         table = res.ideal_table
         verify = verify_explicit_betti(args.a, args.b, table)
@@ -238,7 +221,7 @@ def _cmd_betti(args) -> int:
         raise ValueError("--target iab-pow needs --j")
     table = power_ideal_betti(
         args.a, args.b, power, args.mode, seed=resolve_seed(args.seed), trials=args.trials,
-        mem_mb=args.mem_mb, cache=cache, threads=args.threads,
+        mem_mb=args.mem_mb, cache=args.cache, threads=args.threads,
     )
     params["power"] = power
     expected = None
@@ -253,7 +236,7 @@ def _cmd_betti(args) -> int:
         status = "computed"
         body = {"table": table.to_json(), "reference": None, "primes": _table_primes(table)}
     else:
-        ok, rows = _compare_table(table, expected)
+        ok, rows = compare_table(table, expected)
         status = "verified" if ok else "mismatch"
         body = {
             "table": table.to_json(),
@@ -270,11 +253,11 @@ def _cmd_betti(args) -> int:
     return _status_exit(status)
 
 
-def _reg_betti_route(args, cache) -> dict:
+def _reg_betti_route(args) -> dict:
     formula = regularity_formula(args.a, args.b)
     table = power_ideal_betti(
         args.a, args.b, 1, args.mode, t_max=formula + 1, seed=resolve_seed(args.seed),
-        trials=args.trials, mem_mb=args.mem_mb, cache=cache, threads=args.threads,
+        trials=args.trials, mem_mb=args.mem_mb, cache=args.cache, threads=args.threads,
     )
     value = regularity(table)
     route = {"route": "betti", "value": value, "primes": _table_primes(table)}
@@ -292,11 +275,10 @@ def _reg_initial_route(args) -> dict:
 
 
 def _cmd_reg(args) -> int:
-    cache = _resolve_cache(args)
     formula = regularity_formula(args.a, args.b)
     routes = []
     if args.route in ("betti", "both"):
-        routes.append(_reg_betti_route(args, cache))
+        routes.append(_reg_betti_route(args))
     if args.route in ("initial", "both"):
         routes.append(_reg_initial_route(args))
     ok = all(r["value"] == formula for r in routes)
@@ -349,7 +331,7 @@ def _cmd_minors_check(args) -> int:
     rng = random.Random(f"{resolve_seed(args.seed)}:minors")
     report = minors_generate_check(
         args.a, args.b, args.mode, rng=rng, trials=args.trials,
-        mem_mb=args.mem_mb, cache=_resolve_cache(args),
+        mem_mb=args.mem_mb, cache=args.cache,
     )
     if report["status"] != "ok":
         status = "inconclusive"
@@ -402,7 +384,7 @@ def _cmd_char_check(args) -> int:
 
 
 def _cmd_hw_triple(args) -> int:
-    report = hw_triple_report(mem_mb=args.mem_mb, cache=_resolve_cache(args))
+    report = hw_triple_report(mem_mb=args.mem_mb, cache=args.cache)
     expected = (Fraction(1), Fraction(-1, 3), Fraction(4, 3))
     matches = tuple(report["triple"]) == expected and report["differs"]
     status = "verified" if matches else "mismatch"
@@ -428,7 +410,7 @@ def _cmd_coker_hf(args) -> int:
     rng = random.Random(f"{resolve_seed(args.seed)}:coker")
     values = coker_hilbert(
         args.a, args.b, args.kmax, args.mode, rng=rng, trials=args.trials,
-        mem_mb=args.mem_mb, cache=_resolve_cache(args),
+        mem_mb=args.mem_mb, cache=args.cache,
     )
     body = {
         "values": values,
@@ -443,7 +425,6 @@ def _cmd_coker_hf(args) -> int:
 
 def _cmd_conjecture_scan(args) -> int:
     a, b = args.a, args.b
-    cache = _resolve_cache(args)
     base = power_ideal(a, b)
     entries = []
     any_differs = False
@@ -453,7 +434,7 @@ def _cmd_conjecture_scan(args) -> int:
         entry = {"j": j, "predicted": predicted}
         try:
             ideal = base if j == 1 else ideal_power(base, j)
-            module = GradedModule.from_ideal(ideal, mem_mb=args.mem_mb, cache=cache)
+            module = GradedModule.from_ideal(ideal, mem_mb=args.mem_mb, cache=args.cache)
             i_max = module.ring.nvars
             table = tor_betti(
                 module, i_max, i_max + predicted + 2, args.mode, t_max=predicted + 2,
@@ -528,7 +509,7 @@ def _cmd_repro(args) -> int:
     from . import acceptance
 
     results = acceptance.run_all(
-        seed=resolve_seed(args.seed), mem_mb=args.mem_mb, cache=_resolve_cache(args),
+        seed=resolve_seed(args.seed), mem_mb=args.mem_mb, cache=args.cache,
         threads=args.threads, only=args.only,
     )
     overall = acceptance.overall_status(results)
@@ -559,7 +540,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gens", help="generators of the power ideal")
     p.add_argument("--a", type=_positive, required=True)
     p.add_argument("--b", type=_positive, required=True)
-    _add_common(p)
+    _add_common(p, cache=False)
     p.set_defaults(handler=_cmd_gens)
 
     p = sub.add_parser("betti", help="Betti table of a power-locus or power-ideal module")
@@ -582,7 +563,7 @@ def build_parser() -> _Parser:
     p.add_argument("--a", type=_positive, required=True)
     p.add_argument("--b", type=_positive, required=True)
     p.add_argument("--kmax", type=_nonnegative, default=None)
-    _add_common(p)
+    _add_common(p, cache=False)
     p.set_defaults(handler=_cmd_initial_ideal)
 
     p = sub.add_parser("minors-check", help="maximal minors against the kernel piece")
@@ -594,13 +575,13 @@ def build_parser() -> _Parser:
     p = sub.add_parser("phi", help="linear syzygy matrix of the power generators")
     p.add_argument("--a", type=_positive, required=True)
     p.add_argument("--b", type=_positive, required=True)
-    _add_common(p)
+    _add_common(p, cache=False)
     p.set_defaults(handler=_cmd_phi)
 
     p = sub.add_parser("char-check", help="termwise character identities over a range")
     p.add_argument("--a-max", type=_positive, default=5)
     p.add_argument("--b-max", type=_positive, default=5)
-    _add_common(p)
+    _add_common(p, cache=False)
     p.set_defaults(handler=_cmd_char_check)
 
     p = sub.add_parser("hw-triple", help="highest-weight proportionality triple at a = b = 2")
@@ -626,7 +607,7 @@ def build_parser() -> _Parser:
     p.add_argument("--b", type=_positive, required=True)
     p.add_argument("--window-hi", type=_nonnegative, default=None)
     p.add_argument("--max-attempts", type=_positive, default=4)
-    _add_common(p)
+    _add_common(p, cache=False)
     p.set_defaults(handler=_cmd_exactness)
 
     p = sub.add_parser("repro", help="run the acceptance suite and emit a pass/fail manifest")
@@ -641,6 +622,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if "cache" in args:
+            # one reading of --cache / BFSYZ_CACHE: a path that names a file is a usage error
+            args.cache = cache_directory(args.cache)
         return args.handler(args)
     except (InconclusiveError, ResourceLimitError) as exc:
         report = {

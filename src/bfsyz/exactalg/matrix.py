@@ -20,7 +20,12 @@ is unique, so results depend only on the input, not on that choice.
 
 Row-level engines (`bareiss_rank_rows`, `rref_rows`, `mod_p_rank_rows`, ...) are
 exposed for the modules that assemble large matrices blockwise and do not want
-to round-trip through ExactMatrix.
+to round-trip through ExactMatrix.  Every echelon form of a label-preserving
+map runs through one blocked path, ``_blocked_echelon``: split by label,
+check each block against the dense memory budget, reduce it with
+``rref_rows``.  :func:`column_echelon` (graded pieces, images of the
+substitution maps) and :func:`blocked_kernel_basis` are thin layers over it,
+and :func:`kernel_basis` is its one-block case.
 """
 
 from __future__ import annotations
@@ -528,19 +533,10 @@ def kernel_basis(m: ExactMatrix, mem_mb: int | None = None) -> list[tuple[int, .
     """Primitive integer basis of the right kernel, free columns in order.
 
     Each vector has content 1 and positive first nonzero entry; the identity
-    matrix yields [] and a full-space kernel yields unit vectors.
+    matrix yields [] and a full-space kernel yields unit vectors.  This is
+    the one-block case of :func:`blocked_kernel_basis` (every label 0).
     """
-    if m.ncols == 0:
-        return []
-    if m.nnz == 0:
-        basis = []
-        for f in range(m.ncols):
-            vec = [0] * m.ncols
-            vec[f] = 1
-            basis.append(tuple(vec))
-        return basis
-    reduced, pivots = rref_rows(_sparse_rows(m, mem_mb), m.ncols)
-    return kernel_rows_from_rref(reduced, pivots, m.ncols)
+    return blocked_kernel_basis(m.nrows, m.ncols, m.entries, [0] * m.nrows, [0] * m.ncols, mem_mb)
 
 
 # ---------------------------------------------------------------------------
@@ -598,6 +594,47 @@ def split_blocks(entries, row_labels, col_labels, *, _nonnegative=False):
     return out
 
 
+def _blocked_echelon(entries, row_labels, col_labels, mem_mb: int | None = None):
+    """Reduced row echelon form of each label block of a label-preserving map.
+
+    Yields ``(row_ids, col_ids, reduced, pivots)`` per label, in label order:
+    the block's row and column indices in the full matrix and ``rref_rows``
+    of its rows (pivots index ``col_ids``).  A block with no entries is not
+    reduced: its ``reduced`` and ``pivots`` are empty.  Each reduced block is
+    held to the dense budget of :meth:`ExactMatrix.to_rows`, so one over
+    ``mem_mb`` raises ``ResourceLimitError``.
+    """
+    for row_ids, col_ids, sub in split_blocks(entries, row_labels, col_labels).values():
+        if not sub:
+            yield row_ids, col_ids, [], []
+            continue
+        check_dense_budget(len(row_ids), len(col_ids), _EXACT_CELL_BYTES, mem_mb, "to_rows")
+        rows: list[dict] = [{} for _ in row_ids]
+        for (i, j), v in sub.items():
+            rows[i][j] = v
+        reduced, pivots = rref_rows(rows, len(col_ids))
+        yield row_ids, col_ids, reduced, pivots
+
+
+def column_echelon(entries, row_labels, col_labels, mem_mb: int | None = None):
+    """Echelonized basis of the column span of a label-preserving map.
+
+    Returns (columns, pivots): columns[c] is a {row: coeff} dict whose
+    smallest nonzero row is pivots[c], with coefficient 1 there and 0 in
+    every other pivot row; the pivot rows are strictly increasing.  It is
+    the reduced echelon form of the transpose, reduced per label block
+    (blocks never interact), so the pivot coordinates of a vector in the
+    span are its coefficients in this basis.
+    """
+    flipped = {(j, i): v for (i, j), v in entries.items()}
+    found = []
+    for _src, ids, reduced, pivots in _blocked_echelon(flipped, col_labels, row_labels, mem_mb):
+        for row, p in zip(reduced, pivots):
+            found.append((ids[p], {ids[j]: v for j, v in enumerate(row) if v}))
+    found.sort(key=lambda t: t[0])
+    return [vec for _p, vec in found], [p for p, _v in found]
+
+
 def blocked_kernel_basis(
     nrows: int,
     ncols: int,
@@ -612,16 +649,9 @@ def blocked_kernel_basis(
     kernels; vectors come out ordered by (label, free column order within the
     block) and are embedded back into the full column index space.
     """
-    if ncols == 0:
-        return []
     out: list[tuple[int, ...]] = []
-    blocks = split_blocks(entries, row_labels, col_labels)
-    for w in sorted(blocks):
-        row_ids, col_ids, sub = blocks[w]
-        if not col_ids:
-            continue
-        block = _trusted_matrix(len(row_ids), len(col_ids), sub)
-        for vec in kernel_basis(block, mem_mb):
+    for _row_ids, col_ids, reduced, pivots in _blocked_echelon(entries, row_labels, col_labels, mem_mb):
+        for vec in kernel_rows_from_rref(reduced, pivots, len(col_ids)):
             full = [0] * ncols
             for k, v in enumerate(vec):
                 full[col_ids[k]] = v

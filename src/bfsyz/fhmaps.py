@@ -238,6 +238,24 @@ def fh_rank_details(
     )
 
 
+def _escalate(result: RankResult, bound: int, exact_rank) -> tuple[RankResult, bool]:
+    """Settle a modular rank below ``bound`` exactly, before any negative verdict.
+
+    Returns ``(result, settled)``.  A modular rank below ``bound`` is
+    recomputed by ``exact_rank()`` and reported exact with the modular
+    primes and ``escalated=True``.  If that overruns the resource budget the
+    modular result comes back with ``settled`` False: it is only a lower
+    bound, so the caller's status turns ``"inconclusive"``.
+    """
+    if result.mode != "modular" or result.rank >= bound:
+        return result, True
+    try:
+        exact = exact_rank()
+    except ResourceLimitError:
+        return result, False
+    return RankResult(exact.rank, "exact", result.primes, escalated=True), True
+
+
 def fh_rank_report(
     a: int, b: int, k: int, mode: str = "auto", *, rng=None, trials: int = 2,
     mem_mb=None, cache=None,
@@ -252,14 +270,12 @@ def fh_rank_report(
     if rng is None:
         rng = default_rng()
     fh = foulkes_howe(a, b, k, mem_mb, cache)
-    result = fh_rank_details(fh, mode, rng=rng, trials=trials, mem_mb=mem_mb)
-    status = "ok"
-    if result.mode == "modular" and result.rank < min(fh.source_dim, fh.target_dim):
-        try:
-            exact = fh_rank_details(fh, "exact", mem_mb=mem_mb)
-            result = RankResult(exact.rank, "exact", result.primes, escalated=True)
-        except ResourceLimitError:
-            status = "inconclusive"
+    result, settled = _escalate(
+        fh_rank_details(fh, mode, rng=rng, trials=trials, mem_mb=mem_mb),
+        min(fh.source_dim, fh.target_dim),
+        lambda: fh_rank_details(fh, "exact", mem_mb=mem_mb),
+    )
+    status = "ok" if settled else "inconclusive"
     report = {
         "a": a,
         "b": b,
@@ -447,33 +463,28 @@ def minors_generate_check(
         fh.source_dim, ncols, entries, row_labels, col_labels, mode,
         rng=rng, trials=trials, mem_mb=mem_mb,
     )
-    status = "ok"
-    span_rank = span.rank
-    if contained and span.mode == "modular" and span_rank < kernel_dim:
-        try:
-            span_exact = blocked_rank_details(
-                fh.source_dim, ncols, entries, row_labels, col_labels, "exact",
-                mem_mb=mem_mb,
-            )
-            span = RankResult(span_exact.rank, "exact", span.primes, escalated=True)
-            span_rank = span.rank
-        except ResourceLimitError:
-            status = "inconclusive"
-    if rank_alpha.mode == "modular" and rank_alpha.rank < min(fh.source_dim, fh.target_dim):
-        # kernel dimension rests on a non-maximal modular rank: escalate it too
-        try:
-            exact = fh_rank_details(fh, "exact", mem_mb=mem_mb)
-            rank_alpha = RankResult(exact.rank, "exact", rank_alpha.primes, escalated=True)
-            kernel_dim = fh.source_dim - rank_alpha.rank
-        except ResourceLimitError:
-            status = "inconclusive"
-    equal = bool(contained and span_rank == kernel_dim)
+    span_settled = True
+    if contained:
+        span, span_settled = _escalate(
+            span, kernel_dim,
+            lambda: blocked_rank_details(
+                fh.source_dim, ncols, entries, row_labels, col_labels, "exact", mem_mb=mem_mb,
+            ),
+        )
+    # the kernel dimension rests on a non-maximal modular rank: escalate it too
+    rank_alpha, alpha_settled = _escalate(
+        rank_alpha, min(fh.source_dim, fh.target_dim),
+        lambda: fh_rank_details(fh, "exact", mem_mb=mem_mb),
+    )
+    kernel_dim = fh.source_dim - rank_alpha.rank
+    status = "ok" if span_settled and alpha_settled else "inconclusive"
+    equal = bool(contained and span.rank == kernel_dim)
     return {
         "a": a,
         "b": b,
         "minors": comb(a * b + b - 1, b + 1),
         "contained": contained,
-        "span_dim": span_rank,
+        "span_dim": span.rank,
         "kernel_dim": kernel_dim,
         "equal": equal if status == "ok" else None,
         "mode": span.mode,

@@ -28,7 +28,8 @@ from .exactalg import (
     kernel_basis,
     memory_budget_mb,
 )
-from .exactalg.matrix import resolve_seed, rref_rows, split_blocks
+from .exactalg.matrix import column_echelon, resolve_seed
+from .exactalg.matrix import rref_rows  # noqa: F401 (unused; perfbench/spans.py REQUIRED_COPIES needs it)
 from .fhmaps import (
     SYMMETRY,
     fh_rank_report,
@@ -47,34 +48,6 @@ from .polyring import (
     monomial_quotient_hf,
 )
 from .sl2rep import coord_weight, plethysm_basis, plethysm_index, wedge_basis, wedge_index
-
-
-def _column_echelon(entries, row_labels, col_labels):
-    """Echelonized basis of the column span of a label-preserving map.
-
-    Returns (columns, pivots): columns[c] is a {row: coeff} dict whose
-    smallest nonzero row is pivots[c], and the pivot rows are strictly
-    increasing.  Reduction runs per label block (blocks never interact), so
-    the pivot coordinates of a vector in the span are its coefficients in
-    this basis.
-    """
-    reduced = []
-    if entries:
-        flipped = {(j, i): v for (i, j), v in entries.items()}
-        blocks = split_blocks(flipped, col_labels, row_labels)
-        for w in sorted(blocks):
-            _src_ids, mono_ids, sub = blocks[w]
-            if not sub:
-                continue
-            rows: list[dict] = [{} for _ in _src_ids]
-            for (i, j), v in sub.items():
-                rows[i][j] = v
-            red, piv = rref_rows(rows, len(mono_ids))
-            for row, p in zip(red, piv):
-                vec = {mono_ids[j]: v for j, v in enumerate(row) if v}
-                reduced.append((mono_ids[p], vec))
-    reduced.sort(key=lambda t: t[0])
-    return [vec for _p, vec in reduced], [p for p, _v in reduced]
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +175,7 @@ class GradedModule:
 
     @staticmethod
     def _empty_piece() -> dict:
-        return {"dim": 0, "weights": [], "cols": [], "lookup": {}, "full": False}
+        return {"dim": 0, "weights": [], "cols": [], "lookup": {}}
 
     def _piece_ideal(self, k: int) -> dict:
         if k < self._min_degree:
@@ -220,7 +193,7 @@ class GradedModule:
             weights = [self.ring.monomial_weight(monos[p]) for p in pivot]
         else:
             weights = None
-        return {"dim": matrix.ncols, "weights": weights, "cols": cols, "lookup": lookup, "full": False}
+        return {"dim": matrix.ncols, "weights": weights, "cols": cols, "lookup": lookup}
 
     def _piece_power_quotient(self, k: int) -> dict:
         if k < 0:
@@ -228,8 +201,8 @@ class GradedModule:
         a, b = self._gens.a, self._gens.b
         if k < b:
             fh = foulkes_howe(a, b, k, self._mem_mb, self._cache)
-            raw_cols, pivots = _column_echelon(
-                fh.matrix.entries, list(fh.row_weights), list(fh.col_weights)
+            raw_cols, pivots = column_echelon(
+                fh.matrix.entries, list(fh.row_weights), list(fh.col_weights), self._mem_mb
             )
             cols = [{fh.row_basis[i]: v for i, v in vec.items()} for vec in raw_cols]
             return {
@@ -237,7 +210,6 @@ class GradedModule:
                 "weights": [fh.row_weights[p] for p in pivots],
                 "cols": cols,
                 "lookup": {fh.row_basis[p]: idx for idx, p in enumerate(pivots)},
-                "full": False,
             }
         self._certify_surjective(k)
         monos = plethysm_basis(a * k, b)
@@ -246,7 +218,6 @@ class GradedModule:
             "weights": [coord_weight(m, b) for m in monos],
             "cols": [{m: 1} for m in monos],
             "lookup": plethysm_index(a * k, b),
-            "full": True,
         }
 
     def _certify_surjective(self, k: int) -> None:
@@ -273,7 +244,7 @@ class GradedModule:
                 if weights is not None:
                     weights.append(self._twist_weights[g] + self.ring.monomial_weight(m))
         lookup = {gm: r for r, gm in enumerate(basis)}
-        return {"dim": len(basis), "weights": weights, "cols": basis, "lookup": lookup, "full": False}
+        return {"dim": len(basis), "weights": weights, "cols": basis, "lookup": lookup}
 
     # -- multiplication maps
 
@@ -952,6 +923,32 @@ def regularity_formula(a: int, b: int) -> int:
     return ((b + 2) // 2) * a - b // 2
 
 
+def compare_table(table: BettiTable, expected: dict):
+    """(ok, rows): ``table`` against a closed form keyed (i, total degree).
+
+    The rows cover every expected key and every nonzero computed entry; an
+    entry outside the table's window is reported as computed None.
+    """
+    rows = []
+    ok = True
+    for key in sorted(set(expected) | set(table.nonzero())):
+        want = expected.get(key, 0)
+        got = table.value(*key) if table.covers(*key) else None
+        match = got == want
+        ok = ok and match
+        rows.append({"i": key[0], "j": key[1], "expected": want, "computed": got, "match": match})
+    return ok, rows
+
+
+def _regularity_report(table: BettiTable, expected: int) -> dict:
+    """The regularity of ``table`` against ``expected``; an unknown entry leaves it undecided."""
+    try:
+        value = regularity(table)
+    except InconclusiveError as exc:
+        return {"expected": expected, "computed": None, "match": False, "reason": str(exc)}
+    return {"expected": expected, "computed": value, "match": value == expected}
+
+
 def verify_power_betti(a: int, b: int, computed: BettiTable) -> dict:
     """Compare a computed table of the (b-1)-st power against its two strands.
 
@@ -975,11 +972,7 @@ def verify_power_betti(a: int, b: int, computed: BettiTable) -> dict:
         if e.value and (i, j) not in expected:
             extras.append([i, j, e.value])
     ok = ok and not extras
-    try:
-        reg_value = regularity(computed)
-        reg_report = {"expected": d - 1, "computed": reg_value, "match": reg_value == d - 1}
-    except InconclusiveError as exc:
-        reg_report = {"expected": d - 1, "computed": None, "match": False, "reason": str(exc)}
+    reg_report = _regularity_report(computed, d - 1)
     ok = ok and reg_report["match"]
     return {
         "a": a,
@@ -1068,21 +1061,8 @@ def verify_ia3_resolution(
         module, i_max, i_max + t_cap, mode, t_max=t_cap, seed=seed, trials=trials,
         mem_mb=mem_mb, threads=threads,
     )
-    expected = ia3_expected_table(a)
-    rows = []
-    ok = True
-    for key in sorted(set(expected) | set(table.nonzero())):
-        want = expected.get(key, 0)
-        got = table.value(*key) if table.covers(*key) else None
-        match = got == want
-        ok = ok and match
-        rows.append({"i": key[0], "j": key[1], "expected": want, "computed": got, "match": match})
-    reg_expected = 2 * a - 1 if a > 1 else 1
-    try:
-        reg_value = regularity(table)
-        reg_report = {"expected": reg_expected, "computed": reg_value, "match": reg_value == reg_expected}
-    except InconclusiveError as exc:
-        reg_report = {"expected": reg_expected, "computed": None, "match": False, "reason": str(exc)}
+    ok, rows = compare_table(table, ia3_expected_table(a))
+    reg_report = _regularity_report(table, 2 * a - 1 if a > 1 else 1)
     ok = ok and reg_report["match"]
     modes = sorted({e.mode for e in table.entries.values()})
     report = {

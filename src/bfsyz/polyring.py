@@ -26,7 +26,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .exactalg import ExactMatrix, blocked_rank_details, dump_matrix, load_matrix, rank_details
-from .exactalg.matrix import RankResult, _normalize_scalar, rref_rows, split_blocks
+from .exactalg.matrix import RankResult, _normalize_scalar, column_echelon
+from .exactalg.matrix import rref_rows  # noqa: F401 (unused; perfbench/spans.py REQUIRED_COPIES needs it)
 from .sl2rep import coord_weight, plethysm_basis, plethysm_index
 
 
@@ -91,10 +92,6 @@ class PolyRing:
             raise ValueError("ring needs at least one variable")
         self.nvars = nvars
         self.prefix = prefix
-
-    @property
-    def inner_degree(self) -> int:
-        return self.nvars - 1
 
     def variable_names(self) -> list[str]:
         return [f"{self.prefix}{i}" for i in range(self.nvars)]
@@ -419,9 +416,11 @@ class GradedIdeal:
 
         Rows = degree-k monomials, columns = reduced basis vectors ordered by
         pivot monomial; the piece dimension is the column count.  Exact
-        arithmetic always; cached to disk when a cache directory is active.  A
-        cached file that does not parse, or has the wrong row count or field,
-        is recomputed and rewritten.
+        arithmetic always (``column_echelon``, one weight block at a time); a
+        block over the memory budget ``mem_mb`` raises ``ResourceLimitError``.
+        Cached to disk when a cache directory is active.  A cached file that
+        does not parse, or has the wrong row count or field, is recomputed and
+        rewritten.
         """
         nrows = self.ring.dimension(k)
         cdir = cache_directory(cache)
@@ -431,43 +430,13 @@ class GradedIdeal:
             cached = load_cached(path, nrows)
             if cached is not None:
                 return cached
-        entries, ncols, row_labels, col_labels = self.spanning_data(k)
-        reduced_rows = []
-        if entries:
-            for _w, (row_ids, col_ids, sub) in split_blocks(
-                {(j, i): v for (i, j), v in entries.items()}, col_labels, row_labels
-            ).items():
-                # block rows = products restricted to this weight's monomials
-                if not sub:
-                    continue
-                rows: list[dict] = [{} for _ in row_ids]
-                for (i, j), v in sub.items():
-                    rows[i][j] = v
-                red, piv = rref_rows(rows, len(col_ids))
-                for row, p in zip(red, piv):
-                    full = {}
-                    for j, v in enumerate(row):
-                        if v:
-                            full[col_ids[j]] = v
-                    reduced_rows.append((col_ids[p], full))
-        reduced_rows.sort(key=lambda t: t[0])
-        out_entries = {}
-        for colno, (_pivot, vec) in enumerate(reduced_rows):
-            for i, v in vec.items():
-                out_entries[(i, colno)] = v
-        out = ExactMatrix(nrows, len(reduced_rows), out_entries)
+        entries, _ncols, row_labels, col_labels = self.spanning_data(k)
+        cols, _pivots = column_echelon(entries, row_labels, col_labels, mem_mb)
+        basis = {(i, c): v for c, vec in enumerate(cols) for i, v in vec.items()}
+        out = ExactMatrix(nrows, len(cols), basis)
         if path is not None:
             atomic_dump(out, path)
         return out
-
-    def basis_polys(self, k: int, mem_mb=None, cache=None) -> list[MultiPoly]:
-        """The echelonized basis of the degree-k piece as polynomials."""
-        piece = self.graded_piece(k, mem_mb, cache)
-        monomials = self.ring.monomials(k)
-        cols: list[dict] = [{} for _ in range(piece.ncols)]
-        for (i, j), v in piece.entries.items():
-            cols[j][monomials[i]] = v
-        return [MultiPoly(self.ring, c) for c in cols]
 
     def piece_dimension_details(
         self, k: int, mode: str = "auto", *, rng=None, trials: int = 2, mem_mb=None,

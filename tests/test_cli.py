@@ -298,12 +298,21 @@ def test_damaged_cache_file_is_rebuilt_with_the_cold_report(capsys, tmp_path, ki
     assert path.read_bytes() == good
 
 
-@pytest.mark.parametrize("via,under", [("flag", ""), ("env", ""), ("flag", "sub")])
-def test_cache_path_that_is_a_file_is_usage_error(capsys, monkeypatch, tmp_path, via, under):
+FH_RANK = ("fh-rank", "--a", "2", "--b", "3", "--k", "3")
+
+
+@pytest.mark.parametrize("via,under,command", [
+    pytest.param("flag", "", FH_RANK, id="flag-"),
+    pytest.param("env", "", FH_RANK, id="env-"),
+    pytest.param("flag", "sub", FH_RANK, id="flag-sub"),
+    # this route reads no cache, and the path is still checked
+    pytest.param("flag", "", ("reg", "--a", "2", "--b", "2", "--route", "initial"), id="reg-initial"),
+])
+def test_cache_path_that_is_a_file_is_usage_error(capsys, monkeypatch, tmp_path, via, under, command):
     regular = tmp_path / "F"
     regular.write_text("")
     cache = str(regular / under) if under else str(regular)
-    argv = ["fh-rank", "--a", "2", "--b", "3", "--k", "3"]
+    argv = list(command)
     if via == "flag":
         argv += ["--cache", cache]
     else:

@@ -28,6 +28,7 @@ from bfsyz.exactalg.matrix import (
     _BadPrime,
     bareiss_rank_rows,
     clear_denominators,
+    column_echelon,
     mod_p_rank_rows,
     primitive_int_vector,
     rref_rows,
@@ -683,6 +684,13 @@ def test_blocked_kernel_matches_unblocked():
         if ker:
             km = ExactMatrix.from_rows([list(v) for v in ker])
             assert rank(km, "exact") == len(ker)
+        # the column span's echelon basis is the unique rref of the transpose,
+        # so a block embedded at the wrong indices shows up here
+        cols, pivots = column_echelon(entries, row_labels, col_labels)
+        full = rref(m.transpose())
+        assert tuple(pivots) == full.pivot_cols
+        got = {(c, i): v for c, vec in enumerate(cols) for i, v in vec.items()}
+        assert got == full.entries
 
 
 def test_blocked_rank_reports_resampled_primes():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from bfsyz import polyring
+from bfsyz.errors import ResourceLimitError
 from bfsyz.exactalg import ExactMatrix, load_matrix, rank
 from bfsyz.polyring import (
     GradedIdeal,
@@ -142,6 +143,17 @@ def test_echelon_basis_is_reduced_and_spans():
             from bfsyz.exactalg.matrix import bareiss_rank_rows
 
             assert bareiss_rank_rows(stacked, r.dimension(3)) == piece.ncols
+
+
+def test_piece_echelon_blocks_keep_the_memory_budget():
+    # three quadrics that are not weight-homogeneous: one 252 x 165 block in degree 8
+    ring = PolyRing(4, "c")
+    c0, c1, c2, c3 = (ring.variable(i) for i in range(4))
+    ideal = GradedIdeal(ring, [c0 * c0 + c1 * c2, c1 * c1 + c0 * c3, c2 * c2 + c3 * c3 + c0 * c1])
+    assert not ideal.weight_graded
+    assert ideal.graded_piece(8).ncols == 157
+    with pytest.raises(ResourceLimitError):
+        ideal.graded_piece(8, mem_mb=1)
 
 
 def test_piece_monotonicity():
