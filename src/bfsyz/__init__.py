@@ -46,6 +46,7 @@ from .homres import (  # noqa: E402,F401
     hilbert_numerator,
     initial_ideal_regularity,
     koszul_complex,
+    power_ideal_betti,
     power_locus_betti,
     power_resolution,
     regularity,

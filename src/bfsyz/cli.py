@@ -3,8 +3,9 @@
 Exit codes: 0 verified (or computed, for commands with no reference value),
 1 certified mismatch, 2 inconclusive (budget or certification failure),
 3 usage error.  Reports are deterministic for a fixed seed and embed the
-parameters, mode, primes, and library version; JSON output is sorted and
-stable byte for byte across reruns.
+parameters, the mode and seed of a command that takes them, the primes, and
+the library version; JSON output is sorted and stable byte for byte across
+reruns.  Each command offers only the options it reads.
 """
 
 from __future__ import annotations
@@ -83,17 +84,30 @@ def _nonnegative(text: str) -> int:
     return value
 
 
-def _add_common(parser, *, threads=False, cache=True):
-    parser.add_argument("--mode", choices=["auto", "exact", "modular"], default="auto")
-    parser.add_argument("--seed", type=int, default=None, help="default: BFSYZ_SEED or 0")
-    parser.add_argument("--trials", type=_positive, default=2, help="modular prime trials")
-    if cache:
-        parser.add_argument("--cache", default=None, help="matrix cache directory (default: BFSYZ_CACHE)")
-    parser.add_argument("--mem-mb", type=_positive, default=None, help="memory budget override")
+_OPTIONS = {
+    "--mode": dict(choices=["auto", "exact", "modular"], default="auto"),
+    "--seed": dict(type=int, default=None, help="default: BFSYZ_SEED or 0"),
+    "--cache": dict(default=None, help="matrix cache directory (default: BFSYZ_CACHE)"),
+    "--mem-mb": dict(type=_positive, default=None, help="memory budget override"),
+    "--threads": dict(
+        type=_positive, default=1,
+        help="threads ranking the Koszul differentials (default 1); this pays only on "
+        "large tables: on 2 CPUs betti --target ix --a 2 --b 4 took 81 s with 1 and "
+        "57 s with 2, while repro criterion 4 took 1.2 s either way",
+    ),
+}
+
+# the options of every command that ranks: it picks a mode, draws primes from
+# the seed, may read the matrix cache and is held to the memory budget
+_RANKING = ("--mode", "--seed", "--cache", "--mem-mb")
+
+
+def _add_common(parser, *options):
+    """Add the named ``_OPTIONS``, then ``--format`` and ``--out``, which every command takes."""
+    for flag in options:
+        parser.add_argument(flag, **_OPTIONS[flag])
     parser.add_argument("--format", choices=["json", "text"], default="json")
     parser.add_argument("--out", default=None, help="write the report here instead of stdout")
-    if threads:
-        parser.add_argument("--threads", type=_positive, default=1)
 
 
 def _jsonable(value):
@@ -121,15 +135,18 @@ def _emit(args, report: dict, text_lines=None) -> None:
 
 
 def _envelope(command: str, args, parameters: dict, status: str, body: dict) -> dict:
+    """The report: ``mode`` and ``seed`` appear only for the commands that take them."""
     report = {
         "command": command,
         "parameters": parameters,
-        "mode": args.mode,
-        "seed": resolve_seed(args.seed),
         "version": __version__,
         "kernel_backend": KERNEL_BACKEND,
         "status": status,
     }
+    if "mode" in args:
+        report["mode"] = args.mode
+    if "seed" in args:
+        report["seed"] = resolve_seed(args.seed)
     report.update(body)
     return report
 
@@ -163,8 +180,7 @@ def _banner(table, convention: str = "total") -> list[str]:
 def _cmd_fh_rank(args) -> int:
     rng = random.Random(f"{resolve_seed(args.seed)}:fh-rank")
     report = fh_rank_report(
-        args.a, args.b, args.k, args.mode, rng=rng, trials=args.trials,
-        mem_mb=args.mem_mb, cache=args.cache,
+        args.a, args.b, args.k, args.mode, rng=rng, mem_mb=args.mem_mb, cache=args.cache,
     )
     if report["status"] != "ok":
         status = "inconclusive"
@@ -197,7 +213,7 @@ def _cmd_betti(args) -> int:
     params = {"a": args.a, "b": args.b, "target": args.target}
     if args.target == "ix":
         res = power_locus_betti(
-            args.a, args.b, args.mode, seed=resolve_seed(args.seed), trials=args.trials,
+            args.a, args.b, args.mode, seed=resolve_seed(args.seed),
             mem_mb=args.mem_mb, cache=args.cache, threads=args.threads,
         )
         table = res.ideal_table
@@ -220,7 +236,7 @@ def _cmd_betti(args) -> int:
     if args.target == "iab-pow" and args.j is None:
         raise ValueError("--target iab-pow needs --j")
     table = power_ideal_betti(
-        args.a, args.b, power, args.mode, seed=resolve_seed(args.seed), trials=args.trials,
+        args.a, args.b, power, args.mode, seed=resolve_seed(args.seed),
         mem_mb=args.mem_mb, cache=args.cache, threads=args.threads,
     )
     params["power"] = power
@@ -257,7 +273,7 @@ def _reg_betti_route(args) -> dict:
     formula = regularity_formula(args.a, args.b)
     table = power_ideal_betti(
         args.a, args.b, 1, args.mode, t_max=formula + 1, seed=resolve_seed(args.seed),
-        trials=args.trials, mem_mb=args.mem_mb, cache=args.cache, threads=args.threads,
+        mem_mb=args.mem_mb, cache=args.cache, threads=args.threads,
     )
     value = regularity(table)
     route = {"route": "betti", "value": value, "primes": _table_primes(table)}
@@ -268,7 +284,7 @@ def _reg_betti_route(args) -> dict:
 def _reg_initial_route(args) -> dict:
     rng = random.Random(f"{resolve_seed(args.seed)}:reg-initial")
     report = initial_ideal_regularity(
-        args.a, args.b, args.mode, rng=rng, trials=args.trials, mem_mb=args.mem_mb,
+        args.a, args.b, args.mode, rng=rng, mem_mb=args.mem_mb,
     )
     report["route"] = "initial"
     return report
@@ -302,7 +318,7 @@ def _cmd_initial_ideal(args) -> int:
     rng = random.Random(f"{resolve_seed(args.seed)}:initial")
     ideal = power_ideal(a, b)
     hf_i = hilbert_function(
-        ideal, kmax, args.mode, rng=rng, trials=args.trials, mem_mb=args.mem_mb,
+        ideal, kmax, args.mode, rng=rng, mem_mb=args.mem_mb,
     )
     agree = hf_j == hf_i
     status = "verified" if agree else "mismatch"
@@ -330,8 +346,7 @@ def _cmd_initial_ideal(args) -> int:
 def _cmd_minors_check(args) -> int:
     rng = random.Random(f"{resolve_seed(args.seed)}:minors")
     report = minors_generate_check(
-        args.a, args.b, args.mode, rng=rng, trials=args.trials,
-        mem_mb=args.mem_mb, cache=args.cache,
+        args.a, args.b, args.mode, rng=rng, mem_mb=args.mem_mb, cache=args.cache,
     )
     if report["status"] != "ok":
         status = "inconclusive"
@@ -409,8 +424,7 @@ def _cmd_coker_hf(args) -> int:
 
     rng = random.Random(f"{resolve_seed(args.seed)}:coker")
     values = coker_hilbert(
-        args.a, args.b, args.kmax, args.mode, rng=rng, trials=args.trials,
-        mem_mb=args.mem_mb, cache=args.cache,
+        args.a, args.b, args.kmax, args.mode, rng=rng, mem_mb=args.mem_mb, cache=args.cache,
     )
     body = {
         "values": values,
@@ -438,7 +452,7 @@ def _cmd_conjecture_scan(args) -> int:
             i_max = module.ring.nvars
             table = tor_betti(
                 module, i_max, i_max + predicted + 2, args.mode, t_max=predicted + 2,
-                seed=resolve_seed(args.seed), trials=args.trials, mem_mb=args.mem_mb,
+                seed=resolve_seed(args.seed), mem_mb=args.mem_mb,
                 threads=args.threads,
             )
             value = regularity(table)
@@ -472,9 +486,8 @@ def _cmd_conjecture_scan(args) -> int:
 
 def _cmd_exactness(args) -> int:
     res = power_resolution(
-        args.a, args.b, args.mode, seed=resolve_seed(args.seed), trials=args.trials,
-        mem_mb=args.mem_mb, max_attempts=args.max_attempts,
-        window_hi=args.window_hi,
+        args.a, args.b, args.mode, seed=resolve_seed(args.seed),
+        mem_mb=args.mem_mb, max_attempts=args.max_attempts, window_hi=args.window_hi,
     )
     cert = res.certificate
     status = "verified" if cert["resolves"] else "mismatch"
@@ -534,13 +547,13 @@ def build_parser() -> _Parser:
     p.add_argument("--a", type=_positive, required=True)
     p.add_argument("--b", type=_positive, required=True)
     p.add_argument("--k", type=_nonnegative, required=True)
-    _add_common(p)
+    _add_common(p, *_RANKING)
     p.set_defaults(handler=_cmd_fh_rank)
 
     p = sub.add_parser("gens", help="generators of the power ideal")
     p.add_argument("--a", type=_positive, required=True)
     p.add_argument("--b", type=_positive, required=True)
-    _add_common(p, cache=False)
+    _add_common(p)
     p.set_defaults(handler=_cmd_gens)
 
     p = sub.add_parser("betti", help="Betti table of a power-locus or power-ideal module")
@@ -549,57 +562,57 @@ def build_parser() -> _Parser:
     p.add_argument("--b", type=_positive, required=True)
     p.add_argument("--j", type=_positive, default=None, help="power for --target iab-pow")
     p.add_argument("--convention", choices=["total", "internal"], default="total")
-    _add_common(p, threads=True)
+    _add_common(p, *_RANKING, "--threads")
     p.set_defaults(handler=_cmd_betti)
 
     p = sub.add_parser("reg", help="regularity of the power ideal, two routes")
     p.add_argument("--a", type=_positive, required=True)
     p.add_argument("--b", type=_positive, required=True)
     p.add_argument("--route", choices=["betti", "initial", "both"], default="both")
-    _add_common(p, threads=True)
+    _add_common(p, *_RANKING, "--threads")
     p.set_defaults(handler=_cmd_reg)
 
     p = sub.add_parser("initial-ideal", help="monomial model and Hilbert-function comparison")
     p.add_argument("--a", type=_positive, required=True)
     p.add_argument("--b", type=_positive, required=True)
     p.add_argument("--kmax", type=_nonnegative, default=None)
-    _add_common(p, cache=False)
+    _add_common(p, "--mode", "--seed", "--mem-mb")
     p.set_defaults(handler=_cmd_initial_ideal)
 
     p = sub.add_parser("minors-check", help="maximal minors against the kernel piece")
     p.add_argument("--a", type=_positive, required=True)
     p.add_argument("--b", type=_positive, required=True)
-    _add_common(p)
+    _add_common(p, *_RANKING)
     p.set_defaults(handler=_cmd_minors_check)
 
     p = sub.add_parser("phi", help="linear syzygy matrix of the power generators")
     p.add_argument("--a", type=_positive, required=True)
     p.add_argument("--b", type=_positive, required=True)
-    _add_common(p, cache=False)
+    _add_common(p)
     p.set_defaults(handler=_cmd_phi)
 
     p = sub.add_parser("char-check", help="termwise character identities over a range")
     p.add_argument("--a-max", type=_positive, default=5)
     p.add_argument("--b-max", type=_positive, default=5)
-    _add_common(p, cache=False)
+    _add_common(p)
     p.set_defaults(handler=_cmd_char_check)
 
     p = sub.add_parser("hw-triple", help="highest-weight proportionality triple at a = b = 2")
-    _add_common(p)
+    _add_common(p, "--cache", "--mem-mb")
     p.set_defaults(handler=_cmd_hw_triple)
 
     p = sub.add_parser("coker-hf", help="cokernel dimensions of the substitution maps")
     p.add_argument("--a", type=_positive, required=True)
     p.add_argument("--b", type=_positive, required=True)
     p.add_argument("--kmax", type=_nonnegative, required=True)
-    _add_common(p)
+    _add_common(p, *_RANKING)
     p.set_defaults(handler=_cmd_coker_hf)
 
     p = sub.add_parser("conjecture-scan", help="regularity of ideal powers vs the predicted formula")
     p.add_argument("--a", type=_positive, required=True)
     p.add_argument("--b", type=_positive, required=True)
     p.add_argument("--jmax", type=_positive, required=True)
-    _add_common(p, threads=True)
+    _add_common(p, *_RANKING, "--threads")
     p.set_defaults(handler=_cmd_conjecture_scan)
 
     p = sub.add_parser("exactness", help="build and certify the explicit power resolution")
@@ -607,12 +620,13 @@ def build_parser() -> _Parser:
     p.add_argument("--b", type=_positive, required=True)
     p.add_argument("--window-hi", type=_nonnegative, default=None)
     p.add_argument("--max-attempts", type=_positive, default=4)
-    _add_common(p, cache=False)
+    _add_common(p, "--mode", "--seed", "--mem-mb")
     p.set_defaults(handler=_cmd_exactness)
 
     p = sub.add_parser("repro", help="run the acceptance suite and emit a pass/fail manifest")
     p.add_argument("--only", type=int, default=None, help="run a single criterion by number")
-    _add_common(p, threads=True)
+    # each criterion runs in its pinned mode, so repro takes no --mode
+    _add_common(p, "--seed", "--cache", "--mem-mb", "--threads")
     p.set_defaults(handler=_cmd_repro)
 
     return parser

@@ -5,8 +5,8 @@ Deterministic building blocks used by every other module:
 * :class:`ExactMatrix` -- immutable sparse-storage matrix with an exact scalar
   type per entry (int / Fraction for field "QQ", residues for "GF:p").
 * :func:`rank` / :func:`rank_details` -- rank in exact, modular, or auto mode.
-  Modular mode draws two (or more) distinct random 50-62 bit primes and
-  escalates to exact arithmetic whenever the per-prime ranks disagree, so a
+  Modular mode draws ``CERTIFICATE_PRIMES`` distinct random 50-62 bit primes
+  and escalates to exact arithmetic whenever the per-prime ranks disagree, so a
   reported modular rank always carries agreeing primes in its provenance.
 * :func:`rref` -- fully reduced row echelon form; :func:`kernel_basis` --
   primitive integer kernel vectors (content 1, first nonzero entry positive).
@@ -50,6 +50,9 @@ KERNEL_BACKEND = "python"
 # auto mode: matrices whose larger dimension exceeds this go modular
 EXACT_DIM_LIMIT = 2000
 
+# distinct primes that must agree on every modular rank
+CERTIFICATE_PRIMES = 2
+
 DEFAULT_MEM_MB = 4096
 
 _EXACT_CELL_BYTES = 48  # conservative per-cell estimate for Fraction rows
@@ -82,8 +85,9 @@ def check_dense_budget(nrows: int, ncols: int, bytes_per_cell: int, mem_mb: int 
     budget = memory_budget_mb(mem_mb) * 1024 * 1024
     need = nrows * ncols * bytes_per_cell
     if need > budget:
+        # the need rounds up, so a block over the budget never reads as within it
         raise ResourceLimitError(
-            f"{what}: dense {nrows} x {ncols} needs ~{need // (1024 * 1024)} MiB, "
+            f"{what}: dense {nrows} x {ncols} needs ~{-(-need // (1024 * 1024))} MiB, "
             f"budget is {budget // (1024 * 1024)} MiB (set BFSYZ_MEM_MB to raise)"
         )
 
@@ -449,12 +453,9 @@ def mod_p_rank_sparse(entries, nrows: int, ncols: int, primes, mem_mb: int | Non
     return int(_kernel.rank_mod_p_dense(arr, primes))
 
 
-def draw_primes(rng: random.Random | None, trials: int, avoid: tuple[int, ...] = ()) -> list[int]:
-    if trials < 2:
-        raise ValueError("modular mode needs at least 2 prime trials")
-    if rng is None:
-        rng = default_rng()
-    return _primes.distinct_random_primes(rng, trials, avoid)
+def draw_primes(rng: random.Random) -> list[int]:
+    """The ``CERTIFICATE_PRIMES`` distinct primes of one modular certificate."""
+    return _primes.distinct_random_primes(rng, CERTIFICATE_PRIMES)
 
 
 # ---------------------------------------------------------------------------
@@ -474,14 +475,13 @@ def rank_details(
     mode: str = "auto",
     *,
     rng: random.Random | None = None,
-    trials: int = 2,
     primes: list[int] | None = None,
     mem_mb: int | None = None,
 ) -> RankResult:
     """Rank with provenance.
 
-    Modular mode computes the rank for ``trials`` distinct random primes (or
-    the given ``primes``) in one kernel call; a prime that divides a
+    Modular mode computes the rank for ``CERTIFICATE_PRIMES`` distinct random
+    primes (or the given ``primes``) in one kernel call; a prime that divides a
     denominator is replaced, in place, by a fresh draw before the call.  On
     any disagreement it recomputes exactly (``escalated=True``).  Exact mode
     is sparse fraction-free elimination over primitive integer rows with a
@@ -495,7 +495,7 @@ def rank_details(
 
     if rng is None:
         rng = default_rng()
-    chosen = list(primes) if primes else draw_primes(rng, trials)
+    chosen = list(primes) if primes else draw_primes(rng)
     rejected: list[int] = []
     while True:
         try:
@@ -668,7 +668,6 @@ def blocked_rank_details(
     mode: str = "auto",
     *,
     rng: random.Random | None = None,
-    trials: int = 2,
     primes: list[int] | None = None,
     mem_mb: int | None = None,
     weyl: bool = False,
@@ -706,7 +705,7 @@ def blocked_rank_details(
     if use == "modular":
         if rng is None:
             rng = default_rng()
-        chosen = list(primes) if primes else draw_primes(rng, trials)
+        chosen = list(primes) if primes else draw_primes(rng)
     else:
         chosen = []
     total = 0
@@ -720,7 +719,7 @@ def blocked_rank_details(
         if use == "exact":
             r = bareiss_rank_rows(_sparse_rows(block, mem_mb), block.ncols)
         else:
-            res = rank_details(block, "modular", rng=rng, trials=trials, primes=chosen, mem_mb=mem_mb)
+            res = rank_details(block, "modular", rng=rng, primes=chosen, mem_mb=mem_mb)
             r = res.rank
             escalated = escalated or res.escalated
             used.update(dict.fromkeys(res.primes))

@@ -19,7 +19,6 @@ natural length-r complexes built from wedge powers.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -35,7 +34,6 @@ from .exactalg import (
 )
 from .exactalg.matrix import (
     RankResult,
-    _resolve_mode,
     check_dense_budget,
     default_rng,
 )
@@ -215,7 +213,7 @@ def foulkes_howe(a: int, b: int, k: int, mem_mb=None, cache=None) -> FoulkesHowe
 
 
 def fh_rank_details(
-    fh: FoulkesHoweMatrix, mode: str = "auto", *, rng=None, trials: int = 2, mem_mb=None
+    fh: FoulkesHoweMatrix, mode: str = "auto", *, rng=None, mem_mb=None
 ) -> RankResult:
     """Weight-blocked rank of an alpha_k matrix with provenance.
 
@@ -232,7 +230,6 @@ def fh_rank_details(
         list(fh.col_weights),
         mode,
         rng=rng,
-        trials=trials,
         mem_mb=mem_mb,
         weyl=True,
     )
@@ -257,8 +254,7 @@ def _escalate(result: RankResult, bound: int, exact_rank) -> tuple[RankResult, b
 
 
 def fh_rank_report(
-    a: int, b: int, k: int, mode: str = "auto", *, rng=None, trials: int = 2,
-    mem_mb=None, cache=None,
+    a: int, b: int, k: int, mode: str = "auto", *, rng=None, mem_mb=None, cache=None,
 ) -> dict:
     """Rank report for alpha_k with one-sided-sound modular certification.
 
@@ -271,7 +267,7 @@ def fh_rank_report(
         rng = default_rng()
     fh = foulkes_howe(a, b, k, mem_mb, cache)
     result, settled = _escalate(
-        fh_rank_details(fh, mode, rng=rng, trials=trials, mem_mb=mem_mb),
+        fh_rank_details(fh, mode, rng=rng, mem_mb=mem_mb),
         min(fh.source_dim, fh.target_dim),
         lambda: fh_rank_details(fh, "exact", mem_mb=mem_mb),
     )
@@ -422,8 +418,7 @@ def minors_span_matrix(a: int, b: int):
 
 
 def minors_generate_check(
-    a: int, b: int, mode: str = "auto", *, rng=None, trials: int = 2,
-    mem_mb=None, cache=None,
+    a: int, b: int, mode: str = "auto", *, rng=None, mem_mb=None, cache=None,
 ) -> dict:
     """Check span(maximal minors) = ker(alpha_{b+1}) in the degree-(b+1) piece.
 
@@ -457,11 +452,11 @@ def minors_generate_check(
             contained = False
             break
 
-    rank_alpha = fh_rank_details(fh, mode, rng=rng, trials=trials, mem_mb=mem_mb)
+    rank_alpha = fh_rank_details(fh, mode, rng=rng, mem_mb=mem_mb)
     kernel_dim = fh.source_dim - rank_alpha.rank
     span = blocked_rank_details(
         fh.source_dim, ncols, entries, row_labels, col_labels, mode,
-        rng=rng, trials=trials, mem_mb=mem_mb,
+        rng=rng, mem_mb=mem_mb,
     )
     span_settled = True
     if contained:
@@ -520,8 +515,15 @@ def phi_matrix(a: int, b: int) -> PhiMatrix:
     slice; each slice must be one-dimensional and the total must be d+b-1
     (the column space is a copy of Sym^(d+b-2)U), anything else is a
     convention violation.  Columns are weight-sorted primitive integer
-    vectors.
+    vectors.  For a = 1 the P_j are the c_i themselves, whose linear
+    syzygies are the C(b+1, 2) Koszul ones; that count is d + b - 1 only for
+    b <= 2, so a = 1 with b >= 3 raises ValueError.
     """
+    if a == 1 and b >= 3:
+        raise ValueError(
+            f"a = 1 needs b <= 2: the {comb(b + 1, 2)} Koszul syzygies of the c_i "
+            f"are not d + b - 1 = {2 * b - 1} columns"
+        )
     gens = power_generators(a, b)
     d = gens.d
     ring = gens.ring

@@ -60,7 +60,7 @@ class GradedModule:
     The homology machinery uses three accessors: ``dimension(k)`` and
     ``basis_weights(k)`` describe the degree-k component, and
     ``mult_adjacency(k)`` gives the multiplication maps M_k -> M_{k+1}, one
-    column-adjacency table per ring variable.  Three constructions:
+    column-adjacency table per ring variable.  Two constructions:
 
     * ``from_ideal``: components are the echelonized graded pieces of a
       GradedIdeal; coordinates of x_v * f are read off at pivot monomials.
@@ -70,16 +70,15 @@ class GradedModule:
       Components in degree >= b use the full target monomial basis, guarded
       by a surjectivity certificate for that degree (a modular full-rank
       certificate is sound: ranks only drop under reduction mod p).
-    * ``free``: a direct sum of twisted free modules, mostly for tests.
 
     Multiplication maps commute pairwise (module axiom over a commutative
     ring); ``check_commuting`` samples that invariant.
 
     ``weyl`` is True when SL2 acts on the module compatibly with the ring,
     so that every Koszul differential is SL2-equivariant: ``power_quotient``
-    always, ``from_ideal`` when the ideal is marked ``sl2_stable``, ``free``
-    never.  Koszul homology then builds and ranks only the weight >= 0 half
-    of each differential (see ``koszul_slab`` and ``tor_betti``).
+    always, ``from_ideal`` when the ideal is marked ``sl2_stable``.  Koszul
+    homology then builds and ranks only the weight >= 0 half of each
+    differential (see ``koszul_slab`` and ``tor_betti``).
     """
 
     __slots__ = (
@@ -90,11 +89,8 @@ class GradedModule:
         "_min_degree",
         "_pieces",
         "_mult",
-        "_twists",
-        "_twist_weights",
         "_mode",
         "_rng",
-        "_trials",
         "_mem_mb",
         "_cache",
         "_certificates",
@@ -109,11 +105,8 @@ class GradedModule:
         self._min_degree = 0
         self._pieces: dict = {}
         self._mult: dict = {}
-        self._twists = None
-        self._twist_weights = None
         self._mode = "auto"
         self._rng = None
-        self._trials = 2
         self._mem_mb = None
         self._cache = None
         self._certificates: dict = {}
@@ -131,28 +124,16 @@ class GradedModule:
 
     @classmethod
     def power_quotient(
-        cls, a: int, b: int, *, mode: str = "auto", rng=None, trials: int = 2,
-        mem_mb=None, cache=None,
+        cls, a: int, b: int, *, mode: str = "auto", rng=None, mem_mb=None, cache=None,
     ) -> "GradedModule":
         gens = power_generators(a, b)
         mod = cls(PolyRing(gens.d + 1, "z"), "power_quotient")
         mod._gens = gens
         mod._mode = mode
         mod._rng = rng if rng is not None else default_rng()
-        mod._trials = trials
         mod._mem_mb = mem_mb
         mod._cache = cache
         mod.weyl = True
-        return mod
-
-    @classmethod
-    def free(cls, ring: PolyRing, twists, weights=None) -> "GradedModule":
-        mod = cls(ring, "free")
-        mod._twists = tuple(int(t) for t in twists)
-        mod._twist_weights = None if weights is None else tuple(int(w) for w in weights)
-        if mod._twist_weights is not None and len(mod._twist_weights) != len(mod._twists):
-            raise ValueError("one weight per twist")
-        mod._min_degree = min(mod._twists, default=0)
         return mod
 
     # -- component accessors
@@ -225,8 +206,7 @@ class GradedModule:
             return
         a, b = self._gens.a, self._gens.b
         report = fh_rank_report(
-            a, b, k, self._mode, rng=self._rng, trials=self._trials,
-            mem_mb=self._mem_mb, cache=self._cache,
+            a, b, k, self._mode, rng=self._rng, mem_mb=self._mem_mb, cache=self._cache,
         )
         if report["surjective"] is not True:
             raise InconclusiveError(
@@ -234,17 +214,6 @@ class GradedModule:
                 f"(status: {report['status']})"
             )
         self._certificates[k] = report
-
-    def _piece_free(self, k: int) -> dict:
-        basis = []
-        weights = [] if self._twist_weights is not None else None
-        for g, tg in enumerate(self._twists):
-            for m in self.ring.monomials(k - tg):
-                basis.append((g, m))
-                if weights is not None:
-                    weights.append(self._twist_weights[g] + self.ring.monomial_weight(m))
-        lookup = {gm: r for r, gm in enumerate(basis)}
-        return {"dim": len(basis), "weights": weights, "cols": basis, "lookup": lookup}
 
     # -- multiplication maps
 
@@ -257,18 +226,6 @@ class GradedModule:
         if k not in self._mult:
             self._mult[k] = getattr(self, "_mult_" + self.kind)(k)
         return self._mult[k]
-
-    def _mult_free(self, k: int):
-        src = self._piece(k)
-        dst = self._piece(k + 1)
-        nv = self.ring.nvars
-        adj = [[()] * src["dim"] for _ in range(nv)]
-        for c, (g, m) in enumerate(src["cols"]):
-            for v in range(nv):
-                up = list(m)
-                up[v] += 1
-                adj[v][c] = ((dst["lookup"][(g, tuple(up))], 1),)
-        return [tuple(a) for a in adj]
 
     def _mult_ideal(self, k: int):
         return self._mult_by_polys(k, [self.ring.variable(v) for v in range(self.ring.nvars)])
@@ -507,7 +464,6 @@ def tor_betti(
     *,
     t_max: int | None = None,
     seed=None,
-    trials: int = 2,
     mem_mb=None,
     threads: int = 1,
 ) -> BettiTable:
@@ -569,7 +525,7 @@ def tor_betti(
                 return key, RankResult(0, "exact"), None
             rng = random.Random(f"{base_seed}:koszul:{i}:{t}")
             res = blocked_rank_details(
-                nrows, ncols, entries, rl, cl, mode, rng=rng, trials=trials, mem_mb=mem_mb,
+                nrows, ncols, entries, rl, cl, mode, rng=rng, mem_mb=mem_mb,
                 weyl=module.weyl,
             )
             return key, res, None
@@ -657,7 +613,6 @@ def power_locus_betti(
     i_max: int | None = None,
     t_max: int | None = None,
     seed=None,
-    trials: int = 2,
     mem_mb=None,
     cache=None,
     threads: int = 1,
@@ -677,10 +632,10 @@ def power_locus_betti(
         t_max = b + 1
     rng = random.Random(f"{resolve_seed(seed)}:certificates:{a}:{b}")
     module = GradedModule.power_quotient(
-        a, b, mode=mode, rng=rng, trials=trials, mem_mb=mem_mb, cache=cache
+        a, b, mode=mode, rng=rng, mem_mb=mem_mb, cache=cache
     )
     quotient = tor_betti(
-        module, i_max, i_max + t_max, mode, t_max=t_max, seed=seed, trials=trials,
+        module, i_max, i_max + t_max, mode, t_max=t_max, seed=seed,
         mem_mb=mem_mb, threads=threads,
     )
     quotient.meta.update({"a": a, "b": b})
@@ -747,7 +702,7 @@ def euler_characteristic_ok(module: GradedModule, table: BettiTable, j: int) -> 
 
 
 def initial_ideal_regularity(
-    a: int, b: int, mode: str = "auto", *, rng=None, trials: int = 2, mem_mb=None,
+    a: int, b: int, mode: str = "auto", *, rng=None, mem_mb=None,
 ) -> dict:
     """Regularity of the power ideal through its monomial lead-term model.
 
@@ -764,7 +719,7 @@ def initial_ideal_regularity(
     top = c * (a - 1)
     ideal = power_ideal(a, b)
     hf_initial = monomial_quotient_hf(initial_ideal_Jab(a, b), top + 1)
-    hf_power = hilbert_function(ideal, top + 1, mode, rng=rng, trials=trials, mem_mb=mem_mb)
+    hf_power = hilbert_function(ideal, top + 1, mode, rng=rng, mem_mb=mem_mb)
     report = {
         "a": a,
         "b": b,
@@ -953,35 +908,21 @@ def verify_power_betti(a: int, b: int, computed: BettiTable) -> dict:
     """Compare a computed table of the (b-1)-st power against its two strands.
 
     The expected table is concentrated in internal degrees d-a and d-1; the
-    comparison covers every expected entry, checks all other window entries
-    vanish, and recomputes the regularity (expected d-1).
+    comparison (``compare_table``) covers every expected entry and every
+    other nonzero entry, which shows up as a row expecting 0, and the
+    regularity is recomputed (expected d-1).
     """
     if a < 2 or b < 2:
         raise ValueError("the two-strand shape needs a >= 2 and b >= 2")
-    d = a * b
-    expected = power_strand_formula(a, b)
-    rows = []
-    ok = True
-    for key in sorted(expected):
-        value = computed.value(*key)
-        match = value == expected[key]
-        ok = ok and match
-        rows.append({"i": key[0], "j": key[1], "expected": expected[key], "computed": value, "match": match})
-    extras = []
-    for (i, j), e in computed.entries.items():
-        if e.value and (i, j) not in expected:
-            extras.append([i, j, e.value])
-    ok = ok and not extras
-    reg_report = _regularity_report(computed, d - 1)
-    ok = ok and reg_report["match"]
+    ok, rows = compare_table(computed, power_strand_formula(a, b))
+    reg_report = _regularity_report(computed, a * b - 1)
     return {
         "a": a,
         "b": b,
         "power": b - 1,
         "entries": rows,
-        "unexpected_nonzero": sorted(extras),
         "regularity": reg_report,
-        "ok": ok,
+        "ok": ok and reg_report["match"],
     }
 
 
@@ -993,7 +934,6 @@ def power_ideal_betti(
     *,
     t_max: int | None = None,
     seed=None,
-    trials: int = 2,
     mem_mb=None,
     cache=None,
     threads: int = 1,
@@ -1011,7 +951,7 @@ def power_ideal_betti(
     module = GradedModule.from_ideal(ideal, mem_mb=mem_mb, cache=cache)
     i_max = module.ring.nvars
     table = tor_betti(
-        module, i_max, i_max + t_max, mode, t_max=t_max, seed=seed, trials=trials,
+        module, i_max, i_max + t_max, mode, t_max=t_max, seed=seed,
         mem_mb=mem_mb, threads=threads,
     )
     table.meta.update({"a": a, "b": b, "power": power})
@@ -1040,7 +980,6 @@ def verify_ia3_resolution(
     mode: str = "auto",
     *,
     seed=None,
-    trials: int = 2,
     mem_mb=None,
     cache=None,
     threads: int = 1,
@@ -1058,7 +997,7 @@ def verify_ia3_resolution(
     t_cap = 2 * a if a > 1 else 2
     i_max = module.ring.nvars
     table = tor_betti(
-        module, i_max, i_max + t_cap, mode, t_max=t_cap, seed=seed, trials=trials,
+        module, i_max, i_max + t_cap, mode, t_max=t_cap, seed=seed,
         mem_mb=mem_mb, threads=threads,
     )
     ok, rows = compare_table(table, ia3_expected_table(a))
@@ -1083,8 +1022,7 @@ def verify_ia3_resolution(
 
 
 def coker_hilbert(
-    a: int, b: int, k_max: int, mode: str = "auto", *, rng=None, trials: int = 2,
-    mem_mb=None, cache=None,
+    a: int, b: int, k_max: int, mode: str = "auto", *, rng=None, mem_mb=None, cache=None,
 ) -> list[int]:
     """dim coker(alpha_k) for k = 0..k_max from certified ranks.
 
@@ -1097,7 +1035,7 @@ def coker_hilbert(
         rng = default_rng()
     out = []
     for k in range(k_max + 1):
-        report = fh_rank_report(a, b, k, mode, rng=rng, trials=trials, mem_mb=mem_mb, cache=cache)
+        report = fh_rank_report(a, b, k, mode, rng=rng, mem_mb=mem_mb, cache=cache)
         if report["status"] != "ok":
             raise InconclusiveError(f"rank of the degree-{k} substitution map is uncertified")
         out.append(report["target_dim"] - report["rank"])
@@ -1271,7 +1209,6 @@ def exactness_check(
     mode: str = "auto",
     *,
     seed=None,
-    trials: int = 2,
     mem_mb=None,
 ) -> dict:
     """Homology dimensions of the complex over an internal-degree window.
@@ -1301,7 +1238,7 @@ def exactness_check(
             else:
                 rng = random.Random(f"{base_seed}:complex:{p}:{t}")
                 cache[key] = blocked_rank_details(
-                    nrows, ncols, entries, rl, cl, mode, rng=rng, trials=trials, mem_mb=mem_mb
+                    nrows, ncols, entries, rl, cl, mode, rng=rng, mem_mb=mem_mb
                 )
         return cache[key]
 
@@ -1330,7 +1267,6 @@ def resolution_check(
     mode: str = "auto",
     *,
     seed=None,
-    trials: int = 2,
     mem_mb=None,
 ) -> dict:
     """Certify degreewise that the complex resolves the ideal.
@@ -1342,13 +1278,13 @@ def resolution_check(
     are Weyl-halved (``GradedIdeal.weyl``) the certificate says so with
     ``"symmetry": "sl2-weyl"``.
     """
-    report = exactness_check(C, degree_window, mode, seed=seed, trials=trials, mem_mb=mem_mb)
+    report = exactness_check(C, degree_window, mode, seed=seed, mem_mb=mem_mb)
     lo, hi = report["window"]
     rng = random.Random(f"{resolve_seed(seed)}:piece-dims")
     dims = []
     matched = True
     for t in range(lo, hi + 1):
-        res = ideal.piece_dimension_details(t, mode, rng=rng, trials=trials, mem_mb=mem_mb)
+        res = ideal.piece_dimension_details(t, mode, rng=rng, mem_mb=mem_mb)
         dims.append(res.rank)
         if report["homology"][(0, t)] != res.rank:
             matched = False
@@ -1385,7 +1321,6 @@ def power_resolution(
     mode: str = "auto",
     *,
     seed=None,
-    trials: int = 2,
     mem_mb=None,
     max_attempts: int = 4,
     window_hi: int | None = None,
@@ -1397,9 +1332,8 @@ def power_resolution(
     multi-indices over the degree-a generators; the second tower runs the
     dual pattern and enters with a global sign.  The connecting blocks have
     degree-a entries and are exactly the unknowns of the d^2 = 0 equations:
-    the solution space is computed exactly per linked component (torus
-    weights cut each entry to a small slice), a seeded random member is
-    drawn, and the assembled complex is certified degreewise as a
+    the solution space is computed exactly (torus weights cut each entry to
+    a small slice of monomials), a seeded random member is drawn, and the assembled complex is certified degreewise as a
     resolution of the power.  An unlucky member (the zero map is always a
     solution) fails certification and is retried with a fresh draw; running
     out of attempts raises InconclusiveError, never a verdict against the
@@ -1548,40 +1482,12 @@ def power_resolution(
                 if lin:
                     equations.append(lin)
 
-    # solve the linear system exactly, one linked component at a time
-    parent = list(range(len(unknowns)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for eq in equations:
-        it = iter(eq)
-        first = find(next(it))
-        for u in it:
-            parent[find(u)] = first
-    comp_unknowns: dict = {}
-    for u in range(len(unknowns)):
-        comp_unknowns.setdefault(find(u), []).append(u)
-    comp_eqs: dict = {}
-    for eq in equations:
-        comp_eqs.setdefault(find(next(iter(eq))), []).append(eq)
-    basis_vectors: list[dict] = []
-    for root in sorted(comp_unknowns):
-        ids = sorted(comp_unknowns[root])
-        eqs = comp_eqs.get(root, [])
-        if not eqs:
-            basis_vectors.extend({u: 1} for u in ids)
-            continue
-        col_of = {u: c for c, u in enumerate(ids)}
-        entries = {}
-        for r, eq in enumerate(eqs):
-            for u, v in eq.items():
-                entries[(r, col_of[u])] = v
-        for vec in kernel_basis(ExactMatrix(len(eqs), len(ids), entries), mem_mb):
-            basis_vectors.append({ids[c]: v for c, v in enumerate(vec) if v})
+    # the solution space of the d^2 = 0 equations, exactly
+    entries = {(r, u): v for r, eq in enumerate(equations) for u, v in eq.items()}
+    basis_vectors = [
+        {u: v for u, v in enumerate(vec) if v}
+        for vec in kernel_basis(ExactMatrix(len(equations), len(unknowns), entries), mem_mb)
+    ]
 
     gens = power_generators(a, b)
     aug = []
@@ -1640,7 +1546,7 @@ def power_resolution(
             if not total.is_zero():
                 raise ConventionError("augmentation does not annihilate the first differential")
         certificate = resolution_check(
-            cone, ideal, (0, hi), mode, seed=seed, trials=trials, mem_mb=mem_mb
+            cone, ideal, (0, hi), mode, seed=seed, mem_mb=mem_mb
         )
         if certificate["resolves"]:
             return PowerResolution(

@@ -439,7 +439,7 @@ class GradedIdeal:
         return out
 
     def piece_dimension_details(
-        self, k: int, mode: str = "auto", *, rng=None, trials: int = 2, mem_mb=None,
+        self, k: int, mode: str = "auto", *, rng=None, mem_mb=None,
     ) -> RankResult:
         """dim I_k with provenance: the blocked rank of the spanning matrix.
 
@@ -453,7 +453,7 @@ class GradedIdeal:
         entries, ncols, row_labels, col_labels = self.spanning_data(k, half=self.weyl)
         return blocked_rank_details(
             self.ring.dimension(k), ncols, entries, row_labels, col_labels, mode,
-            rng=rng, trials=trials, mem_mb=mem_mb, weyl=self.weyl,
+            rng=rng, mem_mb=mem_mb, weyl=self.weyl,
         )
 
 
@@ -502,13 +502,12 @@ def independent_columns(m: ExactMatrix) -> tuple[int, ...]:
 
 
 def hilbert_function_details(
-    ideal: GradedIdeal, k_max: int, mode: str = "auto", *, rng=None, trials: int = 2,
-    mem_mb=None,
+    ideal: GradedIdeal, k_max: int, mode: str = "auto", *, rng=None, mem_mb=None,
 ) -> list[PieceValue]:
     """HF(S/I)(k) for k = 0..k_max with per-degree rank provenance."""
     out = []
     for k in range(k_max + 1):
-        res = ideal.piece_dimension_details(k, mode, rng=rng, trials=trials, mem_mb=mem_mb)
+        res = ideal.piece_dimension_details(k, mode, rng=rng, mem_mb=mem_mb)
         out.append(PieceValue(ideal.ring.dimension(k) - res.rank, res))
     return out
 

@@ -48,6 +48,31 @@ def test_unknown_subcommand_is_usage_error():
     assert err.value.code == 3
 
 
+@pytest.mark.parametrize("argv", [
+    # the certificate's prime count is fixed at two
+    pytest.param(("fh-rank", "--a", "2", "--b", "2", "--k", "2", "--trials", "2"), id="trials"),
+    # each command takes only the options it reads
+    pytest.param(("gens", "--a", "2", "--b", "2", "--mode", "exact"), id="gens-mode"),
+    pytest.param(("phi", "--a", "2", "--b", "2", "--seed", "1"), id="phi-seed"),
+    pytest.param(("char-check", "--mem-mb", "64"), id="char-check-mem-mb"),
+    pytest.param(("hw-triple", "--mode", "modular"), id="hw-triple-mode"),
+    pytest.param(("repro", "--only", "2", "--mode", "modular"), id="repro-mode"),
+])
+def test_options_a_command_does_not_read_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(list(argv))
+    assert err.value.code == 3
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["phi", "exactness"])
+@pytest.mark.parametrize("b", [3, 4])
+def test_phi_of_linear_generators_past_b_2_is_usage_error(capsys, command, b):
+    # for a = 1 the linear syzygies number C(b+1, 2), not d + b - 1
+    assert main([command, "--a", "1", "--b", str(b)]) == 3
+    assert "a = 1 needs b <= 2" in capsys.readouterr().err
+
+
 def test_iab_pow_requires_power(capsys):
     code = main(["betti", "--target", "iab-pow", "--a", "2", "--b", "2"])
     capsys.readouterr()
@@ -186,6 +211,8 @@ def test_minors_check_verifies(capsys):
 def test_phi_reports_syzygy_and_skew(capsys):
     code, rep = run_json(capsys, "phi", "--a", "2", "--b", "2")
     assert code == 0
+    # phi draws no primes and picks no mode, so its report names neither
+    assert "mode" not in rep and "seed" not in rep
     assert rep["shape"] == [5, 5]
     assert rep["syzygy_ok"] is True
     assert rep["skew_normalizable"] is True
@@ -220,6 +247,7 @@ def test_exactness_certificate(capsys):
 def test_repro_single_criterion(capsys):
     code, rep = run_json(capsys, "repro", "--only", "2")
     assert code == 0
+    assert "mode" not in rep and "seed" in rep
     assert rep["overall"] == "verified"
     assert rep["criteria"][0]["status"] == "pass"
 

@@ -141,12 +141,6 @@ def test_auto_mode_small_matrix_is_exact():
     assert max(m.shape) <= EXACT_DIM_LIMIT
 
 
-def test_modular_needs_two_trials():
-    m = ExactMatrix.from_rows([[1]])
-    with pytest.raises(ValueError):
-        rank_details(m, "modular", trials=1)
-
-
 def test_bad_prime_is_resampled():
     # denominator 5 vanishes mod 5; a tiny "prime" list forces the resample path
     m = ExactMatrix.from_rows([[Fraction(1, 5)]])

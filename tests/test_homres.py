@@ -8,6 +8,7 @@ from bfsyz.errors import ConventionError, InconclusiveError
 from bfsyz.exactalg import default_rng
 from bfsyz.fhmaps import ix_kernel_ideal, power_ideal
 from bfsyz.homres import (
+    BettiEntry,
     BettiTable,
     GradedModule,
     coker_hilbert,
@@ -78,13 +79,6 @@ def test_power_quotient_mult_commutes():
     assert mod.check_commuting(2)
 
 
-def test_free_module_dimensions():
-    ring = PolyRing(2, "x")
-    mod = GradedModule.free(ring, [0, 1], weights=[0, 0])
-    assert [mod.dimension(k) for k in range(4)] == [1, 3, 5, 7]
-    assert mod.check_commuting(0)
-
-
 # ---------------------------------------------------------------------------
 # tor_betti on known modules
 
@@ -97,10 +91,16 @@ def test_betti_of_maximal_ideal_is_koszul():
 
 
 def test_betti_of_free_module_is_generators_only():
+    # a principal ideal is free on its generator; it is not weight-graded, so
+    # its basis is unlabelled and the Koszul ranks run unblocked
     ring = PolyRing(3, "x")
-    mod = GradedModule.free(ring, [0, 2])
+    x0, x1, x2 = (ring.variable(v) for v in range(3))
+    ideal = GradedIdeal(ring, [x0 * x1 + x2 * x2])
+    assert not ideal.weight_graded
+    mod = GradedModule.from_ideal(ideal)
+    assert mod.basis_weights(3) is None
     table = tor_betti(mod, 3, 5, t_max=3, seed=5)
-    assert table.nonzero() == {(0, 0): 1, (0, 2): 1}
+    assert table.nonzero() == {(0, 2): 1}
 
 
 def minimal_generator_counts(ideal: GradedIdeal, degrees) -> dict:
@@ -346,8 +346,18 @@ def test_verify_power_betti_2_3():
     table = power_ideal_betti(2, 3, 2, seed=7)
     rep = verify_power_betti(2, 3, table)
     assert rep["ok"], rep
-    assert rep["unexpected_nonzero"] == []
+    # every nonzero entry is an expected one: none is reported expecting 0
+    assert {(r["i"], r["j"]) for r in rep["entries"]} == set(power_strand_formula(2, 3))
     assert rep["regularity"] == {"expected": 5, "computed": 5, "match": True}
+
+
+def test_verify_power_betti_reports_an_unexpected_entry():
+    table = power_ideal_betti(2, 2, 1, seed=7)
+    key = next(k for k, e in sorted(table.entries.items()) if k[0] == 1 and not e.value)
+    table.entries[key] = BettiEntry(1, "exact")
+    rep = verify_power_betti(2, 2, table)
+    assert not rep["ok"]
+    assert {"i": key[0], "j": key[1], "expected": 0, "computed": 1, "match": False} in rep["entries"]
 
 
 def test_verify_power_betti_rejects_degenerate_range():

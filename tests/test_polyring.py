@@ -152,7 +152,8 @@ def test_piece_echelon_blocks_keep_the_memory_budget():
     ideal = GradedIdeal(ring, [c0 * c0 + c1 * c2, c1 * c1 + c0 * c3, c2 * c2 + c3 * c3 + c0 * c1])
     assert not ideal.weight_graded
     assert ideal.graded_piece(8).ncols == 157
-    with pytest.raises(ResourceLimitError):
+    # the block needs 1.90 MiB: the message rounds the need up, never down to the budget
+    with pytest.raises(ResourceLimitError, match=r"dense 252 x 165 needs ~2 MiB, budget is 1 MiB"):
         ideal.graded_piece(8, mem_mb=1)
 
 
