@@ -23,6 +23,7 @@ from .fhmaps import (
     foulkes_howe,
     hw_triple_report,
     minors_generate_check,
+    mirror,
     power_generators,
     power_ideal,
 )
@@ -221,8 +222,8 @@ def _criterion_11(ctx) -> str:
     rng = random.Random(f"{ctx['seed']}:acc11:mult")
     for a, b in ((2, 2), (2, 3)):
         pg = power_generators(a, b)
-        lo = foulkes_howe(a, b, b, ctx["mem_mb"], ctx["cache"])
-        hi = foulkes_howe(a, b, b + 1, ctx["mem_mb"], ctx["cache"])
+        lo = mirror(foulkes_howe(a, b, b, ctx["mem_mb"], ctx["cache"]))
+        hi = mirror(foulkes_howe(a, b, b + 1, ctx["mem_mb"], ctx["cache"]))
         hi_index = {m: i for i, m in enumerate(hi.col_basis)}
 
         def column_poly(fh, colno):
@@ -247,7 +248,7 @@ def _criterion_11(ctx) -> str:
 
     kernel_count = 0
     for a, b in ((2, 2), (3, 2)):
-        fh = foulkes_howe(a, b, b + 1, ctx["mem_mb"], ctx["cache"])
+        fh = mirror(foulkes_howe(a, b, b + 1, ctx["mem_mb"], ctx["cache"]))
         by_col: dict = {}
         for (r, c), val in fh.matrix.entries.items():
             by_col.setdefault(c, []).append((r, val))

@@ -8,7 +8,12 @@ slice alpha_k is a matrix from the degree-k z-monomials to the degree-ak
 c-monomials.  Everything here is torus-equivariant (z_j and P_j both have
 weight 2j - d), so ranks and kernels decompose by weight; blockwise results
 are identical to unblocked ones because distinct weights touch disjoint
-monomial sets.
+monomial sets.  Reversing the c_i swaps x1 and x2 in G, so
+P_j(rev c) = P_{d-j}(c) and alpha_k has entry (e, beta) = entry
+(rev e, rev beta), with no signs; reversal sends weight w to -w.  A slice is
+therefore built, cached and ranked as its weight >= 0 half (the columns of
+weight >= 0), and ``mirror`` rebuilds the full map for the callers that need
+it.
 
 Also here: the (d+b-1) x (b+1) matrix of linear forms in z whose rank drops
 on the locus of powers (rows pair the generic degree-d form against the
@@ -34,6 +39,7 @@ from .exactalg import (
 )
 from .exactalg.matrix import (
     RankResult,
+    _trusted_matrix,
     check_dense_budget,
     default_rng,
 )
@@ -111,7 +117,9 @@ class FoulkesHoweMatrix(NamedTuple):
     b: int
     k: int
     d: int
-    matrix: ExactMatrix  # rows: degree-ak c-monomials, cols: degree-k z-monomials
+    # rows: degree-ak c-monomials, cols: degree-k z-monomials; only the columns
+    # of weight >= 0 hold entries, unless the slice went through ``mirror``
+    matrix: ExactMatrix
     row_basis: tuple
     col_basis: tuple
     row_weights: tuple
@@ -167,13 +175,17 @@ def _product_tree(polys, base: int):
 
 
 def foulkes_howe(a: int, b: int, k: int, mem_mb=None, cache=None) -> FoulkesHoweMatrix:
-    """The degree-k slice of the substitution z_j -> P_j, as an exact matrix.
+    """The weight >= 0 half of the degree-k slice of z_j -> P_j, as an exact matrix.
 
     Column for the z-monomial z^beta is the coefficient vector of
-    prod_j P_j^{beta_j} over the degree-ak c-monomials.  k = 0 gives the
-    1 x 1 identity.  Matrices are cached on disk when a cache directory is
-    active, keyed by (a, b, k); a cached file that does not parse, or holds a
-    matrix of another shape or field, is rebuilt and rewritten.
+    prod_j P_j^{beta_j} over the degree-ak c-monomials.  Only the columns of
+    weight >= 0 are evaluated; the matrix, the bases and the weight lists
+    keep the full shape, and ``mirror`` fills in the columns of negative
+    weight.  k = 0 gives the 1 x 1 identity.  Halves are cached on disk when
+    a cache directory is active, keyed by (a, b, k) under the stem
+    ``fhw-a{a}-b{b}-k{k}``; a cached file that does not parse, holds a
+    matrix of another shape or field, or holds an entry in a column of
+    negative weight is rebuilt and rewritten.
     """
     if a < 1 or b < 1 or k < 0:
         raise ValueError("need a >= 1, b >= 1, k >= 0")
@@ -183,13 +195,14 @@ def foulkes_howe(a: int, b: int, k: int, mem_mb=None, cache=None) -> FoulkesHowe
     row_weights = tuple(sum(e * (2 * i - b) for i, e in enumerate(m)) for m in row_basis)
     col_weights = tuple(sum(e * (2 * j - d) for j, e in enumerate(m)) for m in col_basis)
     check_dense_budget(len(row_basis), len(col_basis), 16, mem_mb, "foulkes_howe")
+    negative = [w < 0 for w in col_weights]
 
     cdir = cache_directory(cache)
     path = None
     if cdir is not None:
-        path = cdir / f"fh-a{a}-b{b}-k{k}.mat"
+        path = cdir / f"fhw-a{a}-b{b}-k{k}.mat"
         matrix = load_cached(path, len(row_basis), len(col_basis))
-        if matrix is not None:
+        if matrix is not None and not any(negative[c] for _r, c in matrix.entries):
             return FoulkesHoweMatrix(
                 a, b, k, d, matrix, row_basis, col_basis, row_weights, col_weights
             )
@@ -198,12 +211,16 @@ def foulkes_howe(a: int, b: int, k: int, mem_mb=None, cache=None) -> FoulkesHowe
     # degree-ak monomials have exponents <= ak, so base ak + 1 packs them injectively
     base = a * k + 1
     row_index = {_pack(e, base): i for i, e in enumerate(row_basis)}
+    # stripping the lowest index of a weight >= 0 beta leaves weight >= 0, so
+    # the tree never builds a product of negative weight
     product = _product_tree(gens.polys, base)
     entries: dict = {}
     for colno, beta in enumerate(col_basis):
         if k == 0:
             entries[(0, 0)] = 1
             break
+        if negative[colno]:
+            continue
         for exp, coeff in product(beta).items():
             entries[(row_index[exp], colno)] = coeff
     matrix = ExactMatrix(len(row_basis), len(col_basis), entries)
@@ -212,14 +229,35 @@ def foulkes_howe(a: int, b: int, k: int, mem_mb=None, cache=None) -> FoulkesHowe
     return FoulkesHoweMatrix(a, b, k, d, matrix, row_basis, col_basis, row_weights, col_weights)
 
 
+def mirror(fh: FoulkesHoweMatrix) -> FoulkesHoweMatrix:
+    """The full slice alpha_k from its weight >= 0 half.
+
+    Entry (e, beta) equals entry (rev e, rev beta), so every entry in a
+    column of weight > 0 is copied to the reversed row and column, which
+    lie in the mirrored weight -w block.  The entries are not validated a
+    second time.
+    """
+    row_index = plethysm_index(fh.a * fh.k, fh.b)
+    col_index = plethysm_index(fh.k, fh.d)
+    rev_row = [row_index[m[::-1]] for m in fh.row_basis]
+    rev_col = [col_index[m[::-1]] for m in fh.col_basis]
+    col_weights = fh.col_weights
+    entries = dict(fh.matrix.entries)
+    for (r, c), v in fh.matrix.entries.items():
+        if col_weights[c] > 0:
+            entries[(rev_row[r], rev_col[c])] = v
+    return fh._replace(matrix=_trusted_matrix(fh.target_dim, fh.source_dim, entries))
+
+
 def fh_rank_details(
     fh: FoulkesHoweMatrix, mode: str = "auto", *, rng=None, mem_mb=None
 ) -> RankResult:
     """Weight-blocked rank of an alpha_k matrix with provenance.
 
     alpha_k is SL2-equivariant, so only its blocks of weight >= 0 are ranked
-    (``blocked_rank_details(..., weyl=True)``); the slice itself is built and
-    cached in full.  Reports resting on this rank say so with
+    (``blocked_rank_details(..., weyl=True)``), which is all that
+    ``foulkes_howe`` builds; the exact/modular choice is made on the full
+    shape.  Reports resting on this rank say so with
     ``"symmetry": "sl2-weyl"``.
     """
     return blocked_rank_details(
@@ -305,7 +343,7 @@ def ix_kernel_ideal(a: int, b: int, mem_mb=None, cache=None) -> GradedIdeal:
     vectors.  The kernel of an SL2-equivariant map is SL2-stable, and the
     ideal is marked so.
     """
-    fh = foulkes_howe(a, b, b + 1, mem_mb, cache)
+    fh = mirror(foulkes_howe(a, b, b + 1, mem_mb, cache))
     sring = PolyRing(fh.d + 1, "z")
     vectors = blocked_kernel_basis(
         fh.target_dim,
@@ -441,7 +479,7 @@ def minors_generate_check(
     for (i, j), v in entries.items():
         cols[j][i] = v
     alpha_cols: dict = {}
-    for (r, c), av in fh.matrix.entries.items():
+    for (r, c), av in mirror(fh).matrix.entries.items():
         alpha_cols.setdefault(c, []).append((r, av))
     for vec in cols:
         image: dict = {}
@@ -710,7 +748,7 @@ def hw_triple_report(mem_mb=None, cache=None) -> dict:
     with different scale patterns; the report records both triples and
     whether they differ after normalizing the first entry to 1.
     """
-    fh = foulkes_howe(2, 2, 2, mem_mb, cache)
+    fh = mirror(foulkes_howe(2, 2, 2, mem_mb, cache))
     pairs = list(zip(HW_SOURCE_VECTORS_2_2, HW_TARGET_VECTORS_2_2))
     triple = hw_triple(fh.matrix.entries, (2, 4), (4, 2), pairs)
     norm = [x / triple[0] for x in triple]

@@ -34,6 +34,7 @@ from .fhmaps import (
     SYMMETRY,
     fh_rank_report,
     foulkes_howe,
+    mirror,
     phi_matrix,
     power_generators,
     power_ideal,
@@ -145,10 +146,6 @@ class GradedModule:
         """Torus weights aligned with the degree-k basis, or None (unlabelled)."""
         return self._piece(k)["weights"]
 
-    def surjectivity_certificates(self) -> dict:
-        """Per-degree certificate reports collected by power_quotient pieces."""
-        return dict(self._certificates)
-
     def _piece(self, k: int) -> dict:
         if k not in self._pieces:
             self._pieces[k] = getattr(self, "_piece_" + self.kind)(k)
@@ -181,7 +178,7 @@ class GradedModule:
             return self._empty_piece()
         a, b = self._gens.a, self._gens.b
         if k < b:
-            fh = foulkes_howe(a, b, k, self._mem_mb, self._cache)
+            fh = mirror(foulkes_howe(a, b, k, self._mem_mb, self._cache))
             raw_cols, pivots = column_echelon(
                 fh.matrix.entries, list(fh.row_weights), list(fh.col_weights), self._mem_mb
             )

@@ -253,16 +253,6 @@ class MultiPoly:
             terms.append({"exp": list(exp), "coeff": f"{f.numerator}/{f.denominator}"})
         return {"vars": self.ring.variable_names(), "terms": terms}
 
-    @classmethod
-    def from_json(cls, ring: PolyRing, data: dict) -> "MultiPoly":
-        if data["vars"] != ring.variable_names():
-            raise ValueError("variable list mismatch")
-        terms = {}
-        for t in data["terms"]:
-            f = Fraction(t["coeff"])
-            terms[tuple(t["exp"])] = f
-        return cls(ring, terms)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             if other == 0:
@@ -389,11 +379,18 @@ class GradedIdeal:
         ``blocked_rank_details(..., weyl=True)`` checks for symmetry.
         """
         index = self.ring.monomial_index(k)
-        row_labels = (
-            [self.ring.monomial_weight(e) for e in self.ring.monomials(k)]
-            if self.weight_graded
-            else [0] * self.ring.dimension(k)
-        )
+        weights: dict = {}  # degree -> monomial weights, shared by the generators
+
+        def degree_weights(t: int) -> list[int]:
+            if t not in weights:
+                weights[t] = (
+                    [self.ring.monomial_weight(e) for e in self.ring.monomials(t)]
+                    if self.weight_graded
+                    else [0] * self.ring.dimension(t)
+                )
+            return weights[t]
+
+        row_labels = degree_weights(k)
         entries: dict = {}
         col_labels: list[int] = []
         col = 0
@@ -402,8 +399,8 @@ class GradedIdeal:
             if dg > k:
                 continue
             gw = g.weight() if self.weight_graded else 0
-            for m in self.ring.monomials(k - dg):
-                w = gw + self.ring.monomial_weight(m) if self.weight_graded else 0
+            for m, mw in zip(self.ring.monomials(k - dg), degree_weights(k - dg)):
+                w = gw + mw
                 col_labels.append(w)
                 if not half or w >= 0:
                     for exp, coeff in g.terms.items():
@@ -543,10 +540,6 @@ class MonomialIdeal:
         ]
         self.ring = ring
         self.generators = tuple(minimal)
-
-    def contains_monomial(self, exp) -> bool:
-        exp = tuple(exp)
-        return any(_divides(g, exp) for g in self.generators)
 
     def _standard_layers(self, k_max: int) -> list[list[tuple[int, ...]]]:
         """The standard monomials of degrees 0..k_max, each lex-descending.

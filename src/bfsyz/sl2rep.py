@@ -225,9 +225,6 @@ class QChar:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_genuine(self) -> bool:
-        return all(c >= 0 for c in self.coeffs)
-
     def normalized(self) -> "QChar":
         """Strip the global q-power (sl2-character normal form)."""
         if not self.coeffs:

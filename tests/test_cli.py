@@ -284,9 +284,9 @@ def test_damaged_cache_gives_the_cold_report(capsys, tmp_path):
     argv = ("fh-rank", "--a", "2", "--b", "3", "--k", "2", "--cache")
     _, cold = run_cli(capsys, *argv, str(tmp_path / "cold"))
     run_cli(capsys, "fh-rank", "--a", "2", "--b", "3", "--k", "3", "--cache", str(tmp_path))
-    wrong_shape = (tmp_path / "fh-a2-b3-k3.mat").read_bytes()
+    wrong_shape = (tmp_path / "fhw-a2-b3-k3.mat").read_bytes()
     for data in (wrong_shape, b"BFSYZ-MAT v1 35 28 sparse QQ\n0 0\n"):
-        (tmp_path / "fh-a2-b3-k2.mat").write_bytes(data)
+        (tmp_path / "fhw-a2-b3-k2.mat").write_bytes(data)
         code, out = run_cli(capsys, *argv, str(tmp_path))
         assert (code, out) == (0, cold)
 
@@ -302,7 +302,7 @@ def v1_text(matrix) -> str:
 @pytest.mark.parametrize("kind", ["truncated", "flipped byte", "wrong key", "v1"])
 def test_damaged_cache_file_is_rebuilt_with_the_cold_report(capsys, tmp_path, kind):
     argv = ("fh-rank", "--a", "3", "--b", "2", "--k", "1", "--cache", str(tmp_path))
-    path = tmp_path / "fh-a3-b2-k1.mat"
+    path = tmp_path / "fhw-a3-b2-k1.mat"
     cold_code, cold = run_cli(capsys, *argv)
     good = path.read_bytes()
     header, body = good.split(b"\n", 1)
@@ -316,8 +316,8 @@ def test_damaged_cache_file_is_rebuilt_with_the_cold_report(capsys, tmp_path, ki
     elif kind == "wrong key":
         # alpha_1 of (2, 3) has the same 10 x 7 shape as alpha_1 of (3, 2)
         run_cli(capsys, "fh-rank", "--a", "2", "--b", "3", "--k", "1", "--cache", str(tmp_path))
-        other = (tmp_path / "fh-a2-b3-k1.mat").read_bytes()
-        assert other != good and load_matrix(tmp_path / "fh-a2-b3-k1.mat").shape == (10, 7)
+        other = (tmp_path / "fhw-a2-b3-k1.mat").read_bytes()
+        assert other != good and load_matrix(tmp_path / "fhw-a2-b3-k1.mat").shape == (10, 7)
         path.write_bytes(other)
     else:
         path.write_text(v1_text(load_matrix(path)))
@@ -351,7 +351,7 @@ def test_cache_path_that_is_a_file_is_usage_error(capsys, monkeypatch, tmp_path,
 
 
 def test_cache_entry_that_is_a_directory_is_usage_error(capsys, tmp_path):
-    entry = tmp_path / "fh-a2-b3-k3.mat"
+    entry = tmp_path / "fhw-a2-b3-k3.mat"
     entry.mkdir()
     assert main(["fh-rank", "--a", "2", "--b", "3", "--k", "3", "--cache", str(tmp_path)]) == 3
     assert str(entry) in capsys.readouterr().err

@@ -6,8 +6,8 @@ from math import comb
 
 import pytest
 
-from bfsyz import fhmaps
-from bfsyz.exactalg import ExactMatrix, dump_matrix, rank
+from bfsyz import fhmaps, polyring
+from bfsyz.exactalg import ExactMatrix, dump_matrix, load_matrix, rank
 from bfsyz.fhmaps import (
     fh_rank_report,
     foulkes_howe,
@@ -15,6 +15,7 @@ from bfsyz.fhmaps import (
     ix_kernel_ideal,
     maximal_minors,
     minors_generate_check,
+    mirror,
     omega_matrix,
     phi_matrix,
     phi_syzygy_check,
@@ -49,6 +50,16 @@ def test_power_generators_a1_are_variables():
         assert p == pg.ring.variable(j)
 
 
+def test_power_generators_reverse_under_reversed_coefficients():
+    # reversing the c_i swaps x1 and x2 in G, so P_j(rev c) = P_{d-j}(c)
+    for a in (1, 2, 3):
+        for b in (1, 2, 3, 4):
+            pg = power_generators(a, b)
+            for j, p in enumerate(pg.polys):
+                reversed_terms = {e[::-1]: v for e, v in p.terms.items()}
+                assert reversed_terms == pg.polys[pg.d - j].terms, (a, b, j)
+
+
 def test_power_generators_expand_identity():
     rng = random.Random(6)
     for a, b in [(2, 2), (3, 2), (2, 3), (4, 1)]:
@@ -70,10 +81,10 @@ def test_power_generators_expand_identity():
 
 
 def test_fh_degree_one_is_inclusion():
-    fh = foulkes_howe(2, 2, 1)
+    fh = mirror(foulkes_howe(2, 2, 1))
     assert fh.matrix.shape == (6, 5)
     assert rank(fh.matrix, "exact") == 5  # full column rank d+1
-    fh = foulkes_howe(2, 3, 1)
+    fh = mirror(foulkes_howe(2, 3, 1))
     assert fh.matrix.shape == (10, 7)
     assert rank(fh.matrix, "exact") == 7
 
@@ -85,10 +96,10 @@ def test_fh_degree_zero_identity():
 
 
 def test_fh_2_2_shapes_and_ranks():
-    fh2 = foulkes_howe(2, 2, 2)
+    fh2 = mirror(foulkes_howe(2, 2, 2))
     assert fh2.matrix.shape == (15, 15)
     assert rank(fh2.matrix, "exact") == 15
-    fh3 = foulkes_howe(2, 2, 3)
+    fh3 = mirror(foulkes_howe(2, 2, 3))
     assert fh3.matrix.shape == (28, 35)
     assert rank(fh3.matrix, "exact") == 28
 
@@ -119,22 +130,36 @@ def reference_slice_entries(a, b, k):
     return entries
 
 
+CRITERION_1_SLICES = [(a, b, k) for a in (1, 2, 3) for b in (1, 2, 3) for k in range(b + 2)]
+
+
 @pytest.mark.parametrize(
-    "a, b, k", [(1, 1, 0), (1, 1, 1), (1, 1, 4), (1, 3, 3), (3, 1, 2), (2, 3, 0), (2, 3, 1), (3, 4, 4)]
+    "a, b, k",
+    sorted(
+        {(1, 1, 4), (1, 3, 3), (3, 1, 2), (3, 4, 4), (2, 4, 4), (2, 6, 4)}
+        | set(CRITERION_1_SLICES)
+    ),
 )
 def test_fh_matches_tuple_keyed_reference(a, b, k):
     fh = foulkes_howe(a, b, k)
-    # same entries in the same order, so every consumer sees the same matrix
-    assert list(fh.matrix.entries.items()) == list(reference_slice_entries(a, b, k).items())
+    reference = reference_slice_entries(a, b, k)
+    # the half holds the reference's entries in the columns of weight >= 0, in
+    # the same order, so every consumer sees the same matrix
+    half = [(key, v) for key, v in reference.items() if fh.col_weights[key[1]] >= 0]
+    assert list(fh.matrix.entries.items()) == half
     assert fh.matrix.shape == (comb(a * k + b, b), comb(k + a * b, k))
+    full = mirror(fh)
+    assert full.matrix.entries == reference
+    assert full.matrix.shape == fh.matrix.shape
+    assert full[:4] == fh[:4] and full[5:] == fh[5:]
 
 
 def test_fh_multiplicativity():
     # column(beta + delta_j) = P_j * column(beta), sampled over (2, 2)
     rng = random.Random(10)
     pg = power_generators(2, 2)
-    fh2 = foulkes_howe(2, 2, 2)
-    fh3 = foulkes_howe(2, 2, 3)
+    fh2 = mirror(foulkes_howe(2, 2, 2))
+    fh3 = mirror(foulkes_howe(2, 2, 3))
 
     def column_poly(fh, colno, degree):
         terms = {}
@@ -156,17 +181,17 @@ def test_fh_multiplicativity():
 
 def test_fh_cache_roundtrip(tmp_path):
     cold = foulkes_howe(2, 2, 2, cache=str(tmp_path))
-    assert (tmp_path / "fh-a2-b2-k2.mat").exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["fhw-a2-b2-k2.mat"]
     warm = foulkes_howe(2, 2, 2, cache=str(tmp_path))
-    assert warm.matrix == cold.matrix
+    assert warm.matrix == cold.matrix == foulkes_howe(2, 2, 2).matrix
 
 
 def test_fh_damaged_cache_is_rebuilt(tmp_path):
     cold = foulkes_howe(2, 3, 2, cache=str(tmp_path / "cold"))
-    cold_bytes = (tmp_path / "cold" / "fh-a2-b3-k2.mat").read_bytes()
+    cold_bytes = (tmp_path / "cold" / "fhw-a2-b3-k2.mat").read_bytes()
     other = tmp_path / "other"
     foulkes_howe(2, 3, 3, cache=str(other))
-    wrong_shape = (other / "fh-a2-b3-k3.mat").read_bytes()
+    wrong_shape = (other / "fhw-a2-b3-k3.mat").read_bytes()
     dump_matrix(ExactMatrix(*cold.matrix.shape, {(0, 0): 1}, field="GF:7"), other / "gf.mat")
     damaged = {
         "wrong shape": wrong_shape,
@@ -175,11 +200,43 @@ def test_fh_damaged_cache_is_rebuilt(tmp_path):
         "wrong field": (other / "gf.mat").read_bytes(),
     }
     for name, data in damaged.items():
-        path = tmp_path / "fh-a2-b3-k2.mat"
+        path = tmp_path / "fhw-a2-b3-k2.mat"
         path.write_bytes(data)
         warm = foulkes_howe(2, 3, 2, cache=str(tmp_path))
         assert warm.matrix == cold.matrix, name
         assert path.read_bytes() == cold_bytes, name
+
+
+def test_fh_cached_half_with_a_negative_weight_entry_is_rebuilt(tmp_path):
+    cold = foulkes_howe(2, 3, 2, cache=str(tmp_path / "cold"))
+    cold_bytes = (tmp_path / "cold" / "fhw-a2-b3-k2.mat").read_bytes()
+    # the full slice passes every check of the file format: right sha256,
+    # right key, right shape and field
+    path = tmp_path / "fhw-a2-b3-k2.mat"
+    dump_matrix(mirror(cold).matrix, path, key=path.stem)
+    assert load_matrix(path, key=path.stem) == mirror(cold).matrix
+    warm = foulkes_howe(2, 3, 2, cache=str(tmp_path))
+    assert warm.matrix == cold.matrix
+    assert path.read_bytes() == cold_bytes
+
+
+def test_fh_full_cache_file_is_never_loaded(tmp_path, monkeypatch):
+    # a full slice written under the stem that held full slices
+    stale = tmp_path / "fh-a2-b3-k2.mat"
+    dump_matrix(mirror(foulkes_howe(2, 3, 2)).matrix, stale, key=stale.stem)
+    stale_bytes = stale.read_bytes()
+    loaded = []
+
+    def recording(path, key=None):
+        loaded.append(path.name)
+        return load_matrix(path, key)
+
+    monkeypatch.setattr(polyring, "load_matrix", recording)
+    for _ in range(2):
+        half = foulkes_howe(2, 3, 2, cache=str(tmp_path))
+        assert half.matrix == foulkes_howe(2, 3, 2).matrix
+    assert loaded == ["fhw-a2-b3-k2.mat"]
+    assert stale.read_bytes() == stale_bytes
 
 
 def test_fh_rank_report_bijective_cases():

@@ -69,7 +69,8 @@ def test_power_quotient_dimensions_and_weights():
         ws = mod.basis_weights(k)
         assert len(ws) == mod.dimension(k)
         assert sum(ws) == 0
-    assert sorted(mod.surjectivity_certificates()) == [2, 3, 4]
+    # the per-degree surjectivity reports collected by the pieces
+    assert sorted(mod._certificates) == [2, 3, 4]
 
 
 def test_power_quotient_mult_commutes():

@@ -3,7 +3,8 @@
 The halved ranks rest on rank_w = rank_{-w}, so every acceptance-range case
 is run both ways and compared, and the block ranks of every Koszul slab and
 every graded-piece spanning matrix are checked in pairs.  The unhalved runs flip the mark on the module or ideal
-object (or force ``weyl=False`` for the slices); no library switch exists.
+object (or rank the mirrored full slices with ``weyl=False``); no library
+switch exists.
 """
 
 import hashlib
@@ -66,14 +67,19 @@ def unflagged_power_quotient(monkeypatch):
     monkeypatch.setattr(GradedModule, "power_quotient", unflagged)
 
 
+def unhalve_slices(monkeypatch):
+    """fhmaps ranks the mirrored full slices, every block of them."""
+    build = fhmaps.foulkes_howe
+    monkeypatch.setattr(fhmaps, "foulkes_howe", lambda *args: fhmaps.mirror(build(*args)))
+    monkeypatch.setattr(
+        fhmaps, "blocked_rank_details",
+        lambda *args, **kw: blocked_rank_details(*args, **{**kw, "weyl": False}),
+    )
+
+
 @pytest.fixture
 def unhalved_slices(monkeypatch):
-    """fhmaps ranks every block of its slices."""
-    def unhalved(*args, **kw):
-        kw["weyl"] = False
-        return blocked_rank_details(*args, **kw)
-
-    monkeypatch.setattr(fhmaps, "blocked_rank_details", unhalved)
+    unhalve_slices(monkeypatch)
 
 
 def entry_values(table):
@@ -137,6 +143,8 @@ def halved_slice_reports():
 
 
 def test_slices_halved_equal_full(halved_slice_reports, unhalved_slices):
+    mirrored = fhmaps.foulkes_howe(2, 2, 2)
+    assert any(mirrored.col_weights[c] < 0 for _r, c in mirrored.matrix.entries)
     for (a, b, k, mode), halved in halved_slice_reports.items():
         full = fhmaps.fh_rank_report(a, b, k, mode, rng=random.Random(f"{a}:{b}:{k}"))
         assert halved == full, (a, b, k, mode)
@@ -147,10 +155,7 @@ def test_slices_halved_equal_full(halved_slice_reports, unhalved_slices):
 def test_minors_check_halved_equals_full(monkeypatch):
     halved = fhmaps.minors_generate_check(2, 2, rng=random.Random(5))
     assert halved["symmetry"] == "sl2-weyl" and halved["equal"] is True
-    monkeypatch.setattr(
-        fhmaps, "blocked_rank_details",
-        lambda *args, **kw: blocked_rank_details(*args, **{**kw, "weyl": False}),
-    )
+    unhalve_slices(monkeypatch)
     assert fhmaps.minors_generate_check(2, 2, rng=random.Random(5)) == halved
 
 
