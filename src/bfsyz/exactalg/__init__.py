@@ -6,6 +6,7 @@ from .matrix import (
     KERNEL_BACKEND,
     ExactMatrix,
     RankResult,
+    WeightBlocks,
     blocked_kernel_basis,
     blocked_rank_details,
     default_rng,
@@ -14,6 +15,7 @@ from .matrix import (
     rank,
     rank_details,
     rref,
+    split_blocks,
 )
 from .primes import is_prime, random_prime
 
@@ -22,6 +24,7 @@ __all__ = [
     "KERNEL_BACKEND",
     "ExactMatrix",
     "RankResult",
+    "WeightBlocks",
     "blocked_kernel_basis",
     "blocked_rank_details",
     "default_rng",
@@ -34,4 +37,5 @@ __all__ = [
     "rank",
     "rank_details",
     "rref",
+    "split_blocks",
 ]

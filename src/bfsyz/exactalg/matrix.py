@@ -25,14 +25,16 @@ map runs through one blocked path, ``_blocked_echelon``: split by label,
 check each block against the dense memory budget, reduce it with
 ``rref_rows``.  :func:`column_echelon` (graded pieces, images of the
 substitution maps) and :func:`blocked_kernel_basis` are thin layers over it,
-and :func:`kernel_basis` is its one-block case.
+and :func:`kernel_basis` is its one-block case.  Every rank of a
+label-preserving map runs through one driver, :func:`blocked_rank_details`,
+which takes :class:`WeightBlocks`: Koszul slabs are built as blocks, and
+:func:`split_blocks` files global entries into them.
 """
 
 from __future__ import annotations
 
 import os
 import random
-from collections import Counter
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -93,10 +95,18 @@ def check_dense_budget(nrows: int, ncols: int, bytes_per_cell: int, mem_mb: int 
 
 
 def resolve_seed(seed: int | None = None) -> int:
-    """``seed`` when given, else BFSYZ_SEED (default 0); the one reader of BFSYZ_SEED."""
+    """``seed`` when given, else BFSYZ_SEED (default 0); the one reader of BFSYZ_SEED.
+
+    A BFSYZ_SEED that is not an integer raises ``ValueError`` naming the
+    variable, which the CLI reports as a usage error.
+    """
     if seed is not None:
         return int(seed)
-    return int(os.environ.get("BFSYZ_SEED", "0"))
+    env = os.environ.get("BFSYZ_SEED", "0")
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"BFSYZ_SEED must be an integer, got {env!r}") from None
 
 
 def default_rng() -> random.Random:
@@ -543,20 +553,53 @@ def kernel_basis(m: ExactMatrix, mem_mb: int | None = None) -> list[tuple[int, .
 # weight-blocked rank for label-preserving (equivariant) matrices
 
 
-def split_blocks(entries, row_labels, col_labels, *, _nonnegative=False):
-    """Group sparse entries of a label-preserving map by label.
+class WeightBlocks:
+    """A label-preserving sparse map, stored as its label blocks.
 
-    Every nonzero entry must connect a row and column with equal labels,
-    otherwise the map is not equivariant for the labelling and a
-    ConventionError is raised; an index outside the label lists raises
-    ValueError.  Returns {label: (row_ids, col_ids, subdict)} with
-    deterministic (sorted) index order; the subdicts hold normalized nonzero
-    entries, as ExactMatrix stores them.  ``_nonnegative`` (the Weyl path of
-    ``blocked_rank_details``) checks every entry but files only those with
-    label >= 0, leaving the negative subdicts empty.
+    ``blocks`` maps every label of the map, in increasing order, to
+    ``(nrows, ncols, entries)``: the shape of its block and a
+    ``{(row, col): value}`` dict in local indices, which run in increasing
+    order of the full map's indices.  Values are normalized as
+    :class:`ExactMatrix` stores them (ints where integral, no zeros).  The
+    block shapes add up to the full shape; a block may hold no entries.
+    ``len()`` is the number of stored entries, so an empty map is falsy.
     """
-    rows_by = {}
-    cols_by = {}
+
+    __slots__ = ("blocks",)
+
+    def __init__(self, blocks: dict):
+        self.blocks = blocks
+
+    def __len__(self) -> int:
+        return sum(len(sub) for _r, _c, sub in self.blocks.values())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, WeightBlocks):
+            return NotImplemented
+        return self.blocks == other.blocks
+
+    __hash__ = None
+
+    def items(self):
+        return self.blocks.items()
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (
+            sum(r for r, _c, _sub in self.blocks.values()),
+            sum(c for _r, c, _sub in self.blocks.values()),
+        )
+
+    def __repr__(self) -> str:
+        rows, cols = self.shape
+        return f"WeightBlocks({rows} x {cols}, nnz={len(self)}, labels={list(self.blocks)})"
+
+
+def _split(entries, row_labels, col_labels):
+    """``(rows_by, cols_by, sub)``: the full indices and the local entries of
+    each label, for :func:`split_blocks` and ``_blocked_echelon``."""
+    rows_by: dict = {}
+    cols_by: dict = {}
     for i, w in enumerate(row_labels):
         rows_by.setdefault(w, []).append(i)
     for j, w in enumerate(col_labels):
@@ -582,16 +625,27 @@ def split_blocks(entries, row_labels, col_labels, *, _nonnegative=False):
             raise ConventionError(
                 f"entry ({i}, {j}) connects label {wj} to label {wi}; matrix is not label-preserving"
             )
-        if _nonnegative and wi < 0:
-            continue
         if type(v) is not int:
             v = _normalize_scalar(v)
         if v:
             sub[wi][(ki, kj)] = v
-    out = {}
-    for w in sorted(set(rows_by) | set(cols_by)):
-        out[w] = (rows_by.get(w, []), cols_by.get(w, []), sub.get(w, {}))
-    return out
+    return rows_by, cols_by, sub
+
+
+def split_blocks(entries, row_labels, col_labels) -> WeightBlocks:
+    """The :class:`WeightBlocks` of a map given as global sparse entries.
+
+    For the callers whose entries come with global indices (substitution
+    slices, spanning matrices, complexes, minors); Koszul slabs are built as
+    blocks.  Every nonzero entry must connect a row and a
+    column with equal labels, otherwise the map is not equivariant for the
+    labelling and a ConventionError is raised; an index outside the label
+    lists raises ValueError.
+    """
+    rows_by, cols_by, sub = _split(entries, row_labels, col_labels)
+    return WeightBlocks({
+        w: (len(rows_by.get(w, ())), len(cols_by.get(w, ())), sub[w]) for w in sorted(sub)
+    })
 
 
 def _blocked_echelon(entries, row_labels, col_labels, mem_mb: int | None = None):
@@ -604,7 +658,9 @@ def _blocked_echelon(entries, row_labels, col_labels, mem_mb: int | None = None)
     held to the dense budget of :meth:`ExactMatrix.to_rows`, so one over
     ``mem_mb`` raises ``ResourceLimitError``.
     """
-    for row_ids, col_ids, sub in split_blocks(entries, row_labels, col_labels).values():
+    rows_by, cols_by, subs = _split(entries, row_labels, col_labels)
+    for w in sorted(subs):
+        row_ids, col_ids, sub = rows_by.get(w, []), cols_by.get(w, []), subs[w]
         if not sub:
             yield row_ids, col_ids, [], []
             continue
@@ -660,11 +716,7 @@ def blocked_kernel_basis(
 
 
 def blocked_rank_details(
-    nrows: int,
-    ncols: int,
-    entries,
-    row_labels,
-    col_labels,
+    blocks: WeightBlocks,
     mode: str = "auto",
     *,
     rng: random.Random | None = None,
@@ -672,35 +724,43 @@ def blocked_rank_details(
     mem_mb: int | None = None,
     weyl: bool = False,
 ) -> RankResult:
-    """Rank of a label-preserving map as the sum of per-label block ranks.
+    """Rank of a label-preserving map as the sum of its block ranks.
 
-    The exact/modular decision is made once from the *full* matrix dimensions
-    (so provenance matches the unblocked computation); all blocks then run in
-    that mode with a shared prime set.  The reported primes are those the
-    blocks actually used, in first-use order: a block resamples a prime that
-    one of its denominators vanishes modulo.
+    The one rank driver of blocked maps.  ``blocks`` is a
+    :class:`WeightBlocks`: Koszul slabs are built that way, and callers that
+    hold global entries pass them through :func:`split_blocks` first.
+
+    The exact/modular decision is made once from the *full* shape, the sum
+    of the block shapes (so provenance matches the unblocked computation);
+    all blocks then run in that mode with a shared prime set, in label order.
+    The reported primes are those the blocks actually used, in first-use
+    order: a block resamples a prime that one of its denominators vanishes
+    modulo.
 
     ``weyl=True`` declares the map SL2-equivariant with the labels as torus
     weights.  The Weyl element carries the weight-w block onto the weight -w
     block, so rank_w = rank_{-w} over QQ and only the blocks with label >= 0
-    are ranked: the total is rank_0 + 2 * sum_{w > 0} rank_w.  Entries with a
-    negative label may be absent (a half-built map) and are ignored.  The
-    row and column label multisets of the full map must each be symmetric
-    under w -> -w, otherwise ``EquivarianceError`` is raised.  A halved
-    modular total is still a lower bound of the true rank, and a block of
-    full rank still certifies its mirror, so the certificate rules hold.
-    Only SL2-stable constructions set the flag (see ``homres.tor_betti`` and
-    ``fhmaps.fh_rank_details``).
+    are ranked: the total is rank_0 + 2 * sum_{w > 0} rank_w.  Blocks with a
+    negative label may hold no entries (a half-built map); their entries are
+    ignored.  The shape of the block at w must equal that at -w (a missing
+    label has shape 0 x 0), which for rows and for columns is the symmetry of
+    the label multiset under w -> -w; otherwise ``EquivarianceError`` is
+    raised.  A halved modular total is still a lower bound of the true rank,
+    and a block of full rank still certifies its mirror, so the certificate
+    rules hold.  Only SL2-stable constructions set the flag (see
+    ``homres.tor_betti`` and ``fhmaps.fh_rank_details``).
     """
     if weyl:
-        for side, labels in (("row", row_labels), ("column", col_labels)):
-            if Counter(labels) != Counter(-w for w in labels):
+        for side, k in (("row", 0), ("column", 1)):
+            if any(
+                blocks.blocks.get(-w, (0, 0))[k] != shape[k] for w, shape in blocks.items()
+            ):
                 raise EquivarianceError(
                     f"{side} labels are not symmetric under w -> -w, so the map "
                     "cannot be SL2-equivariant"
                 )
-    use = _resolve_mode(mode, nrows, ncols)
-    if not entries:
+    use = _resolve_mode(mode, *blocks.shape)
+    if not blocks:
         return RankResult(0, "exact")
     if use == "modular":
         if rng is None:
@@ -711,11 +771,10 @@ def blocked_rank_details(
     total = 0
     escalated = False
     used: dict[int, None] = {}
-    blocks = split_blocks(entries, row_labels, col_labels, _nonnegative=weyl)
-    for w, (row_ids, col_ids, sub) in blocks.items():
-        if not sub:
+    for w, (nrows, ncols, sub) in blocks.items():
+        if not sub or (weyl and w < 0):
             continue
-        block = _trusted_matrix(len(row_ids), len(col_ids), sub)
+        block = _trusted_matrix(nrows, ncols, sub)
         if use == "exact":
             r = bareiss_rank_rows(_sparse_rows(block, mem_mb), block.ncols)
         else:

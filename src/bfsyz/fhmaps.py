@@ -36,6 +36,7 @@ from .exactalg import (
     blocked_rank_details,
     dump_matrix,
     load_matrix,
+    split_blocks,
 )
 from .exactalg.matrix import (
     RankResult,
@@ -260,17 +261,8 @@ def fh_rank_details(
     shape.  Reports resting on this rank say so with
     ``"symmetry": "sl2-weyl"``.
     """
-    return blocked_rank_details(
-        fh.target_dim,
-        fh.source_dim,
-        fh.matrix.entries,
-        list(fh.row_weights),
-        list(fh.col_weights),
-        mode,
-        rng=rng,
-        mem_mb=mem_mb,
-        weyl=True,
-    )
+    blocks = split_blocks(fh.matrix.entries, fh.row_weights, fh.col_weights)
+    return blocked_rank_details(blocks, mode, rng=rng, mem_mb=mem_mb, weyl=True)
 
 
 def _escalate(result: RankResult, bound: int, exact_rank) -> tuple[RankResult, bool]:
@@ -492,17 +484,13 @@ def minors_generate_check(
 
     rank_alpha = fh_rank_details(fh, mode, rng=rng, mem_mb=mem_mb)
     kernel_dim = fh.source_dim - rank_alpha.rank
-    span = blocked_rank_details(
-        fh.source_dim, ncols, entries, row_labels, col_labels, mode,
-        rng=rng, mem_mb=mem_mb,
-    )
+    span_blocks = split_blocks(entries, row_labels, col_labels)
+    span = blocked_rank_details(span_blocks, mode, rng=rng, mem_mb=mem_mb)
     span_settled = True
     if contained:
         span, span_settled = _escalate(
             span, kernel_dim,
-            lambda: blocked_rank_details(
-                fh.source_dim, ncols, entries, row_labels, col_labels, "exact", mem_mb=mem_mb,
-            ),
+            lambda: blocked_rank_details(span_blocks, "exact", mem_mb=mem_mb),
         )
     # the kernel dimension rests on a non-maximal modular rank: escalate it too
     rank_alpha, alpha_settled = _escalate(

@@ -23,12 +23,14 @@ from .errors import ConventionError, InconclusiveError, ResourceLimitError
 from .exactalg import (
     ExactMatrix,
     RankResult,
+    WeightBlocks,
     blocked_rank_details,
     default_rng,
     kernel_basis,
     memory_budget_mb,
+    split_blocks,
 )
-from .exactalg.matrix import column_echelon, resolve_seed
+from .exactalg.matrix import _normalize_scalar, column_echelon, resolve_seed
 from .exactalg.matrix import rref_rows  # noqa: F401 (unused; perfbench/spans.py REQUIRED_COPIES needs it)
 from .fhmaps import (
     SYMMETRY,
@@ -77,9 +79,10 @@ class GradedModule:
 
     ``weyl`` is True when SL2 acts on the module compatibly with the ring,
     so that every Koszul differential is SL2-equivariant: ``power_quotient``
-    always, ``from_ideal`` when the ideal is marked ``sl2_stable``.  Koszul
-    homology then builds and ranks only the weight >= 0 half of each
-    differential (see ``koszul_slab`` and ``tor_betti``).
+    always, ``from_ideal`` when the ideal is SL2-stable and weight-graded
+    (``GradedIdeal.weyl``).  Koszul homology then builds and ranks only the
+    weight >= 0 half of each differential (see ``koszul_slab`` and
+    ``tor_betti``).
     """
 
     __slots__ = (
@@ -120,7 +123,7 @@ class GradedModule:
         mod._mem_mb = mem_mb
         mod._cache = cache
         mod._min_degree = min(ideal.generator_degrees(), default=1)
-        mod.weyl = ideal.sl2_stable
+        mod.weyl = ideal.weyl
         return mod
 
     @classmethod
@@ -218,11 +221,32 @@ class GradedModule:
         """Per-variable column adjacency of M_k -> M_{k+1}.
 
         mult_adjacency(k)[v][c] is a tuple of (row, coeff) pairs describing
-        x_v times the c-th basis element of M_k in the basis of M_{k+1}.
+        x_v times the c-th basis element of M_k in the basis of M_{k+1};
+        coefficients are ints where integral and never zero.  When the
+        module is weight-labelled, each degree is checked once: x_v must
+        carry weight w to w + wt(x_v), so that every Koszul slab entry joins
+        a row and a column of equal weight (``ConventionError`` otherwise).
         """
         if k not in self._mult:
-            self._mult[k] = getattr(self, "_mult_" + self.kind)(k)
+            adj = getattr(self, "_mult_" + self.kind)(k)
+            self._check_weights(k, adj)
+            self._mult[k] = adj
         return self._mult[k]
+
+    def _check_weights(self, k: int, adj) -> None:
+        src = self.basis_weights(k)
+        dst = self.basis_weights(k + 1)
+        if src is None or dst is None:
+            return
+        for v, (vw, cols) in enumerate(zip(_variable_weights(self), adj)):
+            for c, pairs in enumerate(cols):
+                want = src[c] + vw
+                for r, _coeff in pairs:
+                    if dst[r] != want:
+                        raise ConventionError(
+                            f"variable {v} carries basis element {c} of degree {k} (weight "
+                            f"{src[c]}) to element {r} of weight {dst[r]}, not {want}"
+                        )
 
     def _mult_ideal(self, k: int):
         return self._mult_by_polys(k, [self.ring.variable(v) for v in range(self.ring.nvars)])
@@ -256,7 +280,13 @@ class GradedModule:
                             bucket[r] = s
                         elif r in bucket:
                             del bucket[r]
-        return [tuple(tuple(sorted(b.items())) for b in acc[v]) for v in range(nv)]
+        return [
+            tuple(
+                tuple(sorted((r, s if type(s) is int else _normalize_scalar(s)) for r, s in b.items()))
+                for b in acc[v]
+            )
+            for v in range(nv)
+        ]
 
     def check_commuting(self, k: int) -> bool:
         """Sample the pairwise-commutation invariant on M_k -> M_{k+2}."""
@@ -289,20 +319,29 @@ class GradedModule:
 
 
 def koszul_slab(module: GradedModule, i: int, t: int, mem_mb=None):
-    """Sparse data of d(i, t): Wedge^i V (x) M_t -> Wedge^{i-1} V (x) M_{t+1}.
+    """Weight blocks of d(i, t): Wedge^i V (x) M_t -> Wedge^{i-1} V (x) M_{t+1}.
 
     Sign convention: contraction with alternating signs by ascending variable
     index, d(e_T (x) m) = sum over positions pos of (-1)^pos e_{T minus
-    T[pos]} (x) x_{T[pos]} m.  Returns (nrows, ncols, entries, row_labels,
-    col_labels); labels are torus weights when the module is weight-labelled,
-    all zero otherwise.
+    T[pos]} (x) x_{T[pos]} m.  Rows and columns are ordered by wedge index,
+    then module basis index.  Returns ``(nrows, ncols, blocks)``, with
+    ``blocks`` a ``WeightBlocks`` keyed by torus weight (one block of weight
+    0 when the module is unlabelled), whose ``len()`` is the number of
+    entries built.
 
-    For a module with ``weyl`` set, only the half of weight >= 0 is built:
-    ``entries`` holds the columns of weight >= 0 and so, the map preserving
-    weight, the rows of weight >= 0.  The shape and the labels stay those of
-    the full map, which ``blocked_rank_details(..., weyl=True)`` checks for
-    symmetry; the memory estimate is that of the full slab too, so budget
-    verdicts do not depend on the halving.
+    The differential preserves weight, so every entry is filed straight into
+    its block: the weight of e_T (x) m is that of T plus that of m, and the
+    block shapes are counts, dim(Wedge^i V (x) M_t)_w = sum over T of the
+    number of basis elements of M_t of weight w - wt(T).  A local index is
+    the count of the block's rows (columns) before it, so local indices run
+    in ascending global order.  That the entry of x_v * m lands in the block
+    of m's column is the weight check of ``GradedModule.mult_adjacency``.
+
+    For a module with ``weyl`` set, only the blocks of weight >= 0 get
+    entries; the negative blocks keep their shapes, which
+    ``blocked_rank_details(..., weyl=True)`` checks for symmetry.  The memory
+    estimate is that of the full slab, so budget verdicts do not depend on
+    the halving.
     """
     nv = module.ring.nvars
     if not 1 <= i <= nv:
@@ -315,7 +354,7 @@ def koszul_slab(module: GradedModule, i: int, t: int, mem_mb=None):
     nrows = len(wdst) * dim_t1
     ncols = len(wsrc) * dim_t
     if dim_t == 0 or dim_t1 == 0:
-        return nrows, ncols, {}, [0] * nrows, [0] * ncols
+        return nrows, ncols, WeightBlocks({})
     adj = module.mult_adjacency(t)
     est = sum(sum(len(p) for p in adj[v]) for v in range(nv)) * comb(nv - 1, i - 1)
     if est * 100 > memory_budget_mb(mem_mb) * 1024 * 1024:
@@ -323,28 +362,63 @@ def koszul_slab(module: GradedModule, i: int, t: int, mem_mb=None):
     mw = module.basis_weights(t)
     mw1 = module.basis_weights(t + 1)
     if mw is None or mw1 is None:
-        row_labels = [0] * nrows
-        col_labels = [0] * ncols
+        mw, mw1, varw = [0] * dim_t, [0] * dim_t1, [0] * nv
     else:
-        varw = [module.ring.monomial_weight(tuple(1 if u == v else 0 for u in range(nv))) for v in range(nv)]
-        col_labels = [tw + w for tw in (sum(varw[v] for v in T) for T in wsrc) for w in mw]
-        row_labels = [tw + w for tw in (sum(varw[v] for v in T) for T in wdst) for w in mw1]
-    cs = range(dim_t)
-    entries: dict = {}
-    for wi, T in enumerate(wsrc):
-        base_c = wi * dim_t
-        if module.weyl:
-            cs = [c for c in range(dim_t) if col_labels[base_c + c] >= 0]
-        for pos, v in enumerate(T):
-            rest = T[:pos] + T[pos + 1 :]
-            base_r = widx[rest] * dim_t1
-            negate = pos % 2 == 1
+        varw = _variable_weights(module)
+    src_weights = [sum(varw[v] for v in T) for T in wsrc]
+    col_local, col_counts = _local_indices(src_weights, mw)
+    row_local, row_counts = _local_indices([sum(varw[v] for v in T) for T in wdst], mw1)
+    subs: dict = {w: {} for w in set(row_counts) | set(col_counts)}
+    for T, tw, lcs in zip(wsrc, src_weights, col_local):
+        # (column, its block, its local index) for every column that gets entries
+        cols = [
+            (c, subs[tw + w], lcs[c])
+            for c, w in enumerate(mw)
+            if tw + w >= 0 or not module.weyl
+        ]
+        for p, v in enumerate(T):
+            rl = row_local[widx[T[:p] + T[p + 1 :]]]
             av = adj[v]
-            for c in cs:
-                col = base_c + c
-                for r, coeff in av[c]:
-                    entries[(base_r + r, col)] = -coeff if negate else coeff
-    return nrows, ncols, entries, row_labels, col_labels
+            if p % 2:
+                for c, sub, lc in cols:
+                    for r, coeff in av[c]:
+                        sub[(rl[r], lc)] = -coeff
+            else:
+                for c, sub, lc in cols:
+                    for r, coeff in av[c]:
+                        sub[(rl[r], lc)] = coeff
+    return nrows, ncols, WeightBlocks({
+        w: (row_counts.get(w, 0), col_counts.get(w, 0), subs[w]) for w in sorted(subs)
+    })
+
+
+def _variable_weights(module: GradedModule) -> list[int]:
+    nv = module.ring.nvars
+    return [module.ring.monomial_weight(tuple(1 if u == v else 0 for u in range(nv))) for v in range(nv)]
+
+
+def _local_indices(wedge_weights, module_weights):
+    """Local indices and block sizes of the basis of Wedge (x) M, wedge-major.
+
+    Returns ``(local, counts)``: local[k][m] is the number of basis elements
+    of the weight of (k-th wedge element) (x) (m-th module element) that come
+    before it, and counts[w] is the dimension of the weight-w space, the
+    convolution of the two weight multisets.
+    """
+    pos = []  # how many earlier module elements share each one's weight
+    mult: dict = {}
+    for w in module_weights:
+        k = mult.get(w, 0)
+        pos.append(k)
+        mult[w] = k + 1
+    counts: dict = {}
+    local = []
+    for tw in wedge_weights:
+        offs = {w: counts.get(tw + w, 0) for w in mult}
+        local.append([offs[w] + k for w, k in zip(module_weights, pos)])
+        for w, n in mult.items():
+            counts[tw + w] = offs[w] + n
+    return local, counts
 
 
 class BettiEntry(NamedTuple):
@@ -479,10 +553,15 @@ def tor_betti(
     instead of guessing.  Results are independent of the thread count: each
     rank task draws primes from its own (seed, i, t)-keyed generator.
 
+    Each differential is built by ``koszul_slab`` as weight blocks and
+    handed to ``blocked_rank_details`` as such; no global entry dict is
+    built and nothing is split.  The weights are checked once per degree,
+    by ``GradedModule.mult_adjacency``, before any slab is built.
+
     When ``module.weyl`` is set, every differential is SL2-equivariant:
-    ``koszul_slab`` builds only its weight >= 0 half and
+    ``koszul_slab`` fills only its blocks of weight >= 0 and
     ``blocked_rank_details(..., weyl=True)`` counts each positive block
-    twice, after checking that the labels are symmetric.  The table's
+    twice, after checking that the block shapes are symmetric.  The table's
     ``meta["symmetry"]`` is then ``"sl2-weyl"``, naming the theorem the
     ranks rest on; other tables carry no such key.
     """
@@ -517,14 +596,11 @@ def tor_betti(
     def rank_task(key):
         i, t = key
         try:
-            nrows, ncols, entries, rl, cl = koszul_slab(module, i, t, mem_mb)
-            if not entries:
+            _nrows, _ncols, blocks = koszul_slab(module, i, t, mem_mb)
+            if not blocks:
                 return key, RankResult(0, "exact"), None
             rng = random.Random(f"{base_seed}:koszul:{i}:{t}")
-            res = blocked_rank_details(
-                nrows, ncols, entries, rl, cl, mode, rng=rng, mem_mb=mem_mb,
-                weyl=module.weyl,
-            )
+            res = blocked_rank_details(blocks, mode, rng=rng, mem_mb=mem_mb, weyl=module.weyl)
             return key, res, None
         except ResourceLimitError as exc:
             return key, None, str(exc)
@@ -1229,13 +1305,13 @@ def exactness_check(
             return RankResult(0, "exact")
         key = (p, t)
         if key not in cache:
-            nrows, ncols, entries, rl, cl = C.piece_data(p, t)
+            _nrows, _ncols, entries, rl, cl = C.piece_data(p, t)
             if not entries:
                 cache[key] = RankResult(0, "exact")
             else:
                 rng = random.Random(f"{base_seed}:complex:{p}:{t}")
                 cache[key] = blocked_rank_details(
-                    nrows, ncols, entries, rl, cl, mode, rng=rng, mem_mb=mem_mb
+                    split_blocks(entries, rl, cl), mode, rng=rng, mem_mb=mem_mb
                 )
         return cache[key]
 

@@ -25,7 +25,14 @@ from operator import add
 from pathlib import Path
 from typing import NamedTuple
 
-from .exactalg import ExactMatrix, blocked_rank_details, dump_matrix, load_matrix, rank_details
+from .exactalg import (
+    ExactMatrix,
+    blocked_rank_details,
+    dump_matrix,
+    load_matrix,
+    rank_details,
+    split_blocks,
+)
 from .exactalg.matrix import RankResult, _normalize_scalar, column_echelon
 from .exactalg.matrix import rref_rows  # noqa: F401 (unused; perfbench/spans.py REQUIRED_COPIES needs it)
 from .sl2rep import coord_weight, plethysm_basis, plethysm_index
@@ -449,7 +456,7 @@ class GradedIdeal:
             return RankResult(0, "exact")
         entries, ncols, row_labels, col_labels = self.spanning_data(k, half=self.weyl)
         return blocked_rank_details(
-            self.ring.dimension(k), ncols, entries, row_labels, col_labels, mode,
+            split_blocks(entries, row_labels, col_labels), mode,
             rng=rng, mem_mb=mem_mb, weyl=self.weyl,
         )
 
@@ -568,10 +575,6 @@ class MonomialIdeal:
             layer = grown
             layers.append([e for e, _i in grown])
         return layers
-
-    def standard_monomials(self, k: int) -> list[tuple[int, ...]]:
-        """Degree-k monomials outside the ideal, lex-descending: grown with pruning."""
-        return self._standard_layers(k)[k] if k >= 0 else []
 
     def __repr__(self) -> str:
         shown = ", ".join(str(self.ring.monomial(g)) for g in self.generators[:6])

@@ -368,6 +368,13 @@ def test_seed_env_and_flag_precedence(capsys, monkeypatch):
     assert main(["fh-rank", "--a", "2", "--b", "2", "--k", "1"]) == 3
 
 
+@pytest.mark.parametrize("value", ["abc", "", "1e3"])
+def test_bad_seed_env_is_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("BFSYZ_SEED", value)
+    assert main(["betti", "--target", "iab", "--a", "2", "--b", "2"]) == 3
+    assert f"BFSYZ_SEED must be an integer, got {value!r}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-5"])
 def test_bad_mem_mb_env_is_usage_error(capsys, monkeypatch, value):
     monkeypatch.setenv("BFSYZ_MEM_MB", value)

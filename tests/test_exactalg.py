@@ -642,11 +642,11 @@ def test_blocked_rank_matches_plain_rank():
                         entries[(i, j)] = v
         m = ExactMatrix(nrows, ncols, entries)
         expect = rank(m, "exact")
-        got = blocked_rank_details(nrows, ncols, entries, row_labels, col_labels, "exact")
+        blocks = split_blocks(entries, row_labels, col_labels)
+        assert blocks.shape == (nrows, ncols) and len(blocks) == len(entries)
+        got = blocked_rank_details(blocks, "exact")
         assert got.rank == expect
-        got_mod = blocked_rank_details(
-            nrows, ncols, entries, row_labels, col_labels, "modular", rng=random.Random(trial)
-        )
+        got_mod = blocked_rank_details(blocks, "modular", rng=random.Random(trial))
         assert got_mod.rank == expect
         assert got_mod.mode in ("modular", "exact")
 
@@ -690,7 +690,8 @@ def test_blocked_kernel_matches_unblocked():
 def test_blocked_rank_reports_resampled_primes():
     # 5 divides a denominator in block 0, so that block resamples it; block 1 uses 5
     entries = {(0, 0): Fraction(1, 5), (1, 1): 3}
-    res = blocked_rank_details(2, 2, entries, [0, 1], [0, 1], "modular", rng=random.Random(4), primes=[5, 7])
+    blocks = split_blocks(entries, [0, 1], [0, 1])
+    res = blocked_rank_details(blocks, "modular", rng=random.Random(4), primes=[5, 7])
     block0 = rank_details(
         ExactMatrix(1, 1, {(0, 0): Fraction(1, 5)}), "modular", rng=random.Random(4), primes=[5, 7]
     )
@@ -700,7 +701,7 @@ def test_blocked_rank_reports_resampled_primes():
 
 
 def test_blocked_rank_empty_matrix():
-    res = blocked_rank_details(3, 3, {}, [0, 1, 2], [0, 1, 2])
+    res = blocked_rank_details(split_blocks({}, [0, 1, 2], [0, 1, 2]))
     assert res.rank == 0 and res.mode == "exact"
 
 

@@ -164,6 +164,65 @@ def test_betti_threads_match_serial():
     assert one.entries == two.entries
 
 
+def test_power_locus_json_is_thread_independent():
+    # the rank tasks share the module and read their own slabs' blocks
+    one = power_locus_betti(3, 2, seed=1, threads=1)
+    two = power_locus_betti(3, 2, seed=1, threads=2)
+    assert one.quotient_table.to_json() == two.quotient_table.to_json()
+    assert one.ideal_table.to_json() == two.ideal_table.to_json()
+
+
+def test_tor_betti_never_splits_koszul_slabs(monkeypatch):
+    import sys
+
+    from bfsyz.exactalg import matrix
+
+    module = GradedModule.power_quotient(2, 2)
+    # the first run builds the pieces, their surjectivity certificates and
+    # the multiplication maps; the second ranks the slabs only
+    want = tor_betti(module, 6, 9, t_max=3, seed=1)
+    calls = []
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return split(*args, **kw)
+
+    split = matrix.split_blocks
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("bfsyz") and getattr(mod, "split_blocks", None) is split:
+            monkeypatch.setattr(mod, "split_blocks", counted)
+    got = tor_betti(module, 6, 9, t_max=3, seed=1)
+    assert calls == []
+    assert got.to_json() == want.to_json()
+
+
+def test_weight_breaking_module_is_refused_before_any_rank(monkeypatch):
+    import bfsyz.homres as homres
+
+    honest = GradedModule._mult_power_quotient
+
+    def tampered(self, k):
+        adj = honest(self, k)
+        if k != 1:
+            return adj
+        # x_0 sends one basis element to a row of the wrong weight
+        dst = self.basis_weights(k + 1)
+        cols = list(adj[0])
+        c = next(c for c, pairs in enumerate(cols) if pairs)
+        r, coeff = cols[c][0]
+        wrong = next(s for s, w in enumerate(dst) if w != dst[r])
+        cols[c] = ((wrong, coeff),) + cols[c][1:]
+        return [tuple(cols)] + list(adj[1:])
+
+    def ranked(*args, **kw):
+        raise AssertionError("a rank was computed")
+
+    monkeypatch.setattr(GradedModule, "_mult_power_quotient", tampered)
+    monkeypatch.setattr(homres, "blocked_rank_details", ranked)
+    with pytest.raises(ConventionError, match="weight"):
+        tor_betti(GradedModule.power_quotient(2, 2), 4, 6, t_max=2, seed=1)
+
+
 def test_betti_table_json_and_render():
     mod = GradedModule.from_ideal(maximal_ideal(3))
     table = tor_betti(mod, 3, 5, t_max=2, seed=5)

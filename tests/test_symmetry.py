@@ -16,8 +16,8 @@ import pytest
 
 from bfsyz import fhmaps, homres
 from bfsyz.errors import ConventionError, EquivarianceError
-from bfsyz.exactalg import blocked_rank_details
-from bfsyz.exactalg.matrix import bareiss_rank_rows, split_blocks
+from bfsyz.exactalg import WeightBlocks, blocked_rank_details, split_blocks
+from bfsyz.exactalg.matrix import bareiss_rank_rows
 from bfsyz.homres import (
     GradedModule,
     exactness_check,
@@ -28,6 +28,7 @@ from bfsyz.homres import (
     power_locus_betti,
     power_resolution,
     resolution_check,
+    tor_betti,
     verify_ia3_resolution,
 )
 from bfsyz.polyring import (
@@ -37,6 +38,7 @@ from bfsyz.polyring import (
     hilbert_function_details,
     ideal_power,
 )
+from bfsyz.sl2rep import wedge_basis, wedge_index
 
 LOCUS_CASES = [(2, 2), (3, 2), (2, 3)]
 IDEAL_CASES = sorted(
@@ -210,6 +212,21 @@ def test_resolution_certificate_halved_equals_full():
     assert unflagged["resolves"]
 
 
+def test_stable_but_unweighted_ideal_is_not_halved():
+    # SL2-stable is not enough: the halving reads torus weights
+    ring = PolyRing(3, "c")
+    c0, c1, c2 = (ring.variable(v) for v in range(3))
+    gens = [c0 * c0 + c1 * c2, c1 * c1]
+    marked = GradedIdeal(ring, gens, sl2_stable=True)
+    assert not marked.weight_graded and not marked.weyl
+    module = GradedModule.from_ideal(marked)
+    assert not module.weyl
+    table = tor_betti(module, 3, 6, seed=2)
+    assert "symmetry" not in table.meta
+    plain = tor_betti(GradedModule.from_ideal(GradedIdeal(ring, gens)), 3, 6, seed=2)
+    assert table.to_json() == plain.to_json()
+
+
 def test_wrongly_marked_ideal_is_refused():
     ring = PolyRing(3, "c")
     c0 = ring.variable(0)
@@ -228,13 +245,13 @@ def test_wrongly_marked_ideal_is_refused():
 # full map cut
 
 
-def block_ranks(entries, row_labels, col_labels) -> dict:
+def block_ranks(blocks: WeightBlocks) -> dict:
     ranks = {}
-    for w, (row_ids, cols, sub) in split_blocks(entries, row_labels, col_labels).items():
-        rows: list[dict] = [{} for _ in row_ids]
+    for w, (nrows, ncols, sub) in blocks.items():
+        rows: list[dict] = [{} for _ in range(nrows)]
         for (r, c), v in sub.items():
             rows[r][c] = v
-        ranks[w] = bareiss_rank_rows(rows, len(cols))
+        ranks[w] = bareiss_rank_rows(rows, ncols)
     return ranks
 
 
@@ -246,7 +263,7 @@ def test_spanning_block_ranks_are_weyl_symmetric(build, k_max):
         half = ideal.spanning_data(k, half=True)
         assert half[1:] == (ncols, rl, cl)
         assert half[0] == {key: v for key, v in entries.items() if cl[key[1]] >= 0}
-        ranks = block_ranks(entries, rl, cl)
+        ranks = block_ranks(split_blocks(entries, rl, cl))
         for w, r in ranks.items():
             assert ranks.get(-w, 0) == r, (k, w)
 
@@ -274,14 +291,80 @@ def test_block_ranks_are_weyl_symmetric(build, t_max):
     for i in range(1, module.ring.nvars + 1):
         for t in range(t_max + 1):
             module.weyl = True
-            half = koszul_slab(module, i, t)
+            nrows, ncols, half = koszul_slab(module, i, t)
             module.weyl = False
-            nrows, ncols, entries, rl, cl = koszul_slab(module, i, t)
-            assert half[:2] == (nrows, ncols) and half[3:] == (rl, cl)
-            assert half[2] == {key: v for key, v in entries.items() if cl[key[1]] >= 0}
-            ranks = block_ranks(entries, rl, cl)
+            full = koszul_slab(module, i, t)
+            assert full[:2] == (nrows, ncols) and full[2].shape == half.shape
+            # the half is the full map's blocks of weight >= 0, every shape kept
+            assert half == WeightBlocks(
+                {w: (r, c, sub if w >= 0 else {}) for w, (r, c, sub) in full[2].items()}
+            )
+            ranks = block_ranks(full[2])
             for w, r in ranks.items():
                 assert ranks.get(-w, 0) == r, (i, t, w)
+
+
+def global_slab(module, i, t, half):
+    """d(i, t) with global indices and full label lists, built entry by entry
+    from the contraction formula: the reference for the weight blocks."""
+    nv = module.ring.nvars
+    dim_t = module.dimension(t) if t >= 0 else 0
+    dim_t1 = module.dimension(t + 1)
+    wsrc = wedge_basis(i, nv - 1)
+    widx = wedge_index(i - 1, nv - 1)
+    mw = module.basis_weights(t)
+    mw1 = module.basis_weights(t + 1)
+    if mw is None or mw1 is None:
+        col_labels = [0] * (len(wsrc) * dim_t)
+        row_labels = [0] * (len(widx) * dim_t1)
+    else:
+        varw = [module.ring.monomial_weight(tuple(int(u == v) for u in range(nv))) for v in range(nv)]
+        col_labels = [sum(varw[v] for v in T) + w for T in wsrc for w in mw]
+        row_labels = [sum(varw[v] for v in T) + w for T in wedge_basis(i - 1, nv - 1) for w in mw1]
+    entries = {}
+    if dim_t and dim_t1:
+        adj = module.mult_adjacency(t)
+        for wi, T in enumerate(wsrc):
+            for pos, v in enumerate(T):
+                base_r = widx[T[:pos] + T[pos + 1 :]] * dim_t1
+                for c in range(dim_t):
+                    col = wi * dim_t + c
+                    if half and col_labels[col] < 0:
+                        continue
+                    for r, coeff in adj[v][c]:
+                        entries[(base_r + r, col)] = -coeff if pos % 2 else coeff
+    return entries, row_labels, col_labels
+
+
+def unlabelled_module():
+    ring = PolyRing(3, "x")
+    x0, x1, x2 = (ring.variable(v) for v in range(3))
+    # Fraction coefficients, so the blocks must hold them normalized
+    return GradedModule.from_ideal(GradedIdeal(ring, [x0 * x1 + (x2 * x2).scale(Fraction(1, 3)), x0 * x0 * 2]))
+
+
+@pytest.mark.parametrize(
+    "build,t_max", slab_cases() + [pytest.param(unlabelled_module, 3, id="unlabelled")]
+)
+def test_slab_blocks_equal_split_of_global_slab(build, t_max):
+    module = build()
+    halves = (False, True) if module.weyl else (False,)
+    for half in halves:
+        module.weyl = half
+        for i in range(1, module.ring.nvars + 1):
+            for t in range(t_max + 1):
+                nrows, ncols, blocks = koszul_slab(module, i, t)
+                entries, rl, cl = global_slab(module, i, t, half)
+                assert (nrows, ncols) == (len(rl), len(cl))
+                assert len(blocks) == len(entries)
+                if not entries:
+                    assert not blocks
+                    continue
+                want = split_blocks(entries, rl, cl)
+                assert blocks == want, (half, i, t)
+                for w, (_r, _c, sub) in want.items():
+                    got = blocks.blocks[w][2]
+                    assert all(type(got[key]) is type(v) for key, v in sub.items()), (half, i, t, w)
 
 
 # ---------------------------------------------------------------------------
@@ -290,30 +373,36 @@ def test_block_ranks_are_weyl_symmetric(build, t_max):
 
 def test_weyl_rejects_asymmetric_labels():
     with pytest.raises(EquivarianceError):
-        blocked_rank_details(2, 2, {(0, 0): 1, (1, 1): 1}, [1, 1], [1, 1], weyl=True)
+        blocked_rank_details(split_blocks({(0, 0): 1, (1, 1): 1}, [1, 1], [1, 1]), weyl=True)
     with pytest.raises(EquivarianceError):
-        blocked_rank_details(2, 2, {(0, 0): 1}, [1, -1], [1, 1], weyl=True)
+        blocked_rank_details(split_blocks({(0, 0): 1}, [1, -1], [1, 1]), weyl=True)
+    # the guard reads block shapes: a half with its negative block dropped is refused
+    with pytest.raises(EquivarianceError):
+        blocked_rank_details(WeightBlocks({0: (1, 1, {(0, 0): 1}), 1: (1, 1, {})}), weyl=True)
     # the same map ranks in full without the flag
-    assert blocked_rank_details(2, 2, {(0, 0): 1, (1, 1): 1}, [1, 1], [1, 1]).rank == 2
+    assert blocked_rank_details(split_blocks({(0, 0): 1, (1, 1): 1}, [1, 1], [1, 1])).rank == 2
 
 
 def test_weyl_counts_positive_blocks_twice():
     # blocks -1, 0, 1 of ranks 1, 1, 1; the -1 block is never looked at
     entries = {(0, 0): 1, (1, 1): 2, (2, 2): 3}
     labels = [-1, 0, 1]
-    assert blocked_rank_details(3, 3, entries, labels, labels, weyl=True).rank == 3
-    assert blocked_rank_details(3, 3, {(1, 1): 2, (2, 2): 3}, labels, labels, weyl=True).rank == 3
+    assert blocked_rank_details(split_blocks(entries, labels, labels), weyl=True).rank == 3
+    half = split_blocks({(1, 1): 2, (2, 2): 3}, labels, labels)
+    assert blocked_rank_details(half, weyl=True).rank == 3
 
 
 def test_weyl_still_checks_negative_weight_entries():
-    # the negative half is not filed, but every entry is still checked
+    # entries of negative weight are checked when split, then never ranked
     labels = [-1, 0, 1]
     with pytest.raises(ConventionError):
-        blocked_rank_details(3, 3, {(0, 1): 1, (1, 1): 1}, labels, labels, weyl=True)
+        split_blocks({(0, 1): 1, (1, 1): 1}, labels, labels)
     with pytest.raises(ValueError):
-        blocked_rank_details(3, 3, {(0, 3): 1, (1, 1): 1}, labels, labels, weyl=True)
-    blocks = split_blocks({(0, 0): 5, (2, 2): Fraction(4, 2)}, labels, labels, _nonnegative=True)
-    assert blocks[-1] == ([0], [0], {}) and blocks[1] == ([2], [2], {(0, 0): 2})
+        split_blocks({(0, 3): 1, (1, 1): 1}, labels, labels)
+    blocks = split_blocks({(0, 0): 5, (2, 2): Fraction(4, 2)}, labels, labels)
+    assert blocks.blocks == {-1: (1, 1, {(0, 0): 5}), 0: (1, 1, {}), 1: (1, 1, {(0, 0): 2})}
+    assert type(blocks.blocks[1][2][(0, 0)]) is int
+    assert blocked_rank_details(blocks, weyl=True).rank == 2
 
 
 def test_unflagged_reports_are_unchanged():
