@@ -1,16 +1,18 @@
-"""Benchmark the modular elimination kernel: sparse first against its dense
-loop, and one two-prime call against two one-prime calls.
+"""Benchmark the modular elimination kernel: one two-prime call against the
+dense loop run once per prime.
 
-Times rank_mod_p_dense on random matrices of several densities, and the
-kernel's dense loop alone next to it: at low density the kernel eliminates
-sparse rows first, so the table shows where that beats the dense loop.  It
-also times one call with two primes, as every modular certificate makes,
-against one call per prime: at low density the two primes share one sparse
-elimination modulo their product.  Every path must give the same rank on
-every matrix.
+Every modular certificate ranks a matrix modulo two primes in one call of
+rank_mod_p_dense.  A matrix at most SPARSE_ENTRY_DENSITY nonzero starts
+sparse: it is eliminated once modulo the product of the primes, and only what
+is left once the rows fill in goes to the dense loop, once per prime.  A
+denser matrix runs the dense loop whole, once per prime.  The table times
+that call on random matrices of several densities, names the route each
+matrix takes, and sets it against two runs of the dense loop alone, one per
+prime: where the ratio is below 1 the sparse start pays.  Both must give the
+same rank on every matrix.
 
 Usage: python3 benchmarks/bench_modrank.py [--sizes 100,200,300]
-       [--densities 0.02,0.05,0.3] [--repeats 3]
+       [--densities 0.02,0.1,0.15,0.2,0.25,0.3] [--repeats 3]
 """
 
 from __future__ import annotations
@@ -48,34 +50,34 @@ def best_time(fn, arr: np.ndarray, repeats: int) -> tuple[float, int]:
 def microbenchmark(sizes, densities, repeats: int, seed: int) -> None:
     rng = random.Random(seed)
     p, q = distinct_random_primes(rng, 2)
-    print(f"rank_mod_p_dense, primes {p} and {q}, best of {repeats}; the kernel starts sparse "
+    print(f"rank_mod_p_dense at primes {p} and {q}, best of {repeats}; the kernel starts sparse "
           f"at density <= {_modp.SPARSE_ENTRY_DENSITY}")
-    header = (f"{'n':>6} {'density':>8} {'kernel':>10} {'dense loop':>11} {'kernel/loop':>12}"
-              f" {'2 primes':>10} {'2 x 1 prime':>12} {'2/(2x1)':>8}")
+    header = (f"{'n':>6} {'density':>8} {'route':>13} {'2 primes':>10} {'2 x dense loop':>15}"
+              f" {'ratio':>7}")
     print(header)
     print("-" * len(header))
     for density in densities:
         for n in sizes:
             arr = random_matrix(rng, n, p, density)
-            t_kernel, r_kernel = best_time(lambda a: _modp.rank_mod_p_dense(a, (p,)), arr, repeats)
-            t_loop, r_loop = best_time(lambda a: _modp._rank_dense(a, p), arr, repeats)
+            share = np.count_nonzero(arr) / arr.size
+            route = "sparse first" if share <= _modp.SPARSE_ENTRY_DENSITY else "dense"
             t_two, r_two = best_time(lambda a: _modp.rank_mod_p_dense(a, (p, q)), arr, repeats)
-            t_each, r_each = best_time(
-                lambda a: (_modp.rank_mod_p_dense(a.copy(), (p,)), _modp.rank_mod_p_dense(a, (q,))), arr, repeats
+            t_loop, r_loop = best_time(
+                lambda a: [_modp._rank_dense(_modp._residues(a, r), r) for r in (p, q)], arr, repeats
             )
-            if len({r_kernel, r_loop, r_two, *r_each}) != 1:
+            if len({r_two, *r_loop}) != 1:
                 raise SystemExit(
-                    f"kernel paths disagree at n = {n}, density {density}: kernel {r_kernel}, "
-                    f"dense loop {r_loop}, two primes {r_two}, one prime each {r_each}"
+                    f"kernel paths disagree at n = {n}, density {density}: two-prime call "
+                    f"{r_two}, dense loop per prime {r_loop}"
                 )
-            print(f"{n:>6} {density:>8} {t_kernel:>9.4f}s {t_loop:>10.4f}s {t_kernel / t_loop:>11.2f}x"
-                  f" {t_two:>9.4f}s {t_each:>11.4f}s {t_two / t_each:>7.2f}x")
+            print(f"{n:>6} {share:>8.3f} {route:>13} {t_two:>9.4f}s {t_loop:>14.4f}s"
+                  f" {t_two / t_loop:>6.2f}x")
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", default="100,200,300")
-    parser.add_argument("--densities", default="0.02,0.05,0.3")
+    parser.add_argument("--densities", default="0.02,0.1,0.15,0.2,0.25,0.3")
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()

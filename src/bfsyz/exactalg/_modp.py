@@ -6,8 +6,9 @@ modular rank in the package ends here.  It takes the integer matrix ``a``
 one certificate, and returns the rank that every prime gives; when the ranks
 differ it raises ``PrimesDisagree``.  It may clobber ``a``.
 
-A matrix with at most ``SPARSE_ENTRY_DENSITY`` of its cells nonzero (most
-Koszul blocks) is first eliminated once for all the primes, as
+A matrix with at most ``SPARSE_ENTRY_DENSITY`` of its cells nonzero (the
+Koszul blocks, and most blocks of the spanning matrices and substitution
+slices) is first eliminated once for all the primes, as
 ``{col: value}`` rows of Python ints modulo their product N, the classic first
 stage for sparse systems over finite fields (LaMacchia and Odlyzko, CRYPTO
 '90).  By the Chinese remainder theorem Z/N is the product of the fields F_p,
@@ -39,11 +40,15 @@ import numpy as np
 
 _LONG_DOUBLE_EXACT = np.finfo(np.longdouble).nmant >= 63
 
-# Both thresholds are shares of nonzero cells.  Koszul blocks are 2-14% dense
-# with a handful of entries per row and column, and fill in slowly; the
-# substitution slices are all above 10% and gain nothing from dict rows.  Past
+# Both thresholds are shares of nonzero cells.  A matrix that starts sparse is
+# eliminated once modulo p * q, a denser one by the dense loop once per prime,
+# so the shared stage pays up to a higher density than one prime's would:
+# replayed, the kernel calls of a bench pass ran in about half the time at an
+# entry density of 0.25 as at 0.10 on spanning-matrix blocks (most 5-35%
+# dense), and in 0.63 of it on substitution slices (10-50%), which lose the
+# gain again at 0.35; Koszul blocks (mostly under 15%) did not move.  Past
 # half full, a numpy step over a row beats a Python step per entry.
-SPARSE_ENTRY_DENSITY = 0.10
+SPARSE_ENTRY_DENSITY = 0.25
 DENSE_SWITCH_DENSITY = 0.5
 
 
@@ -167,7 +172,9 @@ def rank_mod_p_dense(a, primes) -> int:
                     if w:
                         ri[j] = w
                     else:
-                        del ri[j]
+                        # n is composite, so f * v may vanish mod n where ri
+                        # has no entry: a fill of zero, nothing to delete
+                        ri.pop(j, None)
                 if ri:
                     nnz += len(ri)
                     buckets.setdefault(min(ri), []).append(ri)

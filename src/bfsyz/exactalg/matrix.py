@@ -20,15 +20,16 @@ is unique, so results depend only on the input, not on that choice.
 
 Row-level engines (`bareiss_rank_rows`, `rref_rows`, `mod_p_rank_rows`, ...) are
 exposed for the modules that assemble large matrices blockwise and do not want
-to round-trip through ExactMatrix.  Every echelon form of a label-preserving
-map runs through one blocked path, ``_blocked_echelon``: split by label,
-check each block against the dense memory budget, reduce it with
-``rref_rows``.  :func:`column_echelon` (graded pieces, images of the
-substitution maps) and :func:`blocked_kernel_basis` are thin layers over it,
-and :func:`kernel_basis` is its one-block case.  Every rank of a
-label-preserving map runs through one driver, :func:`blocked_rank_details`,
-which takes :class:`WeightBlocks`: Koszul slabs are built as blocks, and
-:func:`split_blocks` files global entries into them.
+to round-trip through ExactMatrix.  Label-preserving maps travel as
+:class:`WeightBlocks`: Koszul slabs and graded-piece spanning matrices are
+built as blocks, and :func:`split_blocks` files the global entries of the
+other maps into them.  Every echelon form of such a map runs through one
+blocked path, ``_blocked_echelon``, which takes the blocks and the labels
+that give their full indices: check each block against the dense memory
+budget, reduce it with ``rref_rows``.  :func:`column_echelon` (graded
+pieces, images of the substitution maps) and :func:`blocked_kernel_basis`
+are thin layers over it, and :func:`kernel_basis` is its one-block case.
+Every rank of such a map goes through :func:`blocked_rank_details`.
 """
 
 from __future__ import annotations
@@ -546,7 +547,7 @@ def kernel_basis(m: ExactMatrix, mem_mb: int | None = None) -> list[tuple[int, .
     matrix yields [] and a full-space kernel yields unit vectors.  This is
     the one-block case of :func:`blocked_kernel_basis` (every label 0).
     """
-    return blocked_kernel_basis(m.nrows, m.ncols, m.entries, [0] * m.nrows, [0] * m.ncols, mem_mb)
+    return blocked_kernel_basis(WeightBlocks({0: (m.nrows, m.ncols, m.entries)}), [0] * m.ncols, mem_mb)
 
 
 # ---------------------------------------------------------------------------
@@ -595,9 +596,16 @@ class WeightBlocks:
         return f"WeightBlocks({rows} x {cols}, nnz={len(self)}, labels={list(self.blocks)})"
 
 
-def _split(entries, row_labels, col_labels):
-    """``(rows_by, cols_by, sub)``: the full indices and the local entries of
-    each label, for :func:`split_blocks` and ``_blocked_echelon``."""
+def split_blocks(entries, row_labels, col_labels) -> WeightBlocks:
+    """The :class:`WeightBlocks` of a map given as global sparse entries.
+
+    For the callers whose entries come with global indices (substitution
+    slices, complexes, minors, the phi syzygies); Koszul slabs and spanning
+    matrices are built as blocks.  Every nonzero entry must connect a row and
+    a column with equal labels, otherwise the map is not equivariant for the
+    labelling and a ConventionError is raised; an index outside the label
+    lists raises ValueError.
+    """
     rows_by: dict = {}
     cols_by: dict = {}
     for i, w in enumerate(row_labels):
@@ -629,88 +637,86 @@ def _split(entries, row_labels, col_labels):
             v = _normalize_scalar(v)
         if v:
             sub[wi][(ki, kj)] = v
-    return rows_by, cols_by, sub
-
-
-def split_blocks(entries, row_labels, col_labels) -> WeightBlocks:
-    """The :class:`WeightBlocks` of a map given as global sparse entries.
-
-    For the callers whose entries come with global indices (substitution
-    slices, spanning matrices, complexes, minors); Koszul slabs are built as
-    blocks.  Every nonzero entry must connect a row and a
-    column with equal labels, otherwise the map is not equivariant for the
-    labelling and a ConventionError is raised; an index outside the label
-    lists raises ValueError.
-    """
-    rows_by, cols_by, sub = _split(entries, row_labels, col_labels)
     return WeightBlocks({
         w: (len(rows_by.get(w, ())), len(cols_by.get(w, ())), sub[w]) for w in sorted(sub)
     })
 
 
-def _blocked_echelon(entries, row_labels, col_labels, mem_mb: int | None = None):
-    """Reduced row echelon form of each label block of a label-preserving map.
+def _blocked_echelon(blocks: WeightBlocks, labels, mem_mb: int | None = None, *, transpose: bool = False):
+    """Reduced row echelon form of each block of a label-preserving map.
 
-    Yields ``(row_ids, col_ids, reduced, pivots)`` per label, in label order:
-    the block's row and column indices in the full matrix and ``rref_rows``
-    of its rows (pivots index ``col_ids``).  A block with no entries is not
-    reduced: its ``reduced`` and ``pivots`` are empty.  Each reduced block is
-    held to the dense budget of :meth:`ExactMatrix.to_rows`, so one over
-    ``mem_mb`` raises ``ResourceLimitError``.
+    Reduces the rows of each block, or with ``transpose`` its columns.
+    ``labels`` are the labels of the reduced rows' coordinates: the map's
+    column labels, or with ``transpose`` its row labels; they give the full
+    matrix's indices and must match the block shapes (``ValueError``
+    otherwise).  Yields ``(ids, reduced, pivots)`` per label, in label order:
+    ``ids`` lists the full-matrix indices of the block's coordinates, and
+    ``reduced`` and ``pivots`` are ``rref_rows`` of its rows (pivots index
+    ``ids``).  A block with no entries is not reduced: its ``reduced`` and
+    ``pivots`` are empty.  Each reduced block is held to the dense budget of
+    :meth:`ExactMatrix.to_rows`, so one over ``mem_mb`` raises
+    ``ResourceLimitError``.
     """
-    rows_by, cols_by, subs = _split(entries, row_labels, col_labels)
-    for w in sorted(subs):
-        row_ids, col_ids, sub = rows_by.get(w, []), cols_by.get(w, []), subs[w]
+    side = 0 if transpose else 1
+    ids: dict = {}
+    for i, w in enumerate(labels):
+        ids.setdefault(w, []).append(i)
+    if {w: len(v) for w, v in ids.items()} != {w: s[side] for w, s in blocks.items() if s[side]}:
+        raise ValueError("the labels do not match the block shapes")
+    for w, (nrows, ncols, sub) in blocks.items():
+        if transpose:
+            nrows, ncols = ncols, nrows
         if not sub:
-            yield row_ids, col_ids, [], []
+            yield ids.get(w, []), [], []
             continue
-        check_dense_budget(len(row_ids), len(col_ids), _EXACT_CELL_BYTES, mem_mb, "to_rows")
-        rows: list[dict] = [{} for _ in row_ids]
-        for (i, j), v in sub.items():
-            rows[i][j] = v
-        reduced, pivots = rref_rows(rows, len(col_ids))
-        yield row_ids, col_ids, reduced, pivots
+        check_dense_budget(nrows, ncols, _EXACT_CELL_BYTES, mem_mb, "to_rows")
+        rows: list[dict] = [{} for _ in range(nrows)]
+        if transpose:
+            for (j, i), v in sub.items():
+                rows[i][j] = v
+        else:
+            for (i, j), v in sub.items():
+                rows[i][j] = v
+        reduced, pivots = rref_rows(rows, ncols)
+        yield ids[w], reduced, pivots
 
 
-def column_echelon(entries, row_labels, col_labels, mem_mb: int | None = None):
+def column_echelon(blocks: WeightBlocks, row_labels, mem_mb: int | None = None):
     """Echelonized basis of the column span of a label-preserving map.
 
-    Returns (columns, pivots): columns[c] is a {row: coeff} dict whose
-    smallest nonzero row is pivots[c], with coefficient 1 there and 0 in
-    every other pivot row; the pivot rows are strictly increasing.  It is
-    the reduced echelon form of the transpose, reduced per label block
-    (blocks never interact), so the pivot coordinates of a vector in the
-    span are its coefficients in this basis.
+    ``blocks`` is the map's :class:`WeightBlocks` and ``row_labels`` its row
+    labels, which give the full row indices.  Returns (columns, pivots):
+    columns[c] is a {row: coeff} dict whose smallest nonzero row is
+    pivots[c], with coefficient 1 there and 0 in every other pivot row; the
+    pivot rows are strictly increasing.  It is the reduced echelon form of
+    the transpose, reduced per label block (blocks never interact), so the
+    pivot coordinates of a vector in the span are its coefficients in this
+    basis.
     """
-    flipped = {(j, i): v for (i, j), v in entries.items()}
     found = []
-    for _src, ids, reduced, pivots in _blocked_echelon(flipped, col_labels, row_labels, mem_mb):
+    for ids, reduced, pivots in _blocked_echelon(blocks, row_labels, mem_mb, transpose=True):
         for row, p in zip(reduced, pivots):
             found.append((ids[p], {ids[j]: v for j, v in enumerate(row) if v}))
     found.sort(key=lambda t: t[0])
     return [vec for _p, vec in found], [p for p, _v in found]
 
 
-def blocked_kernel_basis(
-    nrows: int,
-    ncols: int,
-    entries,
-    row_labels,
-    col_labels,
-    mem_mb: int | None = None,
-) -> list[tuple[int, ...]]:
+def blocked_kernel_basis(blocks: WeightBlocks, col_labels, mem_mb: int | None = None) -> list[tuple[int, ...]]:
     """Primitive integer kernel basis of a label-preserving map, blockwise.
 
-    The kernel of a block-diagonal matrix is the direct sum of the block
-    kernels; vectors come out ordered by (label, free column order within the
-    block) and are embedded back into the full column index space.
+    ``blocks`` is the map's :class:`WeightBlocks` and ``col_labels`` its
+    column labels, which give the full column indices.  The kernel of a
+    block-diagonal matrix is the direct sum of the block kernels; vectors
+    come out ordered by (label, free column order within the block) and are
+    embedded back into the full column index space.
     """
+    ncols = len(col_labels)
     out: list[tuple[int, ...]] = []
-    for _row_ids, col_ids, reduced, pivots in _blocked_echelon(entries, row_labels, col_labels, mem_mb):
-        for vec in kernel_rows_from_rref(reduced, pivots, len(col_ids)):
+    for ids, reduced, pivots in _blocked_echelon(blocks, col_labels, mem_mb):
+        for vec in kernel_rows_from_rref(reduced, pivots, len(ids)):
             full = [0] * ncols
             for k, v in enumerate(vec):
-                full[col_ids[k]] = v
+                full[ids[k]] = v
             out.append(tuple(full))
     return out
 
@@ -727,8 +733,9 @@ def blocked_rank_details(
     """Rank of a label-preserving map as the sum of its block ranks.
 
     The one rank driver of blocked maps.  ``blocks`` is a
-    :class:`WeightBlocks`: Koszul slabs are built that way, and callers that
-    hold global entries pass them through :func:`split_blocks` first.
+    :class:`WeightBlocks`: Koszul slabs and spanning matrices are built that
+    way, and callers that hold global entries pass them through
+    :func:`split_blocks` first.
 
     The exact/modular decision is made once from the *full* shape, the sum
     of the block shapes (so provenance matches the unblocked computation);

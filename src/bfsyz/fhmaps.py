@@ -338,12 +338,7 @@ def ix_kernel_ideal(a: int, b: int, mem_mb=None, cache=None) -> GradedIdeal:
     fh = mirror(foulkes_howe(a, b, b + 1, mem_mb, cache))
     sring = PolyRing(fh.d + 1, "z")
     vectors = blocked_kernel_basis(
-        fh.target_dim,
-        fh.source_dim,
-        fh.matrix.entries,
-        list(fh.row_weights),
-        list(fh.col_weights),
-        mem_mb,
+        split_blocks(fh.matrix.entries, fh.row_weights, fh.col_weights), fh.col_weights, mem_mb
     )
     gens = []
     for vec in vectors:
@@ -563,9 +558,7 @@ def phi_matrix(a: int, b: int) -> PhiMatrix:
         prod = gens.polys[j] * ring.variable(i)
         for exp, coeff in prod.terms.items():
             entries[(index[exp], colno)] = coeff
-    vectors = blocked_kernel_basis(
-        len(target), len(pairs), entries, row_labels, col_labels
-    )
+    vectors = blocked_kernel_basis(split_blocks(entries, row_labels, col_labels), col_labels)
     expected = d + b - 1
     if len(vectors) != expected:
         raise ConventionError(

@@ -19,6 +19,8 @@ from concurrent.futures import ThreadPoolExecutor
 from math import comb
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import ConventionError, InconclusiveError, ResourceLimitError
 from .exactalg import (
     ExactMatrix,
@@ -98,6 +100,7 @@ class GradedModule:
         "_mem_mb",
         "_cache",
         "_certificates",
+        "_sides",
         "weyl",
     )
 
@@ -114,6 +117,7 @@ class GradedModule:
         self._mem_mb = None
         self._cache = None
         self._certificates: dict = {}
+        self._sides: dict = {}
         self.weyl = False
 
     @classmethod
@@ -183,7 +187,9 @@ class GradedModule:
         if k < b:
             fh = mirror(foulkes_howe(a, b, k, self._mem_mb, self._cache))
             raw_cols, pivots = column_echelon(
-                fh.matrix.entries, list(fh.row_weights), list(fh.col_weights), self._mem_mb
+                split_blocks(fh.matrix.entries, fh.row_weights, fh.col_weights),
+                fh.row_weights,
+                self._mem_mb,
             )
             cols = [{fh.row_basis[i]: v for i, v in vec.items()} for vec in raw_cols]
             return {
@@ -359,15 +365,10 @@ def koszul_slab(module: GradedModule, i: int, t: int, mem_mb=None):
     est = sum(sum(len(p) for p in adj[v]) for v in range(nv)) * comb(nv - 1, i - 1)
     if est * 100 > memory_budget_mb(mem_mb) * 1024 * 1024:
         raise ResourceLimitError(f"koszul slab ({i}, {t}) needs roughly {est} entries")
-    mw = module.basis_weights(t)
-    mw1 = module.basis_weights(t + 1)
-    if mw is None or mw1 is None:
-        mw, mw1, varw = [0] * dim_t, [0] * dim_t1, [0] * nv
-    else:
-        varw = _variable_weights(module)
-    src_weights = [sum(varw[v] for v in T) for T in wsrc]
-    col_local, col_counts = _local_indices(src_weights, mw)
-    row_local, row_counts = _local_indices([sum(varw[v] for v in T) for T in wdst], mw1)
+    src_weights, col_local, col_counts = _slab_side(module, i, t, keep=True)
+    _dst_weights, row_local, row_counts = _slab_side(module, i - 1, t + 1, keep=False)
+    col_local, row_local = col_local.tolist(), row_local.tolist()
+    mw = module.basis_weights(t) or [0] * dim_t
     subs: dict = {w: {} for w in set(row_counts) | set(col_counts)}
     for T, tw, lcs in zip(wsrc, src_weights, col_local):
         # (column, its block, its local index) for every column that gets entries
@@ -392,6 +393,31 @@ def koszul_slab(module: GradedModule, i: int, t: int, mem_mb=None):
     })
 
 
+def _slab_side(module: GradedModule, i: int, t: int, keep: bool):
+    """``(wedge_weights, local, counts)`` of the basis of Wedge^i V (x) M_t.
+
+    The torus weights of the wedge basis, then ``_local_indices`` of the
+    basis (all weights 0 when the module is unlabelled).  The columns of
+    d(i, t) are the rows of d(i + 1, t - 1), which ``tor_betti`` ranks next,
+    so a column side is built once: with ``keep`` it is kept, as its compact
+    array, until the row use takes it back out.  Two threads that miss the
+    same key build equal values, so whichever is kept serves the next use.
+    """
+    side = module._sides.pop((i, t), None)
+    if side is None:
+        nv = module.ring.nvars
+        mw = module.basis_weights(t)
+        if mw is None:
+            mw, varw = [0] * module.dimension(t), [0] * nv
+        else:
+            varw = _variable_weights(module)
+        wedge_weights = [sum(varw[v] for v in T) for T in wedge_basis(i, nv - 1)]
+        side = (wedge_weights, *_local_indices(wedge_weights, mw))
+        if keep:
+            module._sides[(i, t)] = side
+    return side
+
+
 def _variable_weights(module: GradedModule) -> list[int]:
     nv = module.ring.nvars
     return [module.ring.monomial_weight(tuple(1 if u == v else 0 for u in range(nv))) for v in range(nv)]
@@ -400,25 +426,23 @@ def _variable_weights(module: GradedModule) -> list[int]:
 def _local_indices(wedge_weights, module_weights):
     """Local indices and block sizes of the basis of Wedge (x) M, wedge-major.
 
-    Returns ``(local, counts)``: local[k][m] is the number of basis elements
-    of the weight of (k-th wedge element) (x) (m-th module element) that come
-    before it, and counts[w] is the dimension of the weight-w space, the
-    convolution of the two weight multisets.
+    Returns ``(local, counts)``: ``local[k, m]`` (an int32 array) is the
+    number of basis elements of the weight of (k-th wedge element) (x) (m-th
+    module element) that come before it, and counts[w] is the dimension of
+    the weight-w space, the convolution of the two weight multisets.
     """
-    pos = []  # how many earlier module elements share each one's weight
-    mult: dict = {}
-    for w in module_weights:
-        k = mult.get(w, 0)
-        pos.append(k)
-        mult[w] = k + 1
-    counts: dict = {}
-    local = []
-    for tw in wedge_weights:
-        offs = {w: counts.get(tw + w, 0) for w in mult}
-        local.append([offs[w] + k for w, k in zip(module_weights, pos)])
-        for w, n in mult.items():
-            counts[tw + w] = offs[w] + n
-    return local, counts
+    total = np.add.outer(
+        np.asarray(wedge_weights, dtype=np.int64), np.asarray(module_weights, dtype=np.int64)
+    )
+    # a stable sort by weight keeps each weight's basis elements in order, so
+    # an element's local index is its place in its run of equal weights
+    order = np.argsort(total, axis=None, kind="stable")
+    weights = total.ravel()[order]
+    starts = np.flatnonzero(np.diff(weights, prepend=weights[:1] - 1))
+    sizes = np.diff(starts, append=weights.size)
+    local = np.empty(weights.size, dtype=np.int32)
+    local[order] = np.arange(weights.size) - np.repeat(starts, sizes)
+    return local.reshape(total.shape), dict(zip(weights[starts].tolist(), sizes.tolist()))
 
 
 class BettiEntry(NamedTuple):
@@ -605,7 +629,13 @@ def tor_betti(
         except ResourceLimitError as exc:
             return key, None, str(exc)
 
-    ordered = sorted(need, key=slab_cells, reverse=True)
+    # d(i, t) and d(i + 1, t - 1) share a side (see _slab_side), so each
+    # anti-diagonal i + t runs in order of i, the one with the largest slab
+    # first: a side then waits for one slab, not for the rest of the table
+    top: dict = {}
+    for key in need:
+        top[sum(key)] = max(top.get(sum(key), 0), slab_cells(key))
+    ordered = sorted(need, key=lambda key: (-top[sum(key)], sum(key), key[0]))
     ranks: dict = {}
     failed: dict = {}
     if threads > 1:

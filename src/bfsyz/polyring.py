@@ -20,6 +20,7 @@ import hashlib
 import json
 import os
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from operator import add
 from pathlib import Path
@@ -27,11 +28,11 @@ from typing import NamedTuple
 
 from .exactalg import (
     ExactMatrix,
+    WeightBlocks,
     blocked_rank_details,
     dump_matrix,
     load_matrix,
     rank_details,
-    split_blocks,
 )
 from .exactalg.matrix import RankResult, _normalize_scalar, column_echelon
 from .exactalg.matrix import rref_rows  # noqa: F401 (unused; perfbench/spans.py REQUIRED_COPIES needs it)
@@ -146,6 +147,12 @@ class PolyRing:
         names = self.variable_names()
         shown = ", ".join(names) if len(names) <= 4 else f"{names[0]}..{names[-1]}"
         return f"PolyRing(QQ[{shown}])"
+
+
+@lru_cache(maxsize=None)
+def _monomial_weights(nvars: int, k: int) -> tuple[int, ...]:
+    """Torus weights of the degree-k monomials in ``nvars`` variables, in basis order."""
+    return tuple(coord_weight(e, nvars - 1) for e in plethysm_basis(k, nvars - 1))
 
 
 class MultiPoly:
@@ -375,45 +382,55 @@ class GradedIdeal:
         return self.sl2_stable and self.weight_graded
 
     def spanning_data(self, k: int, half: bool = False):
-        """Sparse entries of the degree-k spanning matrix.
+        """Weight blocks of the degree-k spanning matrix.
 
-        Returns (entries, ncols, row_labels, col_labels): rows are indexed by
-        the degree-k monomials, columns by the products m * g, labels are
-        torus weights (all zero when the ideal is not weight-graded, which
-        collapses the computation to a single block).  ``half=True`` emits
-        only the entries of the columns of label >= 0, so of the rows of
-        label >= 0 too; shape and labels stay those of the full matrix, which
+        Returns ``(blocks, row_labels, col_labels)``: rows are indexed by the
+        degree-k monomials, columns by the products m * g, labels are torus
+        weights (all zero when the ideal is not weight-graded, which
+        collapses the computation to a single block), and ``blocks`` is the
+        ``WeightBlocks`` of the matrix.  The product m * g has the weight of
+        its column, so every entry is filed straight into its block; a local
+        index is the count of the block's rows (columns) before it, so local
+        indices run in ascending global order.  ``half=True`` fills only the
+        blocks of label >= 0; the others keep their shapes, which
         ``blocked_rank_details(..., weyl=True)`` checks for symmetry.
         """
-        index = self.ring.monomial_index(k)
-        weights: dict = {}  # degree -> monomial weights, shared by the generators
 
-        def degree_weights(t: int) -> list[int]:
-            if t not in weights:
-                weights[t] = (
-                    [self.ring.monomial_weight(e) for e in self.ring.monomials(t)]
-                    if self.weight_graded
-                    else [0] * self.ring.dimension(t)
-                )
-            return weights[t]
+        def weights(t: int) -> tuple[int, ...]:
+            if self.weight_graded:
+                return _monomial_weights(self.ring.nvars, t)
+            return (0,) * self.ring.dimension(t)
 
-        row_labels = degree_weights(k)
-        entries: dict = {}
+        row_labels = weights(k)
+        row_counts: dict = {}
+        local: dict = {}  # degree-k monomial -> its local row index
+        for m, w in zip(self.ring.monomials(k), row_labels):
+            lr = row_counts.get(w, 0)
+            local[m] = lr
+            row_counts[w] = lr + 1
         col_labels: list[int] = []
-        col = 0
+        col_counts: dict = {}
+        subs: dict = {}
         for g in self.generators:
             dg = g.homogeneous_degree
             if dg > k:
                 continue
             gw = g.weight() if self.weight_graded else 0
-            for m, mw in zip(self.ring.monomials(k - dg), degree_weights(k - dg)):
+            terms = [(exp, _normalize_scalar(coeff)) for exp, coeff in g.terms.items()]
+            for m, mw in zip(self.ring.monomials(k - dg), weights(k - dg)):
                 w = gw + mw
                 col_labels.append(w)
+                lc = col_counts.get(w, 0)
+                col_counts[w] = lc + 1
                 if not half or w >= 0:
-                    for exp, coeff in g.terms.items():
-                        entries[(index[tuple(map(add, m, exp))], col)] = coeff
-                col += 1
-        return entries, col, row_labels, col_labels
+                    sub = subs.setdefault(w, {})
+                    for exp, coeff in terms:
+                        sub[(local[tuple(map(add, m, exp))], lc)] = coeff
+        blocks = WeightBlocks({
+            w: (row_counts.get(w, 0), col_counts.get(w, 0), subs.get(w, {}))
+            for w in sorted(row_counts.keys() | col_counts.keys())
+        })
+        return blocks, row_labels, col_labels
 
     def graded_piece(self, k: int, mem_mb=None, cache=None) -> ExactMatrix:
         """Echelonized basis of the degree-k piece.
@@ -434,8 +451,8 @@ class GradedIdeal:
             cached = load_cached(path, nrows)
             if cached is not None:
                 return cached
-        entries, _ncols, row_labels, col_labels = self.spanning_data(k)
-        cols, _pivots = column_echelon(entries, row_labels, col_labels, mem_mb)
+        blocks, row_labels, _col_labels = self.spanning_data(k)
+        cols, _pivots = column_echelon(blocks, row_labels, mem_mb)
         basis = {(i, c): v for c, vec in enumerate(cols) for i, v in vec.items()}
         out = ExactMatrix(nrows, len(cols), basis)
         if path is not None:
@@ -454,11 +471,8 @@ class GradedIdeal:
         """
         if k < 0 or not self.generators or k < min(self.generator_degrees()):
             return RankResult(0, "exact")
-        entries, ncols, row_labels, col_labels = self.spanning_data(k, half=self.weyl)
-        return blocked_rank_details(
-            split_blocks(entries, row_labels, col_labels), mode,
-            rng=rng, mem_mb=mem_mb, weyl=self.weyl,
-        )
+        blocks, _row_labels, _col_labels = self.spanning_data(k, half=self.weyl)
+        return blocked_rank_details(blocks, mode, rng=rng, mem_mb=mem_mb, weyl=self.weyl)
 
 
 def ideal_power(ideal: GradedIdeal, j: int) -> GradedIdeal:

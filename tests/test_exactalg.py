@@ -486,7 +486,7 @@ def test_kernel_matches_per_prime_references(seed):
     beyond = [2**63, -(2**63) - 1, 2**64 + 5, -(2**70)]
     small = list(range(-9, 10))
     cases = []
-    for density in (0.04, 0.08, 0.3, 0.9):
+    for density in (0.04, 0.08, 0.15, 0.2, 0.25, 0.3, 0.9):
         for values in (small, small + big, small + beyond):
             nrows, ncols = rng.randint(1, 30), rng.randint(1, 30)
             cases.append(random_integer_rows(rng, nrows, ncols, density, values))
@@ -536,6 +536,36 @@ def test_kernel_splits_per_prime_at_a_zero_divisor_pivot(monkeypatch, last, want
     monkeypatch.setattr(_modp, "_finish_per_prime", spy)
     check_ranks(rows, (5, 7))
     assert starts and set(starts) == {0}
+
+
+def test_kernel_fill_that_vanishes_mod_n_is_dropped():
+    # mod 35 the pivot 2 of column 3 clears row 1 with f = -5 / 2 = 15; f times
+    # the pivot row's -7 in column 23 is -105, zero mod 35 though neither
+    # factor is, and row 1 holds no entry in column 23 to drop
+    rows = [[0] * 29 for _ in range(3)]
+    for (i, j), v in {(0, 3): 2, (0, 23): -7, (1, 3): -5, (1, 18): 2, (2, 18): 2, (2, 23): 10}.items():
+        rows[i][j] = v
+    with pytest.raises(_modp.PrimesDisagree) as err:
+        _modp.rank_mod_p_dense(kernel_array(rows), (5, 7))
+    assert err.value.ranks == {5: 2, 7: 3}
+    check_ranks(rows, (5, 7))
+
+
+def test_kernel_starts_sparse_up_to_the_entry_density(monkeypatch):
+    # the dense route reduces the whole matrix modulo each prime; the shared
+    # stage works modulo p * q and hands on at most its remainder
+    rng = random.Random(7)
+    rows = random_integer_rows(rng, 24, 30, 0.2, list(range(-9, 10)))
+    assert 0.10 < np.count_nonzero(rows) / np.size(rows) <= _modp.SPARSE_ENTRY_DENSITY
+    whole = []
+    residues = _modp._residues
+    monkeypatch.setattr(_modp, "_residues", lambda a, p: whole.append(p) or residues(a, p))
+    check_ranks(rows, (P61, P50))
+    assert whole == []
+    dense = random_integer_rows(rng, 24, 30, 0.6, list(range(-9, 10)))
+    assert np.count_nonzero(dense) > _modp.SPARSE_ENTRY_DENSITY * np.size(dense)
+    check_ranks(dense, (P61, P50))
+    assert whole == [P61, P50] * 2
 
 
 def test_disagreeing_primes_escalate_to_the_exact_rank():
@@ -667,7 +697,8 @@ def test_blocked_kernel_matches_unblocked():
                     if v:
                         entries[(i, j)] = v
         m = ExactMatrix(nrows, ncols, entries)
-        ker = blocked_kernel_basis(nrows, ncols, entries, row_labels, col_labels)
+        blocks = split_blocks(entries, row_labels, col_labels)
+        ker = blocked_kernel_basis(blocks, col_labels)
         assert len(ker) == ncols - rank(m, "exact")
         rows = m.to_rows()
         for vec in ker:
@@ -680,11 +711,24 @@ def test_blocked_kernel_matches_unblocked():
             assert rank(km, "exact") == len(ker)
         # the column span's echelon basis is the unique rref of the transpose,
         # so a block embedded at the wrong indices shows up here
-        cols, pivots = column_echelon(entries, row_labels, col_labels)
+        cols, pivots = column_echelon(blocks, row_labels)
         full = rref(m.transpose())
         assert tuple(pivots) == full.pivot_cols
         got = {(c, i): v for c, vec in enumerate(cols) for i, v in vec.items()}
         assert got == full.entries
+
+
+def test_blocked_echelon_rejects_labels_that_miss_the_blocks():
+    from bfsyz.exactalg import blocked_kernel_basis
+
+    blocks = split_blocks({(0, 0): 1, (1, 1): 2}, [0, 1], [0, 1, 1])
+    for labels in ([0, 1], [0, 0, 1], [0, 1, 2]):
+        with pytest.raises(ValueError):
+            blocked_kernel_basis(blocks, labels)
+    with pytest.raises(ValueError):
+        column_echelon(blocks, [1, 1])
+    assert blocked_kernel_basis(blocks, [0, 1, 1]) == [(0, 0, 1)]
+    assert column_echelon(blocks, [0, 1]) == ([{0: 1}, {1: 1}], [0, 1])
 
 
 def test_blocked_rank_reports_resampled_primes():

@@ -196,6 +196,29 @@ def test_tor_betti_never_splits_koszul_slabs(monkeypatch):
     assert got.to_json() == want.to_json()
 
 
+def test_tor_betti_builds_each_slab_side_once(monkeypatch):
+    # the columns of d(i, t) are the rows of d(i + 1, t - 1): one build each
+    import bfsyz.homres as homres
+
+    want = tor_betti(GradedModule.power_quotient(2, 2), 6, 9, t_max=3, seed=1)
+    keys, builds = [], []
+    side, local = homres._slab_side, homres._local_indices
+
+    def spy_side(module, i, t, keep):
+        keys.append((i, t))
+        return side(module, i, t, keep)
+
+    def spy_local(*args):
+        builds.append(args)
+        return local(*args)
+
+    monkeypatch.setattr(homres, "_slab_side", spy_side)
+    monkeypatch.setattr(homres, "_local_indices", spy_local)
+    got = tor_betti(GradedModule.power_quotient(2, 2), 6, 9, t_max=3, seed=1)
+    assert got.to_json() == want.to_json()
+    assert len(keys) > len(set(keys)) and len(builds) == len(set(keys))
+
+
 def test_weight_breaking_module_is_refused_before_any_rank(monkeypatch):
     import bfsyz.homres as homres
 

@@ -259,13 +259,74 @@ def block_ranks(blocks: WeightBlocks) -> dict:
 def test_spanning_block_ranks_are_weyl_symmetric(build, k_max):
     ideal = build()
     for k in range(k_max + 1):
-        entries, ncols, rl, cl = ideal.spanning_data(k)
-        half = ideal.spanning_data(k, half=True)
-        assert half[1:] == (ncols, rl, cl)
-        assert half[0] == {key: v for key, v in entries.items() if cl[key[1]] >= 0}
-        ranks = block_ranks(split_blocks(entries, rl, cl))
+        full, rl, cl = ideal.spanning_data(k)
+        half, half_rl, half_cl = ideal.spanning_data(k, half=True)
+        assert (half_rl, half_cl) == (rl, cl) and full.shape == half.shape == (len(rl), len(cl))
+        # the half is the full map's blocks of weight >= 0, every shape kept
+        assert half == WeightBlocks(
+            {w: (r, c, sub if w >= 0 else {}) for w, (r, c, sub) in full.items()}
+        )
+        ranks = block_ranks(full)
         for w, r in ranks.items():
             assert ranks.get(-w, 0) == r, (k, w)
+
+
+def global_spanning(ideal, k, half):
+    """The degree-k spanning matrix with global indices and full label lists,
+    one column m * g at a time: the reference for the weight blocks."""
+    ring = ideal.ring
+
+    def labels(t):
+        if not ideal.weight_graded:
+            return [0] * ring.dimension(t)
+        return [ring.monomial_weight(m) for m in ring.monomials(t)]
+
+    index = ring.monomial_index(k)
+    entries, col_labels = {}, []
+    for g in ideal.generators:
+        dg = g.homogeneous_degree
+        if dg > k:
+            continue
+        gw = g.weight() if ideal.weight_graded else 0
+        for m, mw in zip(ring.monomials(k - dg), labels(k - dg)):
+            col_labels.append(gw + mw)
+            if half and gw + mw < 0:
+                continue
+            for exp, coeff in g.terms.items():
+                entries[(index[tuple(x + y for x, y in zip(m, exp))], len(col_labels) - 1)] = coeff
+    return entries, labels(k), col_labels
+
+
+def fraction_ideals():
+    ring = PolyRing(3, "x")
+    x0, x1, x2 = (ring.variable(v) for v in range(3))
+    third = Fraction(1, 3)
+    # weight-graded: x0 * x2 and x1^2 both have weight 0
+    weighted = [x0 * x2 - (x1 * x1).scale(third), (x0 * x1).scale(Fraction(4, 2))]
+    # x0 * x1 has weight -2 and x2^2 weight 4: one block of label 0
+    unweighted = [x0 * x1 + (x2 * x2).scale(third), x0 * x0 * 2]
+    return [
+        pytest.param(lambda: GradedIdeal(ring, weighted), 4, id="weighted-fractions"),
+        pytest.param(lambda: GradedIdeal(ring, unweighted), 4, id="unweighted-fractions"),
+    ]
+
+
+@pytest.mark.parametrize("build,k_max", piece_ideals() + fraction_ideals())
+def test_spanning_blocks_equal_split_of_global_entries(build, k_max):
+    ideal = build()
+    for half in (False, True):
+        for k in range(k_max + 1):
+            blocks, rl, cl = ideal.spanning_data(k, half=half)
+            entries, want_rl, want_cl = global_spanning(ideal, k, half)
+            assert (list(rl), cl) == (want_rl, want_cl)
+            want = split_blocks(entries, rl, cl)
+            assert blocks == want, (half, k)
+            assert len(blocks) == len(entries)
+            for w, (_r, _c, sub) in want.items():
+                got = blocks.blocks[w][2]
+                assert all(type(got[key]) is type(v) for key, v in sub.items()), (half, k, w)
+            if not ideal.weight_graded:
+                assert list(blocks.blocks) == [0]
 
 
 def slab_cases():
