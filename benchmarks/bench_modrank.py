@@ -1,11 +1,12 @@
 """Benchmark the modular elimination kernel: one two-prime call against the
 dense loop run once per prime.
 
-Every modular certificate ranks a matrix modulo two primes in one call of
-rank_mod_p_dense.  A matrix at most SPARSE_ENTRY_DENSITY nonzero starts
-sparse: it is eliminated once modulo the product of the primes, and only what
-is left once the rows fill in goes to the dense loop, once per prime.  A
-denser matrix runs the dense loop whole, once per prime.  The table times
+Every modular certificate ranks a matrix, given as its entries, modulo two
+primes in one call of rank_mod_p_dense.  A matrix at most
+SPARSE_ENTRY_DENSITY nonzero starts sparse: it is eliminated once modulo the
+product of the primes, and only what is left once the rows fill in goes to
+the dense loop, once per prime.  A denser matrix runs the dense loop whole,
+once per prime.  The table times
 that call on random matrices of several densities, names the route each
 matrix takes, and sets it against two runs of the dense loop alone, one per
 prime: where the ratio is below 1 the sparse start pays.  Both must give the
@@ -27,22 +28,21 @@ from bfsyz.exactalg import _modp
 from bfsyz.exactalg.primes import distinct_random_primes
 
 
-def random_matrix(rng: random.Random, n: int, p: int, density: float) -> np.ndarray:
-    arr = np.zeros((n, n), dtype=np.uint64)
-    for i in range(n):
-        for j in range(n):
-            if rng.random() < density:
-                arr[i, j] = rng.randrange(1, p)
-    return arr
+def random_matrix(rng: random.Random, n: int, p: int, density: float) -> _modp.Coo:
+    """An n x n matrix with each cell nonzero, a unit mod ``p``, with chance ``density``."""
+    cells = [(i, j) for i in range(n) for j in range(n) if rng.random() < density]
+    values = [rng.randrange(1, p) for _ in cells]
+    ij = np.array(cells, dtype=np.intp).reshape(-1, 2)
+    return _modp.Coo(ij[:, 0], ij[:, 1], np.array(values, dtype=np.int64), (n, n))
 
 
-def best_time(fn, arr: np.ndarray, repeats: int) -> tuple[float, int]:
-    """Best time of ``fn`` on fresh copies of ``arr``, and its result."""
+def best_time(fn, arr: _modp.Coo, repeats: int) -> tuple[float, int]:
+    """Best time of ``fn`` on ``arr``, which it leaves as it is, and its result."""
     best = []
     result = None
     for _ in range(repeats):
         start = time.perf_counter()
-        result = fn(arr.copy())
+        result = fn(arr)
         best.append(time.perf_counter() - start)
     return min(best), result
 
@@ -59,11 +59,11 @@ def microbenchmark(sizes, densities, repeats: int, seed: int) -> None:
     for density in densities:
         for n in sizes:
             arr = random_matrix(rng, n, p, density)
-            share = np.count_nonzero(arr) / arr.size
+            share = arr.values.size / n**2
             route = "sparse first" if share <= _modp.SPARSE_ENTRY_DENSITY else "dense"
             t_two, r_two = best_time(lambda a: _modp.rank_mod_p_dense(a, (p, q)), arr, repeats)
             t_loop, r_loop = best_time(
-                lambda a: [_modp._rank_dense(_modp._residues(a, r), r) for r in (p, q)], arr, repeats
+                lambda a: [_modp._rank_dense(_modp._residue_plane(a, r), r) for r in (p, q)], arr, repeats
             )
             if len({r_two, *r_loop}) != 1:
                 raise SystemExit(

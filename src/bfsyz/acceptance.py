@@ -92,7 +92,7 @@ def _criterion_3(ctx) -> str:
 def _criterion_4(ctx) -> str:
     """Computed power-locus tables against the three closed forms."""
     totals = []
-    for a, b in ((2, 2), (3, 2), (2, 3)):
+    for a, b in ((2, 2), (3, 2), (2, 3), (4, 2)):
         res = power_locus_betti(
             a, b, seed=ctx["seed"], mem_mb=ctx["mem_mb"],
             cache=ctx["cache"], threads=ctx["threads"],

@@ -91,9 +91,9 @@ _OPTIONS = {
     "--mem-mb": dict(type=_positive, default=None, help="memory budget override"),
     "--threads": dict(
         type=_positive, default=1,
-        help="threads ranking the Koszul differentials (default 1); this pays only on "
-        "large tables: on 2 CPUs betti --target ix --a 2 --b 4 took 81 s with 1 and "
-        "57 s with 2, while repro criterion 4 took 1.2 s either way",
+        help="threads ranking the Koszul differentials (default 1); the mod-p kernel's "
+        "sparse stage holds the GIL, so on 2 CPUs betti --target ix --a 2 --b 4 took "
+        "48 s with 2 against 42 s with 1",
     ),
 }
 

@@ -1,10 +1,13 @@
 """Rank of an integer matrix modulo several primes at once, sparse first.
 
 ``rank_mod_p_dense(a, primes)`` is the one mod-p elimination kernel: every
-modular rank in the package ends here.  It takes the integer matrix ``a``
-(int64, uint64, or object for values beyond int64) and the distinct primes of
-one certificate, and returns the rank that every prime gives; when the ranks
-differ it raises ``PrimesDisagree``.  It may clobber ``a``.
+modular rank in the package ends here.  It takes the integer matrix ``a`` as
+its entries, a ``Coo`` record of ``rows``, ``cols`` and ``values`` arrays plus
+its ``shape`` (values int64, or object for values beyond int64), and
+the distinct primes of one certificate, and returns the rank that every prime
+gives; when the ranks differ it raises ``PrimesDisagree``.  It decides its
+route from the number of nonzero values against the shape, and never scans
+the cells of the block.
 
 A matrix with at most ``SPARSE_ENTRY_DENSITY`` of its cells nonzero (the
 Koszul blocks, and most blocks of the spanning matrices and substitution
@@ -15,14 +18,15 @@ stage for sparse systems over finite fields (LaMacchia and Odlyzko, CRYPTO
 so a row operation mod N is the same row operation modulo each prime, and a
 pivot that is a unit mod N is nonzero modulo each prime: it raises every
 prime's rank by one.  The rows are those of the shorter side (the transpose
-has the same rank), and columns are taken in order of ascending nonzero count,
+has the same rank), read in row-major order from the entries sorted by
+(row, col), and columns are taken in order of ascending nonzero count,
 which keeps the fill-in low; both choices are valid for the rank only.  The
 shared stage ends once the rows still active fill ``DENSE_SWITCH_DENSITY`` of
 the columns still active, or at a pivot that is not a unit mod N (one that
 some prime divides; with 50-62 bit primes, at most about one pivot in
-2**49).  The active rows are then reduced modulo each prime in turn and
-finished by the dense loop, which also takes every denser matrix whole, once
-per prime.
+2**49).  Only then is a dense array built: the active rows are scattered into
+one residue plane per prime in turn and finished by the dense loop, which also
+takes every denser matrix whole, once per prime.
 
 The dense loop pivots on the leftmost column and its first nonzero row, and
 updates, at each step, only the rows that are nonzero in the pivot column and,
@@ -35,6 +39,7 @@ numpy object dtype, that is, in exact Python-int arithmetic.
 
 from itertools import chain, islice
 from math import gcd, prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,40 +97,61 @@ def _agreed(primes, ranks) -> int:
     return ranks[0]
 
 
-def _residues(a, p: int):
-    """``a`` modulo ``p < 2**64`` as a fresh uint64 array."""
-    if a.dtype == object:
-        return (a % p).astype(np.uint64)
-    if a.dtype == np.uint64 or p < 1 << 63:
+class Coo(NamedTuple):
+    """An integer matrix of ``shape`` as its entries: ``values[k]`` at
+    (``rows[k]``, ``cols[k]``).  Positions are distinct and may come in any
+    order; values are int64 or object (Python ints), and may be zero."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    shape: tuple[int, int]
+
+
+def _residue_plane(a: Coo, p: int):
+    """``a`` modulo ``p < 2**64`` as a fresh dense uint64 array."""
+    v = a.values
+    if v.dtype == object:
+        v = (v % p).astype(np.uint64)
+    elif p < 1 << 63:
         # residues are non-negative, so int64 ones read the same as uint64
-        return (a % a.dtype.type(p)).view(np.uint64)
-    # int64 and p >= 2**63: the residue of v < 0 is v + p, that is v + 2**64
-    # (its uint64 image) minus 2**64 - p; every other value is below p already
-    r = a.astype(np.uint64)
-    r[a < 0] -= np.uint64((1 << 64) - p)
-    return r
+        v = (v % np.int64(p)).view(np.uint64)
+    else:
+        # int64 and p >= 2**63: the residue of v < 0 is v + p, that is v + 2**64
+        # (its uint64 image) minus 2**64 - p; every other value is below p already
+        r = v.astype(np.uint64)
+        r[v < 0] -= np.uint64((1 << 64) - p)
+        v = r
+    plane = np.zeros(a.shape, dtype=np.uint64)
+    plane[a.rows, a.cols] = v
+    return plane
 
 
-def rank_mod_p_dense(a, primes) -> int:
-    """Return the rank of the 2-D integer array ``a`` modulo each of ``primes``.
+def rank_mod_p_dense(a: Coo, primes) -> int:
+    """Return the rank of the integer matrix ``a`` modulo each of ``primes``.
 
-    ``a`` is int64, uint64, or object (Python ints) and may be clobbered.  The
-    primes must be distinct (``ValueError`` otherwise); the rank is returned
-    only when every prime gives the same one, else ``PrimesDisagree`` is raised.
+    ``a`` is left as it is.  The primes must be distinct (``ValueError``
+    otherwise); the rank is returned only when every prime gives the same one,
+    else ``PrimesDisagree`` is raised.
     """
     primes = tuple(primes)
     if not primes or len(set(primes)) != len(primes):
         raise ValueError(f"the kernel needs distinct primes, got {primes}")
-    if np.count_nonzero(a) > SPARSE_ENTRY_DENSITY * a.size:
-        return _agreed(primes, [_rank_dense(_residues(a, p), p) for p in primes])
+    nrows, ncols = a.shape
+    values = a.values
+    if np.count_nonzero(values) > SPARSE_ENTRY_DENSITY * nrows * ncols:
+        return _agreed(primes, [_rank_dense(_residue_plane(a, p), p) for p in primes])
     n = prod(primes)
-    if a.dtype == object:
-        a = a % n  # ints beyond int64: smaller ones make cheaper row operations
-    if a.shape[0] > a.shape[1]:
+    if values.dtype == object:
+        values = values % n  # ints beyond int64: smaller ones make cheaper row operations
+    rows, cols = a.rows, a.cols
+    if nrows > ncols:
         # same rank; every row beyond the rank costs updates until it vanishes
-        a = a.T
-    ncols = a.shape[1]
-    ii, jj = a.nonzero()
+        rows, cols, nrows, ncols = cols, rows, ncols, nrows
+    # the nonzero entries in row-major order, as a scan of the cells meets them
+    keep = np.flatnonzero(values)
+    order = keep[np.argsort(rows[keep] * ncols + cols[keep])]
+    ii, jj, values = rows[order], cols[order], values[order]
     if ii.size == 0:
         return 0
     # column position = rank by nonzero count (stable); empty columns get
@@ -141,7 +167,7 @@ def rank_mod_p_dense(a, primes) -> int:
     starts = np.flatnonzero(np.diff(ii, prepend=-1))
     leads = np.minimum.reduceat(pos, starts).tolist()
     sizes = np.diff(starts, append=ii.size).tolist()
-    entries = iter(zip(pos.tolist(), a[ii, jj].tolist()))
+    entries = iter(zip(pos.tolist(), values.tolist()))
     buckets: dict[int, list[dict[int, int]]] = {}
     for lead, size in zip(leads, sizes):
         buckets.setdefault(lead, []).append(dict(islice(entries, size)))
@@ -192,16 +218,13 @@ def _finish_per_prime(buckets, active: int, nnz: int, start: int, width: int, ra
     hold ``nnz`` entries in columns ``start`` to ``width - 1``, modulo each
     prime by the dense loop; the per-prime totals must agree."""
     rows = [row for bucket in buckets.values() for row in bucket]
-    at = np.repeat(np.arange(active), [len(row) for row in rows])
-    to = np.fromiter(chain.from_iterable(rows), dtype=np.intp, count=nnz) - start
-    values = list(chain.from_iterable(row.values() for row in rows))
-
-    def residues(p: int):
-        rem = np.zeros((active, width - start), dtype=np.uint64)
-        rem[at, to] = [v % p for v in values]
-        return rem
-
-    return _agreed(primes, [rank + _rank_dense(residues(p), p) for p in primes])
+    rem = Coo(
+        np.repeat(np.arange(active), [len(row) for row in rows]),
+        np.fromiter(chain.from_iterable(rows), dtype=np.intp, count=nnz) - start,
+        np.fromiter(chain.from_iterable(row.values() for row in rows), dtype=object, count=nnz),
+        (active, width - start),
+    )
+    return _agreed(primes, [rank + _rank_dense(_residue_plane(rem, p), p) for p in primes])
 
 
 def _rank_dense(a, p: int) -> int:

@@ -59,7 +59,7 @@ CERTIFICATE_PRIMES = 2
 DEFAULT_MEM_MB = 4096
 
 _EXACT_CELL_BYTES = 48  # conservative per-cell estimate for Fraction rows
-_MOD_CELL_BYTES = 16  # the int64 matrix and one uint64 residue plane
+_MOD_CELL_BYTES = 16  # an up-front worst case; the kernel holds one 8-byte residue plane at a time
 
 
 def memory_budget_mb(override: int | None = None) -> int:
@@ -446,9 +446,9 @@ def mod_p_rank_rows(rows, ncols: int, primes, mem_mb: int | None = None) -> int:
 def mod_p_rank_sparse(entries, nrows: int, ncols: int, primes, mem_mb: int | None = None) -> int:
     """Rank of a sparse entry dict {(i, j): value} modulo each of the distinct ``primes``.
 
-    The integer matrix is built once for all the primes and ranked by one
-    kernel call, which raises ``PrimesDisagree`` when the primes give
-    different ranks.
+    The entries go to one kernel call as they are, as coordinate arrays; the
+    kernel builds a dense array only for what fills in, and raises
+    ``PrimesDisagree`` when the primes give different ranks.
     """
     if nrows == 0 or ncols == 0:
         return 0
@@ -459,9 +459,7 @@ def mod_p_rank_sparse(entries, nrows: int, ncols: int, primes, mem_mb: int | Non
     values = np.array(list(entries.values()))
     if values.dtype != np.int64:
         values = _cleared_values(entries, primes)
-    arr = np.zeros((nrows, ncols), dtype=values.dtype)
-    arr[ij[:, 0], ij[:, 1]] = values
-    return int(_kernel.rank_mod_p_dense(arr, primes))
+    return int(_kernel.rank_mod_p_dense(_kernel.Coo(ij[:, 0], ij[:, 1], values, (nrows, ncols)), primes))
 
 
 def draw_primes(rng: random.Random) -> list[int]:

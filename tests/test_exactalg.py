@@ -3,6 +3,7 @@
 import hashlib
 import random
 import struct
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,7 @@ from bfsyz.exactalg.matrix import (
     clear_denominators,
     column_echelon,
     mod_p_rank_rows,
+    mod_p_rank_sparse,
     primitive_int_vector,
     rref_rows,
     split_blocks,
@@ -423,14 +425,21 @@ def residue(v, p):
     return v % p
 
 
-def kernel_array(rows):
-    """Integer ``rows`` as the kernel takes them: int64, else uint64, else object."""
-    flat = [v for row in rows for v in row]
-    for dtype in (np.int64, np.uint64):
-        info = np.iinfo(dtype)
-        if all(int(info.min) <= v <= int(info.max) for v in flat):
-            return np.array(rows, dtype=dtype)
-    return np.array(rows, dtype=object)
+def kernel_coo(rows, order=None):
+    """The nonzero entries of integer ``rows`` as the kernel takes them: a
+    ``Coo`` record with values int64, else object.  The entries come shuffled
+    (seeded), or in ``order``, a function that reorders the row-major list of
+    (i, j, value) triples."""
+    entries = [(i, j, v) for i, row in enumerate(rows) for j, v in enumerate(row) if v]
+    if order is None:
+        random.Random(len(entries)).shuffle(entries)
+    else:
+        entries = order(entries)
+    ii, jj, flat = (list(t) for t in zip(*entries)) if entries else ([], [], [])
+    fits = all(-(2**63) <= v < 2**63 for v in flat)
+    values = np.array(flat, dtype=np.int64 if fits else object)
+    shape = (len(rows), len(rows[0]) if rows else 0)
+    return _modp.Coo(np.array(ii, dtype=np.intp), np.array(jj, dtype=np.intp), values, shape)
 
 
 def check_ranks(rows, primes):
@@ -448,7 +457,7 @@ def check_ranks(rows, primes):
     want = {p: reference_rank_mod_p([[residue(v, p) for v in row] for row in rows], p) for p in primes}
     calls = [lambda: mod_p_rank_rows(rows, len(rows[0]), primes)]
     if all(type(v) is int for row in rows for v in row):
-        calls.append(lambda: _modp.rank_mod_p_dense(kernel_array(rows), primes))
+        calls.append(lambda: _modp.rank_mod_p_dense(kernel_coo(rows), primes))
     for call in calls:
         if len(set(want.values())) == 1:
             assert call() == want[primes[0]], primes
@@ -546,26 +555,108 @@ def test_kernel_fill_that_vanishes_mod_n_is_dropped():
     for (i, j), v in {(0, 3): 2, (0, 23): -7, (1, 3): -5, (1, 18): 2, (2, 18): 2, (2, 23): 10}.items():
         rows[i][j] = v
     with pytest.raises(_modp.PrimesDisagree) as err:
-        _modp.rank_mod_p_dense(kernel_array(rows), (5, 7))
+        _modp.rank_mod_p_dense(kernel_coo(rows), (5, 7))
     assert err.value.ranks == {5: 2, 7: 3}
     check_ranks(rows, (5, 7))
 
 
 def test_kernel_starts_sparse_up_to_the_entry_density(monkeypatch):
-    # the dense route reduces the whole matrix modulo each prime; the shared
-    # stage works modulo p * q and hands on at most its remainder
+    # the dense route scatters the whole matrix into a plane modulo each
+    # prime; the shared stage works modulo p * q and hands on at most its
+    # remainder, a smaller plane
     rng = random.Random(7)
     rows = random_integer_rows(rng, 24, 30, 0.2, list(range(-9, 10)))
     assert 0.10 < np.count_nonzero(rows) / np.size(rows) <= _modp.SPARSE_ENTRY_DENSITY
-    whole = []
-    residues = _modp._residues
-    monkeypatch.setattr(_modp, "_residues", lambda a, p: whole.append(p) or residues(a, p))
+    planes = []
+    plane = _modp._residue_plane
+    monkeypatch.setattr(_modp, "_residue_plane", lambda a, p: planes.append((a.shape, p)) or plane(a, p))
     check_ranks(rows, (P61, P50))
-    assert whole == []
+    assert all(m * n < np.size(rows) for (m, n), _p in planes)
+    planes.clear()
     dense = random_integer_rows(rng, 24, 30, 0.6, list(range(-9, 10)))
     assert np.count_nonzero(dense) > _modp.SPARSE_ENTRY_DENSITY * np.size(dense)
     check_ranks(dense, (P61, P50))
-    assert whole == [P61, P50] * 2
+    assert planes == [((24, 30), P61), ((24, 30), P50)] * 2
+
+
+def with_zero_values(entries):
+    """``entries`` reversed, after explicit zeros in column 0 of their rows."""
+    taken = {(i, j) for i, j, _v in entries}
+    zeros = [(i, 0, 0) for i in sorted({i for i, _j, _v in entries}) if (i, 0) not in taken]
+    return zeros + entries[::-1]
+
+
+def test_kernel_reads_entries_in_any_order(monkeypatch):
+    """The shared stage sees the same rows in the same order, and so hands the
+    dense finish the same remainder, whatever order the entries come in: row
+    major, reversed, shuffled, column major, or with zero values among them.
+    Tall and wide blocks, values beyond +-2**63 and a prime above 2**63."""
+    rng = random.Random(11)
+    chain = sparse_kernel_cases(rng, P61)[-1]  # crosses into the dense finish
+    tall = random_integer_rows(rng, 70, 9, 0.15, list(range(-9, 10)))
+    wide = [list(col) for col in zip(*tall)]
+    beyond = random_integer_rows(rng, 12, 40, 0.1, [2**63, -(2**63) - 1, 2**64 + 5, -(2**70), 3, -1])
+    orders = [
+        lambda e: e,
+        lambda e: e[::-1],
+        lambda e: random.Random(5).sample(e, len(e)),
+        lambda e: sorted(e, key=lambda t: (t[1], t[0])),
+        with_zero_values,
+    ]
+    handed = []
+    finish = _modp._finish_per_prime
+
+    def spy(buckets, *rest):
+        handed.append(([list(row.items()) for bucket in buckets.values() for row in bucket], rest))
+        return finish(buckets, *rest)
+
+    monkeypatch.setattr(_modp, "_finish_per_prime", spy)
+    finished = []
+    for rows in (chain, tall, wide, beyond):
+        for primes in ((P61, P50), (P64, P62), (5, 7)):
+            runs = []
+            for order in orders:
+                handed.clear()
+                try:
+                    outcome = _modp.rank_mod_p_dense(kernel_coo(rows, order), primes)
+                except _modp.PrimesDisagree as err:
+                    outcome = err.ranks
+                runs.append((outcome, list(handed)))
+            assert all(run == runs[0] for run in runs), primes
+            finished.append(bool(runs[0][1]))
+            check_ranks(rows, primes)
+    assert finished[0], "the chain no longer reaches the dense finish"
+    assert 0 in kernel_coo(tall, with_zero_values).values.tolist()
+    assert kernel_coo(beyond).values.dtype == object
+
+
+def test_kernel_ranks_an_empty_block():
+    none = np.array([], dtype=np.intp)
+    for shape in ((0, 0), (0, 4), (4, 0), (5, 7), (7, 5)):
+        for values in (np.array([], dtype=np.int64), np.array([], dtype=object)):
+            assert _modp.rank_mod_p_dense(_modp.Coo(none, none, values, shape), (P61, P50)) == 0
+    zeros = _modp.Coo(np.arange(3), np.arange(3), np.zeros(3, dtype=np.int64), (3, 6))
+    assert _modp.rank_mod_p_dense(zeros, (P64, P62)) == 0
+
+
+def test_sparse_block_is_never_densified_whole():
+    # a scaled partial permutation of 200 rows, 100 more rows that repeat
+    # some of them doubled: rank 200 in a 6000 x 6000 block, whose dense
+    # int64 array alone would take 288 MB
+    rng = random.Random(13)
+    rows = rng.sample(range(6000), 300)
+    cols = rng.sample(range(6000), 200)
+    entries = {(i, j): rng.choice([-3, -1, 1, 2, 5]) for i, j in zip(rows, cols)}
+    for i, j in zip(rows[200:], cols):
+        entries[(i, j)] = 2 * entries[(rows[cols.index(j)], j)]
+    tracemalloc.start()
+    try:
+        got = mod_p_rank_sparse(entries, 6000, 6000, (P61, P50))
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == 200
+    assert peak < 4 * 2**20, f"peak {peak} bytes"
 
 
 def test_disagreeing_primes_escalate_to_the_exact_rank():
@@ -577,7 +668,7 @@ def test_disagreeing_primes_escalate_to_the_exact_rank():
 
 def test_kernel_rejects_a_repeated_prime():
     with pytest.raises(ValueError):
-        _modp.rank_mod_p_dense(np.eye(3, dtype=np.int64), (P61, P61))
+        _modp.rank_mod_p_dense(kernel_coo([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), (P61, P61))
     with pytest.raises(ValueError):
         rank_details(ExactMatrix.from_rows([[1, 2], [3, 4]]), "modular", primes=[P50, P50])
 
