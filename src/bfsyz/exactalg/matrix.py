@@ -409,7 +409,8 @@ class _BadPrime(Exception):
     """A chosen prime divides a denominator; resample it."""
 
 
-_INT64 = np.iinfo(np.int64)
+# read once: ``np.iinfo``'s ``min`` and ``max`` are properties, recomputed per read
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
 def _cleared_values(entries, primes) -> np.ndarray:
@@ -432,7 +433,7 @@ def _cleared_values(entries, primes) -> np.ndarray:
         v.numerator * (dens[i] // v.denominator) if isinstance(v, Fraction) else int(v) * dens.get(i, 1)
         for (i, _j), v in entries.items()
     ]
-    if all(_INT64.min <= v <= _INT64.max for v in values):
+    if all(_INT64_MIN <= v <= _INT64_MAX for v in values):
         return np.array(values, dtype=np.int64)
     return np.array(values, dtype=object)
 
@@ -719,6 +720,32 @@ def blocked_kernel_basis(blocks: WeightBlocks, col_labels, mem_mb: int | None = 
     return out
 
 
+def _check_weyl_shapes(blocks: WeightBlocks, sl2_columns: bool) -> None:
+    """Raise ``EquivarianceError`` unless the row and the column block sizes
+    are equal at w and -w, and the sizes of each side that is an
+    SL2-representation (the rows always, the columns when ``sl2_columns``)
+    do not grow from w to w + 2 for w >= 0 (a missing label has size 0), as
+    weight multiplicities never do."""
+    for side, k in (("row", 0), ("column", 1)):
+        def size(w):
+            return blocks.blocks[w][k] if w in blocks.blocks else 0
+
+        if any(size(-w) != shape[k] for w, shape in blocks.items()):
+            raise EquivarianceError(
+                f"{side} labels are not symmetric under w -> -w, so the map "
+                "cannot be SL2-equivariant"
+            )
+        if k == 1 and not sl2_columns:
+            continue
+        w = min((w for w, shape in blocks.items() if w >= 2 and shape[k] > size(w - 2)), default=None)
+        if w is not None:
+            raise EquivarianceError(
+                f"{side} block sizes grow from weight {w - 2} to {w} "
+                f"({size(w - 2)} -> {size(w)}), which no SL2-representation's "
+                "weight multiplicities do"
+            )
+
+
 def blocked_rank_details(
     blocks: WeightBlocks,
     mode: str = "auto",
@@ -727,6 +754,7 @@ def blocked_rank_details(
     primes: list[int] | None = None,
     mem_mb: int | None = None,
     weyl: bool = False,
+    sl2_columns: bool = True,
 ) -> RankResult:
     """Rank of a label-preserving map as the sum of its block ranks.
 
@@ -737,33 +765,40 @@ def blocked_rank_details(
 
     The exact/modular decision is made once from the *full* shape, the sum
     of the block shapes (so provenance matches the unblocked computation);
-    all blocks then run in that mode with a shared prime set, in label order.
-    The reported primes are those the blocks actually used, in first-use
-    order: a block resamples a prime that one of its denominators vanishes
-    modulo.
+    every block that is ranked runs in that mode with a shared prime set.
+    Without ``weyl`` every block is ranked, in label order.  The reported
+    primes are those the blocks actually used, in first-use order: a block
+    resamples a prime that one of its denominators vanishes modulo.
 
     ``weyl=True`` declares the map SL2-equivariant with the labels as torus
     weights.  The Weyl element carries the weight-w block onto the weight -w
     block, so rank_w = rank_{-w} over QQ and only the blocks with label >= 0
-    are ranked: the total is rank_0 + 2 * sum_{w > 0} rank_w.  Blocks with a
+    count: the total is rank_0 + 2 * sum_{w > 0} rank_w.  Blocks with a
     negative label may hold no entries (a half-built map); their entries are
-    ignored.  The shape of the block at w must equal that at -w (a missing
-    label has shape 0 x 0), which for rows and for columns is the symmetry of
-    the label multiset under w -> -w; otherwise ``EquivarianceError`` is
-    raised.  A halved modular total is still a lower bound of the true rank,
-    and a block of full rank still certifies its mirror, so the certificate
-    rules hold.  Only SL2-stable constructions set the flag (see
-    ``homres.tor_betti`` and ``fhmaps.fh_rank_details``).
+    ignored.  The cokernel of the map is an SL2-representation, and so is
+    its kernel when the columns index a weight basis of one (``sl2_columns``,
+    the default); a representation with nothing in weight w has nothing in
+    any higher weight of the same parity.  So the blocks of weight >= 0 are
+    visited upward, and once a block is surjective (rank = its row count, or
+    no rows) every later block of its parity is surjective too and its rank
+    is its row count; likewise, with ``sl2_columns``, for injective and the
+    column count.  Such a block is never eliminated nor held to the budget.
+    A spanning matrix, whose columns are formal products m * g of possibly
+    redundant generators, passes ``sl2_columns=False``: its image is still
+    SL2-stable, so rank_w = rank_{-w} and surjectivity carries upward, but
+    its kernel need not be a representation.  A block of full rank modulo a
+    prime has full rank over QQ, so an inferred rank is exact whichever mode
+    settled the block below it, and a halved modular total is still a lower
+    bound of the true rank.  For rows and for columns, the shape of the
+    block at w must equal that at -w (a missing label has shape 0 x 0); and
+    the row sizes, and with ``sl2_columns`` the column sizes, must not grow
+    from w to w + 2 for w >= 0, as weight multiplicities never do; otherwise
+    ``EquivarianceError`` is raised.  Only SL2-stable constructions set the
+    flag (see ``homres.tor_betti``, ``fhmaps.fh_rank_details`` and
+    ``polyring.GradedIdeal.piece_dimension_details``).
     """
     if weyl:
-        for side, k in (("row", 0), ("column", 1)):
-            if any(
-                blocks.blocks.get(-w, (0, 0))[k] != shape[k] for w, shape in blocks.items()
-            ):
-                raise EquivarianceError(
-                    f"{side} labels are not symmetric under w -> -w, so the map "
-                    "cannot be SL2-equivariant"
-                )
+        _check_weyl_shapes(blocks, sl2_columns)
     use = _resolve_mode(mode, *blocks.shape)
     if not blocks:
         return RankResult(0, "exact")
@@ -776,17 +811,32 @@ def blocked_rank_details(
     total = 0
     escalated = False
     used: dict[int, None] = {}
-    for w, (nrows, ncols, sub) in blocks.items():
-        if not sub or (weyl and w < 0):
-            continue
-        block = _trusted_matrix(nrows, ncols, sub)
-        if use == "exact":
-            r = bareiss_rank_rows(_sparse_rows(block, mem_mb), block.ncols)
+    # the parities w % 2 known to be injective (surjective) from a lower block
+    injective: set[int] = set()
+    surjective: set[int] = set()
+    labels = sorted(w for w in blocks.blocks if w >= 0) if weyl else list(blocks.blocks)
+    for w in labels:
+        nrows, ncols, sub = blocks.blocks[w]
+        if w % 2 in injective:
+            r = ncols
+        elif w % 2 in surjective:
+            r = nrows
+        elif not sub:
+            r = 0
         else:
-            res = rank_details(block, "modular", rng=rng, primes=chosen, mem_mb=mem_mb)
-            r = res.rank
-            escalated = escalated or res.escalated
-            used.update(dict.fromkeys(res.primes))
+            block = _trusted_matrix(nrows, ncols, sub)
+            if use == "exact":
+                r = bareiss_rank_rows(_sparse_rows(block, mem_mb), ncols)
+            else:
+                res = rank_details(block, "modular", rng=rng, primes=chosen, mem_mb=mem_mb)
+                r = res.rank
+                escalated = escalated or res.escalated
+                used.update(dict.fromkeys(res.primes))
+        if weyl:
+            if r == ncols and sl2_columns:
+                injective.add(w % 2)
+            if r == nrows:
+                surjective.add(w % 2)
         total += 2 * r if weyl and w > 0 else r
     if use == "exact":
         return RankResult(total, "exact")

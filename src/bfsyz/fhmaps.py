@@ -255,11 +255,13 @@ def fh_rank_details(
 ) -> RankResult:
     """Weight-blocked rank of an alpha_k matrix with provenance.
 
-    alpha_k is SL2-equivariant, so only its blocks of weight >= 0 are ranked
+    alpha_k is SL2-equivariant, so only its blocks of weight >= 0 count
     (``blocked_rank_details(..., weyl=True)``), which is all that
     ``foulkes_howe`` builds; the exact/modular choice is made on the full
-    shape.  Reports resting on this rank say so with
-    ``"symmetry": "sl2-weyl"``.
+    shape.  They are visited upward, and every block above an injective or
+    a surjective one of its parity is inferred to be so too, not
+    eliminated; on the bench slices the weight-0 block settles the map.
+    Reports resting on this rank say so with ``"symmetry": "sl2-weyl"``.
     """
     blocks = split_blocks(fh.matrix.entries, fh.row_weights, fh.col_weights)
     return blocked_rank_details(blocks, mode, rng=rng, mem_mb=mem_mb, weyl=True)

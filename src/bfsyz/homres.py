@@ -585,7 +585,10 @@ def tor_betti(
     When ``module.weyl`` is set, every differential is SL2-equivariant:
     ``koszul_slab`` fills only its blocks of weight >= 0 and
     ``blocked_rank_details(..., weyl=True)`` counts each positive block
-    twice, after checking that the block shapes are symmetric.  The table's
+    twice, after checking that the block shapes could be weight
+    multiplicities (symmetric, not growing above weight 0).  It ranks the
+    blocks upward and infers, without eliminating them, the blocks above an
+    injective or a surjective one of the same parity.  The table's
     ``meta["symmetry"]`` is then ``"sl2-weyl"``, naming the theorem the
     ranks rest on; other tables carry no such key.
     """

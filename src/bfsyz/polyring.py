@@ -327,10 +327,14 @@ class GradedIdeal:
 
     ``sl2_stable`` marks an ideal that SL2 maps to itself (the power ideal,
     its powers, the ideal of the power locus).  It is a claim about the
-    ideal, not its generators, so it is not part of ``fingerprint()``.  The
-    dimensions of a marked ideal's graded pieces, and the maps of a
-    Koszul-homology module built from it (see ``homres.tor_betti``), are
-    ranked on their weight >= 0 half only.
+    ideal, not its generators, so it is not part of ``fingerprint()``: the
+    generators may be redundant.  The dimensions of a marked ideal's graded
+    pieces, and the maps of a Koszul-homology module built from it (see
+    ``homres.tor_betti``), are ranked on their weight >= 0 half only.  The
+    rank driver still requires the weights of the products m * g of each
+    degree to be symmetric under w -> -w, which refuses a wrongly marked
+    ideal such as (c0^2) and also a stable one whose generators are spread
+    unevenly over the weights.
     """
 
     __slots__ = ("ring", "generators", "weight_graded", "sl2_stable")
@@ -466,13 +470,19 @@ class GradedIdeal:
 
         The mode is picked from the full shape, as for the unhalved matrix.
         An ideal with ``weyl`` set is ranked on its weight >= 0 half
-        (``blocked_rank_details(..., weyl=True)``); reports resting on such a
-        dimension carry ``"symmetry": "sl2-weyl"``.
+        (``blocked_rank_details(..., weyl=True)``), upward, with the blocks
+        above a surjective one of the same parity inferred; reports resting
+        on such a dimension carry ``"symmetry": "sl2-weyl"``.  The columns
+        are the formal products m * g, which span the SL2-representation I_k
+        but need not form one when the generators are redundant, so no block
+        is inferred from injectivity (``sl2_columns=False``).
         """
         if k < 0 or not self.generators or k < min(self.generator_degrees()):
             return RankResult(0, "exact")
         blocks, _row_labels, _col_labels = self.spanning_data(k, half=self.weyl)
-        return blocked_rank_details(blocks, mode, rng=rng, mem_mb=mem_mb, weyl=self.weyl)
+        return blocked_rank_details(
+            blocks, mode, rng=rng, mem_mb=mem_mb, weyl=self.weyl, sl2_columns=False,
+        )
 
 
 def ideal_power(ideal: GradedIdeal, j: int) -> GradedIdeal:

@@ -4,7 +4,11 @@ The halved ranks rest on rank_w = rank_{-w}, so every acceptance-range case
 is run both ways and compared, and the block ranks of every Koszul slab and
 every graded-piece spanning matrix are checked in pairs.  The unhalved runs flip the mark on the module or ideal
 object (or rank the mirrored full slices with ``weyl=False``); no library
-switch exists.
+switch exists.  The ranks of the blocks above an injective or a surjective
+one are inferred, not computed; that rests on kernels and cokernels being
+SL2-representations, so the same slabs and slices are checked to carry
+injectivity and surjectivity upward, and the spanning matrices, whose
+kernels need not be representations, surjectivity.
 """
 
 import hashlib
@@ -15,9 +19,9 @@ from fractions import Fraction
 import pytest
 
 from bfsyz import fhmaps, homres
-from bfsyz.errors import ConventionError, EquivarianceError
-from bfsyz.exactalg import WeightBlocks, blocked_rank_details, split_blocks
-from bfsyz.exactalg.matrix import bareiss_rank_rows
+from bfsyz.errors import ConventionError, EquivarianceError, ResourceLimitError
+from bfsyz.exactalg import WeightBlocks, blocked_rank_details, matrix, split_blocks
+from bfsyz.exactalg.matrix import bareiss_rank_rows, draw_primes, mod_p_rank_sparse
 from bfsyz.homres import (
     GradedModule,
     exactness_check,
@@ -245,14 +249,36 @@ def test_wrongly_marked_ideal_is_refused():
 # full map cut
 
 
-def block_ranks(blocks: WeightBlocks) -> dict:
+def block_ranks(blocks: WeightBlocks, primes=None) -> dict:
+    """Every block's rank: exact, or modulo each of ``primes`` (which must agree)."""
     ranks = {}
     for w, (nrows, ncols, sub) in blocks.items():
+        if primes:
+            ranks[w] = mod_p_rank_sparse(sub, nrows, ncols, primes) if sub else 0
+            continue
         rows: list[dict] = [{} for _ in range(nrows)]
         for (r, c), v in sub.items():
             rows[r][c] = v
         ranks[w] = bareiss_rank_rows(rows, ncols)
     return ranks
+
+
+def assert_weyl_ranks(blocks: WeightBlocks, ranks: dict, where, kernel: bool = True) -> None:
+    """rank_w = rank_{-w}, and above weight 0 the cokernel dimensions, and
+    with ``kernel`` the kernel dimensions, never grow from w - 2 to w (a
+    missing label has a 0 x 0 block), as weight multiplicities of
+    SL2-representations never do.  So every block above a surjective
+    (injective) one of its parity is surjective (injective), which is what
+    blocked_rank_details infers."""
+    def defects(w):
+        nrows, ncols, _sub = blocks.blocks.get(w, (0, 0, None))
+        return ncols - ranks.get(w, 0), nrows - ranks.get(w, 0)
+
+    for w, r in ranks.items():
+        assert ranks.get(-w, 0) == r, (where, w)
+        if w >= 2:
+            (ker, coker), (ker_below, coker_below) = defects(w), defects(w - 2)
+            assert coker <= coker_below and (ker <= ker_below or not kernel), (where, w)
 
 
 @pytest.mark.parametrize("build,k_max", piece_ideals())
@@ -266,9 +292,7 @@ def test_spanning_block_ranks_are_weyl_symmetric(build, k_max):
         assert half == WeightBlocks(
             {w: (r, c, sub if w >= 0 else {}) for w, (r, c, sub) in full.items()}
         )
-        ranks = block_ranks(full)
-        for w, r in ranks.items():
-            assert ranks.get(-w, 0) == r, (k, w)
+        assert_weyl_ranks(full, block_ranks(full), k, kernel=False)
 
 
 def global_spanning(ideal, k, half):
@@ -360,9 +384,32 @@ def test_block_ranks_are_weyl_symmetric(build, t_max):
             assert half == WeightBlocks(
                 {w: (r, c, sub if w >= 0 else {}) for w, (r, c, sub) in full[2].items()}
             )
-            ranks = block_ranks(full[2])
-            for w, r in ranks.items():
-                assert ranks.get(-w, 0) == r, (i, t, w)
+            assert_weyl_ranks(full[2], block_ranks(full[2]), (i, t))
+
+
+BENCH_SLICES = [(3, 4, 4), (2, 6, 4), (3, 4, 5)]
+
+
+@pytest.fixture(scope="module")
+def slice_halves():
+    return {abk: fhmaps.foulkes_howe(*abk) for abk in criterion_1_slices() + BENCH_SLICES}
+
+
+@pytest.mark.parametrize("mode", ["exact", "modular"])
+def test_slice_block_ranks_carry_over(slice_halves, mode):
+    primes = draw_primes(random.Random(11)) if mode == "modular" else None
+    for abk, half in slice_halves.items():
+        full = fhmaps.mirror(half)
+        blocks = split_blocks(full.matrix.entries, full.row_weights, full.col_weights)
+        ranks = block_ranks(blocks, primes)
+        assert_weyl_ranks(blocks, ranks, abk)
+        # blocked_rank_details, ranking upward and inferring, gets the full sum
+        halved = blocked_rank_details(
+            split_blocks(half.matrix.entries, half.row_weights, half.col_weights),
+            mode, primes=primes, weyl=True,
+        )
+        assert halved.rank == sum(ranks.values()), abk
+        assert halved.mode == mode and list(halved.primes) == (primes or []), abk
 
 
 def global_slab(module, i, t, half):
@@ -442,6 +489,136 @@ def test_weyl_rejects_asymmetric_labels():
         blocked_rank_details(WeightBlocks({0: (1, 1, {(0, 0): 1}), 1: (1, 1, {})}), weyl=True)
     # the same map ranks in full without the flag
     assert blocked_rank_details(split_blocks({(0, 0): 1, (1, 1): 1}, [1, 1], [1, 1])).rank == 2
+
+
+def test_weyl_rejects_growing_weight_multiplicities():
+    # symmetric labels, but weight 2 has more rows and columns than weight 0
+    labels = [-2, -2, 0, 2, 2]
+    blocks = split_blocks({(i, i): 1 for i in range(5)}, labels, labels)
+    with pytest.raises(EquivarianceError, match="row block sizes grow"):
+        blocked_rank_details(blocks, weyl=True)
+    # a missing label has size 0: weight 2 between 0 and 4, and weight 0 below 2
+    with pytest.raises(EquivarianceError):
+        blocked_rank_details(split_blocks({(i, i): 1 for i in range(3)}, [-4, 0, 4], [-4, 0, 4]), weyl=True)
+    with pytest.raises(EquivarianceError):
+        blocked_rank_details(split_blocks({(0, 0): 1, (1, 1): 1}, [-2, 2], [-2, 2]), weyl=True)
+    # the columns are checked on their own
+    cols_grow = WeightBlocks({-2: (1, 2, {}), 0: (1, 1, {(0, 0): 1}), 2: (1, 2, {(0, 1): 1})})
+    with pytest.raises(EquivarianceError, match="column block sizes grow"):
+        blocked_rank_details(cols_grow, weyl=True)
+    # without the flag nothing is assumed
+    assert blocked_rank_details(blocks).rank == 5
+    # formal columns (a spanning matrix) may grow; the rows still may not
+    assert blocked_rank_details(cols_grow, weyl=True, sl2_columns=False).rank == 3
+    with pytest.raises(EquivarianceError, match="row block sizes grow"):
+        blocked_rank_details(blocks, weyl=True, sl2_columns=False)
+
+
+def test_weyl_walks_upward_whatever_the_label_order():
+    # V_2 + V_0 -> V_2, the projection away from V_0, handed over from the
+    # top label down: upward, weight 0 is surjective, so weight 2 is, and the
+    # rank is 1 + 2 * 1 = 3; a walk downward would find weight 2 injective and
+    # count weight 0 as injective too, 2 + 2 * 1 = 4
+    blocks = WeightBlocks({
+        2: (1, 1, {(0, 0): 1}),
+        0: (1, 2, {(0, 0): 1}),
+        -2: (1, 1, {(0, 0): 1}),
+    })
+    assert blocked_rank_details(blocks, weyl=True) == (3, "exact", (), False)
+    assert blocked_rank_details(blocks, "modular", rng=random.Random(1), weyl=True).rank == 3
+
+
+def test_weyl_infers_within_one_parity():
+    # V_0 + V_1 -> V_0 + V_1, the identity on V_0 and zero on V_1: weight 0
+    # is injective, which says nothing about weight 1
+    blocks = WeightBlocks({-1: (1, 1, {}), 0: (1, 1, {(0, 0): 1}), 1: (1, 1, {})})
+    assert blocked_rank_details(blocks, weyl=True).rank == 1
+    assert blocked_rank_details(blocks, "modular", rng=random.Random(1), weyl=True).rank == 1
+
+
+def redundant_stable_ideals():
+    """(ideal, k, dim I_k) for SL2-stable ideals whose generators are redundant."""
+    ring = PolyRing(3, "c")
+    c = [ring.variable(v) for v in range(3)]
+    squares = [c[i] * c[j] for i in range(3) for j in range(i, 3)]
+    # weight 0 of the degree-2 spanning matrix is injective, weight 2 is not
+    yield GradedIdeal(ring, squares + [2 * c[0] * c[1], 2 * c[1] * c[2]], sl2_stable=True), 2, 6
+    ring = PolyRing(2)
+    x, y = ring.variable(0), ring.variable(1)
+    # the products m * g have 2, 1 and 2 columns in weights -2, 0 and 2
+    yield GradedIdeal(ring, [x * x, 2 * x * x, x * y, y * y, 2 * y * y], sl2_stable=True), 2, 3
+
+
+@pytest.mark.parametrize("mode", ["exact", "modular"])
+def test_redundant_generators_infer_only_surjectivity(mode):
+    # the image of a spanning matrix is a representation, its kernel need
+    # not be: an injective weight-0 block says nothing about weight 2
+    for ideal, k, dim in redundant_stable_ideals():
+        assert ideal.weyl
+        got = ideal.piece_dimension_details(k, mode, rng=random.Random(5))
+        assert got.rank == dim and got.mode == mode
+        ideal.sl2_stable = False
+        assert ideal.piece_dimension_details(k, mode, rng=random.Random(5)) == got
+
+
+def spy_on_eliminations(monkeypatch) -> list:
+    """Record every mod-p kernel and Bareiss call, the two block eliminations."""
+    calls = []
+    for owner, name in ((matrix._kernel, "rank_mod_p_dense"), (matrix, "bareiss_rank_rows")):
+        def spy(*args, _original=getattr(owner, name), _name=name):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+def test_slice_is_settled_by_one_block(monkeypatch):
+    # every column weight of (3,4,5) is even; the weight-0 block is of full
+    # rank, so no other block is eliminated
+    calls = spy_on_eliminations(monkeypatch)
+    report = fhmaps.fh_rank_report(3, 4, 5, rng=random.Random(2))
+    assert report["maximal_rank"] is True and report["status"] == "ok"
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("mode", ["exact", "modular"])
+def test_inferred_blocks_skip_the_budget_check(monkeypatch, mode):
+    # weight 0 is 4 x 3 and injective; weight 2 (3 x 2) is inferred to be
+    # injective, rank 2.  When rows and columns are representations, a block
+    # above a ranked one is never larger (multiplicities do not grow), so
+    # the maps that the budget refuses are those whose ranked blocks exceed
+    # it; spanning matrices are the exception (see the test below)
+    eye = {(i, i): 1 for i in range(3)}
+    blocks = WeightBlocks({
+        -2: (3, 2, {}), 0: (4, 3, eye), 2: (3, 2, {(0, 0): 1, (1, 1): 1}),
+    })
+    checked = []
+    budget = matrix.check_dense_budget
+    monkeypatch.setattr(
+        matrix, "check_dense_budget", lambda *args: checked.append(args[:2]) or budget(*args)
+    )
+    calls = spy_on_eliminations(monkeypatch)
+    res = blocked_rank_details(blocks, mode, rng=random.Random(3), mem_mb=1, weyl=True)
+    assert res.rank == 3 + 2 * 2 and res.mode == mode
+    assert checked == [(4, 3)] and len(calls) == 1
+
+
+@pytest.mark.parametrize("mode", ["exact", "modular"])
+def test_spanning_blocks_above_a_surjective_one_skip_the_budget(mode):
+    # formal columns may grow with the weight: weight 2 has 1 x 100000 cells,
+    # over 1 MiB, but weight 0 is surjective, so weight 2 is too (rank 1)
+    wide = 100_000
+    blocks = WeightBlocks({
+        -2: (1, wide, {}), 0: (1, 1, {(0, 0): 1}), 2: (1, wide, {(0, 7): 1}),
+    })
+    res = blocked_rank_details(
+        blocks, mode, rng=random.Random(3), mem_mb=1, weyl=True, sl2_columns=False,
+    )
+    assert res.rank == 3 and res.mode == mode
+    # ranked in full it is refused, as before
+    with pytest.raises(ResourceLimitError):
+        blocked_rank_details(blocks, mode, rng=random.Random(3), mem_mb=1)
 
 
 def test_weyl_counts_positive_blocks_twice():
