@@ -21,9 +21,9 @@ is unique, so results depend only on the input, not on that choice.
 Row-level engines (`bareiss_rank_rows`, `rref_rows`, `mod_p_rank_rows`, ...) are
 exposed for the modules that assemble large matrices blockwise and do not want
 to round-trip through ExactMatrix.  Label-preserving maps travel as
-:class:`WeightBlocks`: Koszul slabs and graded-piece spanning matrices are
-built as blocks, and :func:`split_blocks` files the global entries of the
-other maps into them.  Every echelon form of such a map runs through one
+:class:`WeightBlocks`: Koszul slabs, graded-piece spanning matrices and
+substitution slices are built as blocks, and :func:`split_blocks` files the
+global entries of the other maps into them.  Every echelon form of such a map runs through one
 blocked path, ``_blocked_echelon``, which takes the blocks and the labels
 that give their full indices: check each block against the dense memory
 budget, reduce it with ``rref_rows``.  :func:`column_echelon` (graded
@@ -154,19 +154,6 @@ class ExactMatrix:
                     clean[(i, j)] = v
         self.entries = clean
         self.pivot_cols: tuple[int, ...] | None = None
-
-    @classmethod
-    def from_rows(cls, rows, field: str = "QQ") -> "ExactMatrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        entries = {}
-        for i, row in enumerate(rows):
-            if len(row) != ncols:
-                raise ValueError("ragged rows")
-            for j, v in enumerate(row):
-                if v:
-                    entries[(i, j)] = v
-        return cls(nrows, ncols, entries, field)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -563,6 +550,10 @@ class WeightBlocks:
     :class:`ExactMatrix` stores them (ints where integral, no zeros).  The
     block shapes add up to the full shape; a block may hold no entries.
     ``len()`` is the number of stored entries, so an empty map is falsy.
+
+    The rank driver reads a map through ``shapes()``, ``entries(w)`` and its
+    truth value only, and asks for the entries of the blocks it eliminates
+    alone; a subclass may build each block then (``fhmaps.SliceBlocks``).
     """
 
     __slots__ = ("blocks",)
@@ -583,12 +574,18 @@ class WeightBlocks:
     def items(self):
         return self.blocks.items()
 
+    def shapes(self) -> dict:
+        """``{label: (nrows, ncols)}`` in label order."""
+        return {w: (r, c) for w, (r, c, _sub) in self.blocks.items()}
+
+    def entries(self, w) -> dict:
+        """The entries of the block at label ``w``, in local indices."""
+        return self.blocks[w][2]
+
     @property
     def shape(self) -> tuple[int, int]:
-        return (
-            sum(r for r, _c, _sub in self.blocks.values()),
-            sum(c for _r, c, _sub in self.blocks.values()),
-        )
+        shapes = self.shapes().values()
+        return sum(r for r, _c in shapes), sum(c for _r, c in shapes)
 
     def __repr__(self) -> str:
         rows, cols = self.shape
@@ -598,12 +595,13 @@ class WeightBlocks:
 def split_blocks(entries, row_labels, col_labels) -> WeightBlocks:
     """The :class:`WeightBlocks` of a map given as global sparse entries.
 
-    For the callers whose entries come with global indices (substitution
-    slices, complexes, minors, the phi syzygies); Koszul slabs and spanning
-    matrices are built as blocks.  Every nonzero entry must connect a row and
-    a column with equal labels, otherwise the map is not equivariant for the
-    labelling and a ConventionError is raised; an index outside the label
-    lists raises ValueError.
+    For the callers whose entries come with global indices (the complexes
+    of ``exactness_check``, the minors span, the phi syzygies); Koszul
+    slabs, spanning matrices and substitution slices are built as blocks.
+    Every nonzero entry must connect a row and a column with equal labels,
+    otherwise the map is not equivariant for the labelling and a
+    ConventionError is raised; an index outside the label lists raises
+    ValueError.
     """
     rows_by: dict = {}
     cols_by: dict = {}
@@ -660,7 +658,7 @@ def _blocked_echelon(blocks: WeightBlocks, labels, mem_mb: int | None = None, *,
     ids: dict = {}
     for i, w in enumerate(labels):
         ids.setdefault(w, []).append(i)
-    if {w: len(v) for w, v in ids.items()} != {w: s[side] for w, s in blocks.items() if s[side]}:
+    if {w: len(v) for w, v in ids.items()} != {w: s[side] for w, s in blocks.shapes().items() if s[side]}:
         raise ValueError("the labels do not match the block shapes")
     for w, (nrows, ncols, sub) in blocks.items():
         if transpose:
@@ -726,18 +724,19 @@ def _check_weyl_shapes(blocks: WeightBlocks, sl2_columns: bool) -> None:
     SL2-representation (the rows always, the columns when ``sl2_columns``)
     do not grow from w to w + 2 for w >= 0 (a missing label has size 0), as
     weight multiplicities never do."""
+    shapes = blocks.shapes()
     for side, k in (("row", 0), ("column", 1)):
         def size(w):
-            return blocks.blocks[w][k] if w in blocks.blocks else 0
+            return shapes[w][k] if w in shapes else 0
 
-        if any(size(-w) != shape[k] for w, shape in blocks.items()):
+        if any(size(-w) != shape[k] for w, shape in shapes.items()):
             raise EquivarianceError(
                 f"{side} labels are not symmetric under w -> -w, so the map "
                 "cannot be SL2-equivariant"
             )
         if k == 1 and not sl2_columns:
             continue
-        w = min((w for w, shape in blocks.items() if w >= 2 and shape[k] > size(w - 2)), default=None)
+        w = min((w for w, shape in shapes.items() if w >= 2 and shape[k] > size(w - 2)), default=None)
         if w is not None:
             raise EquivarianceError(
                 f"{side} block sizes grow from weight {w - 2} to {w} "
@@ -760,8 +759,13 @@ def blocked_rank_details(
 
     The one rank driver of blocked maps.  ``blocks`` is a
     :class:`WeightBlocks`: Koszul slabs and spanning matrices are built that
-    way, and callers that hold global entries pass them through
-    :func:`split_blocks` first.
+    way, substitution slices build each block when the driver reads its
+    entries (so only the eliminated blocks are built), and callers that hold
+    global entries (complexes, the minors span) pass them through
+    :func:`split_blocks` first.  Only the blocks that get eliminated are
+    read through ``entries(w)``; the shape checks, the mode choice and
+    inferred blocks read ``shapes()``, and the empty-map shortcut reads
+    ``bool(blocks)``, which a slice answers from its shapes.
 
     The exact/modular decision is made once from the *full* shape, the sum
     of the block shapes (so provenance matches the unblocked computation);
@@ -814,14 +818,15 @@ def blocked_rank_details(
     # the parities w % 2 known to be injective (surjective) from a lower block
     injective: set[int] = set()
     surjective: set[int] = set()
-    labels = sorted(w for w in blocks.blocks if w >= 0) if weyl else list(blocks.blocks)
+    shapes = blocks.shapes()
+    labels = sorted(w for w in shapes if w >= 0) if weyl else list(shapes)
     for w in labels:
-        nrows, ncols, sub = blocks.blocks[w]
+        nrows, ncols = shapes[w]
         if w % 2 in injective:
             r = ncols
         elif w % 2 in surjective:
             r = nrows
-        elif not sub:
+        elif not (sub := blocks.entries(w)):
             r = 0
         else:
             block = _trusted_matrix(nrows, ncols, sub)

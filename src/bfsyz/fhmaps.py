@@ -11,9 +11,11 @@ are identical to unblocked ones because distinct weights touch disjoint
 monomial sets.  Reversing the c_i swaps x1 and x2 in G, so
 P_j(rev c) = P_{d-j}(c) and alpha_k has entry (e, beta) = entry
 (rev e, rev beta), with no signs; reversal sends weight w to -w.  A slice is
-therefore built, cached and ranked as its weight >= 0 half (the columns of
-weight >= 0), and ``mirror`` rebuilds the full map for the callers that need
-it.
+therefore held as its weight blocks of weight >= 0 (``SliceBlocks``), each
+built from one product tree that the slice shares, validated and cached on
+its own the first time it is read; the rank driver reads only the blocks it
+eliminates, and ``mirror`` builds the rest and the negative blocks for the
+callers that need the full map.
 
 Also here: the (d+b-1) x (b+1) matrix of linear forms in z whose rank drops
 on the locus of powers (rows pair the generic degree-d form against the
@@ -32,10 +34,11 @@ from typing import NamedTuple
 from .errors import ConventionError, ResourceLimitError
 from .exactalg import (
     ExactMatrix,
+    WeightBlocks,
     blocked_kernel_basis,
     blocked_rank_details,
-    dump_matrix,
-    load_matrix,
+    dump_matrix,  # noqa: F401 (unused; perfbench/spans.py REQUIRED_COPIES needs it)
+    load_matrix,  # noqa: F401 (unused; perfbench/spans.py REQUIRED_COPIES needs it)
     split_blocks,
 )
 from .exactalg.matrix import (
@@ -113,26 +116,208 @@ def power_ideal(a: int, b: int) -> GradedIdeal:
     return GradedIdeal(gens.ring, list(gens.polys), sl2_stable=True)
 
 
+def _ids_by_weight(weights) -> dict:
+    """{weight: the indices of that weight, ascending}, so that local order
+    is global order."""
+    ids: dict = {}
+    for i, w in enumerate(weights):
+        ids.setdefault(w, []).append(i)
+    return ids
+
+
+class _SliceSource:
+    """What the weight blocks of one slice alpha_k are built from: the bases,
+    the full indices of each weight, the cache directory and one product
+    tree, made when the first block is built and shared by the rest."""
+
+    def __init__(self, a, b, k, row_basis, col_basis, row_weights, col_weights, cdir):
+        self.a, self.b, self.k = a, b, k
+        self.row_basis, self.col_basis = row_basis, col_basis
+        self.col_weights = col_weights
+        self.cdir = cdir
+        self.row_ids = _ids_by_weight(row_weights)
+        self.col_ids = _ids_by_weight(col_weights)
+        self.shapes = {
+            w: (len(self.row_ids.get(w, ())), len(self.col_ids.get(w, ())))
+            for w in sorted(set(self.row_ids) | set(self.col_ids))
+        }
+        self._product = None
+        self._reversal = None
+
+    def block(self, w: int) -> dict:
+        """The entries of the block at weight w >= 0, in local indices.
+
+        Read from the cache file of the block when one is active and holds
+        it, else built, validated by ``ExactMatrix`` and written there.
+        """
+        nrows, ncols = self.shapes[w]
+        if not ncols:
+            return {}
+        path = None
+        if self.cdir is not None:
+            path = self.cdir / f"fhw-a{self.a}-b{self.b}-k{self.k}-w{w}.mat"
+            matrix = load_cached(path, nrows, ncols)
+            if matrix is not None:
+                return matrix.entries
+        matrix = ExactMatrix(nrows, ncols, self.build(w))
+        if path is not None:
+            atomic_dump(matrix, path)
+        return matrix.entries
+
+    def build(self, w: int) -> dict:
+        """The entries of the block at weight w >= 0 from the product tree,
+        column by column, each column in the order of its product."""
+        # degree-ak monomials have exponents <= ak, so base ak + 1 packs them injectively
+        base = self.a * self.k + 1
+        if self._product is None:
+            # stripping the lowest index of a weight >= 0 beta leaves weight
+            # >= 0, so the tree never builds a product of negative weight
+            self._product = _product_tree(power_generators(self.a, self.b).polys, base)
+        product = self._product
+        # P^beta lies in the rows of the weight of beta: a row outside the
+        # block is a KeyError, never an entry filed in the wrong block
+        rows = {_pack(self.row_basis[i], base): n for n, i in enumerate(self.row_ids[w])}
+        entries: dict = {}
+        for n, j in enumerate(self.col_ids[w]):
+            for exp, coeff in product(self.col_basis[j]).items():
+                entries[(rows[exp], n)] = coeff
+        return entries
+
+    def reversal(self):
+        """(rev_row, rev_col, row_pos, col_pos): the full index of the
+        reversed monomial of each row and column, and the local index of
+        each row and column in its block."""
+        if self._reversal is None:
+            row_index = plethysm_index(self.a * self.k, self.b)
+            col_index = plethysm_index(self.k, self.a * self.b)
+            row_pos = [0] * len(self.row_basis)
+            col_pos = [0] * len(self.col_basis)
+            for pos, ids in ((row_pos, self.row_ids), (col_pos, self.col_ids)):
+                for block in ids.values():
+                    for n, i in enumerate(block):
+                        pos[i] = n
+            self._reversal = (
+                [row_index[m[::-1]] for m in self.row_basis],
+                [col_index[m[::-1]] for m in self.col_basis],
+                row_pos,
+                col_pos,
+            )
+        return self._reversal
+
+
+class SliceBlocks(WeightBlocks):
+    """The weight blocks of a slice alpha_k, each built the first time it is read.
+
+    A block of weight >= 0 is read from its cache file
+    ``fhw-a{a}-b{b}-k{k}-w{w}.mat`` (local indices) or built from the
+    slice's product tree, validated and written there.  The blocks of
+    negative weight hold no entries, unless the slice went through
+    ``mirror``: then the block at -w is the block at w reversed.
+    ``shapes()``, ``shape`` and truth testing read shapes only (every column
+    P^beta of alpha_k is a nonzero polynomial, so a slice with a column has
+    an entry); ``len()``, ``items()``, ``blocks`` and ``matrix()`` build
+    every block.
+    """
+
+    __slots__ = ("_source", "_built", "_full", "_matrix")
+
+    def __init__(self, source: _SliceSource, built: dict | None = None, full: bool = False):
+        self._source = source
+        self._built = {} if built is None else built
+        self._full = full
+        self._matrix = None
+
+    @property
+    def blocks(self) -> dict:
+        return {w: (r, c, self.entries(w)) for w, (r, c) in self._source.shapes.items()}
+
+    def shapes(self) -> dict:
+        return dict(self._source.shapes)
+
+    def entries(self, w) -> dict:
+        sub = self._built.get(w)
+        if sub is None:
+            if w >= 0:
+                sub = self._source.block(w)
+            elif self._full:
+                rev_row, rev_col, row_pos, col_pos = self._source.reversal()
+                rows, cols = self._source.row_ids[-w], self._source.col_ids[-w]
+                sub = {
+                    (row_pos[rev_row[rows[i]]], col_pos[rev_col[cols[j]]]): v
+                    for (i, j), v in self.entries(-w).items()
+                }
+            else:
+                sub = {}
+            self._built[w] = sub
+        return sub
+
+    def __bool__(self) -> bool:
+        return any(c for _r, c in self._source.shapes.values())
+
+    def __repr__(self) -> str:
+        rows, cols = self.shape
+        return f"SliceBlocks({rows} x {cols}, built={sorted(self._built)})"
+
+    def mirrored(self) -> "SliceBlocks":
+        """The blocks of the full map: every block of weight >= 0 is loaded
+        or built here (and kept), the negative ones on first read."""
+        built = {w: self.entries(w) for w in self._source.shapes if w >= 0}
+        return SliceBlocks(self._source, built, full=True)
+
+    def matrix(self) -> ExactMatrix:
+        """The map with global indices, assembled once.
+
+        The entries of weight >= 0 come column by column, each column in the
+        order of its block; a full map then lists, in that order, the
+        reversal of every entry in a column of weight > 0.  The entries are
+        not validated a second time.
+        """
+        if self._matrix is None:
+            source = self._source
+            runs: dict = {}
+            for w, (_nrows, ncols) in source.shapes.items():
+                if w < 0 or not ncols:
+                    continue
+                rows, cols = source.row_ids[w], source.col_ids[w]
+                for (i, j), v in self.entries(w).items():
+                    runs.setdefault(cols[j], []).append(((rows[i], cols[j]), v))
+            half = [entry for j in sorted(runs) for entry in runs[j]]
+            entries = dict(half)
+            if self._full:
+                rev_row, rev_col, _row_pos, _col_pos = source.reversal()
+                weights = source.col_weights
+                for (r, c), v in half:
+                    if weights[c] > 0:
+                        entries[(rev_row[r], rev_col[c])] = v
+            self._matrix = _trusted_matrix(len(source.row_basis), len(source.col_basis), entries)
+        return self._matrix
+
+
 class FoulkesHoweMatrix(NamedTuple):
     a: int
     b: int
     k: int
     d: int
-    # rows: degree-ak c-monomials, cols: degree-k z-monomials; only the columns
-    # of weight >= 0 hold entries, unless the slice went through ``mirror``
-    matrix: ExactMatrix
+    # rows: degree-ak c-monomials, cols: degree-k z-monomials; the blocks of
+    # negative weight hold no entries, unless the slice went through ``mirror``
+    blocks: SliceBlocks
     row_basis: tuple
     col_basis: tuple
     row_weights: tuple
     col_weights: tuple
 
     @property
+    def matrix(self) -> ExactMatrix:
+        """The slice with global indices; builds every block of weight >= 0."""
+        return self.blocks.matrix()
+
+    @property
     def source_dim(self) -> int:
-        return self.matrix.ncols
+        return len(self.col_basis)
 
     @property
     def target_dim(self) -> int:
-        return self.matrix.nrows
+        return len(self.row_basis)
 
 
 def _pack(exp, base: int) -> int:
@@ -176,17 +361,20 @@ def _product_tree(polys, base: int):
 
 
 def foulkes_howe(a: int, b: int, k: int, mem_mb=None, cache=None) -> FoulkesHoweMatrix:
-    """The weight >= 0 half of the degree-k slice of z_j -> P_j, as an exact matrix.
+    """The degree-k slice of z_j -> P_j, held as its weight blocks.
 
     Column for the z-monomial z^beta is the coefficient vector of
-    prod_j P_j^{beta_j} over the degree-ak c-monomials.  Only the columns of
-    weight >= 0 are evaluated; the matrix, the bases and the weight lists
-    keep the full shape, and ``mirror`` fills in the columns of negative
-    weight.  k = 0 gives the 1 x 1 identity.  Halves are cached on disk when
-    a cache directory is active, keyed by (a, b, k) under the stem
-    ``fhw-a{a}-b{b}-k{k}``; a cached file that does not parse, holds a
-    matrix of another shape or field, or holds an entry in a column of
-    negative weight is rebuilt and rewritten.
+    prod_j P_j^{beta_j} over the degree-ak c-monomials.  This computes the
+    bases, the weights and the block shapes only, and charges the dense
+    budget for the full shape up front; each block of weight >= 0 is built
+    (or read from the cache) the first time it is read (``SliceBlocks``),
+    and ``mirror`` fills in the blocks of negative weight.  k = 0 gives the
+    1 x 1 identity.  With a cache directory active, each block is kept in
+    its own file under the stem ``fhw-a{a}-b{b}-k{k}-w{w}``, in local
+    indices; a file that does not parse, is keyed to another stem, or holds
+    a matrix of another shape or field is a miss, and that block alone is
+    rebuilt and rewritten.  Files ``fhw-a{a}-b{b}-k{k}`` of earlier releases,
+    which held the whole weight >= 0 half, are never read.
     """
     if a < 1 or b < 1 or k < 0:
         raise ValueError("need a >= 1, b >= 1, k >= 0")
@@ -196,58 +384,24 @@ def foulkes_howe(a: int, b: int, k: int, mem_mb=None, cache=None) -> FoulkesHowe
     row_weights = tuple(sum(e * (2 * i - b) for i, e in enumerate(m)) for m in row_basis)
     col_weights = tuple(sum(e * (2 * j - d) for j, e in enumerate(m)) for m in col_basis)
     check_dense_budget(len(row_basis), len(col_basis), 16, mem_mb, "foulkes_howe")
-    negative = [w < 0 for w in col_weights]
-
-    cdir = cache_directory(cache)
-    path = None
-    if cdir is not None:
-        path = cdir / f"fhw-a{a}-b{b}-k{k}.mat"
-        matrix = load_cached(path, len(row_basis), len(col_basis))
-        if matrix is not None and not any(negative[c] for _r, c in matrix.entries):
-            return FoulkesHoweMatrix(
-                a, b, k, d, matrix, row_basis, col_basis, row_weights, col_weights
-            )
-
-    gens = power_generators(a, b)
-    # degree-ak monomials have exponents <= ak, so base ak + 1 packs them injectively
-    base = a * k + 1
-    row_index = {_pack(e, base): i for i, e in enumerate(row_basis)}
-    # stripping the lowest index of a weight >= 0 beta leaves weight >= 0, so
-    # the tree never builds a product of negative weight
-    product = _product_tree(gens.polys, base)
-    entries: dict = {}
-    for colno, beta in enumerate(col_basis):
-        if k == 0:
-            entries[(0, 0)] = 1
-            break
-        if negative[colno]:
-            continue
-        for exp, coeff in product(beta).items():
-            entries[(row_index[exp], colno)] = coeff
-    matrix = ExactMatrix(len(row_basis), len(col_basis), entries)
-    if path is not None:
-        atomic_dump(matrix, path)
-    return FoulkesHoweMatrix(a, b, k, d, matrix, row_basis, col_basis, row_weights, col_weights)
+    source = _SliceSource(
+        a, b, k, row_basis, col_basis, row_weights, col_weights, cache_directory(cache)
+    )
+    return FoulkesHoweMatrix(
+        a, b, k, d, SliceBlocks(source), row_basis, col_basis, row_weights, col_weights
+    )
 
 
 def mirror(fh: FoulkesHoweMatrix) -> FoulkesHoweMatrix:
-    """The full slice alpha_k from its weight >= 0 half.
+    """The full slice alpha_k from its blocks of weight >= 0.
 
-    Entry (e, beta) equals entry (rev e, rev beta), so every entry in a
-    column of weight > 0 is copied to the reversed row and column, which
-    lie in the mirrored weight -w block.  The entries are not validated a
-    second time.
+    Entry (e, beta) equals entry (rev e, rev beta), and reversal carries the
+    block at w onto the block at -w.  Every block of weight >= 0 that ``fh``
+    has not built yet is loaded or built here (and kept by ``fh`` too); the
+    returned slice's negative blocks are their reversals, and its
+    ``matrix`` is the full map with global indices.
     """
-    row_index = plethysm_index(fh.a * fh.k, fh.b)
-    col_index = plethysm_index(fh.k, fh.d)
-    rev_row = [row_index[m[::-1]] for m in fh.row_basis]
-    rev_col = [col_index[m[::-1]] for m in fh.col_basis]
-    col_weights = fh.col_weights
-    entries = dict(fh.matrix.entries)
-    for (r, c), v in fh.matrix.entries.items():
-        if col_weights[c] > 0:
-            entries[(rev_row[r], rev_col[c])] = v
-    return fh._replace(matrix=_trusted_matrix(fh.target_dim, fh.source_dim, entries))
+    return fh._replace(blocks=fh.blocks.mirrored())
 
 
 def fh_rank_details(
@@ -256,15 +410,15 @@ def fh_rank_details(
     """Weight-blocked rank of an alpha_k matrix with provenance.
 
     alpha_k is SL2-equivariant, so only its blocks of weight >= 0 count
-    (``blocked_rank_details(..., weyl=True)``), which is all that
-    ``foulkes_howe`` builds; the exact/modular choice is made on the full
-    shape.  They are visited upward, and every block above an injective or
-    a surjective one of its parity is inferred to be so too, not
-    eliminated; on the bench slices the weight-0 block settles the map.
-    Reports resting on this rank say so with ``"symmetry": "sl2-weyl"``.
+    (``blocked_rank_details(..., weyl=True)``); the exact/modular choice is
+    made on the full shape.  They are visited upward, and every block above
+    an injective or a surjective one of its parity is inferred to be so
+    too, not eliminated.  The slice's blocks are handed over as they are,
+    so only the blocks that get eliminated are built (or read from the
+    cache); on the bench slices that is the weight-0 block alone.  Reports
+    resting on this rank say so with ``"symmetry": "sl2-weyl"``.
     """
-    blocks = split_blocks(fh.matrix.entries, fh.row_weights, fh.col_weights)
-    return blocked_rank_details(blocks, mode, rng=rng, mem_mb=mem_mb, weyl=True)
+    return blocked_rank_details(fh.blocks, mode, rng=rng, mem_mb=mem_mb, weyl=True)
 
 
 def _escalate(result: RankResult, bound: int, exact_rank) -> tuple[RankResult, bool]:
@@ -339,9 +493,7 @@ def ix_kernel_ideal(a: int, b: int, mem_mb=None, cache=None) -> GradedIdeal:
     """
     fh = mirror(foulkes_howe(a, b, b + 1, mem_mb, cache))
     sring = PolyRing(fh.d + 1, "z")
-    vectors = blocked_kernel_basis(
-        split_blocks(fh.matrix.entries, fh.row_weights, fh.col_weights), fh.col_weights, mem_mb
-    )
+    vectors = blocked_kernel_basis(fh.blocks, fh.col_weights, mem_mb)
     gens = []
     for vec in vectors:
         terms = {fh.col_basis[i]: v for i, v in enumerate(vec) if v}

@@ -186,11 +186,7 @@ class GradedModule:
         a, b = self._gens.a, self._gens.b
         if k < b:
             fh = mirror(foulkes_howe(a, b, k, self._mem_mb, self._cache))
-            raw_cols, pivots = column_echelon(
-                split_blocks(fh.matrix.entries, fh.row_weights, fh.col_weights),
-                fh.row_weights,
-                self._mem_mb,
-            )
+            raw_cols, pivots = column_echelon(fh.blocks, fh.row_weights, self._mem_mb)
             cols = [{fh.row_basis[i]: v for i, v in vec.items()} for vec in raw_cols]
             return {
                 "dim": len(cols),

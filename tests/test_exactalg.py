@@ -40,6 +40,14 @@ from bfsyz.exactalg.matrix import (
 import numpy as np
 
 
+def matrix_from_rows(rows) -> ExactMatrix:
+    """The QQ matrix with these dense rows."""
+    ncols = len(rows[0]) if rows else 0
+    assert all(len(row) == ncols for row in rows), "ragged rows"
+    entries = {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row) if v}
+    return ExactMatrix(len(rows), ncols, entries)
+
+
 def planted_rank_matrix(rng, nrows, ncols, r):
     """Random integer matrix of rank exactly r (echelon base rows + combinations)."""
     assert r <= min(nrows, ncols)
@@ -71,14 +79,14 @@ def planted_rank_matrix(rng, nrows, ncols, r):
 
 
 def test_rref_single_row():
-    m = ExactMatrix.from_rows([[2, 4]])
+    m = matrix_from_rows([[2, 4]])
     out = rref(m)
     assert out.entries == {(0, 0): 1, (0, 1): 2}
     assert out.pivot_cols == (0,)
 
 
 def test_kernel_of_sum_row():
-    m = ExactMatrix.from_rows([[1, 1]])
+    m = matrix_from_rows([[1, 1]])
     assert kernel_basis(m) == [(1, -1)]
 
 
@@ -93,7 +101,7 @@ def test_kernel_of_zero_matrix_is_unit_vectors():
 
 
 def test_rref_idempotent_and_fraction_entries():
-    m = ExactMatrix.from_rows([[Fraction(1, 2), 1, 0], [1, 2, 1], [2, 4, 1]])
+    m = matrix_from_rows([[Fraction(1, 2), 1, 0], [1, 2, 1], [2, 4, 1]])
     out = rref(m)
     again = rref(out)
     assert out.entries == again.entries
@@ -107,7 +115,7 @@ def test_kernel_vectors_are_primitive_and_annihilated():
         nrows, ncols = rng.randint(1, 6), rng.randint(1, 7)
         r = rng.randint(0, min(nrows, ncols))
         rows = planted_rank_matrix(rng, nrows, ncols, r)
-        m = ExactMatrix.from_rows(rows)
+        m = matrix_from_rows(rows)
         ker = kernel_basis(m)
         assert len(ker) == ncols - rank(m, "exact")
         for vec in ker:
@@ -125,7 +133,7 @@ def test_planted_rank_exact_and_modular_agree():
     for trial in range(15):
         nrows, ncols = rng.randint(2, 8), rng.randint(2, 8)
         r = rng.randint(0, min(nrows, ncols))
-        m = ExactMatrix.from_rows(planted_rank_matrix(rng, nrows, ncols, r))
+        m = matrix_from_rows(planted_rank_matrix(rng, nrows, ncols, r))
         assert rank(m, "exact") == r
         res = rank_details(m, "modular", rng=random.Random(1000 + trial))
         assert res.rank == r
@@ -137,7 +145,7 @@ def test_planted_rank_exact_and_modular_agree():
 
 
 def test_auto_mode_small_matrix_is_exact():
-    m = ExactMatrix.from_rows([[1, 2], [2, 4]])
+    m = matrix_from_rows([[1, 2], [2, 4]])
     res = rank_details(m)
     assert res == (1, "exact", (), False)
     assert max(m.shape) <= EXACT_DIM_LIMIT
@@ -145,7 +153,7 @@ def test_auto_mode_small_matrix_is_exact():
 
 def test_bad_prime_is_resampled():
     # denominator 5 vanishes mod 5; a tiny "prime" list forces the resample path
-    m = ExactMatrix.from_rows([[Fraction(1, 5)]])
+    m = matrix_from_rows([[Fraction(1, 5)]])
     res = rank_details(m, "modular", rng=random.Random(3), primes=[5, 7])
     assert res.rank == 1
     assert 5 not in res.primes
@@ -167,8 +175,8 @@ def test_fraction_heavy_matrix_rank():
         [Fraction(1, 4), Fraction(1, 5), Fraction(1, 6)],
     ]
     # Hilbert-type matrix, nonsingular
-    assert rank(ExactMatrix.from_rows(rows), "exact") == 3
-    assert rank(ExactMatrix.from_rows(rows), "modular", rng=random.Random(0)) == 3
+    assert rank(matrix_from_rows(rows), "exact") == 3
+    assert rank(matrix_from_rows(rows), "modular", rng=random.Random(0)) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +668,7 @@ def test_sparse_block_is_never_densified_whole():
 
 
 def test_disagreeing_primes_escalate_to_the_exact_rank():
-    m = ExactMatrix.from_rows(cycle_rows(30, 5, 12))
+    m = matrix_from_rows(cycle_rows(30, 5, 12))
     res = rank_details(m, "modular", primes=[5, 7])
     assert res == (30, "exact", (5, 7), True)
     assert rank(m, "exact") == 30
@@ -670,7 +678,7 @@ def test_kernel_rejects_a_repeated_prime():
     with pytest.raises(ValueError):
         _modp.rank_mod_p_dense(kernel_coo([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), (P61, P61))
     with pytest.raises(ValueError):
-        rank_details(ExactMatrix.from_rows([[1, 2], [3, 4]]), "modular", primes=[P50, P50])
+        rank_details(matrix_from_rows([[1, 2], [3, 4]]), "modular", primes=[P50, P50])
 
 
 @pytest.mark.parametrize("addmul", [
@@ -798,7 +806,7 @@ def test_blocked_kernel_matches_unblocked():
                 assert sum(a * b for a, b in zip(row, vec)) == 0
         # blocked kernel vectors are independent: stack and check rank
         if ker:
-            km = ExactMatrix.from_rows([list(v) for v in ker])
+            km = matrix_from_rows([list(v) for v in ker])
             assert rank(km, "exact") == len(ker)
         # the column span's echelon basis is the unique rref of the transpose,
         # so a block embedded at the wrong indices shows up here
@@ -856,7 +864,7 @@ def test_entries_validation():
 
 
 def test_transpose_roundtrip():
-    m = ExactMatrix.from_rows([[1, 2, 3], [0, 0, 4]])
+    m = matrix_from_rows([[1, 2, 3], [0, 0, 4]])
     assert m.transpose().transpose() == m
     assert m.transpose().shape == (3, 2)
 
@@ -887,7 +895,7 @@ def header_of(path):
 def test_io_roundtrips(tmp_path):
     cases = {
         "sparse": (ExactMatrix(5, 7, {(0, 0): 1, (4, 6): Fraction(-3, 7)}), "q"),
-        "dense": (ExactMatrix.from_rows([[1, 2], [3, Fraction(5, 2)]]), "q"),
+        "dense": (matrix_from_rows([[1, 2], [3, Fraction(5, 2)]]), "q"),
         # numpy casts a Fraction to int64 as its integer part, silently
         "fractions": (ExactMatrix(2, 2, {(0, 0): Fraction(1, 2), (1, 1): Fraction(7, 3)}), "q"),
         "empty shape": (ExactMatrix(0, 0), "i8"),

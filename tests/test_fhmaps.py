@@ -179,52 +179,71 @@ def test_fh_multiplicativity():
         assert lhs == rhs
 
 
+def block_files(fh) -> list:
+    """The cache file names of the blocks of weight >= 0 of a slice, in weight order."""
+    a, b, k = fh.a, fh.b, fh.k
+    return [f"fhw-a{a}-b{b}-k{k}-w{w}.mat" for w in sorted({w for w in fh.col_weights if w >= 0})]
+
+
 def test_fh_cache_roundtrip(tmp_path):
     cold = foulkes_howe(2, 2, 2, cache=str(tmp_path))
-    assert [p.name for p in tmp_path.iterdir()] == ["fhw-a2-b2-k2.mat"]
+    # nothing is built, and nothing written, before a block is read
+    assert list(tmp_path.iterdir()) == []
+    cold_matrix = cold.matrix
+    assert {p.name for p in tmp_path.iterdir()} == set(block_files(cold))
     warm = foulkes_howe(2, 2, 2, cache=str(tmp_path))
-    assert warm.matrix == cold.matrix == foulkes_howe(2, 2, 2).matrix
+    assert warm.matrix == cold_matrix == foulkes_howe(2, 2, 2).matrix
 
 
 def test_fh_damaged_cache_is_rebuilt(tmp_path):
     cold = foulkes_howe(2, 3, 2, cache=str(tmp_path / "cold"))
-    cold_bytes = (tmp_path / "cold" / "fhw-a2-b3-k2.mat").read_bytes()
+    cold_matrix = cold.matrix
+    name = "fhw-a2-b3-k2-w0.mat"
+    cold_bytes = (tmp_path / "cold" / name).read_bytes()
     other = tmp_path / "other"
-    foulkes_howe(2, 3, 3, cache=str(other))
-    wrong_shape = (other / "fhw-a2-b3-k3.mat").read_bytes()
-    dump_matrix(ExactMatrix(*cold.matrix.shape, {(0, 0): 1}, field="GF:7"), other / "gf.mat")
+    fh_rank_report(2, 3, 3, cache=str(other))  # writes the weight-0 block alone
+    wrong_shape = (other / "fhw-a2-b3-k3-w0.mat").read_bytes()
+    gf = other / name
+    dump_matrix(ExactMatrix(*cold.blocks.shapes()[0], {(0, 0): 1}, field="GF:7"), gf, key=gf.stem)
     damaged = {
         "wrong shape": wrong_shape,
         "unparseable": b"BFSYZ-MAT v1 35 28 sparse QQ\n0 0 1/0\n",
         "not a matrix": b"\xff\xfe",
-        "wrong field": (other / "gf.mat").read_bytes(),
+        "wrong field": gf.read_bytes(),
     }
-    for name, data in damaged.items():
-        path = tmp_path / "fhw-a2-b3-k2.mat"
+    for what, data in damaged.items():
+        path = tmp_path / name
         path.write_bytes(data)
         warm = foulkes_howe(2, 3, 2, cache=str(tmp_path))
-        assert warm.matrix == cold.matrix, name
-        assert path.read_bytes() == cold_bytes, name
+        assert warm.matrix == cold_matrix, what
+        assert path.read_bytes() == cold_bytes, what
 
 
-def test_fh_cached_half_with_a_negative_weight_entry_is_rebuilt(tmp_path):
+def test_fh_cached_block_of_another_shape_is_rebuilt(tmp_path):
     cold = foulkes_howe(2, 3, 2, cache=str(tmp_path / "cold"))
-    cold_bytes = (tmp_path / "cold" / "fhw-a2-b3-k2.mat").read_bytes()
-    # the full slice passes every check of the file format: right sha256,
-    # right key, right shape and field
-    path = tmp_path / "fhw-a2-b3-k2.mat"
-    dump_matrix(mirror(cold).matrix, path, key=path.stem)
-    assert load_matrix(path, key=path.stem) == mirror(cold).matrix
+    cold_matrix = cold.matrix
+    cold_bytes = (tmp_path / "cold" / "fhw-a2-b3-k2-w0.mat").read_bytes()
+    # the weight-2 block under the weight-0 block's stem passes every check
+    # of the file format: right sha256, right key, right field
+    block = load_matrix(tmp_path / "cold" / "fhw-a2-b3-k2-w2.mat")
+    assert block.shape != cold.blocks.shapes()[0]
+    path = tmp_path / "fhw-a2-b3-k2-w0.mat"
+    dump_matrix(block, path, key=path.stem)
+    assert load_matrix(path, key=path.stem) == block
     warm = foulkes_howe(2, 3, 2, cache=str(tmp_path))
-    assert warm.matrix == cold.matrix
+    assert warm.matrix == cold_matrix
     assert path.read_bytes() == cold_bytes
 
 
 def test_fh_full_cache_file_is_never_loaded(tmp_path, monkeypatch):
-    # a full slice written under the stem that held full slices
+    # a full slice under the stem that held full slices, and the weight >= 0
+    # half under the stem that held halves
+    want = foulkes_howe(2, 3, 2).matrix
     stale = tmp_path / "fh-a2-b3-k2.mat"
     dump_matrix(mirror(foulkes_howe(2, 3, 2)).matrix, stale, key=stale.stem)
-    stale_bytes = stale.read_bytes()
+    half = tmp_path / "fhw-a2-b3-k2.mat"
+    dump_matrix(want, half, key=half.stem)
+    legacy = {path: path.read_bytes() for path in (stale, half)}
     loaded = []
 
     def recording(path, key=None):
@@ -233,10 +252,35 @@ def test_fh_full_cache_file_is_never_loaded(tmp_path, monkeypatch):
 
     monkeypatch.setattr(polyring, "load_matrix", recording)
     for _ in range(2):
-        half = foulkes_howe(2, 3, 2, cache=str(tmp_path))
-        assert half.matrix == foulkes_howe(2, 3, 2).matrix
-    assert loaded == ["fhw-a2-b3-k2.mat"]
-    assert stale.read_bytes() == stale_bytes
+        fh = foulkes_howe(2, 3, 2, cache=str(tmp_path))
+        assert fh.matrix == want
+    # the first run builds and writes every block, the second loads each once
+    assert loaded == block_files(fh)
+    assert {path: path.read_bytes() for path in legacy} == legacy
+
+
+def test_fh_rank_builds_and_caches_only_the_eliminated_block(tmp_path, monkeypatch):
+    plain = fh_rank_report(3, 4, 5, rng=random.Random(2))
+    built, loaded, dumped = [], [], []
+    build, load, dump = fhmaps._SliceSource.build, polyring.load_matrix, polyring.dump_matrix
+    monkeypatch.setattr(fhmaps._SliceSource, "build", lambda self, w: built.append(w) or build(self, w))
+    monkeypatch.setattr(polyring, "load_matrix", lambda path, key=None: loaded.append(key) or load(path, key))
+    monkeypatch.setattr(polyring, "dump_matrix", lambda m, path, key=None: dumped.append(key) or dump(m, path, key))
+    cold = fh_rank_report(3, 4, 5, rng=random.Random(2), cache=str(tmp_path))
+    assert (built, loaded, dumped) == ([0], [], ["fhw-a3-b4-k5-w0"])
+    assert [p.name for p in tmp_path.iterdir()] == ["fhw-a3-b4-k5-w0.mat"]
+    built.clear(), dumped.clear()
+    warm = fh_rank_report(3, 4, 5, rng=random.Random(2), cache=str(tmp_path))
+    assert (built, loaded, dumped) == ([], ["fhw-a3-b4-k5-w0"], [])
+    assert cold == warm == plain
+
+
+def test_fh_mirror_after_a_rank_only_run_builds_the_missing_blocks(tmp_path):
+    fh_rank_report(2, 3, 2, cache=str(tmp_path))
+    assert [p.name for p in tmp_path.iterdir()] == ["fhw-a2-b3-k2-w0.mat"]
+    full = mirror(foulkes_howe(2, 3, 2, cache=str(tmp_path)))
+    assert full.matrix.entries == reference_slice_entries(2, 3, 2)
+    assert {p.name for p in tmp_path.iterdir()} == set(block_files(full))
 
 
 def test_fh_rank_report_bijective_cases():
