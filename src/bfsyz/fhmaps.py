@@ -8,14 +8,18 @@ slice alpha_k is a matrix from the degree-k z-monomials to the degree-ak
 c-monomials.  Everything here is torus-equivariant (z_j and P_j both have
 weight 2j - d), so ranks and kernels decompose by weight; blockwise results
 are identical to unblocked ones because distinct weights touch disjoint
-monomial sets.  Reversing the c_i swaps x1 and x2 in G, so
-P_j(rev c) = P_{d-j}(c) and alpha_k has entry (e, beta) = entry
-(rev e, rev beta), with no signs; reversal sends weight w to -w.  A slice is
-therefore held as its weight blocks of weight >= 0 (``SliceBlocks``), each
-built from one product tree that the slice shares, validated and cached on
-its own the first time it is read; the rank driver reads only the blocks it
-eliminates, and ``mirror`` builds the rest and the negative blocks for the
-callers that need the full map.
+monomial sets.  A row e and a column beta both have weight 2s - abk, with
+s = sum_i i*e_i (resp. sum_j j*beta_j), so the block shapes are counted
+(``sl2rep.plethysm_counts``: Hermite reciprocity in character form) and a
+block's rows and columns are listed alone (``sl2rep.plethysm_block``).
+Reversing the c_i swaps x1 and x2 in G, so P_j(rev c) = P_{d-j}(c) and
+alpha_k has entry (e, beta) = entry (rev e, rev beta), with no signs;
+reversal sends weight w to -w.  A slice is therefore held as its weight
+blocks of weight >= 0 (``SliceBlocks``), each built from one product tree
+that the slice shares, validated and cached on its own the first time it
+is read; the rank driver reads only the blocks it eliminates, and
+``mirror`` builds the rest and the negative blocks for the callers that
+need the full map.  The full bases are listed only for those callers.
 
 Also here: the (d+b-1) x (b+1) matrix of linear forms in z whose rank drops
 on the locus of powers (rows pair the generic degree-d form against the
@@ -27,6 +31,7 @@ natural length-r complexes built from wedge powers.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import comb
 from typing import NamedTuple
@@ -63,6 +68,8 @@ from .sl2rep import (
     char_identity_check,
     hw_triple,
     plethysm_basis,
+    plethysm_block,
+    plethysm_counts,
     plethysm_index,
     transvectant,
 )
@@ -101,11 +108,10 @@ def power_generators(a: int, b: int) -> PowerGenerators:
         raise ValueError("need a >= 1 and b >= 1")
     d = a * b
     ring = PolyRing(b + 1, "c")
-    buckets: list[dict] = [{} for _ in range(d + 1)]
-    for e in plethysm_basis(a, b):
-        j = sum(i * ei for i, ei in enumerate(e))
-        buckets[j][e] = _multinomial(a, e)
-    polys = tuple(MultiPoly(ring, t) for t in buckets)
+    polys = tuple(
+        MultiPoly(ring, {e: _multinomial(a, e) for e in plethysm_block(a, b, j)})
+        for j in range(d + 1)
+    )
     return PowerGenerators(a, b, d, ring, polys)
 
 
@@ -125,24 +131,55 @@ def _ids_by_weight(weights) -> dict:
     return ids
 
 
-class _SliceSource:
-    """What the weight blocks of one slice alpha_k are built from: the bases,
-    the full indices of each weight, the cache directory and one product
-    tree, made when the first block is built and shared by the rest."""
+def _slice_shapes(a: int, b: int, k: int) -> dict:
+    """``{w: (nrows, ncols)}`` of alpha_k in weight order, counted: the rows
+    and the columns of weight 2s - abk are the exponent vectors with
+    sum_i i*e_i = s on each side."""
+    rows, cols = plethysm_counts(a * k, b), plethysm_counts(k, a * b)
+    return {
+        2 * s - a * b * k: (r, c) for s, (r, c) in enumerate(zip(rows, cols)) if r or c
+    }
 
-    def __init__(self, a, b, k, row_basis, col_basis, row_weights, col_weights, cdir):
+
+class _SliceSource:
+    """What the weight blocks of one slice alpha_k are built from: the
+    counted block shapes, the cache directory and one product tree, made
+    when the first block is built and shared by the rest.  The bases, their
+    weights and the full indices of each weight are listed the first time
+    they are read, by the callers that need the full map."""
+
+    def __init__(self, a, b, k, shapes, cdir):
         self.a, self.b, self.k = a, b, k
-        self.row_basis, self.col_basis = row_basis, col_basis
-        self.col_weights = col_weights
+        self.shapes = shapes
         self.cdir = cdir
-        self.row_ids = _ids_by_weight(row_weights)
-        self.col_ids = _ids_by_weight(col_weights)
-        self.shapes = {
-            w: (len(self.row_ids.get(w, ())), len(self.col_ids.get(w, ())))
-            for w in sorted(set(self.row_ids) | set(self.col_ids))
-        }
         self._product = None
         self._reversal = None
+
+    @cached_property
+    def row_basis(self) -> tuple:
+        return plethysm_basis(self.a * self.k, self.b)
+
+    @cached_property
+    def col_basis(self) -> tuple:
+        return plethysm_basis(self.k, self.a * self.b)
+
+    @cached_property
+    def row_weights(self) -> tuple:
+        b = self.b
+        return tuple(sum(e * (2 * i - b) for i, e in enumerate(m)) for m in self.row_basis)
+
+    @cached_property
+    def col_weights(self) -> tuple:
+        d = self.a * self.b
+        return tuple(sum(e * (2 * j - d) for j, e in enumerate(m)) for m in self.col_basis)
+
+    @cached_property
+    def row_ids(self) -> dict:
+        return _ids_by_weight(self.row_weights)
+
+    @cached_property
+    def col_ids(self) -> dict:
+        return _ids_by_weight(self.col_weights)
 
     def block(self, w: int) -> dict:
         """The entries of the block at weight w >= 0, in local indices.
@@ -166,20 +203,24 @@ class _SliceSource:
 
     def build(self, w: int) -> dict:
         """The entries of the block at weight w >= 0 from the product tree,
-        column by column, each column in the order of its product."""
+        column by column, each column in the order of its product.  Only
+        the block's own rows and columns are listed, in the order of the
+        full bases, so local indices run in global order."""
+        a, b, k = self.a, self.b, self.k
+        s = (w + a * b * k) // 2
         # degree-ak monomials have exponents <= ak, so base ak + 1 packs them injectively
-        base = self.a * self.k + 1
+        base = a * k + 1
         if self._product is None:
             # stripping the lowest index of a weight >= 0 beta leaves weight
             # >= 0, so the tree never builds a product of negative weight
-            self._product = _product_tree(power_generators(self.a, self.b).polys, base)
+            self._product = _product_tree(power_generators(a, b).polys, base)
         product = self._product
         # P^beta lies in the rows of the weight of beta: a row outside the
         # block is a KeyError, never an entry filed in the wrong block
-        rows = {_pack(self.row_basis[i], base): n for n, i in enumerate(self.row_ids[w])}
+        rows = {_pack(m, base): n for n, m in enumerate(plethysm_block(a * k, b, s))}
         entries: dict = {}
-        for n, j in enumerate(self.col_ids[w]):
-            for exp, coeff in product(self.col_basis[j]).items():
+        for n, beta in enumerate(plethysm_block(k, a * b, s)):
+            for exp, coeff in product(beta).items():
                 entries[(rows[exp], n)] = coeff
         return entries
 
@@ -213,10 +254,11 @@ class SliceBlocks(WeightBlocks):
     slice's product tree, validated and written there.  The blocks of
     negative weight hold no entries, unless the slice went through
     ``mirror``: then the block at -w is the block at w reversed.
-    ``shapes()``, ``shape`` and truth testing read shapes only (every column
-    P^beta of alpha_k is a nonzero polynomial, so a slice with a column has
-    an entry); ``len()``, ``items()``, ``blocks`` and ``matrix()`` build
-    every block.
+    ``shapes()``, ``shape`` and truth testing read the counted shapes only
+    (every column P^beta of alpha_k is a nonzero polynomial, so a slice with
+    a column has an entry); ``len()``, ``items()``, ``blocks`` and
+    ``matrix()`` build every block, and the negative blocks and
+    ``matrix()`` list the full bases.
     """
 
     __slots__ = ("_source", "_built", "_full", "_matrix")
@@ -289,22 +331,26 @@ class SliceBlocks(WeightBlocks):
                 for (r, c), v in half:
                     if weights[c] > 0:
                         entries[(rev_row[r], rev_col[c])] = v
-            self._matrix = _trusted_matrix(len(source.row_basis), len(source.col_basis), entries)
+            self._matrix = _trusted_matrix(*self.shape, entries)
         return self._matrix
 
 
 class FoulkesHoweMatrix(NamedTuple):
+    """The slice alpha_k: its degree data and its weight blocks.
+
+    The dimensions come from the counted block shapes.  The bases (rows:
+    degree-ak c-monomials in ``plethysm_basis`` order, columns: degree-k
+    z-monomials) and their weights are listed the first time one is read,
+    once per slice; the rank path reads none of them.
+    """
+
     a: int
     b: int
     k: int
     d: int
-    # rows: degree-ak c-monomials, cols: degree-k z-monomials; the blocks of
-    # negative weight hold no entries, unless the slice went through ``mirror``
+    # the blocks of negative weight hold no entries, unless the slice went
+    # through ``mirror``
     blocks: SliceBlocks
-    row_basis: tuple
-    col_basis: tuple
-    row_weights: tuple
-    col_weights: tuple
 
     @property
     def matrix(self) -> ExactMatrix:
@@ -313,11 +359,27 @@ class FoulkesHoweMatrix(NamedTuple):
 
     @property
     def source_dim(self) -> int:
-        return len(self.col_basis)
+        return self.blocks.shape[1]
 
     @property
     def target_dim(self) -> int:
-        return len(self.row_basis)
+        return self.blocks.shape[0]
+
+    @property
+    def row_basis(self) -> tuple:
+        return self.blocks._source.row_basis
+
+    @property
+    def col_basis(self) -> tuple:
+        return self.blocks._source.col_basis
+
+    @property
+    def row_weights(self) -> tuple:
+        return self.blocks._source.row_weights
+
+    @property
+    def col_weights(self) -> tuple:
+        return self.blocks._source.col_weights
 
 
 def _pack(exp, base: int) -> int:
@@ -364,11 +426,13 @@ def foulkes_howe(a: int, b: int, k: int, mem_mb=None, cache=None) -> FoulkesHowe
     """The degree-k slice of z_j -> P_j, held as its weight blocks.
 
     Column for the z-monomial z^beta is the coefficient vector of
-    prod_j P_j^{beta_j} over the degree-ak c-monomials.  This computes the
-    bases, the weights and the block shapes only, and charges the dense
-    budget for the full shape up front; each block of weight >= 0 is built
+    prod_j P_j^{beta_j} over the degree-ak c-monomials.  This counts the
+    block shapes only, and charges the dense budget for the full shape up
+    front, before anything is listed; each block of weight >= 0 is built
     (or read from the cache) the first time it is read (``SliceBlocks``),
-    and ``mirror`` fills in the blocks of negative weight.  k = 0 gives the
+    from its own rows and columns, and ``mirror`` fills in the blocks of
+    negative weight.  The bases are listed on first read (see
+    ``FoulkesHoweMatrix``).  k = 0 gives the
     1 x 1 identity.  With a cache directory active, each block is kept in
     its own file under the stem ``fhw-a{a}-b{b}-k{k}-w{w}``, in local
     indices; a file that does not parse, is keyed to another stem, or holds
@@ -378,18 +442,12 @@ def foulkes_howe(a: int, b: int, k: int, mem_mb=None, cache=None) -> FoulkesHowe
     """
     if a < 1 or b < 1 or k < 0:
         raise ValueError("need a >= 1, b >= 1, k >= 0")
-    d = a * b
-    row_basis = plethysm_basis(a * k, b)
-    col_basis = plethysm_basis(k, d)
-    row_weights = tuple(sum(e * (2 * i - b) for i, e in enumerate(m)) for m in row_basis)
-    col_weights = tuple(sum(e * (2 * j - d) for j, e in enumerate(m)) for m in col_basis)
-    check_dense_budget(len(row_basis), len(col_basis), 16, mem_mb, "foulkes_howe")
-    source = _SliceSource(
-        a, b, k, row_basis, col_basis, row_weights, col_weights, cache_directory(cache)
-    )
-    return FoulkesHoweMatrix(
-        a, b, k, d, SliceBlocks(source), row_basis, col_basis, row_weights, col_weights
-    )
+    shapes = _slice_shapes(a, b, k)
+    nrows = sum(r for r, _c in shapes.values())
+    ncols = sum(c for _r, c in shapes.values())
+    check_dense_budget(nrows, ncols, 16, mem_mb, "foulkes_howe")
+    source = _SliceSource(a, b, k, shapes, cache_directory(cache))
+    return FoulkesHoweMatrix(a, b, k, a * b, SliceBlocks(source))
 
 
 def mirror(fh: FoulkesHoweMatrix) -> FoulkesHoweMatrix:

@@ -169,6 +169,55 @@ def plethysm_basis(m: int, n: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
+def plethysm_counts(m: int, n: int) -> tuple[int, ...]:
+    """counts[s]: the exponent vectors of ``plethysm_basis(m, n)`` with
+    sum_i i*e_i = s, for s = 0..mn.
+
+    These are the size-m multisets of {0..n} counted by their sum
+    (partitions in an m x n box), grown one value at a time; no basis is
+    listed.  s fixes the weight: 2s - mn in the coordinate realization.
+    """
+    if m < 0:
+        return ()
+    top = m * n
+    # table[j][s]: size-j multisets of {0..i} with sum s; j runs upward, so
+    # the value i added last may repeat
+    table = [[1] + [0] * top] + [[0] * (top + 1) for _ in range(m)]
+    for i in range(n + 1):
+        for j in range(1, m + 1):
+            row = table[j]
+            row[i:] = [x + y for x, y in zip(row[i:], table[j - 1])]
+    return tuple(table[m])
+
+
+def plethysm_block(m: int, n: int, s: int) -> tuple[tuple[int, ...], ...]:
+    """The exponent vectors of ``plethysm_basis(m, n)`` with sum_i i*e_i = s,
+    in the order of the basis.
+
+    Lists one weight block without the rest of the basis: each e_i runs
+    downward over the values that leave the remaining sum reachable, so
+    every branch ends in a vector.
+    """
+    if m < 0 or not 0 <= s <= m * n:
+        return ()
+    out = []
+    e = [0] * (n + 1)
+
+    def fill(i, t, rest):
+        # t more on indices i..n with weighted sum rest, which is reachable
+        if i == n:
+            e[n] = t
+            out.append(tuple(e))
+            return
+        for c in range(min(t, (n * t - rest) // (n - i)), max(0, (i + 1) * t - rest) - 1, -1):
+            e[i] = c
+            fill(i + 1, t - c, rest - i * c)
+
+    fill(0, m, s)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
 def plethysm_index(m: int, n: int) -> dict:
     return {e: k for k, e in enumerate(plethysm_basis(m, n))}
 
@@ -319,14 +368,12 @@ def q_binomial(n: int, m: int) -> QChar:
 
 
 def char_plethysm(m: int, n: int) -> QChar:
-    """Character of Sym^m(Sym^n U) by direct basis enumeration.
+    """Character of Sym^m(Sym^n U) from ``plethysm_counts``.
 
-    Equals q_binomial(m + n, m) exactly (lowest weight already at q^0).
+    The x1-degree of u^e is mn - sum_i i*e_i.  Equals q_binomial(m + n, m)
+    exactly (lowest weight already at q^0).
     """
-    counts = [0] * (m * n + 1)
-    for e in plethysm_basis(m, n):
-        counts[x1_count(e, n)] += 1
-    return QChar(counts)
+    return QChar(plethysm_counts(m, n)[::-1])
 
 
 # char_wedge(m, n) == q_binomial(n+1, m).shifted(WEDGE_CHAR_SHIFT(m)): the raw
@@ -337,13 +384,21 @@ def WEDGE_CHAR_SHIFT(m: int) -> int:
 
 
 def char_wedge(m: int, n: int) -> QChar:
-    """Character of Wedge^m(Sym^n U) by direct basis enumeration."""
+    """Character of Wedge^m(Sym^n U) by counting m-subsets of {0..n} by sum.
+
+    The x1-degree of the wedge of u_t for t in T is mn - sum(T).
+    """
     if m > n + 1:
         return QChar(())
-    counts = [0] * (m * n + 1 if m else 1)
-    for t in wedge_basis(m, n):
-        counts[sum(n - i for i in t)] += 1
-    return QChar(counts)
+    top = m * n
+    # table[j][s]: size-j subsets of {0..i} with sum s; j runs downward, so
+    # the value i added last is used at most once
+    table = [[1] + [0] * top] + [[0] * (top + 1) for _ in range(m)]
+    for i in range(n + 1):
+        for j in range(min(m, i + 1), 0, -1):
+            row = table[j]
+            row[i:] = [x + y for x, y in zip(row[i:], table[j - 1])]
+    return QChar(table[m][::-1])
 
 
 def char_identity_check(a: int, b: int, i: int) -> bool:
@@ -351,8 +406,9 @@ def char_identity_check(a: int, b: int, i: int) -> bool:
 
     Compares Wedge^i(Sym^(d+b-2)U) (x) Sym^(b-1-i)(Sym^d U) against
     Sym^i(Sym^d U) (x) Wedge^(b-1-i)(Sym^(d+b-2)U) as sl2 characters
-    (normalized q-polynomials).  Both sides are computed independently by
-    basis enumeration and polynomial multiplication; no shared shortcut.
+    (normalized q-polynomials).  Both sides are computed independently, by
+    counting multisets and subsets by their sum and by polynomial
+    multiplication; no Gaussian binomial or other shared shortcut.
     """
     d = a * b
     lhs = char_wedge(i, d + b - 2) * char_plethysm(b - 1 - i, d)

@@ -36,6 +36,20 @@ def test_fh_rank_bijective_slice_verifies(capsys):
     assert rep["version"] == __version__
 
 
+def test_fh_rank_oversize_slice_is_inconclusive(capsys, monkeypatch):
+    from bfsyz import fhmaps, homres, polyring, sl2rep
+
+    def listed(m, n):
+        raise AssertionError("a basis was listed before the budget refused the slice")
+
+    for module in (sl2rep, fhmaps, polyring, homres):
+        monkeypatch.setattr(module, "plethysm_basis", listed)
+    code, rep = run_json(capsys, "fh-rank", "--a", "4", "--b", "5", "--k", "7")
+    assert code == 2
+    assert rep["status"] == "inconclusive"
+    assert "237336 x 888030" in rep["reason"]
+
+
 def test_fh_rank_rejects_zero_a():
     with pytest.raises(SystemExit) as err:
         main(["fh-rank", "--a", "0", "--b", "2", "--k", "1"])

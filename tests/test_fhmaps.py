@@ -1,12 +1,14 @@
 """Power-map layer: generators, alpha matrices, omega, minors, phi, term data."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from bfsyz import fhmaps, polyring
+from bfsyz import fhmaps, homres, polyring, sl2rep
+from bfsyz.errors import ResourceLimitError
 from bfsyz.exactalg import ExactMatrix, dump_matrix, load_matrix, rank
 from bfsyz.fhmaps import (
     fh_rank_report,
@@ -281,6 +283,63 @@ def test_fh_mirror_after_a_rank_only_run_builds_the_missing_blocks(tmp_path):
     full = mirror(foulkes_howe(2, 3, 2, cache=str(tmp_path)))
     assert full.matrix.entries == reference_slice_entries(2, 3, 2)
     assert {p.name for p in tmp_path.iterdir()} == set(block_files(full))
+
+
+SHAPE_GRID = [
+    (1, 1, 0), (1, 1, 3), (1, 3, 2), (2, 1, 3), (3, 1, 0), (2, 2, 2),
+    (2, 3, 3), (3, 2, 4), (1, 5, 1), (3, 4, 4), (2, 6, 4), (3, 4, 5),
+]
+
+
+@pytest.mark.parametrize("a, b, k", SHAPE_GRID)
+def test_fh_counted_shapes_equal_the_enumerated_ones(a, b, k):
+    rows = plethysm_basis(a * k, b)
+    cols = plethysm_basis(k, a * b)
+    row_weights = [sum(e * (2 * i - b) for i, e in enumerate(m)) for m in rows]
+    col_weights = [sum(e * (2 * j - a * b) for j, e in enumerate(m)) for m in cols]
+    by_row, by_col = Counter(row_weights), Counter(col_weights)
+    want = {w: (by_row[w], by_col[w]) for w in sorted(set(by_row) | set(by_col))}
+    fh = foulkes_howe(a, b, k)
+    assert fh.blocks.shapes() == want
+    assert list(fh.blocks.shapes()) == list(want)
+    # every weight 2s - abk, 0 <= s <= abk, has rows and columns on both
+    # sides, so no slice has a block without columns or without rows
+    assert [w for w, (r, c) in want.items() if not r or not c] == []
+    assert (fh.source_dim, fh.target_dim) == (len(cols), len(rows))
+    assert (fh.row_basis, fh.col_basis) == (rows, cols)
+    assert (list(fh.row_weights), list(fh.col_weights)) == (row_weights, col_weights)
+    # listed once per slice, and shared with its mirror
+    assert fh.col_weights is fh.col_weights is mirror(fh).col_weights
+
+
+def forbid_basis_listing(monkeypatch):
+    """Make every reference to ``plethysm_basis`` in the package fail."""
+
+    def listed(m, n):
+        raise AssertionError(f"plethysm_basis({m}, {n}) was listed")
+
+    for module in (sl2rep, fhmaps, polyring, homres):
+        monkeypatch.setattr(module, "plethysm_basis", listed)
+
+
+def test_fh_rank_lists_no_basis_cold_or_warm(tmp_path, monkeypatch):
+    plain = fh_rank_report(3, 4, 5, rng=random.Random(2))
+    forbid_basis_listing(monkeypatch)
+    cold = fh_rank_report(3, 4, 5, rng=random.Random(2), cache=str(tmp_path))
+    (path,) = tmp_path.iterdir()
+    assert path.name == "fhw-a3-b4-k5-w0.mat"
+    stamp = (path.read_bytes(), path.stat().st_mtime_ns)
+    warm = fh_rank_report(3, 4, 5, rng=random.Random(2), cache=str(tmp_path))
+    assert list(tmp_path.iterdir()) == [path]
+    assert (path.read_bytes(), path.stat().st_mtime_ns) == stamp
+    assert cold == warm == plain
+
+
+def test_fh_oversize_slice_is_refused_before_listing(monkeypatch):
+    # 237,336 x 888,030: the counted shape alone is over any budget
+    forbid_basis_listing(monkeypatch)
+    with pytest.raises(ResourceLimitError, match="237336 x 888030"):
+        fh_rank_report(4, 5, 7)
 
 
 def test_fh_rank_report_bijective_cases():

@@ -23,6 +23,8 @@ from bfsyz.sl2rep import (
     plain_to_coordinates,
     plain_weight,
     plethysm_basis,
+    plethysm_block,
+    plethysm_counts,
     plethysm_index,
     q_binomial,
     transvectant,
@@ -121,6 +123,26 @@ def test_wedge_basis_count():
         assert len(wedge_basis(m, 3)) == comb(4, m)
 
 
+def test_plethysm_block_is_the_basis_filtered_by_s():
+    for m in range(6):
+        for n in range(6):
+            basis = plethysm_basis(m, n)
+            for s in range(-1, m * n + 2):
+                want = tuple(e for e in basis if sum(i * x for i, x in enumerate(e)) == s)
+                assert plethysm_block(m, n, s) == want, (m, n, s)
+    assert plethysm_block(-1, 2, 0) == ()
+
+
+def test_plethysm_counts_are_the_block_sizes():
+    for m in range(7):
+        for n in range(7):
+            counts = plethysm_counts(m, n)
+            assert len(counts) == m * n + 1
+            assert counts == tuple(len(plethysm_block(m, n, s)) for s in range(m * n + 1))
+            assert sum(counts) == comb(n + m, m)
+    assert plethysm_counts(-1, 3) == ()
+
+
 def test_weight_conventions():
     for e in plethysm_basis(3, 4):
         assert plain_weight(e, 4) == 2 * x1_count(e, 4) - 3 * 4
@@ -141,6 +163,47 @@ def test_q_binomial_values():
             assert qb == q_binomial(n, n - m)
             assert qb.dimension() == comb(n, m)
             assert qb.coeffs == qb.coeffs[::-1]  # symmetric
+
+
+def char_plethysm_by_enumeration(m: int, n: int) -> QChar:
+    """Reference: the character of Sym^m(Sym^n U) from the listed basis."""
+    counts = [0] * (m * n + 1)
+    for e in plethysm_basis(m, n):
+        counts[x1_count(e, n)] += 1
+    return QChar(counts)
+
+
+def char_wedge_by_enumeration(m: int, n: int) -> QChar:
+    """Reference: the character of Wedge^m(Sym^n U) from the listed basis."""
+    if m > n + 1:
+        return QChar(())
+    counts = [0] * (m * n + 1 if m else 1)
+    for t in wedge_basis(m, n):
+        counts[sum(n - i for i in t)] += 1
+    return QChar(counts)
+
+
+def criterion_10_pairs():
+    """The (m, n) of every plethysm and wedge character that the 75
+    identities of the 5 x 5 range (a, b <= 5, i < b) multiply."""
+    sym, wedge = set(), set()
+    for a in range(1, 6):
+        for b in range(1, 6):
+            d = a * b
+            for i in range(b):
+                sym |= {(b - 1 - i, d), (i, d)}
+                wedge |= {(i, d + b - 2), (b - 1 - i, d + b - 2)}
+    return sorted(sym), sorted(wedge)
+
+
+def test_counted_characters_equal_the_enumerated_ones():
+    sym, wedge = criterion_10_pairs()
+    assert len(sym) == 53 and len(wedge) == 55
+    grid = [(m, n) for m in range(6) for n in range(7)]
+    for m, n in sorted(set(sym) | set(grid)):
+        assert char_plethysm(m, n) == char_plethysm_by_enumeration(m, n), (m, n)
+    for m, n in sorted(set(wedge) | set(grid)):
+        assert char_wedge(m, n) == char_wedge_by_enumeration(m, n), (m, n)
 
 
 def test_char_plethysm_is_gaussian_binomial():
