@@ -754,6 +754,8 @@ def blocked_rank_details(
     mem_mb: int | None = None,
     weyl: bool = False,
     sl2_columns: bool = True,
+    incoming: tuple[RankResult, dict] | None = None,
+    block_ranks: dict | None = None,
 ) -> RankResult:
     """Rank of a label-preserving map as the sum of its block ranks.
 
@@ -765,7 +767,9 @@ def blocked_rank_details(
     :func:`split_blocks` first.  Only the blocks that get eliminated are
     read through ``entries(w)``; the shape checks, the mode choice and
     inferred blocks read ``shapes()``, and the empty-map shortcut reads
-    ``bool(blocks)``, which a slice answers from its shapes.
+    ``bool(blocks)``, which a slice answers from its shapes.  A
+    ``block_ranks`` dict, when given, receives ``{label: rank}`` of every
+    visited block of nonzero rank, inferred ones included.
 
     The exact/modular decision is made once from the *full* shape, the sum
     of the block shapes (so provenance matches the unblocked computation);
@@ -800,6 +804,17 @@ def blocked_rank_details(
     ``EquivarianceError`` is raised.  Only SL2-stable constructions set the
     flag (see ``homres.tor_betti``, ``fhmaps.fh_rank_details`` and
     ``polyring.GradedIdeal.piece_dimension_details``).
+
+    ``incoming`` is ``(rank, block_ranks)`` of an SL2-equivariant map d_in
+    into the columns with d o d_in = 0 (used with ``weyl`` and
+    ``sl2_columns``).  The homology ker d / im d_in is then a
+    representation, so its weight multiplicities H_w = C_w - r_w - in_w (C_w
+    the column count) never grow from w to w + 2 for w >= 0: once H_w = 0,
+    every later block of that parity gets r = C - in, uneliminated.  A
+    modular rank is a lower bound, so a computed H_w = 0 is a true zero.
+    The inferred ranks are exact when d_in is; when d_in is modular they
+    are upper bounds, and the result is modular with d_in's primes, so the
+    caller passes one only where nothing else reads this rank.
     """
     if weyl:
         _check_weyl_shapes(blocks, sl2_columns)
@@ -812,17 +827,24 @@ def blocked_rank_details(
         chosen = list(primes) if primes else draw_primes(rng)
     else:
         chosen = []
+    walk_in = incoming[1] if weyl and sl2_columns and incoming else None
     total = 0
     escalated = False
+    leaned = False
     used: dict[int, None] = {}
-    # the parities w % 2 known to be injective (surjective) from a lower block
+    # the parities w % 2 known to be injective (surjective) from a lower
+    # block, and those where the homology at the columns has vanished
     injective: set[int] = set()
     surjective: set[int] = set()
+    vanished: set[int] = set()
     shapes = blocks.shapes()
     labels = sorted(w for w in shapes if w >= 0) if weyl else list(shapes)
     for w in labels:
         nrows, ncols = shapes[w]
-        if w % 2 in injective:
+        if w % 2 in vanished:
+            r = ncols - walk_in.get(w, 0)
+            leaned = True
+        elif w % 2 in injective:
             r = ncols
         elif w % 2 in surjective:
             r = nrows
@@ -842,8 +864,14 @@ def blocked_rank_details(
                 injective.add(w % 2)
             if r == nrows:
                 surjective.add(w % 2)
+            if walk_in is not None and r + walk_in.get(w, 0) == ncols:
+                vanished.add(w % 2)
+        if r and block_ranks is not None:
+            block_ranks[w] = r
         total += 2 * r if weyl and w > 0 else r
-    if use == "exact":
+    if leaned and incoming[0].mode == "modular":
+        used.update(dict.fromkeys(incoming[0].primes))
+    elif use == "exact":
         return RankResult(total, "exact")
     # blocks that disagreed were settled exactly; the rest carry double-prime
     # confidence, so the aggregate is reported at modular strength

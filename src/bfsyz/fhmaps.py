@@ -395,29 +395,33 @@ def _product_tree(polys, base: int):
 
     A product maps packed c-monomials (see ``_pack``) to coefficients.  With
     ``base`` above every exponent that occurs, packing is injective and turns
-    a monomial product into one integer addition.  Recursion strips the
+    a monomial product into one integer addition.  Each product strips the
     leftmost nonzero index, so every product of degree t is one sparse
-    multiplication on top of a degree t-1 product.
+    multiplication on top of a degree t-1 product.  The walk down to a known
+    product is a loop, not a recursion, so ``product`` holds no reference to
+    itself: the tree is freed with its last user, not at the next pass of
+    the cycle collector.
     """
     memo: dict = {(0,) * len(polys): {0: 1}}
     packed = [{_pack(e, base): c for e, c in p.terms.items()} for p in polys]
 
     def product(beta):
-        got = memo.get(beta)
-        if got is not None:
-            return got
-        j = next(i for i, v in enumerate(beta) if v)
-        parent = list(beta)
-        parent[j] -= 1
-        prev = product(tuple(parent))
-        out: dict = {}
-        pj = packed[j]
-        for e1, c1 in prev.items():
-            for e2, c2 in pj.items():
-                key = e1 + e2
-                out[key] = out.get(key, 0) + c1 * c2
-        memo[beta] = out
-        return out
+        chain = []
+        while (got := memo.get(beta)) is None:
+            j = next(i for i, v in enumerate(beta) if v)
+            chain.append((beta, j))
+            parent = list(beta)
+            parent[j] -= 1
+            beta = tuple(parent)
+        for beta, j in reversed(chain):
+            out: dict = {}
+            pj = packed[j]
+            for e1, c1 in got.items():
+                for e2, c2 in pj.items():
+                    key = e1 + e2
+                    out[key] = out.get(key, 0) + c1 * c2
+            memo[beta] = got = out
+        return got
 
     return product
 

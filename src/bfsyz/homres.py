@@ -52,7 +52,14 @@ from .polyring import (
     initial_ideal_Jab,
     monomial_quotient_hf,
 )
-from .sl2rep import coord_weight, plethysm_basis, plethysm_index, wedge_basis, wedge_index
+from .sl2rep import (
+    coord_weight,
+    koszul_image_weights,
+    plethysm_basis,
+    plethysm_index,
+    wedge_basis,
+    wedge_index,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +368,8 @@ def koszul_slab(module: GradedModule, i: int, t: int, mem_mb=None):
     est = sum(sum(len(p) for p in adj[v]) for v in range(nv)) * comb(nv - 1, i - 1)
     if est * 100 > memory_budget_mb(mem_mb) * 1024 * 1024:
         raise ResourceLimitError(f"koszul slab ({i}, {t}) needs roughly {est} entries")
-    src_weights, col_local, col_counts = _slab_side(module, i, t, keep=True)
-    _dst_weights, row_local, row_counts = _slab_side(module, i - 1, t + 1, keep=False)
+    src_weights, col_local, col_counts = _slab_side(module, i, t, keep=False)
+    _dst_weights, row_local, row_counts = _slab_side(module, i - 1, t + 1, keep=True)
     col_local, row_local = col_local.tolist(), row_local.tolist()
     mw = module.basis_weights(t) or [0] * dim_t
     subs: dict = {w: {} for w in set(row_counts) | set(col_counts)}
@@ -393,11 +400,10 @@ def _slab_side(module: GradedModule, i: int, t: int, keep: bool):
     """``(wedge_weights, local, counts)`` of the basis of Wedge^i V (x) M_t.
 
     The torus weights of the wedge basis, then ``_local_indices`` of the
-    basis (all weights 0 when the module is unlabelled).  The columns of
-    d(i, t) are the rows of d(i + 1, t - 1), which ``tor_betti`` ranks next,
-    so a column side is built once: with ``keep`` it is kept, as its compact
-    array, until the row use takes it back out.  Two threads that miss the
-    same key build equal values, so whichever is kept serves the next use.
+    basis (all weights 0 when the module is unlabelled).  The rows of
+    d(i + 1, t - 1) are the columns of d(i, t), which ``tor_betti`` ranks
+    next, so a side is built once: with ``keep`` it is kept, as its compact
+    array, until the column use takes it back out.
     """
     side = module._sides.pop((i, t), None)
     if side is None:
@@ -561,32 +567,33 @@ def tor_betti(
     """Graded Betti numbers beta_{i,j} = dim Tor_i(M, QQ)_j by Koszul homology.
 
     Window: 0 <= i <= i_max, i <= j <= j_max, and j - i <= t_max when the
-    strand cap is given (it keeps high-degree components out of a
-    computation that only needs low strands).  Each entry is
+    strand cap is given.  Each entry is
 
         beta_{i,j} = dim(Wedge^i V (x) M_{j-i}) - rank d(i, j-i) - rank d(i+1, j-i-1)
 
-    and each rank is shared by the two entries it borders through a cache.
-    Ranks run per torus-weight block in the requested mode; modular values
-    are two-prime-certified upper bounds and record their primes.  A rank
-    whose slab exceeds the memory budget marks the affected entries unknown
-    instead of guessing.  Results are independent of the thread count: each
-    rank task draws primes from its own (seed, i, t)-keyed generator.
+    with each rank shared by the two entries it borders.  Each d(i, t) is
+    built by ``koszul_slab`` as weight blocks, whose weights
+    ``GradedModule.mult_adjacency`` checks before any slab is built, and
+    ranked by ``blocked_rank_details`` in the requested mode; modular values
+    are two-prime-certified upper bounds and record their primes.  A slab
+    over the memory budget marks its entries unknown.  Each rank draws
+    primes from its own (seed, i, t)-keyed generator and each anti-diagonal
+    i + t is one task, so results do not depend on ``threads``.  With
+    ``module.weyl`` only the weight >= 0 half of a slab is built and ranked
+    (``weyl=True``), and ``meta["symmetry"]`` is ``"sl2-weyl"``.
 
-    Each differential is built by ``koszul_slab`` as weight blocks and
-    handed to ``blocked_rank_details`` as such; no global entry dict is
-    built and nothing is split.  The weights are checked once per degree,
-    by ``GradedModule.mult_adjacency``, before any slab is built.
-
-    When ``module.weyl`` is set, every differential is SL2-equivariant:
-    ``koszul_slab`` fills only its blocks of weight >= 0 and
-    ``blocked_rank_details(..., weyl=True)`` counts each positive block
-    twice, after checking that the block shapes could be weight
-    multiplicities (symmetric, not growing above weight 0).  It ranks the
-    blocks upward and infers, without eliminating them, the blocks above an
-    injective or a surjective one of the same parity.  The table's
-    ``meta["symmetry"]`` is then ``"sl2-weyl"``, naming the theorem the
-    ranks rest on; other tables carry no such key.
+    Two theorems replace elimination.  (1) If M presents S/I as a cyclic
+    module (``power_quotient``, never an ideal) with dim M_u = dim S_u for
+    u <= t + 1, d(i, t) is the Koszul differential of S, which is exact in
+    degree j = i + t > 0 (Eisenbud, *Commutative Algebra*, Cor. 17.5); so
+    rank d(i, t) = sum_{k >= i} (-1)^(k-i) dim(Wedge^k V (x) S_{j-k}), per
+    weight: exact, and no slab is built.  (2) Tor_i(M)_j is the homology of
+    a complex of SL2-representations, so its weight multiplicities never
+    grow from w to w + 2 for w >= 0.  Each anti-diagonal runs in descending
+    i and hands the block ranks of d(i + 1, t - 1) to those of d(i, t)
+    (``blocked_rank_details(..., incoming=...)``) when they are exact, or
+    when (i - 1, i + t) lies outside the window, so that the upper bounds a
+    modular incoming rank gives reach no other entry.
     """
     nv = module.ring.nvars
     base_seed = resolve_seed(seed)
@@ -603,6 +610,7 @@ def tor_betti(
         module.dimension(t)
     for t in range(t_hi + 1):
         module.mult_adjacency(t)
+    in_window = set(window)
 
     need = set()
     for i, j in window:
@@ -611,44 +619,55 @@ def tor_betti(
             need.add((i, t))
         if i + 1 <= nv and t >= 1:
             need.add((i + 1, t - 1))
-
-    def slab_cells(key):
-        i, t = key
-        return comb(nv, i) * module.dimension(t) * comb(nv, i - 1) * module.dimension(t + 1)
-
-    def rank_task(key):
-        i, t = key
-        try:
-            _nrows, _ncols, blocks = koszul_slab(module, i, t, mem_mb)
-            if not blocks:
-                return key, RankResult(0, "exact"), None
-            rng = random.Random(f"{base_seed}:koszul:{i}:{t}")
-            res = blocked_rank_details(blocks, mode, rng=rng, mem_mb=mem_mb, weyl=module.weyl)
-            return key, res, None
-        except ResourceLimitError as exc:
-            return key, None, str(exc)
-
-    # d(i, t) and d(i + 1, t - 1) share a side (see _slab_side), so each
-    # anti-diagonal i + t runs in order of i, the one with the largest slab
-    # first: a side then waits for one slab, not for the rest of the table
-    top: dict = {}
-    for key in need:
-        top[sum(key)] = max(top.get(sum(key), 0), slab_cells(key))
-    ordered = sorted(need, key=lambda key: (-top[sum(key)], sum(key), key[0]))
+    # M = S/I agrees with S in the degrees below ``free``
+    free = 0
+    while (
+        module.kind == "power_quotient" and free <= t_hi + 1
+        and module.dimension(free) == module.ring.dimension(free)
+    ):
+        free += 1
+    zero = RankResult(0, "exact")
+    # (i, t) -> (rank, block ranks), or the budget error; each task writes
+    # the keys of its own anti-diagonal only
     ranks: dict = {}
     failed: dict = {}
+
+    def diagonal_task(keys):
+        for i, t in keys:
+            incoming = (zero, {}) if i == nv or t == 0 else ranks.get((i + 1, t - 1))
+            if incoming and incoming[0].mode != "exact" and (i - 1, i + t) in in_window:
+                incoming = None
+            block_ranks = {}
+            try:
+                if t + 1 < free:
+                    block_ranks = koszul_image_weights(nv - 1, i, i + t)
+                    res = RankResult(sum(block_ranks.values()), "exact")
+                elif blocks := koszul_slab(module, i, t, mem_mb)[2]:
+                    res = blocked_rank_details(
+                        blocks, mode, rng=random.Random(f"{base_seed}:koszul:{i}:{t}"), mem_mb=mem_mb,
+                        weyl=module.weyl, incoming=incoming, block_ranks=block_ranks,
+                    )
+                else:
+                    res = zero
+                blocks = None  # not held while the next slab is built
+                ranks[(i, t)] = res, block_ranks
+            except ResourceLimitError as exc:
+                failed[(i, t)] = str(exc)
+        for i, t in keys:  # the row sides no slab here took (see _slab_side)
+            module._sides.pop((i - 1, t + 1), None)
+
+    # one task per anti-diagonal i + t, in descending i: d(i + 1, t - 1)
+    # feeds d(i, t) and shares a side with it
+    diagonals: dict = {}
+    for i, t in sorted(need, reverse=True):
+        diagonals.setdefault(i + t, []).append((i, t))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(rank_task, ordered))
+            list(pool.map(diagonal_task, diagonals.values()))
     else:
-        outcomes = [rank_task(key) for key in ordered]
-    for key, res, err in outcomes:
-        if err is None:
-            ranks[key] = res
-        else:
-            failed[key] = err
+        for keys in diagonals.values():
+            diagonal_task(keys)
 
-    zero = RankResult(0, "exact")
     entries: dict = {}
     unknown = set()
     for i, j in window:
@@ -661,8 +680,8 @@ def tor_betti(
         if out_key in failed or in_key in failed:
             unknown.add((i, j))
             continue
-        r_out = ranks.get(out_key, zero)
-        r_in = ranks.get(in_key, zero)
+        r_out = ranks.get(out_key, (zero,))[0]
+        r_in = ranks.get(in_key, (zero,))[0]
         value = comb(nv, i) * module.dimension(t) - r_out.rank - r_in.rank
         if value < 0:
             raise ConventionError(f"negative Betti number at (i, j) = ({i}, {j})")

@@ -233,11 +233,6 @@ def wedge_index(m: int, n: int) -> dict:
     return {t: k for k, t in enumerate(wedge_basis(m, n))}
 
 
-def x1_count(exp, n: int) -> int:
-    """Total x1-degree of the plethysm monomial u^exp (inner degree n)."""
-    return sum(e * (n - i) for i, e in enumerate(exp))
-
-
 def plain_weight(exp, n: int) -> int:
     """Torus weight of the basis monomial u^exp: sum e_i (n - 2i)."""
     return sum(e * (n - 2 * i) for i, e in enumerate(exp))
@@ -414,6 +409,24 @@ def char_identity_check(a: int, b: int, i: int) -> bool:
     lhs = char_wedge(i, d + b - 2) * char_plethysm(b - 1 - i, d)
     rhs = char_plethysm(i, d) * char_wedge(b - 1 - i, d + b - 2)
     return lhs.normalized() == rhs.normalized()
+
+
+def koszul_image_weights(n: int, i: int, j: int) -> dict:
+    """{weight: dimension} of the image of the Koszul differential
+    Wedge^i V (x) S_{j-i} -> Wedge^{i-1} V (x) S_{j-i+1}, V = Sym^n U and
+    S = Sym(V), for i >= 1 and j > 0; zero dimensions are left out.
+
+    The Koszul complex of S is exact in every degree j > 0 (Eisenbud,
+    *Commutative Algebra*, Cor. 17.5), so the image is the alternating sum
+    over k >= i of the characters of Wedge^k V (x) S_{j-k}.  The weight of
+    x1-degree D is 2D - jn, the coordinate weight up to w -> -w, under which
+    every such character is symmetric.
+    """
+    out: dict = {}
+    for k in range(i, min(n + 1, j) + 1):
+        for x1, c in enumerate((char_wedge(k, n) * char_plethysm(j - k, n)).coeffs):
+            out[2 * x1 - j * n] = out.get(2 * x1 - j * n, 0) + (-1) ** (k - i) * c
+    return {w: c for w, c in out.items() if c}
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Homology layer: graded modules, Betti windows, regularity, explicit complexes."""
 
 from math import comb
+from typing import NamedTuple
 
 import pytest
 
+from bfsyz import homres
 from bfsyz.errors import ConventionError, InconclusiveError
-from bfsyz.exactalg import default_rng
+from bfsyz.exactalg import RankResult, WeightBlocks, blocked_rank_details, default_rng, matrix
 from bfsyz.fhmaps import ix_kernel_ideal, power_ideal
 from bfsyz.homres import (
     BettiEntry,
@@ -32,6 +34,7 @@ from bfsyz.homres import (
     verify_power_betti,
 )
 from bfsyz.polyring import GradedIdeal, PolyRing
+from bfsyz.sl2rep import koszul_image_weights
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +336,179 @@ def test_power_quotient_mixed_modes_at_3_2():
     assert modes == {"exact", "modular"}
     modular = [e for e in res.ideal_table.entries.values() if e.mode == "modular"]
     assert all(len(e.primes) >= 2 for e in modular)
+
+
+# ---------------------------------------------------------------------------
+# ranks by exactness: the Koszul complex of S below the generation degree,
+# and the homology walk
+
+# the tables of criteria 3 and 4
+FORMULA_CASES = [(2, 2), (3, 2), (2, 3), (4, 2)]
+
+
+def eliminated_slab_ranks(module, i, t):
+    """rank d(i, t) and its nonzero block ranks, every block of the full slab
+    eliminated exactly."""
+    weyl, module.weyl = module.weyl, False
+    try:
+        _nrows, _ncols, blocks = homres.koszul_slab(module, i, t)
+    finally:
+        module.weyl = weyl
+    ranks: dict = {}
+    res = blocked_rank_details(blocks, "exact", block_ranks=ranks)
+    return res.rank, ranks
+
+
+@pytest.mark.parametrize("a,b", FORMULA_CASES)
+def test_koszul_formula_equals_eliminated_rank(a, b):
+    module = GradedModule.power_quotient(a, b)
+    ring = module.ring
+    # I(X) starts in degree b + 1: below it M is S
+    assert [module.dimension(u) for u in range(b + 1)] == [ring.dimension(u) for u in range(b + 1)]
+    assert module.dimension(b + 1) < ring.dimension(b + 1)
+    for i in range(1, ring.nvars + 1):
+        for t in range(b):
+            ranks = koszul_image_weights(ring.nvars - 1, i, i + t)
+            assert (sum(ranks.values()), ranks) == eliminated_slab_ranks(module, i, t), (i, t)
+
+
+@pytest.mark.parametrize("a,b", FORMULA_CASES)
+def test_no_slab_below_the_generation_degree_is_built(monkeypatch, a, b):
+    built = []
+    slab = homres.koszul_slab
+
+    def spy(module, i, t, *args, **kw):
+        built.append(t)
+        return slab(module, i, t, *args, **kw)
+
+    monkeypatch.setattr(homres, "koszul_slab", spy)
+    power_locus_betti(a, b, seed=1)
+    assert built and min(built) == b
+
+
+def test_an_ideal_module_gets_no_formula(monkeypatch):
+    def refused(*args):
+        raise AssertionError("an ideal module was ranked by formula")
+
+    monkeypatch.setattr(homres, "koszul_image_weights", refused)
+    assert power_ideal_betti(2, 3, 1, seed=1).nonzero() == {(0, 2): 7, (1, 3): 8, (1, 4): 3, (2, 5): 8, (3, 6): 3}
+    assert tor_betti(GradedModule.from_ideal(maximal_ideal(3)), 3, 6, t_max=2, seed=5).value(1, 2) == 3
+
+
+class Walk(NamedTuple):
+    key: tuple  # (i, t)
+    result: RankResult
+    block_ranks: dict
+    incoming: tuple | None
+    plain: RankResult  # the same rank without the incoming ranks
+    plain_ranks: dict
+    saved: int  # block eliminations the incoming ranks saved
+
+
+def spy_on_walks(monkeypatch) -> list:
+    """Rank every Koszul slab of a one-thread ``tor_betti`` a second time
+    without its incoming ranks, from the same generator state, and record
+    both as a :class:`Walk`."""
+    walks = []
+    count = [0]
+    last = []
+    slab, rank = homres.koszul_slab, homres.blocked_rank_details
+
+    def counted(fn):
+        def wrapper(*args):
+            count[0] += 1
+            return fn(*args)
+
+        return wrapper
+
+    def spy_slab(module, i, t, *args, **kw):
+        last[:] = [(i, t)]
+        return slab(module, i, t, *args, **kw)
+
+    def spy_rank(blocks, mode, **kw):
+        state = kw["rng"].getstate()
+        start = count[0]
+        res = rank(blocks, mode, **kw)
+        walked = count[0] - start
+        kw["rng"].setstate(state)
+        plain_ranks: dict = {}
+        plain = rank(blocks, mode, **{**kw, "incoming": None, "block_ranks": plain_ranks})
+        saved = count[0] - start - 2 * walked
+        walks.append(Walk(last[0], res, kw["block_ranks"], kw["incoming"], plain, plain_ranks, saved))
+        return res
+
+    monkeypatch.setattr(matrix, "bareiss_rank_rows", counted(matrix.bareiss_rank_rows))
+    monkeypatch.setattr(matrix._kernel, "rank_mod_p_dense", counted(matrix._kernel.rank_mod_p_dense))
+    monkeypatch.setattr(homres, "koszul_slab", spy_slab)
+    monkeypatch.setattr(homres, "blocked_rank_details", spy_rank)
+    return walks
+
+
+@pytest.mark.parametrize(
+    "run",
+    [pytest.param(lambda ab=ab: power_locus_betti(*ab, "exact", seed=1), id=f"locus-{ab[0]}-{ab[1]}")
+     for ab in [(2, 2), (3, 2), (2, 3)]]
+    + [pytest.param(lambda: power_ideal_betti(2, 3, 1, "exact", seed=1), id="ideal-2-3-1")],
+)
+def test_exact_homology_walk_equals_elimination(monkeypatch, run):
+    walks = spy_on_walks(monkeypatch)
+    run()
+    for walk in walks:
+        assert walk.result == walk.plain, walk.key
+        assert walk.block_ranks == walk.plain_ranks, walk.key
+    assert sum(walk.saved for walk in walks) > 0
+
+
+@pytest.mark.parametrize(
+    "run",
+    [pytest.param(lambda: power_locus_betti(2, 3, seed=1).quotient_table, id="locus-2-3"),
+     pytest.param(lambda: power_ideal_betti(2, 3, 1, "modular", seed=1), id="ideal-2-3-1-modular")],
+)
+def test_rank_inferred_from_a_modular_incoming_rank_is_modular(monkeypatch, run):
+    walks = spy_on_walks(monkeypatch)
+    table = run()
+    # a modular incoming rank reaches only the slabs that border no other
+    # entry of the window: those of the top strand
+    modular_in = [w for w in walks if w.incoming and w.incoming[0].mode == "modular"]
+    assert {w.key[1] for w in modular_in} == {table.t_max}
+    leaned = [w for w in modular_in if w.saved]
+    assert leaned
+    for walk in leaned:
+        i, t = walk.key
+        # a top-strand slab: it borders no other entry of the window
+        assert t == table.t_max and walk.result.rank == walk.plain.rank
+        incoming = set(walk.incoming[0].primes)
+        assert walk.result.mode == "modular" and incoming <= set(walk.result.primes)
+        entry = table.entries[(i, i + t)]
+        assert entry.mode == "modular" and incoming <= set(entry.primes)
+
+
+def test_power_locus_2_3_is_thread_independent():
+    # its modular top strand leans on modular incoming ranks
+    one = power_locus_betti(2, 3, seed=1, threads=1)
+    two = power_locus_betti(2, 3, seed=1, threads=2)
+    assert one.quotient_table.to_json() == two.quotient_table.to_json()
+    assert one.ideal_table.to_json() == two.ideal_table.to_json()
+
+
+def test_homology_walk_lends_the_incoming_strength():
+    # columns V_2 + V_0, rows V_2, d the projection onto V_2, and d_in of
+    # rank 1 onto the V_0 at weight 0: the homology vanishes at weight 0, so
+    # the weight-2 block is rank C - in = 1 without elimination
+    blocks = WeightBlocks({
+        -2: (1, 1, {}), 0: (1, 2, {(0, 0): 1}), 2: (1, 1, {(0, 0): 1}),
+    })
+    exact_in = (RankResult(1, "exact"), {0: 1})
+    modular_in = (RankResult(1, "modular", (11, 13)), {0: 1})
+    ranks: dict = {}
+    assert blocked_rank_details(blocks, weyl=True, incoming=exact_in, block_ranks=ranks) == (3, "exact", (), False)
+    assert ranks == {0: 1, 2: 1}
+    assert blocked_rank_details(blocks, weyl=True, incoming=modular_in) == (3, "modular", (11, 13), False)
+    res = blocked_rank_details(blocks, "modular", primes=[5, 7], weyl=True, incoming=modular_in)
+    assert res == (3, "modular", (5, 7, 11, 13), False)
+    # no walk without an incoming rank, or when the columns are no representation
+    assert blocked_rank_details(blocks, weyl=True) == (3, "exact", (), False)
+    assert blocked_rank_details(blocks, weyl=True, sl2_columns=False, incoming=modular_in).mode == "exact"
 
 
 # ---------------------------------------------------------------------------

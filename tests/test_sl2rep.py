@@ -29,8 +29,12 @@ from bfsyz.sl2rep import (
     q_binomial,
     transvectant,
     wedge_basis,
-    x1_count,
 )
+
+
+def x1_count(exp, n: int) -> int:
+    """Total x1-degree of the plethysm monomial u^exp (inner degree n)."""
+    return sum(e * (n - i) for i, e in enumerate(exp))
 
 
 def random_form(rng, degree, lo=-5, hi=5):
