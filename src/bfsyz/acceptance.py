@@ -23,7 +23,6 @@ from .fhmaps import (
     foulkes_howe,
     hw_triple_report,
     minors_generate_check,
-    mirror,
     power_generators,
     power_ideal,
     sr_wr_terms,
@@ -43,6 +42,12 @@ from .polyring import MultiPoly, PolyRing, hilbert_function, ideal_power
 from .sl2rep import BinaryForm, transvectant
 
 
+def _check(ok, detail: str = "") -> None:
+    """Fail the criterion with ``detail`` unless ``ok``.  Unlike ``assert``,
+    which ``python -O`` strips, this check always runs."""
+    if not ok:
+        raise AssertionError(detail)
+
 def _criterion_1(ctx) -> str:
     """Maximal rank over the small grid, plus the square 495-dimensional slice."""
     checked = 0
@@ -51,14 +56,14 @@ def _criterion_1(ctx) -> str:
             for k in range(b + 2):
                 rng = random.Random(f"{ctx['seed']}:acc1:{a}:{b}:{k}")
                 r = fh_rank_report(a, b, k, rng=rng, mem_mb=ctx["mem_mb"], cache=ctx["cache"])
-                assert r["status"] == "ok", f"({a},{b},{k}) inconclusive"
-                assert r["maximal_rank"], f"({a},{b},{k}) rank {r['rank']} not maximal"
+                _check(r["status"] == "ok", f"({a},{b},{k}) inconclusive")
+                _check(r["maximal_rank"], f"({a},{b},{k}) rank {r['rank']} not maximal")
                 checked += 1
     rng = random.Random(f"{ctx['seed']}:acc1:big")
     big = fh_rank_report(2, 4, 4, rng=rng, mem_mb=ctx["mem_mb"], cache=ctx["cache"])
-    assert big["status"] == "ok", "(2,4,4) inconclusive"
-    assert (big["source_dim"], big["target_dim"]) == (495, 495), "(2,4,4) dimensions off"
-    assert big["injective"] and big["surjective"], f"(2,4,4) rank {big['rank']} not bijective"
+    _check(big["status"] == "ok", "(2,4,4) inconclusive")
+    _check((big["source_dim"], big["target_dim"]) == (495, 495), "(2,4,4) dimensions off")
+    _check(big["injective"] and big["surjective"], f"(2,4,4) rank {big['rank']} not bijective")
     return f"{checked} grid slices maximal; (2,4,4) bijective at dimension 495"
 
 
@@ -66,9 +71,9 @@ def _criterion_2(ctx) -> str:
     """The proportionality triple, and its disagreement with the classical one."""
     rep = hw_triple_report(mem_mb=ctx["mem_mb"], cache=ctx["cache"])
     expected = [Fraction(1), Fraction(-1, 3), Fraction(4, 3)]
-    assert rep["triple"] == expected, f"triple {rep['triple']} != {expected}"
-    assert rep["reference"] == [Fraction(1), Fraction(1, 4), Fraction(1, 2)]
-    assert rep["differs"], "triple unexpectedly matches the classical reference"
+    _check(rep["triple"] == expected, f"triple {rep['triple']} != {expected}")
+    _check(rep["reference"] == [Fraction(1), Fraction(1, 4), Fraction(1, 2)])
+    _check(rep["differs"], "triple unexpectedly matches the classical reference")
     return "triple (1, -1/3, 4/3) exact, differing from (1, 1/4, 1/2)"
 
 
@@ -79,14 +84,14 @@ def _criterion_3(ctx) -> str:
         cache=ctx["cache"], threads=ctx["threads"],
     )
     table = res.ideal_table
-    assert not table.unknown, "resource budget left entries unknown"
+    _check(not table.unknown, "resource budget left entries unknown")
     expected = {(0, 3): 7, (1, 4): 10, (2, 5): 5, (3, 6): 1}
     got = {key: table.value(*key) for key in table.nonzero()}
-    assert got == expected, f"nonzero entries {got} != {expected}"
-    assert all(e.mode == "exact" for e in table.entries.values()), "non-exact entry found"
+    _check(got == expected, f"nonzero entries {got} != {expected}")
+    _check(all(e.mode == "exact" for e in table.entries.values()), "non-exact entry found")
     verify = verify_explicit_betti(2, 2, table)
-    assert verify["off_strand"]["ok"], f"off-strand values {verify['off_strand']['violations']}"
-    assert verify["projective_dimension"]["computed"] == 3, "projective dimension != 3"
+    _check(verify["off_strand"]["ok"], f"off-strand values {verify['off_strand']['violations']}")
+    _check(verify["projective_dimension"]["computed"] == 3, "projective dimension != 3")
     return "strand (7, 10, 5, 1) exact; off-strand zero over the window; pd 3"
 
 
@@ -100,12 +105,12 @@ def _criterion_4(ctx) -> str:
         )
         table = res.ideal_table
         verify = verify_explicit_betti(a, b, table)
-        assert verify["ok"], f"({a},{b}) disagrees: {verify}"
-        assert verify["closed_forms"]["beta_1"]["match"], f"({a},{b}) beta_1 form off"
-        assert verify["closed_forms"]["beta_d"]["match"], f"({a},{b}) beta_d form off"
+        _check(verify["ok"], f"({a},{b}) disagrees: {verify}")
+        _check(verify["closed_forms"]["beta_1"]["match"], f"({a},{b}) beta_1 form off")
+        _check(verify["closed_forms"]["beta_d"]["match"], f"({a},{b}) beta_d form off")
         for key, e in table.entries.items():
             if e.mode == "modular":
-                assert len(e.primes) >= 2 or e.escalated, f"single-prime entry {key}"
+                _check(len(e.primes) >= 2 or e.escalated, f"single-prime entry {key}")
         totals.append(f"({a},{b}) " + ", ".join(str(r["computed"]) for r in verify["entries"]))
     return "; ".join(totals)
 
@@ -116,9 +121,9 @@ def _criterion_5(ctx) -> str:
     for (a, b), dim in expected.items():
         rng = random.Random(f"{ctx['seed']}:acc5:{a}:{b}")
         rep = minors_generate_check(a, b, rng=rng, mem_mb=ctx["mem_mb"], cache=ctx["cache"])
-        assert rep["status"] == "ok", f"({a},{b}) inconclusive"
-        assert rep["kernel_dim"] == dim, f"({a},{b}) kernel {rep['kernel_dim']} != {dim}"
-        assert rep["contained"] and rep["equal"], f"({a},{b}) span {rep['span_dim']} != kernel"
+        _check(rep["status"] == "ok", f"({a},{b}) inconclusive")
+        _check(rep["kernel_dim"] == dim, f"({a},{b}) kernel {rep['kernel_dim']} != {dim}")
+        _check(rep["contained"] and rep["equal"], f"({a},{b}) span {rep['span_dim']} != kernel")
     return "kernel dimensions 7, 29, 45, 260; minors span each kernel piece"
 
 
@@ -133,7 +138,7 @@ def _criterion_6(ctx) -> str:
                 cache=ctx["cache"], threads=ctx["threads"],
             )
             value = regularity(table)
-            assert value == formula, f"({a},{b}) Betti route {value} != {formula}"
+            _check(value == formula, f"({a},{b}) Betti route {value} != {formula}")
             direct += 1
     monomial = 0
     for a in (1, 2, 3, 4):
@@ -141,8 +146,10 @@ def _criterion_6(ctx) -> str:
             formula = regularity_formula(a, b)
             rng = random.Random(f"{ctx['seed']}:acc6:{a}:{b}")
             rep = initial_ideal_regularity(a, b, rng=rng, mem_mb=ctx["mem_mb"])
-            assert rep["hf_agree"], f"({a},{b}) Hilbert functions diverge"
-            assert rep["value"] == formula, f"({a},{b}) monomial route {rep['value']} != {formula}"
+            _check(rep["hf_agree"], f"({a},{b}) Hilbert functions diverge")
+            _check(
+                rep["value"] == formula, f"({a},{b}) monomial route {rep['value']} != {formula}"
+            )
             monomial += 1
     return f"{direct} Betti-route and {monomial} monomial-route values match floor((b+2)/2)a - floor(b/2)"
 
@@ -153,15 +160,15 @@ def _criterion_7(ctx) -> str:
         2, "exact", seed=ctx["seed"], mem_mb=ctx["mem_mb"],
         cache=ctx["cache"], threads=ctx["threads"],
     )
-    assert rep2["ok"], f"a = 2 table off: {rep2['entries']}"
+    _check(rep2["ok"], f"a = 2 table off: {rep2['entries']}")
     got2 = {(r["i"], r["j"]): r["computed"] for r in rep2["entries"]}
-    assert got2 == {(0, 2): 7, (1, 3): 8, (1, 4): 3, (2, 5): 8, (3, 6): 3}, f"a = 2 shape {got2}"
+    _check(got2 == {(0, 2): 7, (1, 3): 8, (1, 4): 3, (2, 5): 8, (3, 6): 3}, f"a = 2 shape {got2}")
     rep3 = verify_ia3_resolution(
         3, "modular", seed=ctx["seed"], mem_mb=ctx["mem_mb"],
         cache=ctx["cache"], threads=ctx["threads"],
     )
-    assert rep3["ok"], f"a = 3 table off: {rep3['entries']}"
-    assert "modular" in rep3["modes"], "a = 3 run did not exercise the modular path"
+    _check(rep3["ok"], f"a = 3 table off: {rep3['entries']}")
+    _check("modular" in rep3["modes"], "a = 3 run did not exercise the modular path")
     return "a = 2 exact (7, 8 | 3, 8, 3); a = 3 modular, regularity 5"
 
 
@@ -174,7 +181,7 @@ def _criterion_8(ctx) -> str:
             cache=ctx["cache"], threads=ctx["threads"],
         )
         rep = verify_power_betti(a, b, table)
-        assert rep["ok"], f"({a},{b}) power table off: {rep}"
+        _check(rep["ok"], f"({a},{b}) power table off: {rep}")
         seen.append(f"({a},{b}) reg {rep['regularity']['computed']}")
     return "both strands match; " + ", ".join(seen)
 
@@ -186,7 +193,7 @@ def _criterion_9(ctx) -> str:
         d = a * b
         rng = random.Random(f"{ctx['seed']}:acc9:{a}:{b}")
         hf = hilbert_function(ideal_power(power_ideal(a, b), b), d, rng=rng, mem_mb=ctx["mem_mb"])
-        assert hf[d] == 0, f"({a},{b}) degree-{d} quotient has dimension {hf[d]}"
+        _check(hf[d] == 0, f"({a},{b}) degree-{d} quotient has dimension {hf[d]}")
         dims.append(comb(d + b, b))
     return f"degree-d pieces saturate at dimensions {dims[0]}, {dims[1]}, {dims[2]}"
 
@@ -198,9 +205,9 @@ def _criterion_10(ctx) -> str:
         for b in range(1, 6):
             # the termwise identities of the two length-(b-1) complexes
             for i, holds in enumerate(sr_wr_terms(a, b, b - 1).char_match):
-                assert holds, f"identity fails at ({a},{b},{i})"
+                _check(holds, f"identity fails at ({a},{b},{i})")
                 checked += 1
-    assert checked == 75
+    _check(checked == 75)
     return "75 character identities hold exactly"
 
 
@@ -213,19 +220,19 @@ def _criterion_11(ctx) -> str:
             d = a * b
             for _ in range(100):
                 g = BinaryForm(b, [rng.randint(-9, 9) for _ in range(b + 1)])
-                assert transvectant(g.power(a), g).is_zero(), f"pairing with G^{a} nonzero"
+                _check(transvectant(g.power(a), g).is_zero(), f"pairing with G^{a} nonzero")
                 f = BinaryForm(d, [rng.randint(-9, 9) for _ in range(d + 1)])
                 u, v = rng.randint(-4, 4), rng.randint(-4, 4)
                 mat = ((1 + u * v, u), (v, 1))
                 lhs = transvectant(f.substitute(mat), g.substitute(mat))
-                assert lhs == transvectant(f, g).substitute(mat), "equivariance failed"
+                _check(lhs == transvectant(f, g).substitute(mat), "equivariance failed")
                 vanished += 1
 
     rng = random.Random(f"{ctx['seed']}:acc11:mult")
     for a, b in ((2, 2), (2, 3)):
         pg = power_generators(a, b)
-        lo = mirror(foulkes_howe(a, b, b, ctx["mem_mb"], ctx["cache"]))
-        hi = mirror(foulkes_howe(a, b, b + 1, ctx["mem_mb"], ctx["cache"]))
+        lo = foulkes_howe(a, b, b, ctx["mem_mb"], ctx["cache"])
+        hi = foulkes_howe(a, b, b + 1, ctx["mem_mb"], ctx["cache"])
         hi_index = {m: i for i, m in enumerate(hi.col_basis)}
 
         def column_poly(fh, colno):
@@ -241,8 +248,9 @@ def _criterion_11(ctx) -> str:
             lifted = list(beta)
             lifted[j] += 1
             lhs = column_poly(hi, hi_index[tuple(lifted)])
-            assert lhs == pg.polys[j] * column_poly(lo, lo.col_basis.index(beta)), (
-                f"column lifting broke at ({a},{b})"
+            _check(
+                lhs == pg.polys[j] * column_poly(lo, lo.col_basis.index(beta)),
+                f"column lifting broke at ({a},{b})",
             )
 
     for nv in (3, 4):
@@ -250,28 +258,29 @@ def _criterion_11(ctx) -> str:
 
     kernel_count = 0
     for a, b in ((2, 2), (3, 2)):
-        fh = mirror(foulkes_howe(a, b, b + 1, ctx["mem_mb"], ctx["cache"]))
+        fh = foulkes_howe(a, b, b + 1, ctx["mem_mb"], ctx["cache"])
         by_col: dict = {}
         for (r, c), val in fh.matrix.entries.items():
             by_col.setdefault(c, []).append((r, val))
         for vec in kernel_basis(fh.matrix):
-            assert primitive_int_vector(vec) == vec, "kernel vector not primitive"
+            _check(primitive_int_vector(vec) == vec, "kernel vector not primitive")
             acc: dict = {}
             for c, vc in enumerate(vec):
                 if vc:
                     for r, val in by_col.get(c, ()):
                         acc[r] = acc.get(r, 0) + val * vc
-            assert all(x == 0 for x in acc.values()), "kernel vector not annihilated"
+            _check(all(x == 0 for x in acc.values()), "kernel vector not annihilated")
             kernel_count += 1
 
     with tempfile.TemporaryDirectory() as tmp:
         cold = foulkes_howe(2, 2, 2, ctx["mem_mb"], tmp)
         warm = foulkes_howe(2, 2, 2, ctx["mem_mb"], tmp)
-        assert cold.matrix == warm.matrix, "cache replay changed the matrix"
+        _check(cold.matrix == warm.matrix, "cache replay changed the matrix")
         first = power_locus_betti(2, 2, seed=ctx["seed"], mem_mb=ctx["mem_mb"], cache=tmp)
         second = power_locus_betti(2, 2, seed=ctx["seed"], mem_mb=ctx["mem_mb"], cache=tmp)
-        assert first.ideal_table.to_json() == second.ideal_table.to_json(), (
-            "cached rerun changed the table"
+        _check(
+            first.ideal_table.to_json() == second.ideal_table.to_json(),
+            "cached rerun changed the table",
         )
 
     return (

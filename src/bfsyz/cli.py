@@ -92,8 +92,7 @@ _OPTIONS = {
     "--threads": dict(
         type=_positive, default=1,
         help="threads ranking the Koszul differentials (default 1); the mod-p kernel's "
-        "sparse stage holds the GIL, so on 2 CPUs betti --target ix --a 2 --b 4 took "
-        "48 s with 2 against 42 s with 1",
+        "sparse stage holds the GIL, so more threads may not run faster",
     ),
 }
 

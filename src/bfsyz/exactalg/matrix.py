@@ -22,13 +22,14 @@ Row-level engines (`bareiss_rank_rows`, `rref_rows`, `mod_p_rank_rows`, ...) are
 exposed for the modules that assemble large matrices blockwise and do not want
 to round-trip through ExactMatrix.  Label-preserving maps travel as
 :class:`WeightBlocks`: Koszul slabs, graded-piece spanning matrices and
-substitution slices are built as blocks, and :func:`split_blocks` files the
-global entries of the other maps into them.  Every echelon form of such a map runs through one
-blocked path, ``_blocked_echelon``, which takes the blocks and the labels
-that give their full indices: check each block against the dense memory
-budget, reduce it with ``rref_rows``.  :func:`column_echelon` (graded
-pieces, images of the substitution maps) and :func:`blocked_kernel_basis`
-are thin layers over it, and :func:`kernel_basis` is its one-block case.
+substitution slices build each block the first time it is read, and
+:func:`split_blocks` files the global entries of the other maps into them.
+Every echelon form of such a map runs through one blocked path,
+``_blocked_echelon``, which takes the blocks and the labels that give their
+full indices: check each block against the dense memory budget, reduce it
+with ``rref_rows``.  :func:`column_echelon` (graded pieces, images of the
+substitution maps) and :func:`blocked_kernel_basis` are thin layers over it,
+and :func:`kernel_basis` is its one-block case.
 Every rank of such a map goes through :func:`blocked_rank_details`.
 """
 
@@ -543,26 +544,68 @@ def kernel_basis(m: ExactMatrix, mem_mb: int | None = None) -> list[tuple[int, .
 class WeightBlocks:
     """A label-preserving sparse map, stored as its label blocks.
 
-    ``blocks`` maps every label of the map, in increasing order, to
-    ``(nrows, ncols, entries)``: the shape of its block and a
-    ``{(row, col): value}`` dict in local indices, which run in increasing
-    order of the full map's indices.  Values are normalized as
-    :class:`ExactMatrix` stores them (ints where integral, no zeros).  The
-    block shapes add up to the full shape; a block may hold no entries.
-    ``len()`` is the number of stored entries, so an empty map is falsy.
+    The map has a block ``(nrows, ncols, entries)`` at every label, in
+    increasing label order: the shape of the block and a ``{(row, col):
+    value}`` dict in local indices, which run in increasing order of the
+    full map's indices.  Values are normalized as :class:`ExactMatrix`
+    stores them (ints where integral, no zeros).  The block shapes add up to
+    the full shape; a block may hold no entries.
 
-    The rank driver reads a map through ``shapes()``, ``entries(w)`` and its
-    truth value only, and asks for the entries of the blocks it eliminates
-    alone; a subclass may build each block then (``fhmaps.SliceBlocks``).
+    ``WeightBlocks(blocks)`` holds a map whose blocks are built already
+    (``{label: (nrows, ncols, entries)}``); :meth:`lazy` one that builds
+    each block the first time ``entries(w)`` reads it, and keeps it.
+    :func:`blocked_rank_details` reads ``shapes()``, the truth value and the
+    entries of the blocks it eliminates only, so those are the blocks that
+    get built; ``blocks``, ``items()``, ``len()`` (the number of entries)
+    and ``==`` build whatever is still missing.  A map is falsy when it has no entry;
+    a block not built yet that has rows and columns counts as nonzero, so
+    a lazy producer builds a nonzero vector in every column.
     """
 
-    __slots__ = ("blocks",)
+    __slots__ = ("_shapes", "_built", "_make")
 
     def __init__(self, blocks: dict):
-        self.blocks = blocks
+        self._shapes = {w: (r, c) for w, (r, c, _sub) in blocks.items()}
+        self._built = {w: sub for w, (_r, _c, sub) in blocks.items()}
+        self._make = None
+
+    @classmethod
+    def lazy(cls, shapes: dict, build) -> "WeightBlocks":
+        """The map with block shapes ``{label: (nrows, ncols)}`` in label
+        order, whose block at w is ``build(w)``, called once, on the first
+        read of a block with rows and columns."""
+        out = cls({})
+        out._shapes, out._make = shapes, build
+        return out
+
+    def _build(self, w) -> dict:
+        return self._make(w)
+
+    def entries(self, w) -> dict:
+        """The entries of the block at label ``w``, in local indices."""
+        sub = self._built.get(w)
+        if sub is None:
+            nrows, ncols = self._shapes[w]
+            sub = self._built[w] = self._build(w) if nrows and ncols else {}
+        return sub
+
+    @property
+    def blocks(self) -> dict:
+        return {w: (r, c, self.entries(w)) for w, (r, c) in self._shapes.items()}
+
+    def items(self):
+        return self.blocks.items()
+
+    def shapes(self) -> dict:
+        """``{label: (nrows, ncols)}`` in label order."""
+        return dict(self._shapes)
 
     def __len__(self) -> int:
-        return sum(len(sub) for _r, _c, sub in self.blocks.values())
+        return sum(len(self.entries(w)) for w in self._shapes)
+
+    def __bool__(self) -> bool:
+        built = self._built
+        return any(built[w] if w in built else r and c for w, (r, c) in self._shapes.items())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightBlocks):
@@ -571,25 +614,14 @@ class WeightBlocks:
 
     __hash__ = None
 
-    def items(self):
-        return self.blocks.items()
-
-    def shapes(self) -> dict:
-        """``{label: (nrows, ncols)}`` in label order."""
-        return {w: (r, c) for w, (r, c, _sub) in self.blocks.items()}
-
-    def entries(self, w) -> dict:
-        """The entries of the block at label ``w``, in local indices."""
-        return self.blocks[w][2]
-
     @property
     def shape(self) -> tuple[int, int]:
-        shapes = self.shapes().values()
+        shapes = self._shapes.values()
         return sum(r for r, _c in shapes), sum(c for _r, c in shapes)
 
     def __repr__(self) -> str:
         rows, cols = self.shape
-        return f"WeightBlocks({rows} x {cols}, nnz={len(self)}, labels={list(self.blocks)})"
+        return f"{type(self).__name__}({rows} x {cols}, built={sorted(self._built)})"
 
 
 def split_blocks(entries, row_labels, col_labels) -> WeightBlocks:
@@ -760,16 +792,15 @@ def blocked_rank_details(
     """Rank of a label-preserving map as the sum of its block ranks.
 
     The one rank driver of blocked maps.  ``blocks`` is a
-    :class:`WeightBlocks`: Koszul slabs and spanning matrices are built that
-    way, substitution slices build each block when the driver reads its
-    entries (so only the eliminated blocks are built), and callers that hold
-    global entries (complexes, the minors span) pass them through
+    :class:`WeightBlocks`: Koszul slabs, spanning matrices and substitution
+    slices build each block when the rank reads its entries, and callers
+    that hold global entries (complexes, the minors span) pass them through
     :func:`split_blocks` first.  Only the blocks that get eliminated are
-    read through ``entries(w)``; the shape checks, the mode choice and
-    inferred blocks read ``shapes()``, and the empty-map shortcut reads
-    ``bool(blocks)``, which a slice answers from its shapes.  A
-    ``block_ranks`` dict, when given, receives ``{label: rank}`` of every
-    visited block of nonzero rank, inferred ones included.
+    read through ``entries(w)``, so only they are built; the shape checks,
+    the mode choice and inferred blocks read ``shapes()``, and the
+    empty-map shortcut reads ``bool(blocks)``.  A ``block_ranks`` dict, when
+    given, receives ``{label: rank}`` of every visited block of nonzero
+    rank, inferred ones included.
 
     The exact/modular decision is made once from the *full* shape, the sum
     of the block shapes (so provenance matches the unblocked computation);
@@ -781,12 +812,12 @@ def blocked_rank_details(
     ``weyl=True`` declares the map SL2-equivariant with the labels as torus
     weights.  The Weyl element carries the weight-w block onto the weight -w
     block, so rank_w = rank_{-w} over QQ and only the blocks with label >= 0
-    count: the total is rank_0 + 2 * sum_{w > 0} rank_w.  Blocks with a
-    negative label may hold no entries (a half-built map); their entries are
-    ignored.  The cokernel of the map is an SL2-representation, and so is
-    its kernel when the columns index a weight basis of one (``sl2_columns``,
-    the default); a representation with nothing in weight w has nothing in
-    any higher weight of the same parity.  So the blocks of weight >= 0 are
+    count: the total is rank_0 + 2 * sum_{w > 0} rank_w, and the blocks
+    with a negative label are never read.  The cokernel of the map is an
+    SL2-representation, and so is its kernel when the columns index a weight
+    basis of one (``sl2_columns``, the default); a representation with
+    nothing in weight w has nothing in any higher weight of the same
+    parity.  So the blocks of weight >= 0 are
     visited upward, and once a block is surjective (rank = its row count, or
     no rows) every later block of its parity is surjective too and its rank
     is its row count; likewise, with ``sl2_columns``, for injective and the

@@ -15,11 +15,12 @@ block's rows and columns are listed alone (``sl2rep.plethysm_block``).
 Reversing the c_i swaps x1 and x2 in G, so P_j(rev c) = P_{d-j}(c) and
 alpha_k has entry (e, beta) = entry (rev e, rev beta), with no signs;
 reversal sends weight w to -w.  A slice is therefore held as its weight
-blocks of weight >= 0 (``SliceBlocks``), each built from one product tree
-that the slice shares, validated and cached on its own the first time it
-is read; the rank driver reads only the blocks it eliminates, and
-``mirror`` builds the rest and the negative blocks for the callers that
-need the full map.  The full bases are listed only for those callers.
+blocks (``SliceBlocks``), each built the first time it is read: one of
+weight >= 0 from one product tree that the slice shares, validated and
+cached on its own, one of negative weight as the reversal of the block of
+the opposite weight.  A rank reads only the blocks of weight >= 0 that it
+eliminates; the full bases are listed only for the callers that read the
+negative blocks or the whole map.
 
 Also here: the (d+b-1) x (b+1) matrix of linear forms in z whose rank drops
 on the locus of powers (rows pair the generic degree-d form against the
@@ -251,68 +252,37 @@ class SliceBlocks(WeightBlocks):
 
     A block of weight >= 0 is read from its cache file
     ``fhw-a{a}-b{b}-k{k}-w{w}.mat`` (local indices) or built from the
-    slice's product tree, validated and written there.  The blocks of
-    negative weight hold no entries, unless the slice went through
-    ``mirror``: then the block at -w is the block at w reversed.
-    ``shapes()``, ``shape`` and truth testing read the counted shapes only
-    (every column P^beta of alpha_k is a nonzero polynomial, so a slice with
-    a column has an entry); ``len()``, ``items()``, ``blocks`` and
-    ``matrix()`` build every block, and the negative blocks and
-    ``matrix()`` list the full bases.
+    slice's product tree, validated and written there; the block at -w is
+    the block at w reversed.  Every column P^beta of alpha_k is a nonzero
+    polynomial, as the truth value of ``WeightBlocks`` requires.  The
+    negative blocks and ``matrix()`` list the full bases.
     """
 
-    __slots__ = ("_source", "_built", "_full", "_matrix")
+    __slots__ = ("_source", "_matrix")
 
-    def __init__(self, source: _SliceSource, built: dict | None = None, full: bool = False):
+    def __init__(self, source: _SliceSource):
+        super().__init__({})
+        self._shapes = source.shapes
         self._source = source
-        self._built = {} if built is None else built
-        self._full = full
         self._matrix = None
 
-    @property
-    def blocks(self) -> dict:
-        return {w: (r, c, self.entries(w)) for w, (r, c) in self._source.shapes.items()}
-
-    def shapes(self) -> dict:
-        return dict(self._source.shapes)
-
-    def entries(self, w) -> dict:
-        sub = self._built.get(w)
-        if sub is None:
-            if w >= 0:
-                sub = self._source.block(w)
-            elif self._full:
-                rev_row, rev_col, row_pos, col_pos = self._source.reversal()
-                rows, cols = self._source.row_ids[-w], self._source.col_ids[-w]
-                sub = {
-                    (row_pos[rev_row[rows[i]]], col_pos[rev_col[cols[j]]]): v
-                    for (i, j), v in self.entries(-w).items()
-                }
-            else:
-                sub = {}
-            self._built[w] = sub
-        return sub
-
-    def __bool__(self) -> bool:
-        return any(c for _r, c in self._source.shapes.values())
-
-    def __repr__(self) -> str:
-        rows, cols = self.shape
-        return f"SliceBlocks({rows} x {cols}, built={sorted(self._built)})"
-
-    def mirrored(self) -> "SliceBlocks":
-        """The blocks of the full map: every block of weight >= 0 is loaded
-        or built here (and kept), the negative ones on first read."""
-        built = {w: self.entries(w) for w in self._source.shapes if w >= 0}
-        return SliceBlocks(self._source, built, full=True)
+    def _build(self, w) -> dict:
+        if w >= 0:
+            return self._source.block(w)
+        rev_row, rev_col, row_pos, col_pos = self._source.reversal()
+        rows, cols = self._source.row_ids[-w], self._source.col_ids[-w]
+        return {
+            (row_pos[rev_row[rows[i]]], col_pos[rev_col[cols[j]]]): v
+            for (i, j), v in self.entries(-w).items()
+        }
 
     def matrix(self) -> ExactMatrix:
         """The map with global indices, assembled once.
 
         The entries of weight >= 0 come column by column, each column in the
-        order of its block; a full map then lists, in that order, the
-        reversal of every entry in a column of weight > 0.  The entries are
-        not validated a second time.
+        order of its block; then, in that order, the reversal of every entry
+        in a column of weight > 0.  The entries are not validated a second
+        time.
         """
         if self._matrix is None:
             source = self._source
@@ -325,12 +295,11 @@ class SliceBlocks(WeightBlocks):
                     runs.setdefault(cols[j], []).append(((rows[i], cols[j]), v))
             half = [entry for j in sorted(runs) for entry in runs[j]]
             entries = dict(half)
-            if self._full:
-                rev_row, rev_col, _row_pos, _col_pos = source.reversal()
-                weights = source.col_weights
-                for (r, c), v in half:
-                    if weights[c] > 0:
-                        entries[(rev_row[r], rev_col[c])] = v
+            rev_row, rev_col, _row_pos, _col_pos = source.reversal()
+            weights = source.col_weights
+            for (r, c), v in half:
+                if weights[c] > 0:
+                    entries[(rev_row[r], rev_col[c])] = v
             self._matrix = _trusted_matrix(*self.shape, entries)
         return self._matrix
 
@@ -348,8 +317,6 @@ class FoulkesHoweMatrix(NamedTuple):
     b: int
     k: int
     d: int
-    # the blocks of negative weight hold no entries, unless the slice went
-    # through ``mirror``
     blocks: SliceBlocks
 
     @property
@@ -400,7 +367,9 @@ def _product_tree(polys, base: int):
     multiplication on top of a degree t-1 product.  The walk down to a known
     product is a loop, not a recursion, so ``product`` holds no reference to
     itself: the tree is freed with its last user, not at the next pass of
-    the cycle collector.
+    the cycle collector.  The products below beta are kept, beta's own is
+    not: every column of a slice has the same degree, so none is another's
+    prefix, and the largest products are held only while they are read.
     """
     memo: dict = {(0,) * len(polys): {0: 1}}
     packed = [{_pack(e, base): c for e, c in p.terms.items()} for p in polys]
@@ -413,14 +382,17 @@ def _product_tree(polys, base: int):
             parent = list(beta)
             parent[j] -= 1
             beta = tuple(parent)
-        for beta, j in reversed(chain):
+        for depth in range(len(chain) - 1, -1, -1):
+            beta, j = chain[depth]
             out: dict = {}
             pj = packed[j]
             for e1, c1 in got.items():
                 for e2, c2 in pj.items():
                     key = e1 + e2
                     out[key] = out.get(key, 0) + c1 * c2
-            memo[beta] = got = out
+            got = out
+            if depth:  # chain[0] is beta itself
+                memo[beta] = out
         return got
 
     return product
@@ -432,17 +404,17 @@ def foulkes_howe(a: int, b: int, k: int, mem_mb=None, cache=None) -> FoulkesHowe
     Column for the z-monomial z^beta is the coefficient vector of
     prod_j P_j^{beta_j} over the degree-ak c-monomials.  This counts the
     block shapes only, and charges the dense budget for the full shape up
-    front, before anything is listed; each block of weight >= 0 is built
-    (or read from the cache) the first time it is read (``SliceBlocks``),
-    from its own rows and columns, and ``mirror`` fills in the blocks of
-    negative weight.  The bases are listed on first read (see
-    ``FoulkesHoweMatrix``).  k = 0 gives the
-    1 x 1 identity.  With a cache directory active, each block is kept in
-    its own file under the stem ``fhw-a{a}-b{b}-k{k}-w{w}``, in local
-    indices; a file that does not parse, is keyed to another stem, or holds
-    a matrix of another shape or field is a miss, and that block alone is
-    rebuilt and rewritten.  Files ``fhw-a{a}-b{b}-k{k}`` of earlier releases,
-    which held the whole weight >= 0 half, are never read.
+    front, before anything is listed; each block is built the first time
+    it is read (``SliceBlocks``): one of weight >= 0 from its own rows and
+    columns, or read from the cache, one of negative weight by reversal.
+    The bases are listed on first read (see ``FoulkesHoweMatrix``).  k = 0
+    gives the 1 x 1 identity.  With a cache directory active, each block of
+    weight >= 0 is kept in its own file under the stem
+    ``fhw-a{a}-b{b}-k{k}-w{w}``, in local indices; a file that does not
+    parse, is keyed to another stem, or holds a matrix of another shape or
+    field is a miss, and that block alone is rebuilt and rewritten.  Files
+    ``fhw-a{a}-b{b}-k{k}`` of earlier releases, which held the whole weight
+    >= 0 half, are never read.
     """
     if a < 1 or b < 1 or k < 0:
         raise ValueError("need a >= 1, b >= 1, k >= 0")
@@ -452,18 +424,6 @@ def foulkes_howe(a: int, b: int, k: int, mem_mb=None, cache=None) -> FoulkesHowe
     check_dense_budget(nrows, ncols, 16, mem_mb, "foulkes_howe")
     source = _SliceSource(a, b, k, shapes, cache_directory(cache))
     return FoulkesHoweMatrix(a, b, k, a * b, SliceBlocks(source))
-
-
-def mirror(fh: FoulkesHoweMatrix) -> FoulkesHoweMatrix:
-    """The full slice alpha_k from its blocks of weight >= 0.
-
-    Entry (e, beta) equals entry (rev e, rev beta), and reversal carries the
-    block at w onto the block at -w.  Every block of weight >= 0 that ``fh``
-    has not built yet is loaded or built here (and kept by ``fh`` too); the
-    returned slice's negative blocks are their reversals, and its
-    ``matrix`` is the full map with global indices.
-    """
-    return fh._replace(blocks=fh.blocks.mirrored())
 
 
 def fh_rank_details(
@@ -553,7 +513,7 @@ def ix_kernel_ideal(a: int, b: int, mem_mb=None, cache=None) -> GradedIdeal:
     vectors.  The kernel of an SL2-equivariant map is SL2-stable, and the
     ideal is marked so.
     """
-    fh = mirror(foulkes_howe(a, b, b + 1, mem_mb, cache))
+    fh = foulkes_howe(a, b, b + 1, mem_mb, cache)
     sring = PolyRing(fh.d + 1, "z")
     vectors = blocked_kernel_basis(fh.blocks, fh.col_weights, mem_mb)
     gens = []
@@ -682,7 +642,7 @@ def minors_generate_check(
     for (i, j), v in entries.items():
         cols[j][i] = v
     alpha_cols: dict = {}
-    for (r, c), av in mirror(fh).matrix.entries.items():
+    for (r, c), av in fh.matrix.entries.items():
         alpha_cols.setdefault(c, []).append((r, av))
     for vec in cols:
         image: dict = {}
@@ -945,7 +905,7 @@ def hw_triple_report(mem_mb=None, cache=None) -> dict:
     with different scale patterns; the report records both triples and
     whether they differ after normalizing the first entry to 1.
     """
-    fh = mirror(foulkes_howe(2, 2, 2, mem_mb, cache))
+    fh = foulkes_howe(2, 2, 2, mem_mb, cache)
     pairs = list(zip(HW_SOURCE_VECTORS_2_2, HW_TARGET_VECTORS_2_2))
     triple = hw_triple(fh.matrix.entries, (2, 4), (4, 2), pairs)
     norm = [x / triple[0] for x in triple]

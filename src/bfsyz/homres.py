@@ -38,7 +38,6 @@ from .fhmaps import (
     SYMMETRY,
     fh_rank_report,
     foulkes_howe,
-    mirror,
     phi_matrix,
     power_generators,
     power_ideal,
@@ -89,9 +88,8 @@ class GradedModule:
     ``weyl`` is True when SL2 acts on the module compatibly with the ring,
     so that every Koszul differential is SL2-equivariant: ``power_quotient``
     always, ``from_ideal`` when the ideal is SL2-stable and weight-graded
-    (``GradedIdeal.weyl``).  Koszul homology then builds and ranks only the
-    weight >= 0 half of each differential (see ``koszul_slab`` and
-    ``tor_betti``).
+    (``GradedIdeal.weyl``).  Koszul homology then ranks only the weight >= 0
+    half of each differential (see ``tor_betti``).
     """
 
     __slots__ = (
@@ -192,7 +190,7 @@ class GradedModule:
             return self._empty_piece()
         a, b = self._gens.a, self._gens.b
         if k < b:
-            fh = mirror(foulkes_howe(a, b, k, self._mem_mb, self._cache))
+            fh = foulkes_howe(a, b, k, self._mem_mb, self._cache)
             raw_cols, pivots = column_echelon(fh.blocks, fh.row_weights, self._mem_mb)
             cols = [{fh.row_basis[i]: v for i, v in vec.items()} for vec in raw_cols]
             return {
@@ -335,22 +333,17 @@ def koszul_slab(module: GradedModule, i: int, t: int, mem_mb=None):
     T[pos]} (x) x_{T[pos]} m.  Rows and columns are ordered by wedge index,
     then module basis index.  Returns ``(nrows, ncols, blocks)``, with
     ``blocks`` a ``WeightBlocks`` keyed by torus weight (one block of weight
-    0 when the module is unlabelled), whose ``len()`` is the number of
-    entries built.
+    0 when the module is unlabelled), each built the first time it is read.
 
-    The differential preserves weight, so every entry is filed straight into
-    its block: the weight of e_T (x) m is that of T plus that of m, and the
-    block shapes are counts, dim(Wedge^i V (x) M_t)_w = sum over T of the
-    number of basis elements of M_t of weight w - wt(T).  A local index is
-    the count of the block's rows (columns) before it, so local indices run
-    in ascending global order.  That the entry of x_v * m lands in the block
-    of m's column is the weight check of ``GradedModule.mult_adjacency``.
-
-    For a module with ``weyl`` set, only the blocks of weight >= 0 get
-    entries; the negative blocks keep their shapes, which
-    ``blocked_rank_details(..., weyl=True)`` checks for symmetry.  The memory
-    estimate is that of the full slab, so budget verdicts do not depend on
-    the halving.
+    The differential preserves weight: the weight of e_T (x) m is that of T
+    plus that of m, so the block shapes are counts, dim(Wedge^i V (x) M_t)_w
+    = sum over T of the number of basis elements of M_t of weight w - wt(T),
+    and the block at w is built from the m of weight w - wt(T) for each T.
+    A local index is the count of the block's rows (columns) before it, so
+    local indices run in ascending global order.  That the entry of x_v * m
+    lands in the block of m's column is the weight check of
+    ``GradedModule.mult_adjacency``.  The memory estimate is that of the
+    full slab, whichever blocks get read.
     """
     nv = module.ring.nvars
     if not 1 <= i <= nv:
@@ -371,29 +364,29 @@ def koszul_slab(module: GradedModule, i: int, t: int, mem_mb=None):
     src_weights, col_local, col_counts = _slab_side(module, i, t, keep=False)
     _dst_weights, row_local, row_counts = _slab_side(module, i - 1, t + 1, keep=True)
     col_local, row_local = col_local.tolist(), row_local.tolist()
-    mw = module.basis_weights(t) or [0] * dim_t
-    subs: dict = {w: {} for w in set(row_counts) | set(col_counts)}
-    for T, tw, lcs in zip(wsrc, src_weights, col_local):
-        # (column, its block, its local index) for every column that gets entries
-        cols = [
-            (c, subs[tw + w], lcs[c])
-            for c, w in enumerate(mw)
-            if tw + w >= 0 or not module.weyl
-        ]
-        for p, v in enumerate(T):
-            rl = row_local[widx[T[:p] + T[p + 1 :]]]
-            av = adj[v]
-            if p % 2:
-                for c, sub, lc in cols:
-                    for r, coeff in av[c]:
-                        sub[(rl[r], lc)] = -coeff
-            else:
-                for c, sub, lc in cols:
-                    for r, coeff in av[c]:
-                        sub[(rl[r], lc)] = coeff
-    return nrows, ncols, WeightBlocks({
-        w: (row_counts.get(w, 0), col_counts.get(w, 0), subs[w]) for w in sorted(subs)
-    })
+    by_weight: dict = {}  # the module basis indices of each weight
+    for c, w in enumerate(module.basis_weights(t) or [0] * dim_t):
+        by_weight.setdefault(w, []).append(c)
+
+    def build(w):
+        sub = {}
+        for T, tw, lcs in zip(wsrc, src_weights, col_local):
+            cols = [(c, lcs[c]) for c in by_weight.get(w - tw, ())]
+            for p, v in enumerate(T):
+                rl, av = row_local[widx[T[:p] + T[p + 1 :]]], adj[v]
+                if p % 2:
+                    for c, lc in cols:
+                        for r, coeff in av[c]:
+                            sub[(rl[r], lc)] = -coeff
+                else:
+                    for c, lc in cols:
+                        for r, coeff in av[c]:
+                            sub[(rl[r], lc)] = coeff
+        return sub
+
+    labels = sorted(row_counts.keys() | col_counts.keys())
+    shapes = {w: (row_counts.get(w, 0), col_counts.get(w, 0)) for w in labels}
+    return nrows, ncols, WeightBlocks.lazy(shapes, build)
 
 
 def _slab_side(module: GradedModule, i: int, t: int, keep: bool):
@@ -579,7 +572,7 @@ def tor_betti(
     over the memory budget marks its entries unknown.  Each rank draws
     primes from its own (seed, i, t)-keyed generator and each anti-diagonal
     i + t is one task, so results do not depend on ``threads``.  With
-    ``module.weyl`` only the weight >= 0 half of a slab is built and ranked
+    ``module.weyl`` only the weight >= 0 half of a slab is ranked
     (``weyl=True``), and ``meta["symmetry"]`` is ``"sl2-weyl"``.
 
     Two theorems replace elimination.  (1) If M presents S/I as a cyclic

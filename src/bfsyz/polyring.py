@@ -385,19 +385,18 @@ class GradedIdeal:
         """
         return self.sl2_stable and self.weight_graded
 
-    def spanning_data(self, k: int, half: bool = False):
+    def spanning_data(self, k: int):
         """Weight blocks of the degree-k spanning matrix.
 
         Returns ``(blocks, row_labels, col_labels)``: rows are indexed by the
         degree-k monomials, columns by the products m * g, labels are torus
         weights (all zero when the ideal is not weight-graded, which
         collapses the computation to a single block), and ``blocks`` is the
-        ``WeightBlocks`` of the matrix.  The product m * g has the weight of
-        its column, so every entry is filed straight into its block; a local
-        index is the count of the block's rows (columns) before it, so local
-        indices run in ascending global order.  ``half=True`` fills only the
-        blocks of label >= 0; the others keep their shapes, which
-        ``blocked_rank_details(..., weyl=True)`` checks for symmetry.
+        ``WeightBlocks`` of the matrix.  The block shapes are counted, and
+        each product m * g is filed under its weight as it is counted; a
+        block is built from its own columns the first time it is read.  A
+        local index is the count of the block's rows (columns) before it, so
+        local indices run in ascending global order.
         """
 
         def weights(t: int) -> tuple[int, ...]:
@@ -413,8 +412,7 @@ class GradedIdeal:
             local[m] = lr
             row_counts[w] = lr + 1
         col_labels: list[int] = []
-        col_counts: dict = {}
-        subs: dict = {}
+        cols: dict = {}  # weight -> the (terms of g, m) of its columns, in order
         for g in self.generators:
             dg = g.homogeneous_degree
             if dg > k:
@@ -424,17 +422,20 @@ class GradedIdeal:
             for m, mw in zip(self.ring.monomials(k - dg), weights(k - dg)):
                 w = gw + mw
                 col_labels.append(w)
-                lc = col_counts.get(w, 0)
-                col_counts[w] = lc + 1
-                if not half or w >= 0:
-                    sub = subs.setdefault(w, {})
-                    for exp, coeff in terms:
-                        sub[(local[tuple(map(add, m, exp))], lc)] = coeff
-        blocks = WeightBlocks({
-            w: (row_counts.get(w, 0), col_counts.get(w, 0), subs.get(w, {}))
-            for w in sorted(row_counts.keys() | col_counts.keys())
-        })
-        return blocks, row_labels, col_labels
+                cols.setdefault(w, []).append((terms, m))
+
+        def build(w):
+            sub = {}
+            for lc, (terms, m) in enumerate(cols[w]):
+                for exp, coeff in terms:
+                    sub[(local[tuple(map(add, m, exp))], lc)] = coeff
+            return sub
+
+        shapes = {
+            w: (row_counts.get(w, 0), len(cols.get(w, ())))
+            for w in sorted(row_counts.keys() | cols.keys())
+        }
+        return WeightBlocks.lazy(shapes, build), row_labels, col_labels
 
     def graded_piece(self, k: int, mem_mb=None, cache=None) -> ExactMatrix:
         """Echelonized basis of the degree-k piece.
@@ -479,7 +480,7 @@ class GradedIdeal:
         """
         if k < 0 or not self.generators or k < min(self.generator_degrees()):
             return RankResult(0, "exact")
-        blocks, _row_labels, _col_labels = self.spanning_data(k, half=self.weyl)
+        blocks, _row_labels, _col_labels = self.spanning_data(k)
         return blocked_rank_details(
             blocks, mode, rng=rng, mem_mb=mem_mb, weyl=self.weyl, sl2_columns=False,
         )

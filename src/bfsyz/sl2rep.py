@@ -156,16 +156,19 @@ def plethysm_basis(m: int, n: int) -> tuple[tuple[int, ...], ...]:
     """
     if m < 0:
         return ()
+    return tuple(_compositions(m, n + 1))
 
-    def gen(total, parts):
-        if parts == 1:
-            yield (total,)
-            return
-        for first in range(total, -1, -1):
-            for rest in gen(total - first, parts - 1):
-                yield (first,) + rest
 
-    return tuple(gen(m, n + 1))
+def _compositions(total: int, parts: int):
+    """``parts`` nonnegative integers with sum ``total``, lexicographically
+    descending.  A module-level recursion, so a call leaves no reference
+    cycle behind (a closure recursing through itself would)."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total, -1, -1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
 
 
 @lru_cache(maxsize=None)
@@ -200,21 +203,23 @@ def plethysm_block(m: int, n: int, s: int) -> tuple[tuple[int, ...], ...]:
     """
     if m < 0 or not 0 <= s <= m * n:
         return ()
-    out = []
-    e = [0] * (n + 1)
-
-    def fill(i, t, rest):
-        # t more on indices i..n with weighted sum rest, which is reachable
-        if i == n:
-            e[n] = t
-            out.append(tuple(e))
-            return
-        for c in range(min(t, (n * t - rest) // (n - i)), max(0, (i + 1) * t - rest) - 1, -1):
-            e[i] = c
-            fill(i + 1, t - c, rest - i * c)
-
-    fill(0, m, s)
+    out: list = []
+    _fill_block(out, [0] * (n + 1), 0, m, s)
     return tuple(out)
+
+
+def _fill_block(out: list, e: list, i: int, t: int, rest: int) -> None:
+    """Append to ``out`` every completion of ``e[:i]`` that puts t more on
+    indices i..n with weighted sum ``rest``, which is reachable.  A
+    module-level recursion, so a call leaves no reference cycle behind."""
+    n = len(e) - 1
+    if i == n:
+        e[n] = t
+        out.append(tuple(e))
+        return
+    for c in range(min(t, (n * t - rest) // (n - i)), max(0, (i + 1) * t - rest) - 1, -1):
+        e[i] = c
+        _fill_block(out, e, i + 1, t - c, rest - i * c)
 
 
 @lru_cache(maxsize=None)

@@ -17,7 +17,6 @@ from bfsyz.fhmaps import (
     ix_kernel_ideal,
     maximal_minors,
     minors_generate_check,
-    mirror,
     omega_matrix,
     phi_matrix,
     phi_syzygy_check,
@@ -83,10 +82,10 @@ def test_power_generators_expand_identity():
 
 
 def test_fh_degree_one_is_inclusion():
-    fh = mirror(foulkes_howe(2, 2, 1))
+    fh = foulkes_howe(2, 2, 1)
     assert fh.matrix.shape == (6, 5)
     assert rank(fh.matrix, "exact") == 5  # full column rank d+1
-    fh = mirror(foulkes_howe(2, 3, 1))
+    fh = foulkes_howe(2, 3, 1)
     assert fh.matrix.shape == (10, 7)
     assert rank(fh.matrix, "exact") == 7
 
@@ -98,10 +97,10 @@ def test_fh_degree_zero_identity():
 
 
 def test_fh_2_2_shapes_and_ranks():
-    fh2 = mirror(foulkes_howe(2, 2, 2))
+    fh2 = foulkes_howe(2, 2, 2)
     assert fh2.matrix.shape == (15, 15)
     assert rank(fh2.matrix, "exact") == 15
-    fh3 = mirror(foulkes_howe(2, 2, 3))
+    fh3 = foulkes_howe(2, 2, 3)
     assert fh3.matrix.shape == (28, 35)
     assert rank(fh3.matrix, "exact") == 28
 
@@ -145,23 +144,20 @@ CRITERION_1_SLICES = [(a, b, k) for a in (1, 2, 3) for b in (1, 2, 3) for k in r
 def test_fh_matches_tuple_keyed_reference(a, b, k):
     fh = foulkes_howe(a, b, k)
     reference = reference_slice_entries(a, b, k)
-    # the half holds the reference's entries in the columns of weight >= 0, in
-    # the same order, so every consumer sees the same matrix
-    half = [(key, v) for key, v in reference.items() if fh.col_weights[key[1]] >= 0]
-    assert list(fh.matrix.entries.items()) == half
+    assert fh.matrix.entries == reference
     assert fh.matrix.shape == (comb(a * k + b, b), comb(k + a * b, k))
-    full = mirror(fh)
-    assert full.matrix.entries == reference
-    assert full.matrix.shape == fh.matrix.shape
-    assert full[:4] == fh[:4] and full[5:] == fh[5:]
+    # the matrix opens with the reference's entries in the columns of weight
+    # >= 0, in the same order, so every consumer sees the same matrix
+    half = [(key, v) for key, v in reference.items() if fh.col_weights[key[1]] >= 0]
+    assert list(fh.matrix.entries.items())[: len(half)] == half
 
 
 def test_fh_multiplicativity():
     # column(beta + delta_j) = P_j * column(beta), sampled over (2, 2)
     rng = random.Random(10)
     pg = power_generators(2, 2)
-    fh2 = mirror(foulkes_howe(2, 2, 2))
-    fh3 = mirror(foulkes_howe(2, 2, 3))
+    fh2 = foulkes_howe(2, 2, 2)
+    fh3 = foulkes_howe(2, 2, 3)
 
     def column_poly(fh, colno, degree):
         terms = {}
@@ -240,11 +236,13 @@ def test_fh_cached_block_of_another_shape_is_rebuilt(tmp_path):
 def test_fh_full_cache_file_is_never_loaded(tmp_path, monkeypatch):
     # a full slice under the stem that held full slices, and the weight >= 0
     # half under the stem that held halves
-    want = foulkes_howe(2, 3, 2).matrix
+    fh = foulkes_howe(2, 3, 2)
+    want = fh.matrix
     stale = tmp_path / "fh-a2-b3-k2.mat"
-    dump_matrix(mirror(foulkes_howe(2, 3, 2)).matrix, stale, key=stale.stem)
+    dump_matrix(want, stale, key=stale.stem)
     half = tmp_path / "fhw-a2-b3-k2.mat"
-    dump_matrix(want, half, key=half.stem)
+    kept = {key: v for key, v in want.entries.items() if fh.col_weights[key[1]] >= 0}
+    dump_matrix(ExactMatrix(*want.shape, kept), half, key=half.stem)
     legacy = {path: path.read_bytes() for path in (stale, half)}
     loaded = []
 
@@ -277,10 +275,10 @@ def test_fh_rank_builds_and_caches_only_the_eliminated_block(tmp_path, monkeypat
     assert cold == warm == plain
 
 
-def test_fh_mirror_after_a_rank_only_run_builds_the_missing_blocks(tmp_path):
+def test_fh_matrix_after_a_rank_only_run_builds_the_missing_blocks(tmp_path):
     fh_rank_report(2, 3, 2, cache=str(tmp_path))
     assert [p.name for p in tmp_path.iterdir()] == ["fhw-a2-b3-k2-w0.mat"]
-    full = mirror(foulkes_howe(2, 3, 2, cache=str(tmp_path)))
+    full = foulkes_howe(2, 3, 2, cache=str(tmp_path))
     assert full.matrix.entries == reference_slice_entries(2, 3, 2)
     assert {p.name for p in tmp_path.iterdir()} == set(block_files(full))
 
@@ -308,8 +306,8 @@ def test_fh_counted_shapes_equal_the_enumerated_ones(a, b, k):
     assert (fh.source_dim, fh.target_dim) == (len(cols), len(rows))
     assert (fh.row_basis, fh.col_basis) == (rows, cols)
     assert (list(fh.row_weights), list(fh.col_weights)) == (row_weights, col_weights)
-    # listed once per slice, and shared with its mirror
-    assert fh.col_weights is fh.col_weights is mirror(fh).col_weights
+    # listed once per slice
+    assert fh.col_weights is fh.col_weights
 
 
 def forbid_basis_listing(monkeypatch):

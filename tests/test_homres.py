@@ -1,5 +1,6 @@
 """Homology layer: graded modules, Betti windows, regularity, explicit complexes."""
 
+import gc
 from math import comb
 from typing import NamedTuple
 
@@ -738,3 +739,16 @@ def test_power_resolution_is_deterministic():
     two = power_resolution(2, 2, seed=13)
     assert one.complex.diffs == two.complex.diffs
     assert one.attempts == two.attempts
+
+
+def test_warm_betti_run_leaves_no_reference_cycle():
+    # every object a run makes is freed by reference counting, none is left
+    # for the cycle collector
+    power_locus_betti(2, 2)
+    gc.collect()
+    gc.disable()
+    try:
+        power_locus_betti(2, 2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

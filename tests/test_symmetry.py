@@ -2,9 +2,10 @@
 
 The halved ranks rest on rank_w = rank_{-w}, so every acceptance-range case
 is run both ways and compared, and the block ranks of every Koszul slab and
-every graded-piece spanning matrix are checked in pairs.  The unhalved runs flip the mark on the module or ideal
-object (or rank the mirrored full slices with ``weyl=False``); no library
-switch exists.  The ranks of the blocks above an injective or a surjective
+every graded-piece spanning matrix are checked in pairs.  The unhalved runs
+flip the mark on the module or ideal object (or rank the slices with
+``weyl=False``, which reads their negative blocks); no library switch
+exists.  The ranks of the blocks above an injective or a surjective
 one are inferred, not computed; that rests on kernels and cokernels being
 SL2-representations, so the same slabs and slices are checked to carry
 injectivity and surjectivity upward, and the spanning matrices, whose
@@ -18,7 +19,7 @@ from fractions import Fraction
 
 import pytest
 
-from bfsyz import fhmaps, homres
+from bfsyz import fhmaps, homres, polyring
 from bfsyz.errors import ConventionError, EquivarianceError, ResourceLimitError
 from bfsyz.exactalg import WeightBlocks, blocked_rank_details, matrix, split_blocks
 from bfsyz.exactalg.matrix import bareiss_rank_rows, draw_primes, mod_p_rank_sparse
@@ -74,9 +75,7 @@ def unflagged_power_quotient(monkeypatch):
 
 
 def unhalve_slices(monkeypatch):
-    """fhmaps ranks the mirrored full slices, every block of them."""
-    build = fhmaps.foulkes_howe
-    monkeypatch.setattr(fhmaps, "foulkes_howe", lambda *args: fhmaps.mirror(build(*args)))
+    """fhmaps ranks the full slices, every block of them."""
     monkeypatch.setattr(
         fhmaps, "blocked_rank_details",
         lambda *args, **kw: blocked_rank_details(*args, **{**kw, "weyl": False}),
@@ -149,8 +148,8 @@ def halved_slice_reports():
 
 
 def test_slices_halved_equal_full(halved_slice_reports, unhalved_slices):
-    mirrored = fhmaps.foulkes_howe(2, 2, 2)
-    assert any(mirrored.col_weights[c] < 0 for _r, c in mirrored.matrix.entries)
+    full = fhmaps.foulkes_howe(2, 2, 2)
+    assert any(full.col_weights[c] < 0 for _r, c in full.matrix.entries)
     for (a, b, k, mode), halved in halved_slice_reports.items():
         full = fhmaps.fh_rank_report(a, b, k, mode, rng=random.Random(f"{a}:{b}:{k}"))
         assert halved == full, (a, b, k, mode)
@@ -245,8 +244,8 @@ def test_wrongly_marked_ideal_is_refused():
 
 
 # ---------------------------------------------------------------------------
-# rank_w == rank_{-w} on every slab and spanning matrix, and each half is the
-# full map cut
+# rank_w == rank_{-w} on every slab and spanning matrix, and each map's
+# blocks are its global entries split
 
 
 def block_ranks(blocks: WeightBlocks, primes=None) -> dict:
@@ -286,16 +285,14 @@ def test_spanning_block_ranks_are_weyl_symmetric(build, k_max):
     ideal = build()
     for k in range(k_max + 1):
         full, rl, cl = ideal.spanning_data(k)
-        half, half_rl, half_cl = ideal.spanning_data(k, half=True)
-        assert (half_rl, half_cl) == (rl, cl) and full.shape == half.shape == (len(rl), len(cl))
-        # the half is the full map's blocks of weight >= 0, every shape kept
-        assert half == WeightBlocks(
-            {w: (r, c, sub if w >= 0 else {}) for w, (r, c, sub) in full.items()}
-        )
+        entries, _rl, _cl = global_spanning(ideal, k)
+        assert full.shape == (len(rl), len(cl))
+        # every block is built, the negative ones too
+        assert full == split_blocks(entries, rl, cl)
         assert_weyl_ranks(full, block_ranks(full), k, kernel=False)
 
 
-def global_spanning(ideal, k, half):
+def global_spanning(ideal, k):
     """The degree-k spanning matrix with global indices and full label lists,
     one column m * g at a time: the reference for the weight blocks."""
     ring = ideal.ring
@@ -314,8 +311,6 @@ def global_spanning(ideal, k, half):
         gw = g.weight() if ideal.weight_graded else 0
         for m, mw in zip(ring.monomials(k - dg), labels(k - dg)):
             col_labels.append(gw + mw)
-            if half and gw + mw < 0:
-                continue
             for exp, coeff in g.terms.items():
                 entries[(index[tuple(x + y for x, y in zip(m, exp))], len(col_labels) - 1)] = coeff
     return entries, labels(k), col_labels
@@ -338,19 +333,18 @@ def fraction_ideals():
 @pytest.mark.parametrize("build,k_max", piece_ideals() + fraction_ideals())
 def test_spanning_blocks_equal_split_of_global_entries(build, k_max):
     ideal = build()
-    for half in (False, True):
-        for k in range(k_max + 1):
-            blocks, rl, cl = ideal.spanning_data(k, half=half)
-            entries, want_rl, want_cl = global_spanning(ideal, k, half)
-            assert (list(rl), cl) == (want_rl, want_cl)
-            want = split_blocks(entries, rl, cl)
-            assert blocks == want, (half, k)
-            assert len(blocks) == len(entries)
-            for w, (_r, _c, sub) in want.items():
-                got = blocks.blocks[w][2]
-                assert all(type(got[key]) is type(v) for key, v in sub.items()), (half, k, w)
-            if not ideal.weight_graded:
-                assert list(blocks.blocks) == [0]
+    for k in range(k_max + 1):
+        blocks, rl, cl = ideal.spanning_data(k)
+        entries, want_rl, want_cl = global_spanning(ideal, k)
+        assert (list(rl), cl) == (want_rl, want_cl)
+        want = split_blocks(entries, rl, cl)
+        assert blocks == want, k
+        assert len(blocks) == len(entries)
+        for w, (_r, _c, sub) in want.items():
+            got = blocks.blocks[w][2]
+            assert all(type(got[key]) is type(v) for key, v in sub.items()), (k, w)
+        if not ideal.weight_graded:
+            assert list(blocks.blocks) == [0]
 
 
 def slab_cases():
@@ -375,44 +369,41 @@ def test_block_ranks_are_weyl_symmetric(build, t_max):
     assert module.weyl
     for i in range(1, module.ring.nvars + 1):
         for t in range(t_max + 1):
-            module.weyl = True
-            nrows, ncols, half = koszul_slab(module, i, t)
-            module.weyl = False
-            full = koszul_slab(module, i, t)
-            assert full[:2] == (nrows, ncols) and full[2].shape == half.shape
-            # the half is the full map's blocks of weight >= 0, every shape kept
-            assert half == WeightBlocks(
-                {w: (r, c, sub if w >= 0 else {}) for w, (r, c, sub) in full[2].items()}
-            )
-            assert_weyl_ranks(full[2], block_ranks(full[2]), (i, t))
+            nrows, ncols, full = koszul_slab(module, i, t)
+            entries, rl, cl = global_slab(module, i, t)
+            assert (nrows, ncols) == (len(rl), len(cl))
+            if not entries:
+                assert not full
+                continue
+            # every block is built, the negative ones too
+            assert full == split_blocks(entries, rl, cl)
+            assert_weyl_ranks(full, block_ranks(full), (i, t))
 
 
 BENCH_SLICES = [(3, 4, 4), (2, 6, 4), (3, 4, 5)]
 
 
 @pytest.fixture(scope="module")
-def slice_halves():
+def slices():
     return {abk: fhmaps.foulkes_howe(*abk) for abk in criterion_1_slices() + BENCH_SLICES}
 
 
 @pytest.mark.parametrize("mode", ["exact", "modular"])
-def test_slice_block_ranks_carry_over(slice_halves, mode):
+def test_slice_block_ranks_carry_over(slices, mode):
     primes = draw_primes(random.Random(11)) if mode == "modular" else None
-    for abk, half in slice_halves.items():
-        full = fhmaps.mirror(half)
-        blocks = split_blocks(full.matrix.entries, full.row_weights, full.col_weights)
+    for abk, fh in slices.items():
+        blocks = split_blocks(fh.matrix.entries, fh.row_weights, fh.col_weights)
+        # the negative blocks are the reversals of the positive ones
+        assert fh.blocks == blocks, abk
         ranks = block_ranks(blocks, primes)
         assert_weyl_ranks(blocks, ranks, abk)
         # blocked_rank_details, ranking upward and inferring, gets the full sum
-        halved = blocked_rank_details(
-            split_blocks(half.matrix.entries, half.row_weights, half.col_weights),
-            mode, primes=primes, weyl=True,
-        )
+        halved = blocked_rank_details(fh.blocks, mode, primes=primes, weyl=True)
         assert halved.rank == sum(ranks.values()), abk
         assert halved.mode == mode and list(halved.primes) == (primes or []), abk
 
 
-def global_slab(module, i, t, half):
+def global_slab(module, i, t):
     """d(i, t) with global indices and full label lists, built entry by entry
     from the contraction formula: the reference for the weight blocks."""
     nv = module.ring.nvars
@@ -437,8 +428,6 @@ def global_slab(module, i, t, half):
                 base_r = widx[T[:pos] + T[pos + 1 :]] * dim_t1
                 for c in range(dim_t):
                     col = wi * dim_t + c
-                    if half and col_labels[col] < 0:
-                        continue
                     for r, coeff in adj[v][c]:
                         entries[(base_r + r, col)] = -coeff if pos % 2 else coeff
     return entries, row_labels, col_labels
@@ -456,23 +445,20 @@ def unlabelled_module():
 )
 def test_slab_blocks_equal_split_of_global_slab(build, t_max):
     module = build()
-    halves = (False, True) if module.weyl else (False,)
-    for half in halves:
-        module.weyl = half
-        for i in range(1, module.ring.nvars + 1):
-            for t in range(t_max + 1):
-                nrows, ncols, blocks = koszul_slab(module, i, t)
-                entries, rl, cl = global_slab(module, i, t, half)
-                assert (nrows, ncols) == (len(rl), len(cl))
-                assert len(blocks) == len(entries)
-                if not entries:
-                    assert not blocks
-                    continue
-                want = split_blocks(entries, rl, cl)
-                assert blocks == want, (half, i, t)
-                for w, (_r, _c, sub) in want.items():
-                    got = blocks.blocks[w][2]
-                    assert all(type(got[key]) is type(v) for key, v in sub.items()), (half, i, t, w)
+    for i in range(1, module.ring.nvars + 1):
+        for t in range(t_max + 1):
+            nrows, ncols, blocks = koszul_slab(module, i, t)
+            entries, rl, cl = global_slab(module, i, t)
+            assert (nrows, ncols) == (len(rl), len(cl))
+            if not entries:
+                assert not blocks and len(blocks) == 0
+                continue
+            assert len(blocks) == len(entries)
+            want = split_blocks(entries, rl, cl)
+            assert blocks == want, (i, t)
+            for w, (_r, _c, sub) in want.items():
+                got = blocks.blocks[w][2]
+                assert all(type(got[key]) is type(v) for key, v in sub.items()), (i, t, w)
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +557,72 @@ def spy_on_eliminations(monkeypatch) -> list:
 
         monkeypatch.setattr(owner, name, spy)
     return calls
+
+
+def spy_on_built_blocks(monkeypatch, owner, name, pick) -> tuple[list, set]:
+    """Record every map that ``owner.name`` makes (``pick`` takes it from the
+    result), and every (map, label) that ``blocked_rank_details`` reads."""
+    maps, reads, ranking = [], set(), []
+    make, entries = getattr(owner, name), WeightBlocks.entries
+
+    def maker(*args, **kw):
+        out = make(*args, **kw)
+        maps.append(pick(out))
+        return out
+
+    def read(self, w):
+        if ranking:
+            reads.add((id(self), w))
+        return entries(self, w)
+
+    for module in (homres, polyring):
+        def rank(*args, _rank=module.blocked_rank_details, **kw):
+            ranking.append(True)
+            try:
+                return _rank(*args, **kw)
+            finally:
+                ranking.pop()
+
+        monkeypatch.setattr(module, "blocked_rank_details", rank)
+    monkeypatch.setattr(owner, name, maker)
+    monkeypatch.setattr(WeightBlocks, "entries", read)
+    return maps, reads
+
+
+def assert_only_eliminated_blocks_built(maps, reads) -> None:
+    """Each map built only blocks of weight >= 0 that its rank read,
+    so none that the walk inferred; and the walk did infer some."""
+    assert maps
+    inferred = 0
+    for blocks in maps:
+        built = set(blocks._built)
+        assert built <= {w for i, w in reads if i == id(blocks)}
+        assert all(w >= 0 for w in built)
+        inferred += sum(1 for w, (r, c) in blocks.shapes().items() if w >= 0 and r and c and w not in built)
+    assert inferred
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        pytest.param(lambda: power_locus_betti(2, 3, seed=1), id="locus-2-3"),
+        pytest.param(lambda: power_ideal_betti(2, 3, 1, seed=1), id="ideal-2-3-1"),
+    ],
+)
+def test_weyl_betti_runs_build_only_the_eliminated_slab_blocks(monkeypatch, run):
+    maps, reads = spy_on_built_blocks(monkeypatch, homres, "koszul_slab", lambda out: out[2])
+    run()
+    assert_only_eliminated_blocks_built(maps, reads)
+
+
+def test_weyl_piece_dimensions_build_only_the_eliminated_spanning_blocks(monkeypatch):
+    ideal, full = fhmaps.power_ideal(3, 3), fhmaps.power_ideal(3, 3)
+    full.sl2_stable = False
+    assert ideal.weyl and not full.weyl
+    want = [full.piece_dimension_details(k).rank for k in range(7)]
+    maps, reads = spy_on_built_blocks(monkeypatch, GradedIdeal, "spanning_data", lambda out: out[0])
+    assert [ideal.piece_dimension_details(k).rank for k in range(7)] == want
+    assert_only_eliminated_blocks_built(maps, reads)
 
 
 def test_slice_is_settled_by_one_block(monkeypatch):
