@@ -1,5 +1,5 @@
 """Benchmark the modular elimination kernel: one two-prime call against the
-dense loop run once per prime.
+dense loop run once per prime; and the exact rank on tall matrices.
 
 Every modular certificate ranks a matrix, given as its entries, modulo two
 primes in one call of rank_mod_p_dense.  A matrix at most
@@ -11,6 +11,14 @@ that call on random matrices of several densities, names the route each
 matrix takes, and sets it against two runs of the dense loop alone, one per
 prime: where the ratio is below 1 the sparse start pays.  Both must give the
 same rank on every matrix.
+
+The second table times the exact rank, bareiss_rank_rows, on tall n x n/4
+matrices drawn the same way at the same sizes and densities, with small
+integer entries as in the package's blocks, given as they are and transposed.
+The rank eliminates along the shorter side, with the columns in ascending
+nonzero count; the last column times the elimination of the tall rows in
+column order, which is what rref_rows runs, and the ratio sets the rank
+against it.  All three must give the same rank.
 
 Usage: python3 benchmarks/bench_modrank.py [--sizes 100,200,300]
        [--densities 0.02,0.1,0.15,0.2,0.25,0.3] [--repeats 3]
@@ -25,6 +33,7 @@ import time
 import numpy as np
 
 from bfsyz.exactalg import _modp
+from bfsyz.exactalg.matrix import _echelon, _int_rows, bareiss_rank_rows
 from bfsyz.exactalg.primes import distinct_random_primes
 
 
@@ -36,7 +45,24 @@ def random_matrix(rng: random.Random, n: int, p: int, density: float) -> _modp.C
     return _modp.Coo(ij[:, 0], ij[:, 1], np.array(values, dtype=np.int64), (n, n))
 
 
-def best_time(fn, arr: _modp.Coo, repeats: int) -> tuple[float, int]:
+def random_rows(rng: random.Random, nrows: int, ncols: int, density: float) -> list[dict[int, int]]:
+    """An nrows x ncols matrix as ``{col: value}`` rows, each cell nonzero, in
+    -9..9, with chance ``density``."""
+    return [
+        {j: rng.choice((-1, 1)) * rng.randint(1, 9) for j in range(ncols) if rng.random() < density}
+        for _ in range(nrows)
+    ]
+
+
+def transposed(rows: list[dict[int, int]], ncols: int) -> list[dict[int, int]]:
+    out: list[dict[int, int]] = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            out[j][i] = v
+    return out
+
+
+def best_time(fn, arr, repeats: int) -> tuple[float, int]:
     """Best time of ``fn`` on ``arr``, which it leaves as it is, and its result."""
     best = []
     result = None
@@ -74,6 +100,32 @@ def microbenchmark(sizes, densities, repeats: int, seed: int) -> None:
                   f" {t_two / t_loop:>6.2f}x")
 
 
+def exact_microbenchmark(sizes, densities, repeats: int, seed: int) -> None:
+    rng = random.Random(seed)
+    print(f"bareiss_rank_rows on n x n/4 matrices with entries in -9..9, best of {repeats}; "
+          "it eliminates along the shorter side")
+    header = (f"{'n':>6} {'density':>8} {'rank':>5} {'tall':>10} {'transposed':>11}"
+              f" {'tall rows in column order':>26} {'ratio':>7}")
+    print(header)
+    print("-" * len(header))
+    for density in densities:
+        for n in sizes:
+            ncols = max(n // 4, 1)
+            rows = random_rows(rng, n, ncols, density)
+            wide = transposed(rows, ncols)
+            share = sum(map(len, rows)) / (n * ncols)
+            t_tall, r_tall = best_time(lambda a: bareiss_rank_rows(a, ncols), rows, repeats)
+            t_wide, r_wide = best_time(lambda a: bareiss_rank_rows(a, n), wide, repeats)
+            t_long, r_long = best_time(lambda a: len(_echelon(_int_rows(a), ncols)[0]), rows, repeats)
+            if len({r_tall, r_wide, r_long}) != 1:
+                raise SystemExit(
+                    f"exact ranks disagree at n = {n}, density {density}: tall {r_tall}, "
+                    f"transposed {r_wide}, tall rows in column order {r_long}"
+                )
+            print(f"{n:>6} {share:>8.3f} {r_tall:>5} {t_tall:>9.4f}s {t_wide:>10.4f}s"
+                  f" {t_long:>25.4f}s {t_tall / t_long:>6.2f}x")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", default="100,200,300")
@@ -84,6 +136,8 @@ def main() -> None:
     sizes = [int(s) for s in args.sizes.split(",") if s]
     densities = [float(d) for d in args.densities.split(",") if d]
     microbenchmark(sizes, densities, args.repeats, args.seed)
+    print()
+    exact_microbenchmark(sizes, densities, args.repeats, args.seed)
 
 
 if __name__ == "__main__":

@@ -16,7 +16,9 @@ fraction-free elimination over primitive integer rows (Bareiss-style
 integer-preserving updates, applied only to the rows the pivot touches), with
 the sparsest row that is nonzero in the current column as pivot.  Rank does
 not depend on the pivot order and the reduced row echelon form of a row space
-is unique, so results depend only on the input, not on that choice.
+is unique, so results depend only on the input, not on that choice.  The rank
+alone (``bareiss_rank_rows``) eliminates along the shorter side, with the
+columns in ascending nonzero count; echelon forms keep the column order.
 
 Row-level engines (`bareiss_rank_rows`, `rref_rows`, `mod_p_rank_rows`, ...) are
 exposed for the modules that assemble large matrices blockwise and do not want
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import os
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -147,12 +150,15 @@ class ExactMatrix:
         self.field = field
         clean = {}
         if entries:
-            for (i, j), v in entries.items():
+            # the caller's key tuples are kept, not rebuilt: a block's entries
+            # and its checked copy then share them
+            for key, v in entries.items():
+                i, j = key
                 if not (0 <= i < nrows and 0 <= j < ncols):
                     raise ValueError(f"entry index ({i}, {j}) outside {nrows} x {ncols}")
                 v = _normalize_scalar(v)
                 if v:
-                    clean[(i, j)] = v
+                    clean[key if type(key) is tuple else (i, j)] = v
         self.entries = clean
         self.pivot_cols: tuple[int, ...] | None = None
 
@@ -267,13 +273,18 @@ def _sparse_int_row(row) -> dict[int, int]:
         nz = {j: v for j, v in row.items() if v}
     else:
         nz = {j: v for j, v in enumerate(row) if v}
+    if all(type(v) is int for v in nz.values()):
+        return _primitive(nz)
     den = 1
     for v in nz.values():
         if isinstance(v, Fraction):
             den = lcm(den, v.denominator)
-    if den == 1:
-        return _primitive({j: int(v) for j, v in nz.items()})
     return _primitive({j: int(v * den) for j, v in nz.items()})
+
+
+def _int_rows(rows) -> list[dict[int, int]]:
+    """The nonzero rows of ``rows`` as ``_sparse_int_row`` makes them."""
+    return [sparse for sparse in map(_sparse_int_row, rows) if sparse]
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
@@ -300,10 +311,10 @@ def _eliminate(pr: dict[int, int], c: int, ri: dict[int, int]) -> dict[int, int]
     return _primitive(out)
 
 
-def _echelon(rows, ncols: int) -> tuple[list[int], list[dict[int, int]]]:
-    """Sparse fraction-free forward elimination of int/Fraction rows.
-
-    Each row is a dense list or a ``{col: value}`` dict; neither is mutated.
+def _echelon(rows: list[dict[int, int]], ncols: int) -> tuple[list[int], list[dict[int, int]]]:
+    """Sparse fraction-free forward elimination of a list of nonzero
+    primitive ``{col: int}`` rows (``_int_rows``).  The list is emptied, so
+    that a row is freed once it is eliminated; the rows are not mutated.
 
     Returns the pivot columns (increasing) and the matching primitive integer
     pivot rows; the pivot row of column ``c`` is zero left of ``c``.  Columns
@@ -315,9 +326,8 @@ def _echelon(rows, ncols: int) -> tuple[list[int], list[dict[int, int]]]:
     """
     buckets: dict[int, list[dict[int, int]]] = {}
     for row in rows:
-        sparse = _sparse_int_row(row)
-        if sparse:
-            buckets.setdefault(min(sparse), []).append(sparse)
+        buckets.setdefault(min(row), []).append(row)
+    rows.clear()
     pivots: list[int] = []
     pivot_rows: list[dict[int, int]] = []
     for c in range(ncols):
@@ -338,8 +348,35 @@ def _echelon(rows, ncols: int) -> tuple[list[int], list[dict[int, int]]]:
 
 def bareiss_rank_rows(rows, ncols: int) -> int:
     """Rank over QQ of int/Fraction rows, dense lists or ``{col: value}`` dicts
-    (not mutated): the pivot count of ``_echelon``."""
-    return len(_echelon(rows, ncols)[0])
+    (not mutated): the pivot count of ``_echelon``.
+
+    Two choices are made for the rank alone, the two that the mod-p kernel
+    makes: the elimination runs along the shorter side, counted in nonzero
+    rows and columns (the transpose has the same rank, and every row beyond
+    the rank costs updates until it vanishes), and the columns are taken in
+    ascending order of their nonzero count, ties in column order, which
+    keeps the fill-in low.
+    """
+    int_rows = _int_rows(rows)
+    counts = Counter(chain.from_iterable(int_rows))
+    transpose = len(int_rows) > len(counts)
+    if transpose:
+        counts = {i: len(row) for i, row in enumerate(int_rows)}
+    position = {j: p for p, j in enumerate(sorted(sorted(counts), key=counts.__getitem__))}
+    # the rows are renumbered (or transposed) one at a time, each dropped
+    # once it is copied, so a single copy of the matrix is held
+    if transpose:
+        by_col: dict[int, dict[int, int]] = {}
+        for i in range(len(int_rows) - 1, -1, -1):
+            p = position[i]
+            for j, v in int_rows.pop().items():
+                by_col.setdefault(j, {})[p] = v
+        int_rows = [_primitive(col) for col in by_col.values()]
+        del by_col
+    else:
+        for k, row in enumerate(int_rows):
+            int_rows[k] = {position[j]: v for j, v in row.items()}
+    return len(_echelon(int_rows, len(position))[0])
 
 
 def rref_rows(rows, ncols: int):
@@ -354,7 +391,7 @@ def rref_rows(rows, ncols: int):
     the pivot order of the sparse fraction-free elimination (see ``_echelon``)
     that computes it.  The rows are not mutated.
     """
-    pivots, pivot_rows = _echelon(rows, ncols)
+    pivots, pivot_rows = _echelon(_int_rows(rows), ncols)
     # back substitution from the last pivot: a row used to clear its pivot
     # column is already zero in every later pivot column
     for k in range(len(pivots) - 1, 0, -1):

@@ -57,6 +57,7 @@ from .polyring import (
     GradedIdeal,
     MultiPoly,
     PolyRing,
+    _pack,
     atomic_dump,
     cache_directory,
     load_cached,
@@ -349,22 +350,13 @@ class FoulkesHoweMatrix(NamedTuple):
         return self.blocks._source.col_weights
 
 
-def _pack(exp, base: int) -> int:
-    """The exponent vector ``exp`` as the integer sum_i exp_i * base^i."""
-    out = 0
-    for e in reversed(exp):
-        out = out * base + e
-    return out
-
-
 def _product_tree(polys, base: int):
     """Memoized monomial products P^beta, keyed by the index vector beta.
 
-    A product maps packed c-monomials (see ``_pack``) to coefficients.  With
-    ``base`` above every exponent that occurs, packing is injective and turns
-    a monomial product into one integer addition.  Each product strips the
-    leftmost nonzero index, so every product of degree t is one sparse
-    multiplication on top of a degree t-1 product.  The walk down to a known
+    A product maps packed c-monomials (see ``polyring._pack``) to
+    coefficients, so a monomial product is one integer addition.  Each
+    product strips the leftmost nonzero index, so every product of degree t
+    is one sparse multiplication on top of a degree t-1 product.  The walk down to a known
     product is a loop, not a recursion, so ``product`` holds no reference to
     itself: the tree is freed with its last user, not at the next pass of
     the cycle collector.  The products below beta are kept, beta's own is

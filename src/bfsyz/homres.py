@@ -334,6 +334,8 @@ def koszul_slab(module: GradedModule, i: int, t: int, mem_mb=None):
     then module basis index.  Returns ``(nrows, ncols, blocks)``, with
     ``blocks`` a ``WeightBlocks`` keyed by torus weight (one block of weight
     0 when the module is unlabelled), each built the first time it is read.
+    The block shapes add up to ``(nrows, ncols)``, also when M_t or M_{t+1}
+    is 0 and the slab has no entry (it is then falsy).
 
     The differential preserves weight: the weight of e_T (x) m is that of T
     plus that of m, so the block shapes are counts, dim(Wedge^i V (x) M_t)_w
@@ -356,7 +358,16 @@ def koszul_slab(module: GradedModule, i: int, t: int, mem_mb=None):
     nrows = len(wdst) * dim_t1
     ncols = len(wsrc) * dim_t
     if dim_t == 0 or dim_t1 == 0:
-        return nrows, ncols, WeightBlocks({})
+        # no entries: the blocks are the weight spaces of the side that is
+        # not 0, if any, and each has no rows or no columns, so none is built
+        shapes = {}
+        if dim_t1:
+            counts = _slab_side(module, i - 1, t + 1, keep=True)[2]
+            shapes = {w: (counts[w], 0) for w in sorted(counts)}
+        elif dim_t:
+            counts = _slab_side(module, i, t, keep=False)[2]
+            shapes = {w: (0, counts[w]) for w in sorted(counts)}
+        return nrows, ncols, WeightBlocks.lazy(shapes, None)
     adj = module.mult_adjacency(t)
     est = sum(sum(len(p) for p in adj[v]) for v in range(nv)) * comb(nv - 1, i - 1)
     if est * 100 > memory_budget_mb(mem_mb) * 1024 * 1024:

@@ -22,7 +22,6 @@ import os
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from operator import add
 from pathlib import Path
 from typing import NamedTuple
 
@@ -36,7 +35,7 @@ from .exactalg import (
 )
 from .exactalg.matrix import RankResult, _normalize_scalar, column_echelon
 from .exactalg.matrix import rref_rows  # noqa: F401 (unused; perfbench/spans.py REQUIRED_COPIES needs it)
-from .sl2rep import coord_weight, plethysm_basis, plethysm_index
+from .sl2rep import coord_weight, plethysm_basis, plethysm_block, plethysm_counts, plethysm_index
 
 
 def cache_directory(override=None) -> Path | None:
@@ -153,6 +152,18 @@ class PolyRing:
 def _monomial_weights(nvars: int, k: int) -> tuple[int, ...]:
     """Torus weights of the degree-k monomials in ``nvars`` variables, in basis order."""
     return tuple(coord_weight(e, nvars - 1) for e in plethysm_basis(k, nvars - 1))
+
+
+def _pack(exp, base: int) -> int:
+    """The exponent vector ``exp`` as the integer sum_i exp_i * base^i.
+
+    With ``base`` above every exponent that occurs, packing is injective and
+    turns a monomial product into one integer addition.
+    """
+    out = 0
+    for e in reversed(exp):
+        out = out * base + e
+    return out
 
 
 class MultiPoly:
@@ -385,57 +396,64 @@ class GradedIdeal:
         """
         return self.sl2_stable and self.weight_graded
 
-    def spanning_data(self, k: int):
-        """Weight blocks of the degree-k spanning matrix.
+    def spanning_data(self, k: int) -> WeightBlocks:
+        """The ``WeightBlocks`` of the degree-k spanning matrix.
 
-        Returns ``(blocks, row_labels, col_labels)``: rows are indexed by the
-        degree-k monomials, columns by the products m * g, labels are torus
-        weights (all zero when the ideal is not weight-graded, which
-        collapses the computation to a single block), and ``blocks`` is the
-        ``WeightBlocks`` of the matrix.  The block shapes are counted, and
-        each product m * g is filed under its weight as it is counted; a
-        block is built from its own columns the first time it is read.  A
-        local index is the count of the block's rows (columns) before it, so
-        local indices run in ascending global order.
+        Rows are the degree-k monomials, in basis order; columns are the
+        products m * g, generator by generator, each with its multipliers m
+        of degree k - deg g in basis order.  Labels are torus weights: a
+        monomial e has weight 2s - kn with s = sum_i i*e_i and n + 1
+        variables, and m * g has the weight of m shifted by that of g, that
+        is s(m) + s(g).  So the block shapes are counted
+        (``sl2rep.plethysm_counts``), and the block at s lists only its own
+        rows and, per generator, its own multipliers, those at s - s(g)
+        (``sl2rep.plethysm_block``), packed (``_pack``) so that each term of
+        m * g is one addition; no basis of a whole degree and no list of
+        products is made.  A block is built the first time it is read,
+        and local indices run in ascending global order.  An ideal that is
+        not weight-graded has one block, at label 0, over the whole bases.
         """
-
-        def weights(t: int) -> tuple[int, ...]:
-            if self.weight_graded:
-                return _monomial_weights(self.ring.nvars, t)
-            return (0,) * self.ring.dimension(t)
-
-        row_labels = weights(k)
-        row_counts: dict = {}
-        local: dict = {}  # degree-k monomial -> its local row index
-        for m, w in zip(self.ring.monomials(k), row_labels):
-            lr = row_counts.get(w, 0)
-            local[m] = lr
-            row_counts[w] = lr + 1
-        col_labels: list[int] = []
-        cols: dict = {}  # weight -> the (terms of g, m) of its columns, in order
+        n = self.ring.nvars - 1
+        graded = self.weight_graded
+        base = k + 1  # above every exponent of a degree-k product: see _pack
+        gens = []  # (multiplier degree, s of the generator, its packed normalized terms)
         for g in self.generators:
-            dg = g.homogeneous_degree
-            if dg > k:
-                continue
-            gw = g.weight() if self.weight_graded else 0
-            terms = [(exp, _normalize_scalar(coeff)) for exp, coeff in g.terms.items()]
-            for m, mw in zip(self.ring.monomials(k - dg), weights(k - dg)):
-                w = gw + mw
-                col_labels.append(w)
-                cols.setdefault(w, []).append((terms, m))
+            if g.homogeneous_degree <= k:
+                sg = sum(i * e for i, e in enumerate(next(iter(g.terms)))) if graded else 0
+                terms = [(_pack(exp, base), _normalize_scalar(coeff)) for exp, coeff in g.terms.items()]
+                gens.append((k - g.homogeneous_degree, sg, terms))
+        listed: dict = {}  # (degree, s) -> packed monomials, shared by the generators
+
+        def monomials(t: int, s: int):
+            key = (t, s)
+            if key not in listed:
+                basis = plethysm_block(t, n, s) if graded else self.ring.monomials(t)
+                listed[key] = [_pack(e, base) for e in basis]
+            return listed[key]
+
+        if graded:
+            cols = [0] * (k * n + 1)
+            for t, sg, _terms in gens:
+                for s, c in enumerate(plethysm_counts(t, n)):
+                    cols[s + sg] += c
+            shapes = {2 * s - k * n: (r, cols[s]) for s, r in enumerate(plethysm_counts(k, n))}
+        else:
+            nrows = self.ring.dimension(k)
+            shapes = {0: (nrows, sum(self.ring.dimension(t) for t, _sg, _terms in gens))} if nrows else {}
 
         def build(w):
+            s = (w + k * n) // 2 if graded else 0
+            local = {e: i for i, e in enumerate(monomials(k, s))}
             sub = {}
-            for lc, (terms, m) in enumerate(cols[w]):
-                for exp, coeff in terms:
-                    sub[(local[tuple(map(add, m, exp))], lc)] = coeff
+            lc = 0
+            for t, sg, terms in gens:
+                for m in monomials(t, s - sg):
+                    for exp, coeff in terms:
+                        sub[(local[m + exp], lc)] = coeff
+                    lc += 1
             return sub
 
-        shapes = {
-            w: (row_counts.get(w, 0), len(cols.get(w, ())))
-            for w in sorted(row_counts.keys() | cols.keys())
-        }
-        return WeightBlocks.lazy(shapes, build), row_labels, col_labels
+        return WeightBlocks.lazy(shapes, build)
 
     def graded_piece(self, k: int, mem_mb=None, cache=None) -> ExactMatrix:
         """Echelonized basis of the degree-k piece.
@@ -456,8 +474,11 @@ class GradedIdeal:
             cached = load_cached(path, nrows)
             if cached is not None:
                 return cached
-        blocks, row_labels, _col_labels = self.spanning_data(k)
-        cols, _pivots = column_echelon(blocks, row_labels, mem_mb)
+        if self.weight_graded:
+            row_labels = _monomial_weights(self.ring.nvars, k)
+        else:
+            row_labels = (0,) * nrows
+        cols, _pivots = column_echelon(self.spanning_data(k), row_labels, mem_mb)
         basis = {(i, c): v for c, vec in enumerate(cols) for i, v in vec.items()}
         out = ExactMatrix(nrows, len(cols), basis)
         if path is not None:
@@ -480,9 +501,8 @@ class GradedIdeal:
         """
         if k < 0 or not self.generators or k < min(self.generator_degrees()):
             return RankResult(0, "exact")
-        blocks, _row_labels, _col_labels = self.spanning_data(k)
         return blocked_rank_details(
-            blocks, mode, rng=rng, mem_mb=mem_mb, weyl=self.weyl, sl2_columns=False,
+            self.spanning_data(k), mode, rng=rng, mem_mb=mem_mb, weyl=self.weyl, sl2_columns=False,
         )
 
 
@@ -580,14 +600,19 @@ class MonomialIdeal:
         k - 1: a standard m times x_i, for i at least the last index m
         raises, reaches every degree-k monomial whose divisors are standard
         exactly once, and taking the m in lex-descending order and i
-        ascending keeps that order.  Such a product lies in the ideal only
-        through a generator that raises x_i (any other would divide m), so
-        only those are tested.
+        ascending keeps that order.  Such a product e = m * x_i lies in the
+        ideal only through a generator g that divides e but not m, so
+        g_i = e_i: the generators are indexed by (i, g_i), and only those at
+        (i, e_i) are tested.
         """
         if k_max < 0:
             return []
         n = self.ring.nvars
-        raising = [[g for g in self.generators if g[i]] for i in range(n)]
+        raising: dict = {}  # (i, g_i) -> the generators g with that exponent, g_i > 0
+        for g in self.generators:
+            for i, gi in enumerate(g):
+                if gi:
+                    raising.setdefault((i, gi), []).append(g)
         layer = [((0,) * n, 0)]  # (monomial, last index it raises)
         layers = [[(0,) * n]]
         for _ in range(k_max):
@@ -595,7 +620,7 @@ class MonomialIdeal:
             for m, last in layer:
                 for i in range(last, n):
                     e = m[:i] + (m[i] + 1,) + m[i + 1 :]
-                    if not any(_divides(g, e) for g in raising[i]):
+                    if not any(_divides(g, e) for g in raising.get((i, e[i]), ())):
                         grown.append((e, i))
             layer = grown
             layers.append([e for e, _i in grown])

@@ -243,13 +243,16 @@ def reference_rref(rows, ncols):
     return work[:r], pivots
 
 
-def _random_exact_rows(rng):
-    """A small matrix of one of the shapes the exact engine must handle.
+def _random_exact_rows(rng, nrows=None, ncols=None, kind=None):
+    """A small matrix of one of the shapes the exact engine must handle
+    (random unless given).
 
     Entries are stored as ExactMatrix stores them: integral values as int.
     """
-    nrows, ncols = rng.randint(0, 15), rng.randint(0, 15)
-    kind = rng.choice(("fraction", "huge", "product", "small"))
+    if nrows is None:
+        nrows, ncols = rng.randint(0, 15), rng.randint(0, 15)
+    if kind is None:
+        kind = rng.choice(("fraction", "huge", "product", "small"))
     density = rng.choice((0.15, 0.5, 1.0))
 
     def entry():
@@ -289,6 +292,15 @@ def test_exact_engines_match_dense_references():
     rng = random.Random(23)
     cases = [_random_exact_rows(rng) for _ in range(300)]
     cases += [([], 4), ([[], [], []], 0), ([[0, 0, 0]] * 2, 3)]
+    # tall blocks and wide ones, which the rank reduces along the other side
+    shapes = [(rng.randint(16, 40), rng.randint(1, 8)) for _ in range(30)]
+    cases += [_random_exact_rows(rng, *shape) for shape in shapes]
+    cases += [_random_exact_rows(rng, ncols, nrows) for nrows, ncols in shapes]
+    # column permutations of one matrix, which the rank reads by nonzero count
+    base, ncols = _random_exact_rows(rng, 12, 15, "product")
+    for _ in range(20):
+        perm = rng.sample(range(ncols), ncols)
+        cases.append(([[row[j] for j in perm] for row in base], ncols))
     for rows, ncols in cases:
         want_reduced, want_pivots = reference_rref(rows, ncols)
         int_rows = [clear_denominators(row) for row in rows]
@@ -861,6 +873,15 @@ def test_entries_validation():
     assert m.entries == {(0, 0): 2}
     assert m.nnz == 1
     assert m.entry(1, 1) == 0
+
+
+def test_entries_share_the_callers_key_tuples():
+    # a built block and its checked copy hold one set of keys, not two
+    entries = {(i, j): i - j for i in range(3) for j in range(4)}
+    m = ExactMatrix(3, 4, entries)
+    given = {key: key for key in entries}
+    assert m.entries == {key: v for key, v in entries.items() if v}
+    assert all(key is given[key] for key in m.entries)
 
 
 def test_transpose_roundtrip():

@@ -400,3 +400,20 @@ def test_grown_standard_monomials_match_enumeration():
         for k in range(k_max + 1):
             assert standard_monomials(ideal, k) == reference[k], (ideal, k)
     assert standard_monomials(ideal, -1) == [] and monomial_quotient_hf(ideal, -1) == []
+
+
+def test_piece_dimensions_list_no_basis_of_a_whole_degree(monkeypatch):
+    # the spanning matrix counts its block shapes and lists each block's own
+    # rows and multipliers: neither the basis of S_k nor of S_{k - deg g}
+    from bfsyz.fhmaps import power_ideal
+
+    ideal = power_ideal(4, 5)
+    hf = [1, 6, 21, 56, 105, 150, 165, 120, 63, 20, 0]
+
+    def listed(*args):
+        raise AssertionError("a whole degree was listed")
+
+    monkeypatch.setattr(polyring, "plethysm_basis", listed)
+    monkeypatch.setattr(PolyRing, "monomials", listed)
+    dims = [ideal.piece_dimension_details(k).rank for k in range(len(hf))]
+    assert dims == [ideal.ring.dimension(k) - h for k, h in enumerate(hf)]
