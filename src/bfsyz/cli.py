@@ -16,6 +16,7 @@ import random
 import sys
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 from . import __version__
 from .errors import InconclusiveError, ResourceLimitError
@@ -127,10 +128,23 @@ def _emit(args, report: dict, text_lines=None) -> None:
     else:
         payload = json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {args.out!r}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(payload)
+
+
+def _check_out(path) -> None:
+    """Refuse an ``--out`` path that names a directory or lies in a missing
+    one with ``ValueError`` naming it, before anything is computed."""
+    target = Path(path)
+    if target.is_dir():
+        raise ValueError(f"--out {path!r} is a directory")
+    if not target.parent.is_dir():
+        raise ValueError(f"--out {path!r}: no directory {str(target.parent)!r}")
 
 
 def _envelope(command: str, args, parameters: dict, status: str, body: dict) -> dict:
@@ -635,6 +649,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out:
+            _check_out(args.out)
         if "cache" in args:
             # one reading of --cache / BFSYZ_CACHE: a path that names a file is a usage error
             args.cache = cache_directory(args.cache)

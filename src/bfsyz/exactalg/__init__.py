@@ -1,4 +1,4 @@
-"""Exact linear algebra: matrices over QQ / F_p, ranks, echelon forms, kernels."""
+"""Exact linear algebra over QQ: matrices, ranks (exact or mod p), echelon forms, kernels."""
 
 from .io import dump_matrix, load_matrix
 from .matrix import (

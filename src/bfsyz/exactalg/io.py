@@ -4,8 +4,8 @@ A file is one ASCII header line followed by a binary body::
 
     BFSYZ-MAT v2 <rows> <cols> <field> <nnz> <values> <key> <sha256>
 
-* ``field`` is ``QQ`` or ``GF:<p>``; ``nnz`` counts the stored entries, none
-  of which is zero.
+* ``field`` is ``QQ``, the one field an exact matrix is over; ``nnz`` counts
+  the stored entries, none of which is zero.
 * The body holds ``nnz`` little-endian int32 row indices, then ``nnz`` int32
   column indices, in strictly increasing (row, col) order, then the values.
 * ``values`` is ``i8`` (``nnz`` little-endian int64) when every value is a
@@ -16,10 +16,10 @@ A file is one ASCII header line followed by a binary body::
   slice.  ``sha256`` is the hex digest of the body.
 
 :func:`load_matrix` raises ``ValueError`` on anything else: another magic or
-version (every ``v1`` file), an unknown field or value encoding, a key or
-sha256 mismatch, a body of the wrong length or token count, an index out of
-range, entries out of order or repeated, a non-canonical rational, a stored
-zero.  The checks run on numpy arrays, and the entries of a file that passes
+version (every ``v1`` file), a field other than ``QQ``, an unknown value
+encoding, a key or sha256 mismatch, a body of the wrong length or token
+count, an index out of range, entries out of order or repeated, a
+non-canonical rational, a stored zero.  The checks run on numpy arrays, and the entries of a file that passes
 them are not validated a second time by ``ExactMatrix``.  Round trips are
 exact and the bytes depend only on the matrix and the key.
 """
@@ -46,7 +46,6 @@ _INDEX_LIMIT = 2**31
 _CHUNK = 32768
 
 _COUNT = re.compile(r"0|[1-9][0-9]*")
-_FIELD = re.compile(r"QQ|GF:[1-9][0-9]*")
 _KEY = re.compile(r"[!-~]+")
 _TOKEN = re.compile(rb"(-?[1-9][0-9]*)(?:/([1-9][0-9]*))?")
 
@@ -98,7 +97,7 @@ def dump_matrix(m: ExactMatrix, path, key: str | None = None) -> None:
         parts.append(" ".join([_format_q(values[k]) for k in order.tolist()]).encode("ascii"))
     body = b"".join(parts)
     header = (
-        f"{MAGIC} {VERSION} {m.nrows} {m.ncols} {m.field} {nnz} {encoding} {key} "
+        f"{MAGIC} {VERSION} {m.nrows} {m.ncols} QQ {nnz} {encoding} {key} "
         f"{hashlib.sha256(body).hexdigest()}\n"
     )
     Path(path).write_bytes(header.encode("ascii") + body)
@@ -115,20 +114,20 @@ def _header(path, data: bytes):
     for name, tok in (("rows", nrows), ("cols", ncols), ("nnz", nnz)):
         if not _COUNT.fullmatch(tok):
             raise ValueError(f"{path}: bad {name} count {tok!r}")
-    if not _FIELD.fullmatch(field):
-        raise ValueError(f"{path}: unknown field {field!r}")
+    if field != "QQ":
+        raise ValueError(f"{path}: field {field!r} is not QQ")
     if encoding not in ("i8", "q"):
         raise ValueError(f"{path}: unknown value encoding {encoding!r}")
     nrows, ncols = int(nrows), int(ncols)
     if max(nrows, ncols) > _INDEX_LIMIT:
         raise ValueError(f"{path}: {nrows} x {ncols} has indices beyond int32")
-    return nrows, ncols, field, int(nnz), encoding, key, digest, end + 1
+    return nrows, ncols, int(nnz), encoding, key, digest, end + 1
 
 
 def load_matrix(path, key: str | None = None) -> ExactMatrix:
     """Read a v2 file; with ``key`` given, the file's producer key must equal it."""
     data = Path(path).read_bytes()
-    nrows, ncols, field, nnz, encoding, file_key, digest, start = _header(path, data)
+    nrows, ncols, nnz, encoding, file_key, digest, start = _header(path, data)
     if key is not None and file_key != key:
         raise ValueError(f"{path}: holds {file_key!r}, expected {key!r}")
     body = memoryview(data)[start:]
@@ -160,4 +159,4 @@ def load_matrix(path, key: str | None = None) -> ExactMatrix:
         hi = lo + _CHUNK
         chunk = packed[lo:hi].tolist() if values is None else values[lo:hi]
         entries.update(zip(zip(rows[lo:hi].tolist(), cols[lo:hi].tolist()), chunk))
-    return _trusted_matrix(nrows, ncols, entries, field)
+    return _trusted_matrix(nrows, ncols, entries)

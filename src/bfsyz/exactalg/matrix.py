@@ -1,9 +1,9 @@
-"""Exact matrices over the rationals and prime fields.
+"""Exact matrices over the rationals.
 
 Deterministic building blocks used by every other module:
 
-* :class:`ExactMatrix` -- immutable sparse-storage matrix with an exact scalar
-  type per entry (int / Fraction for field "QQ", residues for "GF:p").
+* :class:`ExactMatrix` -- immutable sparse-storage matrix over QQ, each entry
+  an int where integral, else a Fraction.
 * :func:`rank` / :func:`rank_details` -- rank in exact, modular, or auto mode.
   Modular mode draws ``CERTIFICATE_PRIMES`` distinct random 50-62 bit primes
   and escalates to exact arithmetic whenever the per-prime ranks disagree, so a
@@ -136,18 +136,17 @@ def _normalize_scalar(v):
 class ExactMatrix:
     """Immutable exact matrix; zero entries are never stored.
 
-    ``field`` is "QQ" or "GF:<p>"; GF matrices hold plain int residues in
-    [0, p).  After :func:`rref` the result carries ``pivot_cols``.
+    Entries are rationals.  After :func:`rref` the result carries
+    ``pivot_cols``.
     """
 
-    __slots__ = ("nrows", "ncols", "field", "entries", "pivot_cols")
+    __slots__ = ("nrows", "ncols", "entries", "pivot_cols")
 
-    def __init__(self, nrows: int, ncols: int, entries=None, field: str = "QQ"):
+    def __init__(self, nrows: int, ncols: int, entries=None):
         if nrows < 0 or ncols < 0:
             raise ValueError("negative matrix dimensions")
         self.nrows = nrows
         self.ncols = ncols
-        self.field = field
         clean = {}
         if entries:
             # the caller's key tuples are kept, not rebuilt: a block's entries
@@ -181,33 +180,26 @@ class ExactMatrix:
         return rows
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            self.ncols, self.nrows, {(j, i): v for (i, j), v in self.entries.items()}, self.field
-        )
+        return ExactMatrix(self.ncols, self.nrows, {(j, i): v for (i, j), v in self.entries.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return (
-            self.shape == other.shape
-            and self.field == other.field
-            and self.entries == other.entries
-        )
+        return self.shape == other.shape and self.entries == other.entries
 
     def __hash__(self):
         raise TypeError("ExactMatrix is not hashable")
 
     def __repr__(self) -> str:
-        return f"ExactMatrix({self.nrows} x {self.ncols}, nnz={self.nnz}, field={self.field})"
+        return f"ExactMatrix({self.nrows} x {self.ncols}, nnz={self.nnz})"
 
 
-def _trusted_matrix(nrows: int, ncols: int, entries: dict, field: str = "QQ") -> ExactMatrix:
+def _trusted_matrix(nrows: int, ncols: int, entries: dict) -> ExactMatrix:
     """Wrap entries that are already in range, normalized and nonzero, without
     validating them again (the blocks of ``split_blocks``, a checked file)."""
     m = ExactMatrix.__new__(ExactMatrix)
     m.nrows = nrows
     m.ncols = ncols
-    m.field = field
     m.entries = entries
     m.pivot_cols = None
     return m
@@ -559,7 +551,7 @@ def rref(m: ExactMatrix, mem_mb: int | None = None) -> ExactMatrix:
         for j, v in enumerate(row):
             if v:
                 entries[(i, j)] = v
-    out = ExactMatrix(m.nrows, m.ncols, entries, m.field)
+    out = ExactMatrix(m.nrows, m.ncols, entries)
     out.pivot_cols = tuple(pivots)
     return out
 
@@ -661,6 +653,15 @@ class WeightBlocks:
         return f"{type(self).__name__}({rows} x {cols}, built={sorted(self._built)})"
 
 
+def _ids_by_label(labels) -> dict:
+    """``{label: the indices with that label, ascending}``, so that local
+    order within a label is global order."""
+    ids: dict = {}
+    for i, w in enumerate(labels):
+        ids.setdefault(w, []).append(i)
+    return ids
+
+
 def split_blocks(entries, row_labels, col_labels) -> WeightBlocks:
     """The :class:`WeightBlocks` of a map given as global sparse entries.
 
@@ -672,12 +673,7 @@ def split_blocks(entries, row_labels, col_labels) -> WeightBlocks:
     ConventionError is raised; an index outside the label lists raises
     ValueError.
     """
-    rows_by: dict = {}
-    cols_by: dict = {}
-    for i, w in enumerate(row_labels):
-        rows_by.setdefault(w, []).append(i)
-    for j, w in enumerate(col_labels):
-        cols_by.setdefault(w, []).append(j)
+    rows_by, cols_by = _ids_by_label(row_labels), _ids_by_label(col_labels)
     sub: dict = {w: {} for w in set(rows_by) | set(cols_by)}
     row_pos = {}
     for w, ids in rows_by.items():
@@ -724,9 +720,7 @@ def _blocked_echelon(blocks: WeightBlocks, labels, mem_mb: int | None = None, *,
     ``ResourceLimitError``.
     """
     side = 0 if transpose else 1
-    ids: dict = {}
-    for i, w in enumerate(labels):
-        ids.setdefault(w, []).append(i)
+    ids = _ids_by_label(labels)
     if {w: len(v) for w, v in ids.items()} != {w: s[side] for w, s in blocks.shapes().items() if s[side]}:
         raise ValueError("the labels do not match the block shapes")
     for w, (nrows, ncols, sub) in blocks.items():

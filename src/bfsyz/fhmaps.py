@@ -12,15 +12,14 @@ monomial sets.  A row e and a column beta both have weight 2s - abk, with
 s = sum_i i*e_i (resp. sum_j j*beta_j), so the block shapes are counted
 (``sl2rep.plethysm_counts``: Hermite reciprocity in character form) and a
 block's rows and columns are listed alone (``sl2rep.plethysm_block``).
-Reversing the c_i swaps x1 and x2 in G, so P_j(rev c) = P_{d-j}(c) and
-alpha_k has entry (e, beta) = entry (rev e, rev beta), with no signs;
-reversal sends weight w to -w.  A slice is therefore held as its weight
-blocks (``SliceBlocks``), each built the first time it is read: one of
-weight >= 0 from one product tree that the slice shares, validated and
-cached on its own, one of negative weight as the reversal of the block of
-the opposite weight.  A rank reads only the blocks of weight >= 0 that it
-eliminates; the full bases are listed only for the callers that read the
-negative blocks or the whole map.
+A slice is held as its weight blocks (``Slice``), each built the first
+time it is read, from one product tree that the slice shares, validated and
+cached on its own.  A rank reads only the blocks of weight >= 0 that it
+eliminates (rank_w = rank_{-w}, as alpha_k is SL2-equivariant); the full
+bases are listed only for the callers that read the whole map.  Reversing
+the c_i swaps x1 and x2 in G, so P_j(rev c) = P_{d-j}(c): alpha_k has
+entry (e, beta) = entry (rev e, rev beta), with no signs, and reversal sends
+the block at w onto the block at -w.
 
 Also here: the (d+b-1) x (b+1) matrix of linear forms in z whose rank drops
 on the locus of powers (rows pair the generic degree-d form against the
@@ -49,6 +48,7 @@ from .exactalg import (
 )
 from .exactalg.matrix import (
     RankResult,
+    _ids_by_label,
     _trusted_matrix,
     check_dense_budget,
     default_rng,
@@ -68,6 +68,7 @@ from .sl2rep import (
     HW_TARGET_VECTORS_2_2,
     BinaryForm,
     char_identity_check,
+    coord_weight,
     hw_triple,
     plethysm_basis,
     plethysm_block,
@@ -124,15 +125,6 @@ def power_ideal(a: int, b: int) -> GradedIdeal:
     return GradedIdeal(gens.ring, list(gens.polys), sl2_stable=True)
 
 
-def _ids_by_weight(weights) -> dict:
-    """{weight: the indices of that weight, ascending}, so that local order
-    is global order."""
-    ids: dict = {}
-    for i, w in enumerate(weights):
-        ids.setdefault(w, []).append(i)
-    return ids
-
-
 def _slice_shapes(a: int, b: int, k: int) -> dict:
     """``{w: (nrows, ncols)}`` of alpha_k in weight order, counted: the rows
     and the columns of weight 2s - abk are the exponent vectors with
@@ -143,19 +135,34 @@ def _slice_shapes(a: int, b: int, k: int) -> dict:
     }
 
 
-class _SliceSource:
-    """What the weight blocks of one slice alpha_k are built from: the
-    counted block shapes, the cache directory and one product tree, made
-    when the first block is built and shared by the rest.  The bases, their
-    weights and the full indices of each weight are listed the first time
-    they are read, by the callers that need the full map."""
+class Slice(WeightBlocks):
+    """The slice alpha_k: its degree data and its weight blocks, each built
+    the first time it is read.
 
-    def __init__(self, a, b, k, shapes, cdir):
-        self.a, self.b, self.k = a, b, k
-        self.shapes = shapes
-        self.cdir = cdir
+    The dimensions come from the counted block shapes.  The bases (rows:
+    degree-ak c-monomials in ``plethysm_basis`` order, columns: degree-k
+    z-monomials), their weights and ``matrix`` are listed the first time one
+    is read, once per slice; a rank reads none of them.  Every block is read
+    from its cache file ``fhw-a{a}-b{b}-k{k}-w{w}.mat`` (local indices) or
+    built from the product tree the slice shares, validated and written
+    there.  Every column P^beta of alpha_k is a nonzero polynomial, as the
+    truth value of ``WeightBlocks`` requires.
+    """
+
+    def __init__(self, a: int, b: int, k: int, cdir):
+        super().__init__({})
+        self._shapes = _slice_shapes(a, b, k)
+        self.a, self.b, self.k, self.d = a, b, k, a * b
+        self._cdir = cdir
         self._product = None
-        self._reversal = None
+
+    @property
+    def source_dim(self) -> int:
+        return self.shape[1]
+
+    @property
+    def target_dim(self) -> int:
+        return self.shape[0]
 
     @cached_property
     def row_basis(self) -> tuple:
@@ -163,38 +170,24 @@ class _SliceSource:
 
     @cached_property
     def col_basis(self) -> tuple:
-        return plethysm_basis(self.k, self.a * self.b)
+        return plethysm_basis(self.k, self.d)
 
     @cached_property
     def row_weights(self) -> tuple:
-        b = self.b
-        return tuple(sum(e * (2 * i - b) for i, e in enumerate(m)) for m in self.row_basis)
+        return tuple(coord_weight(m, self.b) for m in self.row_basis)
 
     @cached_property
     def col_weights(self) -> tuple:
-        d = self.a * self.b
-        return tuple(sum(e * (2 * j - d) for j, e in enumerate(m)) for m in self.col_basis)
+        return tuple(coord_weight(m, self.d) for m in self.col_basis)
 
-    @cached_property
-    def row_ids(self) -> dict:
-        return _ids_by_weight(self.row_weights)
-
-    @cached_property
-    def col_ids(self) -> dict:
-        return _ids_by_weight(self.col_weights)
-
-    def block(self, w: int) -> dict:
-        """The entries of the block at weight w >= 0, in local indices.
-
-        Read from the cache file of the block when one is active and holds
-        it, else built, validated by ``ExactMatrix`` and written there.
-        """
-        nrows, ncols = self.shapes[w]
-        if not ncols:
-            return {}
+    def _build(self, w) -> dict:
+        """The entries of the block at weight w, in local indices: read from
+        the block's cache file when one is active and holds it, else built,
+        validated by ``ExactMatrix`` and written there."""
+        nrows, ncols = self._shapes[w]
         path = None
-        if self.cdir is not None:
-            path = self.cdir / f"fhw-a{self.a}-b{self.b}-k{self.k}-w{w}.mat"
+        if self._cdir is not None:
+            path = self._cdir / f"fhw-a{self.a}-b{self.b}-k{self.k}-w{w}.mat"
             matrix = load_cached(path, nrows, ncols)
             if matrix is not None:
                 return matrix.entries
@@ -204,150 +197,39 @@ class _SliceSource:
         return matrix.entries
 
     def build(self, w: int) -> dict:
-        """The entries of the block at weight w >= 0 from the product tree,
+        """The entries of the block at weight w from the product tree,
         column by column, each column in the order of its product.  Only
         the block's own rows and columns are listed, in the order of the
         full bases, so local indices run in global order."""
         a, b, k = self.a, self.b, self.k
-        s = (w + a * b * k) // 2
+        s = (w + self.d * k) // 2
         # degree-ak monomials have exponents <= ak, so base ak + 1 packs them injectively
         base = a * k + 1
         if self._product is None:
-            # stripping the lowest index of a weight >= 0 beta leaves weight
-            # >= 0, so the tree never builds a product of negative weight
             self._product = _product_tree(power_generators(a, b).polys, base)
         product = self._product
         # P^beta lies in the rows of the weight of beta: a row outside the
         # block is a KeyError, never an entry filed in the wrong block
         rows = {_pack(m, base): n for n, m in enumerate(plethysm_block(a * k, b, s))}
         entries: dict = {}
-        for n, beta in enumerate(plethysm_block(k, a * b, s)):
+        for n, beta in enumerate(plethysm_block(k, self.d, s)):
             for exp, coeff in product(beta).items():
                 entries[(rows[exp], n)] = coeff
         return entries
 
-    def reversal(self):
-        """(rev_row, rev_col, row_pos, col_pos): the full index of the
-        reversed monomial of each row and column, and the local index of
-        each row and column in its block."""
-        if self._reversal is None:
-            row_index = plethysm_index(self.a * self.k, self.b)
-            col_index = plethysm_index(self.k, self.a * self.b)
-            row_pos = [0] * len(self.row_basis)
-            col_pos = [0] * len(self.col_basis)
-            for pos, ids in ((row_pos, self.row_ids), (col_pos, self.col_ids)):
-                for block in ids.values():
-                    for n, i in enumerate(block):
-                        pos[i] = n
-            self._reversal = (
-                [row_index[m[::-1]] for m in self.row_basis],
-                [col_index[m[::-1]] for m in self.col_basis],
-                row_pos,
-                col_pos,
-            )
-        return self._reversal
-
-
-class SliceBlocks(WeightBlocks):
-    """The weight blocks of a slice alpha_k, each built the first time it is read.
-
-    A block of weight >= 0 is read from its cache file
-    ``fhw-a{a}-b{b}-k{k}-w{w}.mat`` (local indices) or built from the
-    slice's product tree, validated and written there; the block at -w is
-    the block at w reversed.  Every column P^beta of alpha_k is a nonzero
-    polynomial, as the truth value of ``WeightBlocks`` requires.  The
-    negative blocks and ``matrix()`` list the full bases.
-    """
-
-    __slots__ = ("_source", "_matrix")
-
-    def __init__(self, source: _SliceSource):
-        super().__init__({})
-        self._shapes = source.shapes
-        self._source = source
-        self._matrix = None
-
-    def _build(self, w) -> dict:
-        if w >= 0:
-            return self._source.block(w)
-        rev_row, rev_col, row_pos, col_pos = self._source.reversal()
-        rows, cols = self._source.row_ids[-w], self._source.col_ids[-w]
-        return {
-            (row_pos[rev_row[rows[i]]], col_pos[rev_col[cols[j]]]): v
-            for (i, j), v in self.entries(-w).items()
-        }
-
+    @cached_property
     def matrix(self) -> ExactMatrix:
-        """The map with global indices, assembled once.
-
-        The entries of weight >= 0 come column by column, each column in the
-        order of its block; then, in that order, the reversal of every entry
-        in a column of weight > 0.  The entries are not validated a second
-        time.
-        """
-        if self._matrix is None:
-            source = self._source
-            runs: dict = {}
-            for w, (_nrows, ncols) in source.shapes.items():
-                if w < 0 or not ncols:
-                    continue
-                rows, cols = source.row_ids[w], source.col_ids[w]
-                for (i, j), v in self.entries(w).items():
-                    runs.setdefault(cols[j], []).append(((rows[i], cols[j]), v))
-            half = [entry for j in sorted(runs) for entry in runs[j]]
-            entries = dict(half)
-            rev_row, rev_col, _row_pos, _col_pos = source.reversal()
-            weights = source.col_weights
-            for (r, c), v in half:
-                if weights[c] > 0:
-                    entries[(rev_row[r], rev_col[c])] = v
-            self._matrix = _trusted_matrix(*self.shape, entries)
-        return self._matrix
-
-
-class FoulkesHoweMatrix(NamedTuple):
-    """The slice alpha_k: its degree data and its weight blocks.
-
-    The dimensions come from the counted block shapes.  The bases (rows:
-    degree-ak c-monomials in ``plethysm_basis`` order, columns: degree-k
-    z-monomials) and their weights are listed the first time one is read,
-    once per slice; the rank path reads none of them.
-    """
-
-    a: int
-    b: int
-    k: int
-    d: int
-    blocks: SliceBlocks
-
-    @property
-    def matrix(self) -> ExactMatrix:
-        """The slice with global indices; builds every block of weight >= 0."""
-        return self.blocks.matrix()
-
-    @property
-    def source_dim(self) -> int:
-        return self.blocks.shape[1]
-
-    @property
-    def target_dim(self) -> int:
-        return self.blocks.shape[0]
-
-    @property
-    def row_basis(self) -> tuple:
-        return self.blocks._source.row_basis
-
-    @property
-    def col_basis(self) -> tuple:
-        return self.blocks._source.col_basis
-
-    @property
-    def row_weights(self) -> tuple:
-        return self.blocks._source.row_weights
-
-    @property
-    def col_weights(self) -> tuple:
-        return self.blocks._source.col_weights
+        """The slice with global indices, assembled from every block column
+        by column in global column order (each column in the order of its
+        block), so a freshly built slice lists its entries as the product of
+        each column does.  The entries are not validated a second time."""
+        rows, cols = _ids_by_label(self.row_weights), _ids_by_label(self.col_weights)
+        entries = []
+        for w in self._shapes:
+            r, c = rows[w], cols[w]
+            entries.extend(((r[i], c[j]), v) for (i, j), v in self.entries(w).items())
+        entries.sort(key=lambda entry: entry[0][1])
+        return _trusted_matrix(*self.shape, dict(entries))
 
 
 def _product_tree(polys, base: int):
@@ -390,49 +272,41 @@ def _product_tree(polys, base: int):
     return product
 
 
-def foulkes_howe(a: int, b: int, k: int, mem_mb=None, cache=None) -> FoulkesHoweMatrix:
-    """The degree-k slice of z_j -> P_j, held as its weight blocks.
+def foulkes_howe(a: int, b: int, k: int, mem_mb=None, cache=None) -> Slice:
+    """The degree-k slice of z_j -> P_j, held as its weight blocks (``Slice``).
 
     Column for the z-monomial z^beta is the coefficient vector of
     prod_j P_j^{beta_j} over the degree-ak c-monomials.  This counts the
     block shapes only, and charges the dense budget for the full shape up
-    front, before anything is listed; each block is built the first time
-    it is read (``SliceBlocks``): one of weight >= 0 from its own rows and
-    columns, or read from the cache, one of negative weight by reversal.
-    The bases are listed on first read (see ``FoulkesHoweMatrix``).  k = 0
-    gives the 1 x 1 identity.  With a cache directory active, each block of
-    weight >= 0 is kept in its own file under the stem
-    ``fhw-a{a}-b{b}-k{k}-w{w}``, in local indices; a file that does not
-    parse, is keyed to another stem, or holds a matrix of another shape or
-    field is a miss, and that block alone is rebuilt and rewritten.  Files
-    ``fhw-a{a}-b{b}-k{k}`` of earlier releases, which held the whole weight
-    >= 0 half, are never read.
+    front, before anything is listed; each block is built from its own rows
+    and columns, or read from the cache, the first time it is read.  k = 0
+    gives the 1 x 1 identity.  With a cache directory active, each block is
+    kept in its own file under the stem ``fhw-a{a}-b{b}-k{k}-w{w}``, in
+    local indices; a file that does not parse, is keyed to another stem, or
+    holds a matrix of another shape is a miss, and that block alone is
+    rebuilt and rewritten.  Files ``fhw-a{a}-b{b}-k{k}`` of earlier
+    releases, which held the whole weight >= 0 half, are never read.
     """
     if a < 1 or b < 1 or k < 0:
         raise ValueError("need a >= 1, b >= 1, k >= 0")
-    shapes = _slice_shapes(a, b, k)
-    nrows = sum(r for r, _c in shapes.values())
-    ncols = sum(c for _r, c in shapes.values())
-    check_dense_budget(nrows, ncols, 16, mem_mb, "foulkes_howe")
-    source = _SliceSource(a, b, k, shapes, cache_directory(cache))
-    return FoulkesHoweMatrix(a, b, k, a * b, SliceBlocks(source))
+    fh = Slice(a, b, k, cache_directory(cache))
+    check_dense_budget(*fh.shape, 16, mem_mb, "foulkes_howe")
+    return fh
 
 
-def fh_rank_details(
-    fh: FoulkesHoweMatrix, mode: str = "auto", *, rng=None, mem_mb=None
-) -> RankResult:
+def fh_rank_details(fh: Slice, mode: str = "auto", *, rng=None, mem_mb=None) -> RankResult:
     """Weight-blocked rank of an alpha_k matrix with provenance.
 
     alpha_k is SL2-equivariant, so only its blocks of weight >= 0 count
     (``blocked_rank_details(..., weyl=True)``); the exact/modular choice is
     made on the full shape.  They are visited upward, and every block above
     an injective or a surjective one of its parity is inferred to be so
-    too, not eliminated.  The slice's blocks are handed over as they are,
-    so only the blocks that get eliminated are built (or read from the
-    cache); on the bench slices that is the weight-0 block alone.  Reports
-    resting on this rank say so with ``"symmetry": "sl2-weyl"``.
+    too, not eliminated.  The slice is handed over as it is, so only the
+    blocks that get eliminated are built (or read from the cache); on the
+    bench slices that is the weight-0 block alone.  Reports resting on this
+    rank say so with ``"symmetry": "sl2-weyl"``.
     """
-    return blocked_rank_details(fh.blocks, mode, rng=rng, mem_mb=mem_mb, weyl=True)
+    return blocked_rank_details(fh, mode, rng=rng, mem_mb=mem_mb, weyl=True)
 
 
 def _escalate(result: RankResult, bound: int, exact_rank) -> tuple[RankResult, bool]:
@@ -507,7 +381,7 @@ def ix_kernel_ideal(a: int, b: int, mem_mb=None, cache=None) -> GradedIdeal:
     """
     fh = foulkes_howe(a, b, b + 1, mem_mb, cache)
     sring = PolyRing(fh.d + 1, "z")
-    vectors = blocked_kernel_basis(fh.blocks, fh.col_weights, mem_mb)
+    vectors = blocked_kernel_basis(fh, fh.col_weights, mem_mb)
     gens = []
     for vec in vectors:
         terms = {fh.col_basis[i]: v for i, v in enumerate(vec) if v}
@@ -596,7 +470,7 @@ def minors_span_matrix(a: int, b: int):
     d = a * b
     index = plethysm_index(b + 1, d)
     basis = plethysm_basis(b + 1, d)
-    row_labels = [sum(e * (2 * i - d) for i, e in enumerate(mono)) for mono in basis]
+    row_labels = [coord_weight(mono, d) for mono in basis]
     entries = {}
     col_labels = []
     col = 0
@@ -720,7 +594,7 @@ def phi_matrix(a: int, b: int) -> PhiMatrix:
     col_labels = [(2 * j - d) + (2 * i - b) for j, i in pairs]
     target = plethysm_basis(a + 1, b)
     index = plethysm_index(a + 1, b)
-    row_labels = [sum(e * (2 * i - b) for i, e in enumerate(m)) for m in target]
+    row_labels = [coord_weight(m, b) for m in target]
     entries: dict = {}
     for colno, (j, i) in enumerate(pairs):
         prod = gens.polys[j] * ring.variable(i)

@@ -82,9 +82,6 @@ class GradedModule:
       by a surjectivity certificate for that degree (a modular full-rank
       certificate is sound: ranks only drop under reduction mod p).
 
-    Multiplication maps commute pairwise (module axiom over a commutative
-    ring); ``check_commuting`` samples that invariant.
-
     ``weyl`` is True when SL2 acts on the module compatibly with the ring,
     so that every Koszul differential is SL2-equivariant: ``power_quotient``
     always, ``from_ideal`` when the ideal is SL2-stable and weight-graded
@@ -191,7 +188,7 @@ class GradedModule:
         a, b = self._gens.a, self._gens.b
         if k < b:
             fh = foulkes_howe(a, b, k, self._mem_mb, self._cache)
-            raw_cols, pivots = column_echelon(fh.blocks, fh.row_weights, self._mem_mb)
+            raw_cols, pivots = column_echelon(fh, fh.row_weights, self._mem_mb)
             cols = [{fh.row_basis[i]: v for i, v in vec.items()} for vec in raw_cols]
             return {
                 "dim": len(cols),
@@ -245,7 +242,7 @@ class GradedModule:
         dst = self.basis_weights(k + 1)
         if src is None or dst is None:
             return
-        for v, (vw, cols) in enumerate(zip(_variable_weights(self), adj)):
+        for v, (vw, cols) in enumerate(zip(_variable_weights(self.ring), adj)):
             for c, pairs in enumerate(cols):
                 want = src[c] + vw
                 for r, _coeff in pairs:
@@ -294,31 +291,6 @@ class GradedModule:
             )
             for v in range(nv)
         ]
-
-    def check_commuting(self, k: int) -> bool:
-        """Sample the pairwise-commutation invariant on M_k -> M_{k+2}."""
-        nv = self.ring.nvars
-        first = self.mult_adjacency(k)
-        second = self.mult_adjacency(k + 1)
-        for u in range(nv):
-            for v in range(u + 1, nv):
-                if self._compose(second[u], first[v]) != self._compose(second[v], first[u]):
-                    return False
-        return True
-
-    @staticmethod
-    def _compose(second, first):
-        out: dict = {}
-        for c, pairs in enumerate(first):
-            for mid, cf in pairs:
-                for r, cs in second[mid]:
-                    key = (r, c)
-                    s = out.get(key, 0) + cf * cs
-                    if s:
-                        out[key] = s
-                    elif key in out:
-                        del out[key]
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +388,7 @@ def _slab_side(module: GradedModule, i: int, t: int, keep: bool):
         if mw is None:
             mw, varw = [0] * module.dimension(t), [0] * nv
         else:
-            varw = _variable_weights(module)
+            varw = _variable_weights(module.ring)
         wedge_weights = [sum(varw[v] for v in T) for T in wedge_basis(i, nv - 1)]
         side = (wedge_weights, *_local_indices(wedge_weights, mw))
         if keep:
@@ -424,9 +396,9 @@ def _slab_side(module: GradedModule, i: int, t: int, keep: bool):
     return side
 
 
-def _variable_weights(module: GradedModule) -> list[int]:
-    nv = module.ring.nvars
-    return [module.ring.monomial_weight(tuple(1 if u == v else 0 for u in range(nv))) for v in range(nv)]
+def _variable_weights(ring: PolyRing) -> list[int]:
+    nv = ring.nvars
+    return [ring.monomial_weight(tuple(1 if u == v else 0 for u in range(nv))) for v in range(nv)]
 
 
 def _local_indices(wedge_weights, module_weights):
@@ -1311,7 +1283,7 @@ def koszul_complex(ring: PolyRing) -> ExplicitComplex:
     convention as the homology slabs.
     """
     nv = ring.nvars
-    varw = [ring.monomial_weight(tuple(1 if u == v else 0 for u in range(nv))) for v in range(nv)]
+    varw = _variable_weights(ring)
     bases = [wedge_basis(p, nv - 1) for p in range(nv + 1)]
     gen_degrees = [tuple(p for _ in basis) for p, basis in enumerate(bases)]
     gen_weights = [tuple(sum(varw[v] for v in T) for T in basis) for basis in bases]

@@ -59,10 +59,9 @@ def load_cached(path: Path, nrows: int, ncols: int | None = None) -> ExactMatrix
     """The QQ matrix cached at ``path``, or None for a miss.
 
     A file that is absent, fails any check of ``load_matrix`` (a damaged body,
-    another format version, a producer key other than the file stem), holds
-    another field or is not ``nrows`` x ``ncols`` (any column count when
-    ``ncols`` is None) is a miss; the caller rebuilds the matrix and rewrites
-    the file.  An entry that exists but is not a regular file (a directory)
+    another format version or field, a producer key other than the file
+    stem) or is not ``nrows`` x ``ncols`` (any column count when ``ncols`` is
+    None) is a miss; the caller rebuilds the matrix and rewrites the file.  An entry that exists but is not a regular file (a directory)
     cannot be rewritten either: it raises ``ValueError`` naming the path,
     which the CLI reports as a usage error.
     """
@@ -74,7 +73,7 @@ def load_cached(path: Path, nrows: int, ncols: int | None = None) -> ExactMatrix
         m = load_matrix(path, key=path.stem)
     except ValueError:
         return None
-    if m.field != "QQ" or m.nrows != nrows or (ncols is not None and m.ncols != ncols):
+    if m.nrows != nrows or (ncols is not None and m.ncols != ncols):
         return None
     return m
 
@@ -463,8 +462,7 @@ class GradedIdeal:
         arithmetic always (``column_echelon``, one weight block at a time); a
         block over the memory budget ``mem_mb`` raises ``ResourceLimitError``.
         Cached to disk when a cache directory is active.  A cached file that
-        does not parse, or has the wrong row count or field, is recomputed and
-        rewritten.
+        does not parse, or has the wrong row count, is recomputed and rewritten.
         """
         nrows = self.ring.dimension(k)
         cdir = cache_directory(cache)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from bfsyz import __version__
+from bfsyz import __version__, cli
 from bfsyz.cli import main
 from bfsyz.exactalg import load_matrix
 
@@ -405,6 +405,27 @@ def test_out_flag_writes_file_and_silences_stdout(capsys, tmp_path):
     assert out == ""
     rep = json.loads(target.read_text())
     assert rep["generators"][0] == "c0^2"
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-dir"])
+def test_unusable_out_path_is_usage_error_before_computing(capsys, monkeypatch, tmp_path, where):
+    target = tmp_path if where == "directory" else tmp_path / "missing" / "report.json"
+
+    def computed(*args):
+        raise AssertionError("computed before the --out path was checked")
+
+    monkeypatch.setattr(cli, "power_generators", computed)
+    assert main(["gens", "--a", "2", "--b", "2", "--out", str(target)]) == 3
+    captured = capsys.readouterr()
+    assert str(target) in captured.err and captured.out == ""
+    assert not (tmp_path / "missing").exists()
+
+
+def test_failed_out_write_is_usage_error(capsys, monkeypatch, tmp_path):
+    # a path that passes the check but cannot be opened for writing
+    monkeypatch.setattr(cli, "_check_out", lambda path: None)
+    assert main(["gens", "--a", "2", "--b", "2", "--out", str(tmp_path)]) == 3
+    assert str(tmp_path) in capsys.readouterr().err
 
 
 def test_reports_have_no_timestamps(capsys):

@@ -25,7 +25,7 @@ from bfsyz.fhmaps import (
     skew_normalizable,
     sr_wr_terms,
 )
-from bfsyz.polyring import MultiPoly, PolyRing
+from bfsyz.polyring import MultiPoly
 from bfsyz.sl2rep import BinaryForm, plethysm_basis, plethysm_index
 
 
@@ -146,10 +146,8 @@ def test_fh_matches_tuple_keyed_reference(a, b, k):
     reference = reference_slice_entries(a, b, k)
     assert fh.matrix.entries == reference
     assert fh.matrix.shape == (comb(a * k + b, b), comb(k + a * b, k))
-    # the matrix opens with the reference's entries in the columns of weight
-    # >= 0, in the same order, so every consumer sees the same matrix
-    half = [(key, v) for key, v in reference.items() if fh.col_weights[key[1]] >= 0]
-    assert list(fh.matrix.entries.items())[: len(half)] == half
+    # the entries come in the reference's order, so every consumer sees the same matrix
+    assert list(fh.matrix.entries.items()) == list(reference.items())
 
 
 def test_fh_multiplicativity():
@@ -178,9 +176,9 @@ def test_fh_multiplicativity():
 
 
 def block_files(fh) -> list:
-    """The cache file names of the blocks of weight >= 0 of a slice, in weight order."""
+    """The cache file names of the blocks of a slice, in weight order."""
     a, b, k = fh.a, fh.b, fh.k
-    return [f"fhw-a{a}-b{b}-k{k}-w{w}.mat" for w in sorted({w for w in fh.col_weights if w >= 0})]
+    return [f"fhw-a{a}-b{b}-k{k}-w{w}.mat" for w in fh.shapes()]
 
 
 def test_fh_cache_roundtrip(tmp_path):
@@ -201,13 +199,11 @@ def test_fh_damaged_cache_is_rebuilt(tmp_path):
     other = tmp_path / "other"
     fh_rank_report(2, 3, 3, cache=str(other))  # writes the weight-0 block alone
     wrong_shape = (other / "fhw-a2-b3-k3-w0.mat").read_bytes()
-    gf = other / name
-    dump_matrix(ExactMatrix(*cold.blocks.shapes()[0], {(0, 0): 1}, field="GF:7"), gf, key=gf.stem)
     damaged = {
         "wrong shape": wrong_shape,
         "unparseable": b"BFSYZ-MAT v1 35 28 sparse QQ\n0 0 1/0\n",
         "not a matrix": b"\xff\xfe",
-        "wrong field": gf.read_bytes(),
+        "wrong field": cold_bytes.replace(b" QQ ", b" GF:7 ", 1),
     }
     for what, data in damaged.items():
         path = tmp_path / name
@@ -224,7 +220,7 @@ def test_fh_cached_block_of_another_shape_is_rebuilt(tmp_path):
     # the weight-2 block under the weight-0 block's stem passes every check
     # of the file format: right sha256, right key, right field
     block = load_matrix(tmp_path / "cold" / "fhw-a2-b3-k2-w2.mat")
-    assert block.shape != cold.blocks.shapes()[0]
+    assert block.shape != cold.shapes()[0]
     path = tmp_path / "fhw-a2-b3-k2-w0.mat"
     dump_matrix(block, path, key=path.stem)
     assert load_matrix(path, key=path.stem) == block
@@ -262,8 +258,8 @@ def test_fh_full_cache_file_is_never_loaded(tmp_path, monkeypatch):
 def test_fh_rank_builds_and_caches_only_the_eliminated_block(tmp_path, monkeypatch):
     plain = fh_rank_report(3, 4, 5, rng=random.Random(2))
     built, loaded, dumped = [], [], []
-    build, load, dump = fhmaps._SliceSource.build, polyring.load_matrix, polyring.dump_matrix
-    monkeypatch.setattr(fhmaps._SliceSource, "build", lambda self, w: built.append(w) or build(self, w))
+    build, load, dump = fhmaps.Slice.build, polyring.load_matrix, polyring.dump_matrix
+    monkeypatch.setattr(fhmaps.Slice, "build", lambda self, w: built.append(w) or build(self, w))
     monkeypatch.setattr(polyring, "load_matrix", lambda path, key=None: loaded.append(key) or load(path, key))
     monkeypatch.setattr(polyring, "dump_matrix", lambda m, path, key=None: dumped.append(key) or dump(m, path, key))
     cold = fh_rank_report(3, 4, 5, rng=random.Random(2), cache=str(tmp_path))
@@ -298,8 +294,8 @@ def test_fh_counted_shapes_equal_the_enumerated_ones(a, b, k):
     by_row, by_col = Counter(row_weights), Counter(col_weights)
     want = {w: (by_row[w], by_col[w]) for w in sorted(set(by_row) | set(by_col))}
     fh = foulkes_howe(a, b, k)
-    assert fh.blocks.shapes() == want
-    assert list(fh.blocks.shapes()) == list(want)
+    assert fh.shapes() == want
+    assert list(fh.shapes()) == list(want)
     # every weight 2s - abk, 0 <= s <= abk, has rows and columns on both
     # sides, so no slice has a block without columns or without rows
     assert [w for w, (r, c) in want.items() if not r or not c] == []

@@ -43,7 +43,7 @@ from bfsyz.polyring import (
     hilbert_function_details,
     ideal_power,
 )
-from bfsyz.sl2rep import wedge_basis, wedge_index
+from bfsyz.sl2rep import plethysm_block, wedge_basis, wedge_index
 
 LOCUS_CASES = [(2, 2), (3, 2), (2, 3)]
 IDEAL_CASES = sorted(
@@ -394,14 +394,35 @@ def test_slice_block_ranks_carry_over(slices, mode):
     primes = draw_primes(random.Random(11)) if mode == "modular" else None
     for abk, fh in slices.items():
         blocks = split_blocks(fh.matrix.entries, fh.row_weights, fh.col_weights)
-        # the negative blocks are the reversals of the positive ones
-        assert fh.blocks == blocks, abk
+        # every block is built from the product tree, the negative ones too
+        assert fh == blocks, abk
         ranks = block_ranks(blocks, primes)
         assert_weyl_ranks(blocks, ranks, abk)
         # blocked_rank_details, ranking upward and inferring, gets the full sum
-        halved = blocked_rank_details(fh.blocks, mode, primes=primes, weyl=True)
+        halved = blocked_rank_details(fh, mode, primes=primes, weyl=True)
         assert halved.rank == sum(ranks.values()), abk
         assert halved.mode == mode and list(halved.primes) == (primes or []), abk
+
+
+def test_slice_blocks_are_weyl_reversals(slices):
+    # reversing the c_i sends P_j to P_{d-j}, so alpha_k has entry
+    # (e, beta) = entry (rev e, rev beta): the block at -w is the block at w
+    # with every row and column monomial reversed.  The halved rank rests on
+    # this; the blocks are built independently, from the product tree
+    for (a, b, k), fh in slices.items():
+        top = a * b * k
+        for w in fh.shapes():
+            if w < 0:
+                continue
+            s = (w + top) // 2
+            rows, cols = plethysm_block(a * k, b, s), plethysm_block(k, a * b, s)
+            row_pos = {m: n for n, m in enumerate(plethysm_block(a * k, b, top - s))}
+            col_pos = {m: n for n, m in enumerate(plethysm_block(k, a * b, top - s))}
+            reversed_block = {
+                (row_pos[rows[i][::-1]], col_pos[cols[j][::-1]]): v
+                for (i, j), v in fh.entries(w).items()
+            }
+            assert fh.entries(-w) == reversed_block, (a, b, k, w)
 
 
 def global_slab(module, i, t):
