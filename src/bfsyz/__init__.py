@@ -43,7 +43,6 @@ from .homres import (  # noqa: E402,F401
     GradedModule,
     coker_hilbert,
     exactness_check,
-    hilbert_numerator,
     initial_ideal_regularity,
     koszul_complex,
     power_ideal_betti,

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import InconclusiveError, ResourceLimitError
-from .exactalg import kernel_basis
+from .exactalg import blocked_kernel_basis
 from .exactalg.matrix import primitive_int_vector
 from .fhmaps import (
     fh_rank_report,
@@ -233,23 +233,13 @@ def _criterion_11(ctx) -> str:
         pg = power_generators(a, b)
         lo = foulkes_howe(a, b, b, ctx["mem_mb"], ctx["cache"])
         hi = foulkes_howe(a, b, b + 1, ctx["mem_mb"], ctx["cache"])
-        hi_index = {m: i for i, m in enumerate(hi.col_basis)}
-
-        def column_poly(fh, colno):
-            terms = {}
-            for (r, c), val in fh.matrix.entries.items():
-                if c == colno:
-                    terms[fh.row_basis[r]] = val
-            return MultiPoly(pg.ring, terms)
-
         for _ in range(10):
             beta = rng.choice(lo.col_basis)
             j = rng.randrange(len(pg.polys))
             lifted = list(beta)
             lifted[j] += 1
-            lhs = column_poly(hi, hi_index[tuple(lifted)])
             _check(
-                lhs == pg.polys[j] * column_poly(lo, lo.col_basis.index(beta)),
+                MultiPoly(pg.ring, hi.column(lifted)) == pg.polys[j] * MultiPoly(pg.ring, lo.column(beta)),
                 f"column lifting broke at ({a},{b})",
             )
 
@@ -259,23 +249,20 @@ def _criterion_11(ctx) -> str:
     kernel_count = 0
     for a, b in ((2, 2), (3, 2)):
         fh = foulkes_howe(a, b, b + 1, ctx["mem_mb"], ctx["cache"])
-        by_col: dict = {}
-        for (r, c), val in fh.matrix.entries.items():
-            by_col.setdefault(c, []).append((r, val))
-        for vec in kernel_basis(fh.matrix):
+        for vec in blocked_kernel_basis(fh, fh.col_weights):
             _check(primitive_int_vector(vec) == vec, "kernel vector not primitive")
             acc: dict = {}
-            for c, vc in enumerate(vec):
+            for beta, vc in zip(fh.col_basis, vec):
                 if vc:
-                    for r, val in by_col.get(c, ()):
-                        acc[r] = acc.get(r, 0) + val * vc
+                    for mono, val in fh.column(beta).items():
+                        acc[mono] = acc.get(mono, 0) + val * vc
             _check(all(x == 0 for x in acc.values()), "kernel vector not annihilated")
             kernel_count += 1
 
     with tempfile.TemporaryDirectory() as tmp:
         cold = foulkes_howe(2, 2, 2, ctx["mem_mb"], tmp)
         warm = foulkes_howe(2, 2, 2, ctx["mem_mb"], tmp)
-        _check(cold.matrix == warm.matrix, "cache replay changed the matrix")
+        _check(cold == warm, "cache replay changed the matrix")
         first = power_locus_betti(2, 2, seed=ctx["seed"], mem_mb=ctx["mem_mb"], cache=tmp)
         second = power_locus_betti(2, 2, seed=ctx["seed"], mem_mb=ctx["mem_mb"], cache=tmp)
         _check(

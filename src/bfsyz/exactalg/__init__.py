@@ -15,7 +15,6 @@ from .matrix import (
     rank,
     rank_details,
     rref,
-    split_blocks,
 )
 from .primes import is_prime, random_prime
 
@@ -37,5 +36,4 @@ __all__ = [
     "rank",
     "rank_details",
     "rref",
-    "split_blocks",
 ]

@@ -23,9 +23,12 @@ columns in ascending nonzero count; echelon forms keep the column order.
 Row-level engines (`bareiss_rank_rows`, `rref_rows`, `mod_p_rank_rows`, ...) are
 exposed for the modules that assemble large matrices blockwise and do not want
 to round-trip through ExactMatrix.  Label-preserving maps travel as
-:class:`WeightBlocks`: Koszul slabs, graded-piece spanning matrices and
-substitution slices build each block the first time it is read, and
-:func:`split_blocks` files the global entries of the other maps into them.
+:class:`WeightBlocks`, built block by block where they are made: Koszul
+slabs, graded-piece spanning matrices (which also serve as the minors span
+and the syzygy map of ``phi_matrix``) and substitution slices build each
+block the first time it is read, and the pieces of an explicit complex file
+each entry straight into its block; none is assembled with global indices
+only to be split again.
 Every echelon form of such a map runs through one blocked path,
 ``_blocked_echelon``, which takes the blocks and the labels that give their
 full indices: check each block against the dense memory budget, reduce it
@@ -47,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..errors import ConventionError, EquivarianceError, ResourceLimitError
+from ..errors import EquivarianceError, ResourceLimitError
 from . import _modp as _kernel
 from . import primes as _primes
 
@@ -196,7 +199,7 @@ class ExactMatrix:
 
 def _trusted_matrix(nrows: int, ncols: int, entries: dict) -> ExactMatrix:
     """Wrap entries that are already in range, normalized and nonzero, without
-    validating them again (the blocks of ``split_blocks``, a checked file)."""
+    validating them again (a block of a :class:`WeightBlocks`, a checked file)."""
     m = ExactMatrix.__new__(ExactMatrix)
     m.nrows = nrows
     m.ncols = ncols
@@ -662,48 +665,6 @@ def _ids_by_label(labels) -> dict:
     return ids
 
 
-def split_blocks(entries, row_labels, col_labels) -> WeightBlocks:
-    """The :class:`WeightBlocks` of a map given as global sparse entries.
-
-    For the callers whose entries come with global indices (the complexes
-    of ``exactness_check``, the minors span, the phi syzygies); Koszul
-    slabs, spanning matrices and substitution slices are built as blocks.
-    Every nonzero entry must connect a row and a column with equal labels,
-    otherwise the map is not equivariant for the labelling and a
-    ConventionError is raised; an index outside the label lists raises
-    ValueError.
-    """
-    rows_by, cols_by = _ids_by_label(row_labels), _ids_by_label(col_labels)
-    sub: dict = {w: {} for w in set(rows_by) | set(cols_by)}
-    row_pos = {}
-    for w, ids in rows_by.items():
-        for k, i in enumerate(ids):
-            row_pos[i] = (w, k)
-    col_pos = {}
-    for w, ids in cols_by.items():
-        for k, j in enumerate(ids):
-            col_pos[j] = (w, k)
-    for (i, j), v in entries.items():
-        try:
-            wi, ki = row_pos[i]
-            wj, kj = col_pos[j]
-        except KeyError:
-            raise ValueError(
-                f"entry index ({i}, {j}) outside {len(row_labels)} x {len(col_labels)}"
-            ) from None
-        if wi != wj:
-            raise ConventionError(
-                f"entry ({i}, {j}) connects label {wj} to label {wi}; matrix is not label-preserving"
-            )
-        if type(v) is not int:
-            v = _normalize_scalar(v)
-        if v:
-            sub[wi][(ki, kj)] = v
-    return WeightBlocks({
-        w: (len(rows_by.get(w, ())), len(cols_by.get(w, ())), sub[w]) for w in sorted(sub)
-    })
-
-
 def _blocked_echelon(blocks: WeightBlocks, labels, mem_mb: int | None = None, *, transpose: bool = False):
     """Reduced row echelon form of each block of a label-preserving map.
 
@@ -824,9 +785,8 @@ def blocked_rank_details(
 
     The one rank driver of blocked maps.  ``blocks`` is a
     :class:`WeightBlocks`: Koszul slabs, spanning matrices and substitution
-    slices build each block when the rank reads its entries, and callers
-    that hold global entries (complexes, the minors span) pass them through
-    :func:`split_blocks` first.  Only the blocks that get eliminated are
+    slices build each block when the rank reads its entries, and the pieces
+    of an explicit complex come built.  Only the blocks that get eliminated are
     read through ``entries(w)``, so only they are built; the shape checks,
     the mode choice and inferred blocks read ``shapes()``, and the
     empty-map shortcut reads ``bool(blocks)``.  A ``block_ranks`` dict, when

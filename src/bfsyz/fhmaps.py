@@ -15,8 +15,9 @@ block's rows and columns are listed alone (``sl2rep.plethysm_block``).
 A slice is held as its weight blocks (``Slice``), each built the first
 time it is read, from one product tree that the slice shares, validated and
 cached on its own.  A rank reads only the blocks of weight >= 0 that it
-eliminates (rank_w = rank_{-w}, as alpha_k is SL2-equivariant); the full
-bases are listed only for the callers that read the whole map.  Reversing
+eliminates (rank_w = rank_{-w}, as alpha_k is SL2-equivariant), and a
+column (``Slice.column``) only the block at its weight; the full bases are
+listed only where a kernel vector is read in global coordinates.  Reversing
 the c_i swaps x1 and x2 in G, so P_j(rev c) = P_{d-j}(c): alpha_k has
 entry (e, beta) = entry (rev e, rev beta), with no signs, and reversal sends
 the block at w onto the block at -w.
@@ -25,7 +26,9 @@ Also here: the (d+b-1) x (b+1) matrix of linear forms in z whose rank drops
 on the locus of powers (rows pair the generic degree-d form against the
 degree-b monomial basis through the Jacobian pairing), its maximal minors,
 the linear syzygy matrix phi of the P_j, and the term tables of the two
-natural length-r complexes built from wedge powers.
+natural length-r complexes built from wedge powers.  The span of the minors
+and the map whose kernel gives phi are spanning matrices of ideals
+(``GradedIdeal.spanning_data``), held as weight blocks like the slices.
 """
 
 from __future__ import annotations
@@ -44,15 +47,8 @@ from .exactalg import (
     blocked_rank_details,
     dump_matrix,  # noqa: F401 (unused; perfbench/spans.py REQUIRED_COPIES needs it)
     load_matrix,  # noqa: F401 (unused; perfbench/spans.py REQUIRED_COPIES needs it)
-    split_blocks,
 )
-from .exactalg.matrix import (
-    RankResult,
-    _ids_by_label,
-    _trusted_matrix,
-    check_dense_budget,
-    default_rng,
-)
+from .exactalg.matrix import RankResult, check_dense_budget, default_rng
 from .polyring import (
     GradedIdeal,
     MultiPoly,
@@ -73,7 +69,6 @@ from .sl2rep import (
     plethysm_basis,
     plethysm_block,
     plethysm_counts,
-    plethysm_index,
     transvectant,
 )
 
@@ -141,8 +136,8 @@ class Slice(WeightBlocks):
 
     The dimensions come from the counted block shapes.  The bases (rows:
     degree-ak c-monomials in ``plethysm_basis`` order, columns: degree-k
-    z-monomials), their weights and ``matrix`` are listed the first time one
-    is read, once per slice; a rank reads none of them.  Every block is read
+    z-monomials) and their weights are listed the first time one is read,
+    once per slice; a rank and ``column`` read none of them.  Every block is read
     from its cache file ``fhw-a{a}-b{b}-k{k}-w{w}.mat`` (local indices) or
     built from the product tree the slice shares, validated and written
     there.  Every column P^beta of alpha_k is a nonzero polynomial, as the
@@ -217,19 +212,13 @@ class Slice(WeightBlocks):
                 entries[(rows[exp], n)] = coeff
         return entries
 
-    @cached_property
-    def matrix(self) -> ExactMatrix:
-        """The slice with global indices, assembled from every block column
-        by column in global column order (each column in the order of its
-        block), so a freshly built slice lists its entries as the product of
-        each column does.  The entries are not validated a second time."""
-        rows, cols = _ids_by_label(self.row_weights), _ids_by_label(self.col_weights)
-        entries = []
-        for w in self._shapes:
-            r, c = rows[w], cols[w]
-            entries.extend(((r[i], c[j]), v) for (i, j), v in self.entries(w).items())
-        entries.sort(key=lambda entry: entry[0][1])
-        return _trusted_matrix(*self.shape, dict(entries))
+    def column(self, beta) -> dict:
+        """The column of the z-monomial ``beta`` as ``{c-monomial: coeff}``,
+        read from the one block at its weight."""
+        s = sum(j * e for j, e in enumerate(beta))
+        n = plethysm_block(self.k, self.d, s).index(tuple(beta))
+        rows = plethysm_block(self.a * self.k, self.b, s)
+        return {rows[i]: v for (i, j), v in self.entries(2 * s - self.d * self.k).items() if j == n}
 
 
 def _product_tree(polys, base: int):
@@ -460,28 +449,29 @@ def maximal_minors(m: LinearFormMatrix) -> list[MultiPoly]:
     return out
 
 
-def minors_span_matrix(a: int, b: int):
-    """Sparse span data of the maximal minors inside the degree-(b+1) z-piece.
+def minors_ideal(a: int, b: int) -> GradedIdeal:
+    """The ideal of QQ[z_0..z_d] generated by the maximal minors of omega.
 
-    Returns (entries, ncols, row_labels, col_labels) in the orientation used
-    by the blocked rank/kernel helpers; zero minors are skipped as columns.
+    ``GradedIdeal`` drops the zero and the repeated minors.  Its degree-(b+1)
+    spanning matrix is the span of the minors, held as weight blocks whose
+    rows are the z-monomials of each weight in ``plethysm_block`` order.
     """
     m = omega_matrix(a, b)
-    d = a * b
-    index = plethysm_index(b + 1, d)
-    basis = plethysm_basis(b + 1, d)
-    row_labels = [coord_weight(mono, d) for mono in basis]
-    entries = {}
-    col_labels = []
-    col = 0
-    for minor in maximal_minors(m):
-        if minor.is_zero():
-            continue
-        col_labels.append(minor.weight())
-        for exp, coeff in minor.terms.items():
-            entries[(index[exp], col)] = coeff
-        col += 1
-    return entries, col, row_labels, col_labels
+    return GradedIdeal(m.ring, maximal_minors(m))
+
+
+def _annihilates(alpha: dict, vectors: dict) -> bool:
+    """Whether the block entries ``alpha`` send every column of ``vectors``,
+    a block whose rows are alpha's columns, to zero; exactly."""
+    by_col: dict = {}
+    for (r, c), v in alpha.items():
+        by_col.setdefault(c, []).append((r, v))
+    images: dict = {}
+    for (c, j), x in vectors.items():
+        image = images.setdefault(j, {})
+        for r, v in by_col.get(c, ()):
+            image[r] = image.get(r, 0) + v * x
+    return not any(any(image.values()) for image in images.values())
 
 
 def minors_generate_check(
@@ -500,28 +490,14 @@ def minors_generate_check(
     if rng is None:
         rng = default_rng()
     fh = foulkes_howe(a, b, b + 1, mem_mb, cache)
-    entries, ncols, row_labels, col_labels = minors_span_matrix(a, b)
+    span_blocks = minors_ideal(a, b).spanning_data(b + 1)
 
-    # exact containment: alpha_{b+1} applied to each minor column is zero
-    contained = True
-    cols: list[dict] = [{} for _ in range(ncols)]
-    for (i, j), v in entries.items():
-        cols[j][i] = v
-    alpha_cols: dict = {}
-    for (r, c), av in fh.matrix.entries.items():
-        alpha_cols.setdefault(c, []).append((r, av))
-    for vec in cols:
-        image: dict = {}
-        for c, x in vec.items():
-            for r, av in alpha_cols.get(c, ()):
-                image[r] = image.get(r, 0) + av * x
-        if any(image.values()):
-            contained = False
-            break
+    # exact containment, alpha_w M_w = 0 at every weight w: the span's rows
+    # at w are alpha_{b+1}'s columns at w, in the same order
+    contained = all(_annihilates(fh.entries(w), sub) for w, (_r, _c, sub) in span_blocks.items())
 
     rank_alpha = fh_rank_details(fh, mode, rng=rng, mem_mb=mem_mb)
     kernel_dim = fh.source_dim - rank_alpha.rank
-    span_blocks = split_blocks(entries, row_labels, col_labels)
     span = blocked_rank_details(span_blocks, mode, rng=rng, mem_mb=mem_mb)
     span_settled = True
     if contained:
@@ -590,17 +566,12 @@ def phi_matrix(a: int, b: int) -> PhiMatrix:
     gens = power_generators(a, b)
     d = gens.d
     ring = gens.ring
+    # the multiplication is the degree-(a+1) spanning matrix of the P_j:
+    # generator j, then its multipliers c_0..c_b, column (j, i) of weight
+    # (2j - d) + (2i - b)
     pairs = [(j, i) for j in range(d + 1) for i in range(b + 1)]
     col_labels = [(2 * j - d) + (2 * i - b) for j, i in pairs]
-    target = plethysm_basis(a + 1, b)
-    index = plethysm_index(a + 1, b)
-    row_labels = [coord_weight(m, b) for m in target]
-    entries: dict = {}
-    for colno, (j, i) in enumerate(pairs):
-        prod = gens.polys[j] * ring.variable(i)
-        for exp, coeff in prod.terms.items():
-            entries[(index[exp], colno)] = coeff
-    vectors = blocked_kernel_basis(split_blocks(entries, row_labels, col_labels), col_labels)
+    vectors = blocked_kernel_basis(GradedIdeal(ring, gens.polys).spanning_data(a + 1), col_labels)
     expected = d + b - 1
     if len(vectors) != expected:
         raise ConventionError(
@@ -773,7 +744,7 @@ def hw_triple_report(mem_mb=None, cache=None) -> dict:
     """
     fh = foulkes_howe(2, 2, 2, mem_mb, cache)
     pairs = list(zip(HW_SOURCE_VECTORS_2_2, HW_TARGET_VECTORS_2_2))
-    triple = hw_triple(fh.matrix.entries, (2, 4), (4, 2), pairs)
+    triple = hw_triple(fh.column, 4, 2, pairs)
     norm = [x / triple[0] for x in triple]
     ref = list(CLASSICAL_REFERENCE_TRIPLE)
     ref_norm = [x / ref[0] for x in ref]

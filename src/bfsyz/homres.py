@@ -30,7 +30,6 @@ from .exactalg import (
     default_rng,
     kernel_basis,
     memory_budget_mb,
-    split_blocks,
 )
 from .exactalg.matrix import _normalize_scalar, column_echelon, resolve_seed
 from .exactalg.matrix import rref_rows  # noqa: F401 (unused; perfbench/spans.py REQUIRED_COPIES needs it)
@@ -838,34 +837,6 @@ def initial_ideal_regularity(
     return report
 
 
-def hilbert_numerator(hf, nvars: int) -> list[int]:
-    """Coefficients of (1 - z)^nvars times the Hilbert series, with a tail check.
-
-    hf lists the Hilbert function from degree 0; the result N has
-    N_j = sum_s (-1)^s binom(nvars, s) hf[j - s].  The series numerator of a
-    finitely generated module is a polynomial, so the input window must be
-    long enough that the last nvars + 1 output coefficients vanish; a
-    nonzero tail raises InconclusiveError (window too short, or the input is
-    not a Hilbert function of such a module).  For a module with a pure
-    linear resolution the alternating values are exactly the Betti numbers.
-    """
-    hf = list(hf)
-    if nvars < 1:
-        raise ValueError("need at least one variable")
-    if len(hf) < nvars + 1:
-        raise InconclusiveError("hilbert function window shorter than nvars + 1")
-    out = []
-    for j in range(len(hf)):
-        s = 0
-        for i in range(min(nvars, j) + 1):
-            term = comb(nvars, i) * hf[j - i]
-            s += -term if i % 2 else term
-        out.append(s)
-    if any(out[-(nvars + 1) :]):
-        raise InconclusiveError("no polynomial tail: extend the hilbert function window")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # closed-form cross-checks
 
@@ -1220,59 +1191,39 @@ class ExplicitComplex:
             return 0
         return sum(self.ring.dimension(t - g) for g in self.gen_degrees[p])
 
-    def piece_data(self, p: int, t: int):
-        """Matrix data of d_{p+1} in degree t: F_{p+1}(t) -> F_p(t).
+    def piece_blocks(self, p: int, t: int) -> WeightBlocks:
+        """d_{p+1} in degree t, F_{p+1}(t) -> F_p(t), as its weight blocks.
 
-        Rows and columns are (generator, monomial) pairs, generator-major;
-        labels are weights when the complex carries them, zeros otherwise.
+        Rows and columns are (generator, monomial) pairs, generator-major.
+        Each pair is labelled by its weight when the complex carries weights
+        (the generator's plus the monomial's), by 0 otherwise, and takes the
+        next local index of its label, so local order is global order.  The
+        constructor's weight check puts every entry in its column's block.
         """
-        tgt = self.gen_degrees[p]
-        src = self.gen_degrees[p + 1]
         ring = self.ring
-        row_offset = []
-        pos = 0
-        for g in tgt:
-            row_offset.append(pos)
-            pos += ring.dimension(t - g)
-        nrows = pos
-        col_offset = []
-        pos = 0
-        for g in src:
-            col_offset.append(pos)
-            pos += ring.dimension(t - g)
-        ncols = pos
-        if self.gen_weights is None:
-            row_labels = [0] * nrows
-            col_labels = [0] * ncols
-        else:
-            row_labels = [
-                self.gen_weights[p][r] + ring.monomial_weight(m)
-                for r, g in enumerate(tgt)
-                for m in ring.monomials(t - g)
-            ]
-            col_labels = [
-                self.gen_weights[p + 1][c] + ring.monomial_weight(m)
-                for c, g in enumerate(src)
-                for m in ring.monomials(t - g)
-            ]
-        indexes = {deg: ring.monomial_index(deg) for deg in {t - g for g in tgt} if deg >= 0}
-        entries: dict = {}
+
+        def side(q: int):
+            # {(generator, monomial): (label, local index)} and {label: size}
+            where: dict = {}
+            sizes: dict = {}
+            for g, deg in enumerate(self.gen_degrees[q]):
+                for m in ring.monomials(t - deg):
+                    w = 0 if self.gen_weights is None else self.gen_weights[q][g] + ring.monomial_weight(m)
+                    where[(g, m)] = (w, sizes.get(w, 0))
+                    sizes[w] = sizes.get(w, 0) + 1
+            return where, sizes
+
+        rows, nrows = side(p)
+        cols, ncols = side(p + 1)
+        sub: dict = {w: {} for w in nrows.keys() | ncols.keys()}
+        src = self.gen_degrees[p + 1]
         for (r, c), poly in self.diffs[p].items():
-            src_deg = t - src[c]
-            if src_deg < 0:
-                continue
-            tgt_index = indexes[t - tgt[r]]
-            base_r = row_offset[r]
-            base_c = col_offset[c]
-            for ci, m in enumerate(ring.monomials(src_deg)):
+            for m in ring.monomials(t - src[c]):
+                w, j = cols[(c, m)]
+                block = sub[w]
                 for pe, pc in poly.terms.items():
-                    key = (base_r + tgt_index[tuple(x + y for x, y in zip(m, pe))], base_c + ci)
-                    s = entries.get(key, 0) + pc
-                    if s:
-                        entries[key] = s
-                    elif key in entries:
-                        del entries[key]
-        return nrows, ncols, entries, row_labels, col_labels
+                    block[(rows[(r, tuple(x + y for x, y in zip(m, pe)))][1], j)] = pc
+        return WeightBlocks({w: (nrows.get(w, 0), ncols.get(w, 0), sub[w]) for w in sorted(sub)})
 
 
 def koszul_complex(ring: PolyRing) -> ExplicitComplex:
@@ -1329,14 +1280,8 @@ def exactness_check(
             return RankResult(0, "exact")
         key = (p, t)
         if key not in cache:
-            _nrows, _ncols, entries, rl, cl = C.piece_data(p, t)
-            if not entries:
-                cache[key] = RankResult(0, "exact")
-            else:
-                rng = random.Random(f"{base_seed}:complex:{p}:{t}")
-                cache[key] = blocked_rank_details(
-                    split_blocks(entries, rl, cl), mode, rng=rng, mem_mb=mem_mb
-                )
+            rng = random.Random(f"{base_seed}:complex:{p}:{t}")
+            cache[key] = blocked_rank_details(C.piece_blocks(p, t), mode, rng=rng, mem_mb=mem_mb)
         return cache[key]
 
     homology = {}

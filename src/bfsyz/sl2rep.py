@@ -21,7 +21,9 @@ Conventions used throughout the package:
   as phi_m -> (m+1) phi_{m+1}.  Coefficient-extraction matrices (the power
   maps) intertwine the dual realization; printed highest-weight vectors live
   in the plain realization.  ``hw_triple`` bridges the two through the
-  symplectic self-duality fixed by x1 ^ x2 -> 1.
+  symplectic self-duality fixed by x1 ^ x2 -> 1, reading the map one column
+  at a time (``fhmaps.Slice.column``), so only the blocks at the weights of
+  the vectors it pushes are built.
 """
 
 from __future__ import annotations
@@ -473,32 +475,24 @@ def coordinates_to_plain(poly: dict, n: int) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def hw_triple(matrix_entries: dict, src: tuple[int, int], dst: tuple[int, int], pairs) -> list:
+def hw_triple(column, n_src: int, n_dst: int, pairs) -> list:
     """Proportionality scalars of a coefficient-extraction map on hw vectors.
 
-    ``matrix_entries`` is the sparse coordinate-realization matrix (rows over
-    plethysm_basis(*dst), columns over plethysm_basis(*src)).  ``pairs`` is a
-    list of (v, w) with v, w plain-realization monomial dicts in the source
-    and target.  Each v is pushed through the self-duality, the matrix, and
-    the inverse self-duality; the result must be an exact rational multiple
-    a_i * w_i (EquivarianceError otherwise).  Returns [a_i].
+    ``column(exp)`` is the coordinate-realization map's column at the source
+    monomial ``exp`` (inner degree ``n_src``), as ``{target monomial:
+    coeff}`` (inner degree ``n_dst``).  ``pairs`` is a list of (v, w) with
+    v, w plain-realization monomial dicts in the source and target.  Each v
+    is pushed through the self-duality, the map, and the inverse
+    self-duality; the result must be an exact rational multiple a_i * w_i
+    (EquivarianceError otherwise).  Returns [a_i].
     """
-    m_src, n_src = src
-    m_dst, n_dst = dst
-    col_index = plethysm_index(m_src, n_src)
-    row_basis = plethysm_basis(m_dst, n_dst)
     scalars = []
     for v, w in pairs:
-        vec: dict = {}
-        for exp, coeff in plain_to_coordinates(v, n_src).items():
-            vec[col_index[exp]] = coeff
         out_vec: dict = {}
-        for (r, c), a in matrix_entries.items():
-            x = vec.get(c)
-            if x:
-                out_vec[r] = out_vec.get(r, 0) + a * x
-        image = {row_basis[r]: val for r, val in out_vec.items() if val}
-        image = coordinates_to_plain(image, n_dst)
+        for exp, x in plain_to_coordinates(v, n_src).items():
+            for mono, a in column(exp).items():
+                out_vec[mono] = out_vec.get(mono, 0) + a * x
+        image = coordinates_to_plain(out_vec, n_dst)
         w_clean = {k: v2 for k, v2 in w.items() if v2}
         if not image:
             scalars.append(Fraction(0))

