@@ -249,7 +249,7 @@ def _criterion_11(ctx) -> str:
     kernel_count = 0
     for a, b in ((2, 2), (3, 2)):
         fh = foulkes_howe(a, b, b + 1, ctx["mem_mb"], ctx["cache"])
-        for vec in blocked_kernel_basis(fh, fh.col_weights):
+        for vec in blocked_kernel_basis(fh, fh.col_weights, ctx["mem_mb"]):
             _check(primitive_int_vector(vec) == vec, "kernel vector not primitive")
             acc: dict = {}
             for beta, vc in zip(fh.col_basis, vec):

@@ -34,7 +34,6 @@ from .fhmaps import (
     skew_normalizable,
 )
 from .homres import (
-    GradedModule,
     compare_table,
     ia3_expected_table,
     initial_ideal_regularity,
@@ -44,13 +43,11 @@ from .homres import (
     power_strand_formula,
     regularity,
     regularity_formula,
-    tor_betti,
     verify_explicit_betti,
 )
 from .polyring import (
     cache_directory,
     hilbert_function,
-    ideal_power,
     initial_ideal_Jab,
     monomial_quotient_hf,
 )
@@ -454,7 +451,6 @@ def _cmd_coker_hf(args) -> int:
 
 def _cmd_conjecture_scan(args) -> int:
     a, b = args.a, args.b
-    base = power_ideal(a, b)
     entries = []
     any_differs = False
     any_inconclusive = False
@@ -462,13 +458,9 @@ def _cmd_conjecture_scan(args) -> int:
         predicted = ((b + j + 1) // 2) * a - (b - j + 1) // 2
         entry = {"j": j, "predicted": predicted}
         try:
-            ideal = base if j == 1 else ideal_power(base, j)
-            module = GradedModule.from_ideal(ideal, mem_mb=args.mem_mb, cache=args.cache)
-            i_max = module.ring.nvars
-            table = tor_betti(
-                module, i_max, i_max + predicted + 2, args.mode, t_max=predicted + 2,
-                seed=resolve_seed(args.seed), mem_mb=args.mem_mb,
-                threads=args.threads,
+            table = power_ideal_betti(
+                a, b, j, args.mode, t_max=predicted + 2, seed=resolve_seed(args.seed),
+                mem_mb=args.mem_mb, cache=args.cache, threads=args.threads,
             )
             value = regularity(table)
             entry["computed"] = value

@@ -10,11 +10,11 @@ from .matrix import (
     blocked_kernel_basis,
     blocked_rank_details,
     default_rng,
+    independent_columns,
     kernel_basis,
     memory_budget_mb,
     rank,
     rank_details,
-    rref,
 )
 from .primes import is_prime, random_prime
 
@@ -28,6 +28,7 @@ __all__ = [
     "blocked_rank_details",
     "default_rng",
     "dump_matrix",
+    "independent_columns",
     "is_prime",
     "kernel_basis",
     "load_matrix",
@@ -35,5 +36,4 @@ __all__ = [
     "random_prime",
     "rank",
     "rank_details",
-    "rref",
 ]

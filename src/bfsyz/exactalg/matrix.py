@@ -8,8 +8,8 @@ Deterministic building blocks used by every other module:
   Modular mode draws ``CERTIFICATE_PRIMES`` distinct random 50-62 bit primes
   and escalates to exact arithmetic whenever the per-prime ranks disagree, so a
   reported modular rank always carries agreeing primes in its provenance.
-* :func:`rref` -- fully reduced row echelon form; :func:`kernel_basis` --
-  primitive integer kernel vectors (content 1, first nonzero entry positive).
+* :func:`kernel_basis` -- primitive integer kernel vectors (content 1, first
+  nonzero entry positive).
 
 All exact arithmetic runs through one engine, ``_echelon``: sparse
 fraction-free elimination over primitive integer rows (Bareiss-style
@@ -33,8 +33,9 @@ Every echelon form of such a map runs through one blocked path,
 ``_blocked_echelon``, which takes the blocks and the labels that give their
 full indices: check each block against the dense memory budget, reduce it
 with ``rref_rows``.  :func:`column_echelon` (graded pieces, images of the
-substitution maps) and :func:`blocked_kernel_basis` are thin layers over it,
-and :func:`kernel_basis` is its one-block case.
+substitution maps), :func:`independent_columns` (``polyring.ideal_power``)
+and :func:`blocked_kernel_basis` are thin layers over it, and
+:func:`kernel_basis` is its one-block case.
 Every rank of such a map goes through :func:`blocked_rank_details`.
 """
 
@@ -139,11 +140,10 @@ def _normalize_scalar(v):
 class ExactMatrix:
     """Immutable exact matrix; zero entries are never stored.
 
-    Entries are rationals.  After :func:`rref` the result carries
-    ``pivot_cols``.
+    Entries are rationals.
     """
 
-    __slots__ = ("nrows", "ncols", "entries", "pivot_cols")
+    __slots__ = ("nrows", "ncols", "entries")
 
     def __init__(self, nrows: int, ncols: int, entries=None):
         if nrows < 0 or ncols < 0:
@@ -162,7 +162,6 @@ class ExactMatrix:
                 if v:
                     clean[key if type(key) is tuple else (i, j)] = v
         self.entries = clean
-        self.pivot_cols: tuple[int, ...] | None = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -204,7 +203,6 @@ def _trusted_matrix(nrows: int, ncols: int, entries: dict) -> ExactMatrix:
     m.nrows = nrows
     m.ncols = ncols
     m.entries = entries
-    m.pivot_cols = None
     return m
 
 
@@ -489,7 +487,7 @@ def draw_primes(rng: random.Random) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# public rank / rref / kernel operations
+# public rank / kernel operations
 
 
 def _resolve_mode(mode: str, nrows: int, ncols: int) -> str:
@@ -544,19 +542,6 @@ def rank_details(
 
 def rank(m: ExactMatrix, mode: str = "auto", **kw) -> int:
     return rank_details(m, mode, **kw).rank
-
-
-def rref(m: ExactMatrix, mem_mb: int | None = None) -> ExactMatrix:
-    """Reduced row echelon form (same shape, zero rows kept, pivots recorded)."""
-    reduced, pivots = rref_rows(_sparse_rows(m, mem_mb), m.ncols)
-    entries = {}
-    for i, row in enumerate(reduced):
-        for j, v in enumerate(row):
-            if v:
-                entries[(i, j)] = v
-    out = ExactMatrix(m.nrows, m.ncols, entries)
-    out.pivot_cols = tuple(pivots)
-    return out
 
 
 def kernel_basis(m: ExactMatrix, mem_mb: int | None = None) -> list[tuple[int, ...]]:
@@ -720,6 +705,14 @@ def column_echelon(blocks: WeightBlocks, row_labels, mem_mb: int | None = None):
             found.append((ids[p], {ids[j]: v for j, v in enumerate(row) if v}))
     found.sort(key=lambda t: t[0])
     return [vec for _p, vec in found], [p for p, _v in found]
+
+
+def independent_columns(blocks: WeightBlocks, col_labels) -> list[int]:
+    """The leftmost-greedy maximal independent column subset, ascending, of
+    the label-preserving map ``blocks`` with column labels ``col_labels``:
+    the pivot columns of each block.  Distinct labels touch disjoint rows, so
+    this is the leftmost-greedy subset of the whole matrix."""
+    return sorted(ids[p] for ids, _reduced, pivots in _blocked_echelon(blocks, col_labels) for p in pivots)
 
 
 def blocked_kernel_basis(blocks: WeightBlocks, col_labels, mem_mb: int | None = None) -> list[tuple[int, ...]]:

@@ -83,7 +83,7 @@ class GradedModule:
 
     ``weyl`` is True when SL2 acts on the module compatibly with the ring,
     so that every Koszul differential is SL2-equivariant: ``power_quotient``
-    always, ``from_ideal`` when the ideal is SL2-stable and weight-graded
+    always, ``from_ideal`` when the ideal is SL2-stable
     (``GradedIdeal.weyl``).  Koszul homology then ranks only the weight >= 0
     half of each differential (see ``tor_betti``).
     """
@@ -151,7 +151,7 @@ class GradedModule:
         return self._piece(k)["dim"]
 
     def basis_weights(self, k: int):
-        """Torus weights aligned with the degree-k basis, or None (unlabelled)."""
+        """Torus weights aligned with the degree-k basis (of the pivot monomials)."""
         return self._piece(k)["weights"]
 
     def _piece(self, k: int) -> dict:
@@ -175,10 +175,7 @@ class GradedModule:
             if pivot[j] is None or i < pivot[j]:
                 pivot[j] = i
         lookup = {monos[p]: j for j, p in enumerate(pivot)}
-        if self._ideal.weight_graded:
-            weights = [self.ring.monomial_weight(monos[p]) for p in pivot]
-        else:
-            weights = None
+        weights = [self.ring.monomial_weight(monos[p]) for p in pivot]
         return {"dim": matrix.ncols, "weights": weights, "cols": cols, "lookup": lookup}
 
     def _piece_power_quotient(self, k: int) -> dict:
@@ -225,8 +222,8 @@ class GradedModule:
 
         mult_adjacency(k)[v][c] is a tuple of (row, coeff) pairs describing
         x_v times the c-th basis element of M_k in the basis of M_{k+1};
-        coefficients are ints where integral and never zero.  When the
-        module is weight-labelled, each degree is checked once: x_v must
+        coefficients are ints where integral and never zero.  Each degree
+        is checked once: x_v must
         carry weight w to w + wt(x_v), so that every Koszul slab entry joins
         a row and a column of equal weight (``ConventionError`` otherwise).
         """
@@ -239,8 +236,6 @@ class GradedModule:
     def _check_weights(self, k: int, adj) -> None:
         src = self.basis_weights(k)
         dst = self.basis_weights(k + 1)
-        if src is None or dst is None:
-            return
         for v, (vw, cols) in enumerate(zip(_variable_weights(self.ring), adj)):
             for c, pairs in enumerate(cols):
                 want = src[c] + vw
@@ -303,8 +298,8 @@ def koszul_slab(module: GradedModule, i: int, t: int, mem_mb=None):
     index, d(e_T (x) m) = sum over positions pos of (-1)^pos e_{T minus
     T[pos]} (x) x_{T[pos]} m.  Rows and columns are ordered by wedge index,
     then module basis index.  Returns ``(nrows, ncols, blocks)``, with
-    ``blocks`` a ``WeightBlocks`` keyed by torus weight (one block of weight
-    0 when the module is unlabelled), each built the first time it is read.
+    ``blocks`` a ``WeightBlocks`` keyed by torus weight, each built the first
+    time it is read.
     The block shapes add up to ``(nrows, ncols)``, also when M_t or M_{t+1}
     is 0 and the slab has no entry (it is then falsy).
 
@@ -347,7 +342,7 @@ def koszul_slab(module: GradedModule, i: int, t: int, mem_mb=None):
     _dst_weights, row_local, row_counts = _slab_side(module, i - 1, t + 1, keep=True)
     col_local, row_local = col_local.tolist(), row_local.tolist()
     by_weight: dict = {}  # the module basis indices of each weight
-    for c, w in enumerate(module.basis_weights(t) or [0] * dim_t):
+    for c, w in enumerate(module.basis_weights(t)):
         by_weight.setdefault(w, []).append(c)
 
     def build(w):
@@ -375,21 +370,16 @@ def _slab_side(module: GradedModule, i: int, t: int, keep: bool):
     """``(wedge_weights, local, counts)`` of the basis of Wedge^i V (x) M_t.
 
     The torus weights of the wedge basis, then ``_local_indices`` of the
-    basis (all weights 0 when the module is unlabelled).  The rows of
+    basis.  The rows of
     d(i + 1, t - 1) are the columns of d(i, t), which ``tor_betti`` ranks
     next, so a side is built once: with ``keep`` it is kept, as its compact
     array, until the column use takes it back out.
     """
     side = module._sides.pop((i, t), None)
     if side is None:
-        nv = module.ring.nvars
-        mw = module.basis_weights(t)
-        if mw is None:
-            mw, varw = [0] * module.dimension(t), [0] * nv
-        else:
-            varw = _variable_weights(module.ring)
-        wedge_weights = [sum(varw[v] for v in T) for T in wedge_basis(i, nv - 1)]
-        side = (wedge_weights, *_local_indices(wedge_weights, mw))
+        varw = _variable_weights(module.ring)
+        wedge_weights = [sum(varw[v] for v in T) for T in wedge_basis(i, module.ring.nvars - 1)]
+        side = (wedge_weights, *_local_indices(wedge_weights, module.basis_weights(t)))
         if keep:
             module._sides[(i, t)] = side
     return side
@@ -1060,13 +1050,8 @@ def verify_ia3_resolution(
     maximal ideal; it is compared against the Koszul table instead and
     flagged as outside the intended range of the closed form.
     """
-    ideal = power_ideal(a, 3)
-    module = GradedModule.from_ideal(ideal, mem_mb=mem_mb, cache=cache)
-    t_cap = 2 * a if a > 1 else 2
-    i_max = module.ring.nvars
-    table = tor_betti(
-        module, i_max, i_max + t_cap, mode, t_max=t_cap, seed=seed,
-        mem_mb=mem_mb, threads=threads,
+    table = power_ideal_betti(
+        a, 3, 1, mode, t_max=2 * a if a > 1 else 2, seed=seed, mem_mb=mem_mb, cache=cache, threads=threads,
     )
     ok, rows = compare_table(table, ia3_expected_table(a))
     reg_report = _regularity_report(table, 2 * a - 1 if a > 1 else 1)
@@ -1119,23 +1104,22 @@ class ExplicitComplex:
 
     Positions are homological: gen_degrees[p] lists the generator degrees of
     the position-p term, diffs[p] is the matrix of d: F_{p+1} -> F_p as a
-    {(row, col): MultiPoly} dict.  Construction validates entry homogeneity
-    (and torus weights when gen_weights is given) and that consecutive
-    differentials compose to zero, exactly; violations raise
-    ConventionError, because they are construction bugs, not data.
+    {(row, col): MultiPoly} dict, and gen_weights[p] lists the torus weights
+    of the position-p generators.  Construction validates entry homogeneity
+    and weights and that consecutive differentials compose to zero, exactly;
+    violations raise ConventionError, because they are construction bugs.
     """
 
     __slots__ = ("ring", "gen_degrees", "gen_weights", "diffs")
 
-    def __init__(self, ring: PolyRing, gen_degrees, diffs, gen_weights=None):
+    def __init__(self, ring: PolyRing, gen_degrees, diffs, gen_weights):
         self.ring = ring
         self.gen_degrees = tuple(tuple(int(g) for g in degs) for degs in gen_degrees)
-        if gen_weights is not None:
-            gen_weights = tuple(tuple(int(w) for w in ws) for ws in gen_weights)
-            if len(gen_weights) != len(self.gen_degrees) or any(
-                len(ws) != len(degs) for ws, degs in zip(gen_weights, self.gen_degrees)
-            ):
-                raise ValueError("gen_weights must match gen_degrees shape")
+        gen_weights = tuple(tuple(int(w) for w in ws) for ws in gen_weights)
+        if len(gen_weights) != len(self.gen_degrees) or any(
+            len(ws) != len(degs) for ws, degs in zip(gen_weights, self.gen_degrees)
+        ):
+            raise ValueError("gen_weights must match gen_degrees shape")
         self.gen_weights = gen_weights
         if len(diffs) != len(self.gen_degrees) - 1:
             raise ValueError("need one differential per adjacent pair of positions")
@@ -1155,7 +1139,7 @@ class ExplicitComplex:
                     raise ConventionError(
                         f"entry ({r}, {c}) of d_{p + 1} is not homogeneous of degree {src[c] - tgt[r]}"
                     )
-                if gen_weights is not None and poly.weight() != gen_weights[p + 1][c] - gen_weights[p][r]:
+                if poly.weight() != gen_weights[p + 1][c] - gen_weights[p][r]:
                     raise ConventionError(
                         f"entry ({r}, {c}) of d_{p + 1} breaks the weight labelling"
                     )
@@ -1195,10 +1179,10 @@ class ExplicitComplex:
         """d_{p+1} in degree t, F_{p+1}(t) -> F_p(t), as its weight blocks.
 
         Rows and columns are (generator, monomial) pairs, generator-major.
-        Each pair is labelled by its weight when the complex carries weights
-        (the generator's plus the monomial's), by 0 otherwise, and takes the
-        next local index of its label, so local order is global order.  The
-        constructor's weight check puts every entry in its column's block.
+        Each pair is labelled by its weight (the generator's plus the
+        monomial's) and takes the next local index of its label, so local
+        order is global order.  The constructor's weight check puts every
+        entry in its column's block.
         """
         ring = self.ring
 
@@ -1208,7 +1192,7 @@ class ExplicitComplex:
             sizes: dict = {}
             for g, deg in enumerate(self.gen_degrees[q]):
                 for m in ring.monomials(t - deg):
-                    w = 0 if self.gen_weights is None else self.gen_weights[q][g] + ring.monomial_weight(m)
+                    w = self.gen_weights[q][g] + ring.monomial_weight(m)
                     where[(g, m)] = (w, sizes.get(w, 0))
                     sizes[w] = sizes.get(w, 0) + 1
             return where, sizes
@@ -1380,10 +1364,15 @@ def power_resolution(
     solution) fails certification and is retried with a fresh draw; running
     out of attempts raises InconclusiveError, never a verdict against the
     expected shape.  b = 2 reproduces the three-term shape with a single
-    connecting column.
+    connecting column.  The certificate covers degrees 0..``window_hi``
+    (default d + b); a window below d + b - 1, the top generator degree,
+    misses the last connecting block and raises ``ValueError``.
     """
     if b < 2:
         raise ValueError("the cone construction needs b >= 2")
+    top = a * b + b - 1
+    if window_hi is not None and window_hi < top:
+        raise ValueError(f"window_hi {window_hi} stops below {top} = d + b - 1, the top generator degree")
     base_seed = resolve_seed(seed)
     phi = phi_matrix(a, b)
     d = phi.d

@@ -2,10 +2,11 @@
 
 The rings here are standard graded (every variable has degree 1) with a torus
 weight attached to each variable: variable i of a ring with n+1 variables has
-weight 2i - n.  Every ideal this package builds is generated by
-weight-homogeneous polynomials, so graded pieces split into weight blocks and
-all echelon/rank work runs blockwise; results are identical to the unblocked
-computation because distinct blocks touch disjoint monomial sets.
+weight 2i - n.  A ``GradedIdeal`` is generated by weight-homogeneous
+polynomials (it refuses any other generator), so graded pieces split into
+weight blocks and all echelon/rank work runs blockwise; results are identical
+to the unblocked computation because distinct blocks touch disjoint monomial
+sets.
 
 Graded pieces are echelonized bases (columns = basis vectors over the degree-k
 monomial basis) and can be cached to disk in the matrix file format, keyed by
@@ -21,7 +22,8 @@ import json
 import os
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from itertools import combinations_with_replacement
+from math import comb, prod
 from pathlib import Path
 from typing import NamedTuple
 
@@ -33,9 +35,9 @@ from .exactalg import (
     load_matrix,
     rank_details,
 )
-from .exactalg.matrix import RankResult, _normalize_scalar, column_echelon
+from .exactalg.matrix import RankResult, _normalize_scalar, column_echelon, independent_columns
 from .exactalg.matrix import rref_rows  # noqa: F401 (unused; perfbench/spans.py REQUIRED_COPIES needs it)
-from .sl2rep import coord_weight, plethysm_basis, plethysm_block, plethysm_counts, plethysm_index
+from .sl2rep import coord_weight, plethysm_basis, plethysm_block, plethysm_counts
 
 
 def cache_directory(override=None) -> Path | None:
@@ -107,9 +109,6 @@ class PolyRing:
         if k < 0:
             return ()
         return plethysm_basis(k, self.nvars - 1)
-
-    def monomial_index(self, k: int) -> dict:
-        return plethysm_index(k, self.nvars - 1)
 
     def monomial_weight(self, exp) -> int:
         return coord_weight(exp, self.nvars - 1)
@@ -332,8 +331,9 @@ class GradedIdeal:
     """Homogeneous ideal given by generators; graded pieces and their bases.
 
     The degree-k piece is span{m * g : g generator, m monomial of degree
-    k - deg g}.  When every generator is weight-homogeneous the piece
-    computation runs per weight block.
+    k - deg g}.  Every generator must be homogeneous and weight-homogeneous
+    (``ValueError`` otherwise), so every piece computation runs per weight
+    block.
 
     ``sl2_stable`` marks an ideal that SL2 maps to itself (the power ideal,
     its powers, the ideal of the power locus).  It is a claim about the
@@ -347,7 +347,7 @@ class GradedIdeal:
     unevenly over the weights.
     """
 
-    __slots__ = ("ring", "generators", "weight_graded", "sl2_stable")
+    __slots__ = ("ring", "generators", "sl2_stable")
 
     def __init__(self, ring: PolyRing, generators, *, sl2_stable: bool = False):
         gens = []
@@ -358,12 +358,13 @@ class GradedIdeal:
                 continue
             if g.homogeneous_degree is None:
                 raise ValueError("generators must be homogeneous")
+            if g.weight() is None:
+                raise ValueError("generators must be weight-homogeneous")
             if any(g.terms == h.terms for h in gens):
                 continue
             gens.append(g)
         self.ring = ring
         self.generators = tuple(gens)
-        self.weight_graded = all(g.weight() is not None for g in gens)
         self.sl2_stable = sl2_stable
 
     def generator_degrees(self) -> tuple[int, ...]:
@@ -390,10 +391,9 @@ class GradedIdeal:
         """True when graded pieces are ranked on their weight >= 0 half.
 
         Each graded piece of an SL2-stable ideal is an SL2-representation, so
-        dim (I_k)_w = dim (I_k)_{-w}.  The halving reads torus-weight labels,
-        so the ideal must also be weight-graded.
+        dim (I_k)_w = dim (I_k)_{-w}.
         """
-        return self.sl2_stable and self.weight_graded
+        return self.sl2_stable
 
     def spanning_data(self, k: int) -> WeightBlocks:
         """The ``WeightBlocks`` of the degree-k spanning matrix.
@@ -409,16 +409,14 @@ class GradedIdeal:
         (``sl2rep.plethysm_block``), packed (``_pack``) so that each term of
         m * g is one addition; no basis of a whole degree and no list of
         products is made.  A block is built the first time it is read,
-        and local indices run in ascending global order.  An ideal that is
-        not weight-graded has one block, at label 0, over the whole bases.
+        and local indices run in ascending global order.
         """
         n = self.ring.nvars - 1
-        graded = self.weight_graded
         base = k + 1  # above every exponent of a degree-k product: see _pack
         gens = []  # (multiplier degree, s of the generator, its packed normalized terms)
         for g in self.generators:
             if g.homogeneous_degree <= k:
-                sg = sum(i * e for i, e in enumerate(next(iter(g.terms)))) if graded else 0
+                sg = sum(i * e for i, e in enumerate(next(iter(g.terms))))
                 terms = [(_pack(exp, base), _normalize_scalar(coeff)) for exp, coeff in g.terms.items()]
                 gens.append((k - g.homogeneous_degree, sg, terms))
         listed: dict = {}  # (degree, s) -> packed monomials, shared by the generators
@@ -426,22 +424,17 @@ class GradedIdeal:
         def monomials(t: int, s: int):
             key = (t, s)
             if key not in listed:
-                basis = plethysm_block(t, n, s) if graded else self.ring.monomials(t)
-                listed[key] = [_pack(e, base) for e in basis]
+                listed[key] = [_pack(e, base) for e in plethysm_block(t, n, s)]
             return listed[key]
 
-        if graded:
-            cols = [0] * (k * n + 1)
-            for t, sg, _terms in gens:
-                for s, c in enumerate(plethysm_counts(t, n)):
-                    cols[s + sg] += c
-            shapes = {2 * s - k * n: (r, cols[s]) for s, r in enumerate(plethysm_counts(k, n))}
-        else:
-            nrows = self.ring.dimension(k)
-            shapes = {0: (nrows, sum(self.ring.dimension(t) for t, _sg, _terms in gens))} if nrows else {}
+        cols = [0] * (k * n + 1)
+        for t, sg, _terms in gens:
+            for s, c in enumerate(plethysm_counts(t, n)):
+                cols[s + sg] += c
+        shapes = {2 * s - k * n: (r, cols[s]) for s, r in enumerate(plethysm_counts(k, n))}
 
         def build(w):
-            s = (w + k * n) // 2 if graded else 0
+            s = (w + k * n) // 2
             local = {e: i for i, e in enumerate(monomials(k, s))}
             sub = {}
             lc = 0
@@ -472,11 +465,7 @@ class GradedIdeal:
             cached = load_cached(path, nrows)
             if cached is not None:
                 return cached
-        if self.weight_graded:
-            row_labels = _monomial_weights(self.ring.nvars, k)
-        else:
-            row_labels = (0,) * nrows
-        cols, _pivots = column_echelon(self.spanning_data(k), row_labels, mem_mb)
+        cols, _pivots = column_echelon(self.spanning_data(k), _monomial_weights(self.ring.nvars, k), mem_mb)
         basis = {(i, c): v for c, vec in enumerate(cols) for i, v in vec.items()}
         out = ExactMatrix(nrows, len(cols), basis)
         if path is not None:
@@ -509,43 +498,25 @@ def ideal_power(ideal: GradedIdeal, j: int) -> GradedIdeal:
 
     Products are deduplicated by degreewise span reduction: within each
     product degree only a maximal independent subset is kept (greedy in
-    product order), which leaves the ideal unchanged and keeps downstream
-    matrices small.  A power of an SL2-stable ideal is SL2-stable.
+    product order, per weight block), which leaves the ideal unchanged and
+    keeps downstream matrices small.  A power of an SL2-stable ideal is
+    SL2-stable.
     """
-    from itertools import combinations_with_replacement
-
     if j < 1:
         raise ValueError("power must be at least 1")
     if j == 1:
         return ideal
-    products: list[MultiPoly] = []
-    for combo in combinations_with_replacement(range(len(ideal.generators)), j):
-        p = ideal.ring.one()
-        for i in combo:
-            p = p * ideal.generators[i]
-        if not p.is_zero():
-            products.append(p)
     by_degree: dict[int, list[MultiPoly]] = {}
-    for p in products:
+    for combo in combinations_with_replacement(ideal.generators, j):
+        p = prod(combo, start=ideal.ring.one())  # nonzero, as the generators are
         by_degree.setdefault(p.homogeneous_degree, []).append(p)
     kept: list[MultiPoly] = []
     for deg in sorted(by_degree):
-        group = by_degree[deg]
-        index = ideal.ring.monomial_index(deg)
-        entries = {}
-        for colno, p in enumerate(group):
-            for exp, coeff in p.terms.items():
-                entries[(index[exp], colno)] = coeff
-        mat = ExactMatrix(ideal.ring.dimension(deg), len(group), entries)
-        kept.extend(group[c] for c in independent_columns(mat))
+        # the degree-deg spanning matrix has one column per distinct product, at its weight
+        group = GradedIdeal(ideal.ring, by_degree[deg])
+        weights = [g.weight() for g in group.generators]
+        kept.extend(group.generators[c] for c in independent_columns(group.spanning_data(deg), weights))
     return GradedIdeal(ideal.ring, kept, sl2_stable=ideal.sl2_stable)
-
-
-def independent_columns(m: ExactMatrix) -> tuple[int, ...]:
-    """Greedy (leftmost-first) maximal independent column subset, exactly."""
-    from .exactalg import rref
-
-    return rref(m).pivot_cols
 
 
 def hilbert_function_details(

@@ -32,6 +32,19 @@ def test_overall_manifest_verifies():
     assert acceptance.overall_status(undecided) == "inconclusive"
 
 
+def test_criterion_11_kernel_bases_keep_the_memory_budget(monkeypatch):
+    budgets = []
+    kernel = acceptance.blocked_kernel_basis
+
+    def recording(blocks, col_labels, mem_mb=None):
+        budgets.append(mem_mb)
+        return kernel(blocks, col_labels, mem_mb)
+
+    monkeypatch.setattr(acceptance, "blocked_kernel_basis", recording)
+    assert acceptance.run_one(11, mem_mb=4000)["status"] == "pass"
+    assert budgets and set(budgets) == {4000}
+
+
 def test_a_mismatch_fails_under_python_O():
     # ``python -O`` strips assert statements; a wrong regularity must still fail
     code = (

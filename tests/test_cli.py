@@ -268,6 +268,17 @@ def test_exactness_certificate(capsys):
     assert rep["certificate"]["resolves"] is True
 
 
+def test_exactness_window_must_reach_the_top_generators(capsys):
+    # at (2, 2) the position-2 generator, which carries the connecting map,
+    # sits in degree d + b - 1 = 5: a window below it certifies nothing
+    assert main(["exactness", "--a", "2", "--b", "2", "--window-hi", "4"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "below 5 = d + b - 1" in captured.err
+    code, rep = run_json(capsys, "exactness", "--a", "2", "--b", "2", "--window-hi", "5")
+    assert code == 0
+    assert rep["certificate"]["window"] == [0, 5] and rep["certificate"]["resolves"] is True
+
+
 def test_repro_single_criterion(capsys):
     code, rep = run_json(capsys, "repro", "--only", "2")
     assert code == 0
@@ -299,6 +310,13 @@ PINNED_REPORTS = {
         "7a00bc4a40af2bcbf9e0efadc15bf84f19df5397c57acada55f0535c5b014015",
     ("exactness", "--a", "2", "--b", "3", "--seed", "1"):
         "e1ec25acdcede1d6ecc567cd16413f84bd4111dd5c33d9f5aba2d49e8526345c",
+    # ideal_power and the Koszul path of an ideal
+    ("betti", "--target", "iab-pow", "--a", "2", "--b", "3", "--j", "2", "--seed", "1"):
+        "8db0ceb2feb0de88b9c33f469d9bf4c51df64a0d4a5559e3ff9b9515dd131f47",
+    ("conjecture-scan", "--a", "2", "--b", "2", "--jmax", "3", "--seed", "1"):
+        "7d011f975f7560cc2ba321e2e04153df1d041b6f9a68f857798d5817b31476e1",
+    ("betti", "--target", "iab", "--a", "3", "--b", "3", "--seed", "1"):
+        "6096f9f616b36887b6e49c083315a60232da6d8875bbef357aaa75463db1af9e",
 }
 
 

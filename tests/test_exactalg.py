@@ -21,7 +21,6 @@ from bfsyz.exactalg import (
     random_prime,
     rank,
     rank_details,
-    rref,
 )
 from bfsyz.exactalg import _modp
 from bfsyz.exactalg import primes as primes_module
@@ -30,6 +29,7 @@ from bfsyz.exactalg.matrix import (
     bareiss_rank_rows,
     clear_denominators,
     column_echelon,
+    independent_columns,
     mod_p_rank_rows,
     mod_p_rank_sparse,
     primitive_int_vector,
@@ -79,10 +79,7 @@ def planted_rank_matrix(rng, nrows, ncols, r):
 
 
 def test_rref_single_row():
-    m = matrix_from_rows([[2, 4]])
-    out = rref(m)
-    assert out.entries == {(0, 0): 1, (0, 1): 2}
-    assert out.pivot_cols == (0,)
+    assert rref_rows([[2, 4]], 2) == ([[1, 2]], [0])
 
 
 def test_kernel_of_sum_row():
@@ -101,12 +98,11 @@ def test_kernel_of_zero_matrix_is_unit_vectors():
 
 
 def test_rref_idempotent_and_fraction_entries():
-    m = matrix_from_rows([[Fraction(1, 2), 1, 0], [1, 2, 1], [2, 4, 1]])
-    out = rref(m)
-    again = rref(out)
-    assert out.entries == again.entries
-    assert out.pivot_cols == (0, 2)
-    assert rank(m, "exact") == 2
+    rows = [[Fraction(1, 2), 1, 0], [1, 2, 1], [2, 4, 1]]
+    reduced, pivots = rref_rows(rows, 3)
+    assert rref_rows(reduced, 3) == (reduced, pivots)
+    assert pivots == [0, 2]
+    assert rank(matrix_from_rows(rows), "exact") == 2
 
 
 def test_kernel_vectors_are_primitive_and_annihilated():
@@ -823,10 +819,12 @@ def test_blocked_kernel_matches_unblocked():
         # the column span's echelon basis is the unique rref of the transpose,
         # so a block embedded at the wrong indices shows up here
         cols, pivots = column_echelon(blocks, row_labels)
-        full = rref(m.transpose())
-        assert tuple(pivots) == full.pivot_cols
+        reduced, full_pivots = rref_rows(m.transpose().to_rows(), nrows)
+        assert pivots == full_pivots
         got = {(c, i): v for c, vec in enumerate(cols) for i, v in vec.items()}
-        assert got == full.entries
+        assert got == {(c, i): v for c, row in enumerate(reduced) for i, v in enumerate(row) if v}
+        # leftmost-greedy per block is leftmost-greedy over the whole matrix
+        assert independent_columns(blocks, col_labels) == rref_rows(rows, ncols)[1]
 
 
 def test_blocked_echelon_rejects_labels_that_miss_the_blocks():

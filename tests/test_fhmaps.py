@@ -560,7 +560,7 @@ def test_ix_kernel_ideal_2_2():
 def test_minor_span_inside_ix_ideal():
     ix = ix_kernel_ideal(2, 2)
     ring = ix.ring
-    index = ring.monomial_index(3)
+    index = plethysm_index(3, ring.nvars - 1)
     piece = ix.graded_piece(3)
     from bfsyz.exactalg.matrix import bareiss_rank_rows
 

@@ -126,14 +126,12 @@ def test_betti_of_maximal_ideal_is_koszul():
 
 
 def test_betti_of_free_module_is_generators_only():
-    # a principal ideal is free on its generator; it is not weight-graded, so
-    # its basis is unlabelled and the Koszul ranks run unblocked
+    # a principal ideal is free on its generator, here of weight 0
     ring = PolyRing(3, "x")
     x0, x1, x2 = (ring.variable(v) for v in range(3))
-    ideal = GradedIdeal(ring, [x0 * x1 + x2 * x2])
-    assert not ideal.weight_graded
-    mod = GradedModule.from_ideal(ideal)
-    assert mod.basis_weights(3) is None
+    mod = GradedModule.from_ideal(GradedIdeal(ring, [x0 * x2 + x1 * x1]))
+    # x0, x1, x2 times the generator, led by x0^2 x2, x0 x1^2 and x1^3
+    assert mod.basis_weights(3) == [-2, 0, 2]
     table = tor_betti(mod, 3, 5, t_max=3, seed=5)
     assert table.nonzero() == {(0, 2): 1}
 
@@ -666,23 +664,22 @@ def test_koszul_complex_weighted_ring():
 
 
 def test_explicit_complex_rejects_inhomogeneous_entries():
+    # x0 has weight -1: the labelling is right, the degree is not
     ring = PolyRing(2, "x")
     x0 = ring.variable(0)
-    with pytest.raises(ConventionError):
-        from bfsyz.homres import ExplicitComplex
-
-        ExplicitComplex(ring, [(0,), (2,)], [{(0, 0): x0}])
+    with pytest.raises(ConventionError, match="not homogeneous of degree 2"):
+        ExplicitComplex(ring, [(0,), (2,)], [{(0, 0): x0}], [(0,), (-1,)])
 
 
 def test_explicit_complex_rejects_nonzero_square():
     ring = PolyRing(2, "x")
     x0, x1 = ring.variable(0), ring.variable(1)
-    from bfsyz.homres import ExplicitComplex
-
-    with pytest.raises(ConventionError):
-        ExplicitComplex(ring, [(0,), (1,), (2,)], [{(0, 0): x0}, {(0, 0): x1}])
+    with pytest.raises(ConventionError, match="composed with"):
+        ExplicitComplex(ring, [(0,), (1,), (2,)], [{(0, 0): x0}, {(0, 0): x1}], [(0,), (-1,), (0,)])
     # the honest Koszul square passes
-    ExplicitComplex(ring, [(0,), (1, 1), (2,)], [{(0, 0): x0, (0, 1): x1}, {(0, 0): -x1, (1, 0): x0}])
+    ExplicitComplex(
+        ring, [(0,), (1, 1), (2,)], [{(0, 0): x0, (0, 1): x1}, {(0, 0): -x1, (1, 0): x0}], [(0,), (-1, 1), (0,)],
+    )
 
 
 def global_piece(C, p, t):
@@ -693,8 +690,6 @@ def global_piece(C, p, t):
 
     def side(q):
         pairs = [(g, m) for g, deg in enumerate(C.gen_degrees[q]) for m in ring.monomials(t - deg)]
-        if C.gen_weights is None:
-            return {pair: n for n, pair in enumerate(pairs)}, [0] * len(pairs)
         labels = [C.gen_weights[q][g] + ring.monomial_weight(m) for g, m in pairs]
         return {pair: n for n, pair in enumerate(pairs)}, labels
 
@@ -709,19 +704,11 @@ def global_piece(C, p, t):
 
 
 def explicit_complexes():
-    def unweighted():
-        ring = PolyRing(2, "x")
-        x0, x1 = ring.variable(0), ring.variable(1)
-        return ExplicitComplex(
-            ring, [(0,), (1, 1), (2,)], [{(0, 0): x0, (0, 1): x1}, {(0, 0): -x1, (1, 0): x0}]
-        )
-
     return [
         pytest.param(lambda: koszul_complex(PolyRing(3, "x")), 5, id="koszul-3"),
         pytest.param(lambda: koszul_complex(PolyRing(4, "z")), 6, id="koszul-4"),
         pytest.param(lambda: power_resolution(2, 2, seed=7).complex, 6, id="cone-2-2"),
         pytest.param(lambda: power_resolution(2, 3, seed=7).complex, 9, id="cone-2-3"),
-        pytest.param(unweighted, 4, id="unweighted"),
     ]
 
 

@@ -8,6 +8,7 @@ import pytest
 from bfsyz import polyring
 from bfsyz.errors import ResourceLimitError
 from bfsyz.exactalg import ExactMatrix, load_matrix, rank
+from bfsyz.fhmaps import power_ideal
 from bfsyz.polyring import (
     GradedIdeal,
     MonomialIdeal,
@@ -20,6 +21,7 @@ from bfsyz.polyring import (
     initial_ideal_Jab,
     monomial_quotient_hf,
 )
+from bfsyz.sl2rep import plethysm_index
 
 
 def ring3():
@@ -139,7 +141,7 @@ def test_echelon_basis_is_reduced_and_spans():
     assert rank(piece, "exact") == piece.ncols
     # each generator times each variable lies in the column span
     basis_cols = piece.transpose().to_rows()
-    index = r.monomial_index(3)
+    index = plethysm_index(3, r.nvars - 1)
     for g in ideal.generators:
         for i in range(3):
             prod = g * r.variable(i)
@@ -153,15 +155,13 @@ def test_echelon_basis_is_reduced_and_spans():
 
 
 def test_piece_echelon_blocks_keep_the_memory_budget():
-    # three quadrics that are not weight-homogeneous: one 252 x 165 block in degree 8
-    ring = PolyRing(4, "c")
-    c0, c1, c2, c3 = (ring.variable(i) for i in range(4))
-    ideal = GradedIdeal(ring, [c0 * c0 + c1 * c2, c1 * c1 + c0 * c3, c2 * c2 + c3 * c3 + c0 * c1])
-    assert not ideal.weight_graded
-    assert ideal.graded_piece(8).ncols == 157
-    # the block needs 1.90 MiB: the message rounds the need up, never down to the budget
-    with pytest.raises(ResourceLimitError, match=r"dense 252 x 165 needs ~2 MiB, budget is 1 MiB"):
-        ideal.graded_piece(8, mem_mb=1)
+    # the degree-11 piece of the (2, 4) power ideal is all of S_11; its
+    # largest block is 343 x 67 (transposed: 67 spanning columns of weight 0)
+    ideal = power_ideal(2, 4)
+    assert ideal.graded_piece(11).ncols == 1365
+    # the block needs 1.05 MiB: the message rounds the need up, never down to the budget
+    with pytest.raises(ResourceLimitError, match=r"dense 343 x 67 needs ~2 MiB, budget is 1 MiB"):
+        ideal.graded_piece(11, mem_mb=1)
 
 
 def test_graded_pieces_never_split_global_entries():
@@ -281,12 +281,21 @@ def test_i23_square_all_products_independent():
 
 def test_ideal_power_span_dedup():
     r = ring3()
-    c0, c1, _ = (r.variable(i) for i in range(3))
-    # duplicate-span generators collapse in the square
-    ideal = GradedIdeal(r, [c0, c1, c0 + c1])
-    square = ideal_power(ideal, 2)
-    assert len(square.generators) == 3  # c0^2, c0c1, c1^2 span everything
-    assert square.graded_piece(2).ncols == 3
+    c0, c1, c2 = (r.variable(i) for i in range(3))
+    # duplicate-span generators collapse in the square: g1 * g3 = g1^2 - g1 * g2,
+    # and g2 * g3, g3^2 follow too; the products are kept leftmost-first
+    g1, g2, g3 = c0 * c2, c1 * c1, c0 * c2 - c1 * c1
+    square = ideal_power(GradedIdeal(r, [g1, g2, g3, c0 * c1]), 2)
+    assert list(square.generators) == [g1 * g1, g1 * g2, g1 * c0 * c1, g2 * g2, g2 * c0 * c1, (c0 * c1) ** 2]
+    assert square.graded_piece(4).ncols == 6
+
+
+def test_generators_must_be_weight_homogeneous():
+    r = ring3()
+    c0, c1, c2 = (r.variable(i) for i in range(3))
+    # c0 * c1 has weight -2 and c2^2 weight 4
+    with pytest.raises(ValueError, match="weight-homogeneous"):
+        GradedIdeal(r, [c0 * c2, c0 * c1 + c2 * c2])
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ from bfsyz.homres import (
     power_locus_betti,
     power_resolution,
     resolution_check,
-    tor_betti,
     verify_ia3_resolution,
 )
 from bfsyz.polyring import (
@@ -43,7 +42,7 @@ from bfsyz.polyring import (
     hilbert_function_details,
     ideal_power,
 )
-from bfsyz.sl2rep import plethysm_block, wedge_basis, wedge_index
+from bfsyz.sl2rep import plethysm_block, plethysm_index, wedge_basis, wedge_index
 
 from blockref import slice_matrix, split_blocks
 
@@ -217,21 +216,6 @@ def test_resolution_certificate_halved_equals_full():
     assert unflagged["resolves"]
 
 
-def test_stable_but_unweighted_ideal_is_not_halved():
-    # SL2-stable is not enough: the halving reads torus weights
-    ring = PolyRing(3, "c")
-    c0, c1, c2 = (ring.variable(v) for v in range(3))
-    gens = [c0 * c0 + c1 * c2, c1 * c1]
-    marked = GradedIdeal(ring, gens, sl2_stable=True)
-    assert not marked.weight_graded and not marked.weyl
-    module = GradedModule.from_ideal(marked)
-    assert not module.weyl
-    table = tor_betti(module, 3, 6, seed=2)
-    assert "symmetry" not in table.meta
-    plain = tor_betti(GradedModule.from_ideal(GradedIdeal(ring, gens)), 3, 6, seed=2)
-    assert table.to_json() == plain.to_json()
-
-
 def test_wrongly_marked_ideal_is_refused():
     ring = PolyRing(3, "c")
     c0 = ring.variable(0)
@@ -300,17 +284,15 @@ def global_spanning(ideal, k):
     ring = ideal.ring
 
     def labels(t):
-        if not ideal.weight_graded:
-            return [0] * ring.dimension(t)
         return [ring.monomial_weight(m) for m in ring.monomials(t)]
 
-    index = ring.monomial_index(k)
+    index = plethysm_index(k, ring.nvars - 1)
     entries, col_labels = {}, []
     for g in ideal.generators:
         dg = g.homogeneous_degree
         if dg > k:
             continue
-        gw = g.weight() if ideal.weight_graded else 0
+        gw = g.weight()
         for m, mw in zip(ring.monomials(k - dg), labels(k - dg)):
             col_labels.append(gw + mw)
             for exp, coeff in g.terms.items():
@@ -318,21 +300,14 @@ def global_spanning(ideal, k):
     return entries, labels(k), col_labels
 
 
-def fraction_ideals():
+def fraction_ideal():
     ring = PolyRing(3, "x")
     x0, x1, x2 = (ring.variable(v) for v in range(3))
-    third = Fraction(1, 3)
-    # weight-graded: x0 * x2 and x1^2 both have weight 0
-    weighted = [x0 * x2 - (x1 * x1).scale(third), (x0 * x1).scale(Fraction(4, 2))]
-    # x0 * x1 has weight -2 and x2^2 weight 4: one block of label 0
-    unweighted = [x0 * x1 + (x2 * x2).scale(third), x0 * x0 * 2]
-    return [
-        pytest.param(lambda: GradedIdeal(ring, weighted), 4, id="weighted-fractions"),
-        pytest.param(lambda: GradedIdeal(ring, unweighted), 4, id="unweighted-fractions"),
-    ]
+    # x0 * x2 and x1^2 both have weight 0
+    return GradedIdeal(ring, [x0 * x2 - (x1 * x1).scale(Fraction(1, 3)), (x0 * x1).scale(Fraction(4, 2))])
 
 
-@pytest.mark.parametrize("build,k_max", piece_ideals() + fraction_ideals())
+@pytest.mark.parametrize("build,k_max", piece_ideals() + [pytest.param(fraction_ideal, 4, id="weighted-fractions")])
 def test_spanning_blocks_equal_split_of_global_entries(build, k_max):
     ideal = build()
     for k in range(k_max + 1):
@@ -345,8 +320,6 @@ def test_spanning_blocks_equal_split_of_global_entries(build, k_max):
         for w, (_r, _c, sub) in want.items():
             got = blocks.blocks[w][2]
             assert all(type(got[key]) is type(v) for key, v in sub.items()), (k, w)
-        if not ideal.weight_graded:
-            assert list(blocks.blocks) == [0]
 
 
 def slab_cases():
@@ -435,15 +408,9 @@ def global_slab(module, i, t):
     dim_t1 = module.dimension(t + 1)
     wsrc = wedge_basis(i, nv - 1)
     widx = wedge_index(i - 1, nv - 1)
-    mw = module.basis_weights(t)
-    mw1 = module.basis_weights(t + 1)
-    if mw is None or mw1 is None:
-        col_labels = [0] * (len(wsrc) * dim_t)
-        row_labels = [0] * (len(widx) * dim_t1)
-    else:
-        varw = [module.ring.monomial_weight(tuple(int(u == v) for u in range(nv))) for v in range(nv)]
-        col_labels = [sum(varw[v] for v in T) + w for T in wsrc for w in mw]
-        row_labels = [sum(varw[v] for v in T) + w for T in wedge_basis(i - 1, nv - 1) for w in mw1]
+    varw = [module.ring.monomial_weight(tuple(int(u == v) for u in range(nv))) for v in range(nv)]
+    col_labels = [sum(varw[v] for v in T) + w for T in wsrc for w in module.basis_weights(t)]
+    row_labels = [sum(varw[v] for v in T) + w for T in wedge_basis(i - 1, nv - 1) for w in module.basis_weights(t + 1)]
     entries = {}
     if dim_t and dim_t1:
         adj = module.mult_adjacency(t)
@@ -457,15 +424,13 @@ def global_slab(module, i, t):
     return entries, row_labels, col_labels
 
 
-def unlabelled_module():
-    ring = PolyRing(3, "x")
-    x0, x1, x2 = (ring.variable(v) for v in range(3))
+def fraction_module():
     # Fraction coefficients, so the blocks must hold them normalized
-    return GradedModule.from_ideal(GradedIdeal(ring, [x0 * x1 + (x2 * x2).scale(Fraction(1, 3)), x0 * x0 * 2]))
+    return GradedModule.from_ideal(fraction_ideal())
 
 
 @pytest.mark.parametrize(
-    "build,t_max", slab_cases() + [pytest.param(unlabelled_module, 3, id="unlabelled")]
+    "build,t_max", slab_cases() + [pytest.param(fraction_module, 3, id="weighted-fractions")]
 )
 def test_slab_blocks_equal_split_of_global_slab(build, t_max):
     module = build()
