@@ -20,6 +20,14 @@ nonzero count; the last column times the elimination of the tall rows in
 column order, which is what rref_rows runs, and the ratio sets the rank
 against it.  All three must give the same rank.
 
+The third table ranks the weight-0 block of each bench slice alpha_k
+(fhmaps.foulkes_howe), the one block a rank of these slices eliminates,
+three ways: modulo fhmaps.FULL_RANK_PRIME alone, which settles a full rank
+in auto; modulo two drawn primes, a modular certificate; and exactly with
+bareiss_rank_rows.  Each time includes the conversion its rank path makes
+from the block's entries.  The slices are those of perfbench's fh-slices
+workload.  All three must give the same rank.
+
 Usage: python3 benchmarks/bench_modrank.py [--sizes 100,200,300]
        [--densities 0.02,0.1,0.15,0.2,0.25,0.3] [--repeats 3]
 """
@@ -33,8 +41,21 @@ import time
 import numpy as np
 
 from bfsyz.exactalg import _modp
-from bfsyz.exactalg.matrix import _echelon, _int_rows, bareiss_rank_rows
+from bfsyz.exactalg.matrix import (
+    _echelon,
+    _int_rows,
+    _sparse_rows,
+    _trusted_matrix,
+    bareiss_rank_rows,
+    draw_primes,
+    mod_p_rank_sparse,
+)
 from bfsyz.exactalg.primes import distinct_random_primes
+from bfsyz.fhmaps import FULL_RANK_PRIME, foulkes_howe
+
+
+# the slices of perfbench's fh-slices workload (perfbench/workloads.py)
+FH_SLICES = ((3, 4, 4), (2, 6, 4), (3, 4, 5))
 
 
 def random_matrix(rng: random.Random, n: int, p: int, density: float) -> _modp.Coo:
@@ -126,6 +147,32 @@ def exact_microbenchmark(sizes, densities, repeats: int, seed: int) -> None:
                   f" {t_long:>25.4f}s {t_tall / t_long:>6.2f}x")
 
 
+def slice_microbenchmark(slices, repeats: int, seed: int) -> None:
+    primes = draw_primes(random.Random(seed))
+    print(f"weight-0 blocks of the slices alpha_k, best of {repeats}")
+    header = (f"{'a,b,k':>7} {'block':>11} {'density':>8} {'rank':>5} {'1 prime':>10}"
+              f" {'2 primes':>10} {'bareiss':>10}")
+    print(header)
+    print("-" * len(header))
+    for a, b, k in slices:
+        block = foulkes_howe(a, b, k)
+        nrows, ncols = block.shapes()[0]
+        entries = block.entries(0)
+        share = len(entries) / (nrows * ncols)
+        t_one, r_one = best_time(lambda e: mod_p_rank_sparse(e, nrows, ncols, [FULL_RANK_PRIME]), entries, repeats)
+        t_two, r_two = best_time(lambda e: mod_p_rank_sparse(e, nrows, ncols, primes), entries, repeats)
+        t_exact, r_exact = best_time(
+            lambda e: bareiss_rank_rows(_sparse_rows(_trusted_matrix(nrows, ncols, e)), ncols), entries, repeats
+        )
+        if len({r_one, r_two, r_exact}) != 1:
+            raise SystemExit(
+                f"ranks of the weight-0 block of alpha_{k} at (a, b) = ({a}, {b}) disagree: one prime "
+                f"{r_one}, two primes {r_two}, bareiss {r_exact}"
+            )
+        print(f"{f'{a},{b},{k}':>7} {f'{nrows}x{ncols}':>11} {share:>8.3f} {r_one:>5}"
+              f" {t_one * 1e3:>8.2f}ms {t_two * 1e3:>8.2f}ms {t_exact * 1e3:>8.2f}ms")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", default="100,200,300")
@@ -138,6 +185,8 @@ def main() -> None:
     microbenchmark(sizes, densities, args.repeats, args.seed)
     print()
     exact_microbenchmark(sizes, densities, args.repeats, args.seed)
+    print()
+    slice_microbenchmark(FH_SLICES, args.repeats, args.seed)
 
 
 if __name__ == "__main__":

@@ -130,9 +130,8 @@ def _normalize_scalar(v):
         if v.denominator == 1:
             return int(v)
         return v
-    if isinstance(v, int):
-        return v
-    if isinstance(v, np.integer):
+    if isinstance(v, (int, np.integer)):
+        # a bool or another int subclass is stored as the plain int it equals
         return int(v)
     raise TypeError(f"exact matrices accept int/Fraction entries, got {type(v).__name__}")
 

@@ -283,19 +283,44 @@ def foulkes_howe(a: int, b: int, k: int, mem_mb=None, cache=None) -> Slice:
     return fh
 
 
+# the one prime of a full-rank certificate in ``auto`` (the Mersenne prime
+# 2**61 - 1); it is fixed, so a rank settled on it draws no prime
+FULL_RANK_PRIME = 2**61 - 1
+
+
+def _rank_at_most(blocks: WeightBlocks, mode: str, bound, *, rng, mem_mb, weyl: bool = False) -> RankResult:
+    """``blocked_rank_details(blocks, mode, ...)`` of a map whose rank over QQ
+    is known to be at most ``bound`` (None: nothing is known).
+
+    In ``auto`` the blocks are first ranked modulo ``FULL_RANK_PRIME`` alone.
+    A rank mod p never exceeds the rank over QQ, so one that reaches
+    ``bound`` is the rank over QQ: it comes back exact, with the prime as its
+    provenance.  The maps ranked here have integer entries, so the prime is
+    never resampled and nothing is drawn from ``rng``.  Below ``bound`` the
+    rank is taken in ``mode`` as if this had not been tried.
+    """
+    if mode == "auto" and bound is not None:
+        one = blocked_rank_details(blocks, "modular", rng=rng, primes=[FULL_RANK_PRIME], mem_mb=mem_mb, weyl=weyl)
+        if one.rank == bound:
+            return one._replace(mode="exact")
+    return blocked_rank_details(blocks, mode, rng=rng, mem_mb=mem_mb, weyl=weyl)
+
+
 def fh_rank_details(fh: Slice, mode: str = "auto", *, rng=None, mem_mb=None) -> RankResult:
     """Weight-blocked rank of an alpha_k matrix with provenance.
 
     alpha_k is SL2-equivariant, so only its blocks of weight >= 0 count
-    (``blocked_rank_details(..., weyl=True)``); the exact/modular choice is
-    made on the full shape.  They are visited upward, and every block above
-    an injective or a surjective one of its parity is inferred to be so
-    too, not eliminated.  The slice is handed over as it is, so only the
-    blocks that get eliminated are built (or read from the cache); on the
-    bench slices that is the weight-0 block alone.  Reports resting on this
-    rank say so with ``"symmetry": "sl2-weyl"``.
+    (``blocked_rank_details(..., weyl=True)``).  They are visited upward,
+    and every block above an injective or a surjective one of its parity is
+    inferred to be so too, not eliminated.  The slice is handed over as it
+    is, so only the blocks that get eliminated are built (or read from the
+    cache); on the bench slices that is the weight-0 block alone.  In
+    ``auto`` a rank of min(source_dim, target_dim) modulo
+    ``FULL_RANK_PRIME`` is exact (``_rank_at_most``); below it, the
+    exact/modular choice is made on the full shape.  Reports resting on
+    this rank say so with ``"symmetry": "sl2-weyl"``.
     """
-    return blocked_rank_details(fh, mode, rng=rng, mem_mb=mem_mb, weyl=True)
+    return _rank_at_most(fh, mode, min(fh.shape), rng=rng, mem_mb=mem_mb, weyl=True)
 
 
 def _escalate(result: RankResult, bound: int, exact_rank) -> tuple[RankResult, bool]:
@@ -322,9 +347,13 @@ def fh_rank_report(
     """Rank report for alpha_k with one-sided-sound modular certification.
 
     A modular full-rank result certifies maximal rank over QQ (ranks can only
-    drop under reduction).  A modular rank deficit is never reported as a
-    verdict: it forces exact escalation, and if that exceeds the resource
-    budget the report is marked inconclusive.
+    drop under reduction).  So in ``auto`` a rank of
+    min(source_dim, target_dim) modulo ``FULL_RANK_PRIME`` alone is reported
+    ``"exact"`` with ``primes == [FULL_RANK_PRIME]``, and nothing is drawn
+    from ``rng``; a lower one is retaken in the mode the full shape chooses.
+    A modular rank deficit is never reported as a verdict: it forces exact
+    escalation, and if that exceeds the resource budget the report is marked
+    inconclusive.
     """
     if rng is None:
         rng = default_rng()
@@ -483,7 +512,11 @@ def minors_generate_check(
     dimension comparison uses the configured rank mode.  With containment
     established, a modular span rank equal to the kernel dimension certifies
     equality; a modular deficit escalates to exact before any negative
-    verdict.
+    verdict.  In ``auto``, once containment holds and alpha's rank is known
+    exactly (exact, or full), the span rank is at most the kernel dimension,
+    so a span rank reaching it modulo ``FULL_RANK_PRIME`` alone is exact; the
+    span then says ``"exact"`` with that prime and draws nothing from
+    ``rng``.
     """
     if a < 1 or b < 1:
         raise ValueError("need a >= 1 and b >= 1")
@@ -498,7 +531,11 @@ def minors_generate_check(
 
     rank_alpha = fh_rank_details(fh, mode, rng=rng, mem_mb=mem_mb)
     kernel_dim = fh.source_dim - rank_alpha.rank
-    span = blocked_rank_details(span_blocks, mode, rng=rng, mem_mb=mem_mb)
+    # a span inside ker alpha has rank at most its dimension, known once
+    # alpha's rank is: exact, or full (a modular rank never overshoots)
+    known = rank_alpha.mode == "exact" or rank_alpha.rank == min(fh.shape)
+    bound = kernel_dim if contained and known else None
+    span = _rank_at_most(span_blocks, mode, bound, rng=rng, mem_mb=mem_mb)
     span_settled = True
     if contained:
         span, span_settled = _escalate(

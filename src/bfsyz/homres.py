@@ -453,13 +453,6 @@ class BettiTable:
     def nonzero(self) -> dict:
         return {key: e.value for key, e in self.entries.items() if e.value}
 
-    def strand(self, t: int) -> dict:
-        """{i: beta_{i, i+t}} over the computed part of one strand."""
-        return {i: e.value for (i, j), e in self.entries.items() if j - i == t}
-
-    def total(self, i: int) -> int:
-        return sum(e.value for (ii, _j), e in self.entries.items() if ii == i)
-
     def to_json(self) -> dict:
         items = []
         for key in sorted(self.entries):

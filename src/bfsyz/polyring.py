@@ -186,9 +186,6 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def coefficient(self, exp):
         return self.terms.get(tuple(exp), 0)
 

@@ -1,4 +1,4 @@
-"""The kernel and exact-rank microbenchmarks run at tiny sizes, so they keep up with the engines' internals."""
+"""The kernel, exact-rank and slice-block microbenchmarks run at tiny sizes, so they keep up with the engines' internals."""
 
 import importlib.util
 from pathlib import Path
@@ -28,3 +28,12 @@ def test_exact_microbenchmark_runs_at_tiny_sizes(capsys):
     assert len(lines) == 7, lines
     # a full 20 x 5 matrix: the tall, transposed and column-order ranks agree on 5
     assert lines[-1].split()[:3] == ["20", "1.000", "5"], lines
+
+
+def test_slice_microbenchmark_runs_on_the_smallest_bench_slice(capsys):
+    bench = load_bench()
+    bench.slice_microbenchmark([(3, 4, 4)], 1, 0)
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4, lines
+    # the 86 x 86 weight-0 block has full rank by every route
+    assert lines[-1].split()[:4] == ["3,4,4", "86x86", "0.330", "86"], lines

@@ -1004,6 +1004,19 @@ def test_io_load_scalar_types(tmp_path):
             load_matrix(path)
 
 
+def test_io_roundtrips_int_subclass_entries(tmp_path):
+    # a bool or another int subclass is stored as the int it equals, so the
+    # file written from it is i8 and reads back
+    class Count(int):
+        pass
+
+    m = ExactMatrix(2, 2, {(0, 0): True, (1, 1): Count(-3)})
+    assert [type(v) for v in m.entries.values()] == [int, int]
+    path = tmp_path / "b.mat"
+    dump_matrix(m, path)
+    assert load_matrix(path) == m
+
+
 def damaged_files():
     """name -> writer(path, good_bytes) producing one kind of bad file."""
     def edit_body(fn):

@@ -10,6 +10,7 @@ import pytest
 from bfsyz import fhmaps, homres, polyring, sl2rep
 from bfsyz.errors import ResourceLimitError
 from bfsyz.exactalg import ExactMatrix, dump_matrix, load_matrix, rank
+from bfsyz.exactalg.matrix import draw_primes
 from bfsyz.fhmaps import (
     fh_rank_report,
     foulkes_howe,
@@ -367,6 +368,71 @@ def test_fh_rank_report_modular_mode():
     r = fh_rank_report(2, 2, 2, mode="modular", rng=random.Random(3))
     assert r["rank"] == 15 and r["mode"] == "modular"
     assert len(r["primes"]) == 2
+
+
+BENCH_SLICES = [(3, 4, 4), (2, 6, 4), (3, 4, 5)]
+
+
+@pytest.mark.parametrize("abk", BENCH_SLICES)
+def test_fh_full_rank_settles_on_one_prime(abk):
+    """In auto a full rank modulo the fixed prime is exact, names that prime
+    and draws nothing from the generator."""
+    rng = random.Random(2)
+    state = rng.getstate()
+    r = fh_rank_report(*abk, rng=rng)
+    assert rng.getstate() == state
+    assert (r["mode"], r["primes"], r["escalated"]) == ("exact", [fhmaps.FULL_RANK_PRIME], False)
+    exact = fh_rank_report(*abk, mode="exact")
+    assert r["rank"] == exact["rank"] == min(r["source_dim"], r["target_dim"])
+    assert r["maximal_rank"] is exact["maximal_rank"] is True
+
+
+def one_prime_short(monkeypatch):
+    """Make every one-prime kernel call report one less than the rank;
+    returns the list of prime counts the kernel was called with."""
+    from bfsyz.exactalg import _modp
+
+    real = _modp.rank_mod_p_dense
+    calls = []
+
+    def short(a, primes):
+        calls.append(len(primes))
+        r = real(a, primes)
+        return r - 1 if len(primes) == 1 else r
+
+    monkeypatch.setattr(_modp, "rank_mod_p_dense", short)
+    return calls
+
+
+@pytest.mark.parametrize("abk, fallback", [((3, 4, 5), "modular"), ((3, 4, 4), "exact")])
+def test_fh_short_one_prime_rank_takes_the_full_path(monkeypatch, abk, fallback):
+    """Below the bound the one-prime rank proves nothing: the report is the
+    one the full shape's mode gives, two drawn primes at (3,4,5) and Bareiss
+    at (3,4,4), with the same verdict."""
+    calls = one_prime_short(monkeypatch)
+    r = fh_rank_report(*abk, rng=random.Random(2))
+    assert calls[0] == 1
+    assert r == fh_rank_report(*abk, mode=fallback, rng=random.Random(2))
+    assert r["maximal_rank"] is True and r["status"] == "ok"
+    assert r["primes"] == ([] if fallback == "exact" else draw_primes(random.Random(2)))
+
+
+def test_minors_check_span_settles_on_one_prime():
+    rng = random.Random(5)
+    state = rng.getstate()
+    rep = minors_generate_check(2, 3, rng=rng)
+    assert rng.getstate() == state
+    assert rep["span_dim"] == rep["kernel_dim"] == 45 and rep["equal"] is True
+    assert (rep["mode"], rep["primes"], rep["status"]) == ("exact", [fhmaps.FULL_RANK_PRIME], "ok")
+
+
+def test_minors_check_short_one_prime_span_takes_the_full_path(monkeypatch):
+    calls = one_prime_short(monkeypatch)
+    rep = minors_generate_check(2, 3, rng=random.Random(5))
+    # every kernel call was a one-prime pass; alpha and the span were then
+    # retaken by exact elimination, as the full shapes choose
+    assert calls and set(calls) == {1}
+    assert rep == minors_generate_check(2, 3, "exact")
 
 
 def test_fh_maximal_rank_small_grid():
