@@ -13,11 +13,10 @@ import random
 import tempfile
 import time
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 from .errors import InconclusiveError, ResourceLimitError
 from .exactalg import blocked_kernel_basis
-from .exactalg.matrix import primitive_int_vector
 from .fhmaps import (
     fh_rank_report,
     foulkes_howe,
@@ -250,12 +249,11 @@ def _criterion_11(ctx) -> str:
     for a, b in ((2, 2), (3, 2)):
         fh = foulkes_howe(a, b, b + 1, ctx["mem_mb"], ctx["cache"])
         for vec in blocked_kernel_basis(fh, fh.col_weights, ctx["mem_mb"]):
-            _check(primitive_int_vector(vec) == vec, "kernel vector not primitive")
+            _check(gcd(*vec.values()) == 1 and vec[min(vec)] > 0, "kernel vector not primitive")
             acc: dict = {}
-            for beta, vc in zip(fh.col_basis, vec):
-                if vc:
-                    for mono, val in fh.column(beta).items():
-                        acc[mono] = acc.get(mono, 0) + val * vc
+            for j, vc in vec.items():
+                for mono, val in fh.column(fh.col_basis[j]).items():
+                    acc[mono] = acc.get(mono, 0) + val * vc
             _check(all(x == 0 for x in acc.values()), "kernel vector not annihilated")
             kernel_count += 1
 

@@ -220,6 +220,8 @@ def _cmd_gens(args) -> int:
 
 
 def _cmd_betti(args) -> int:
+    if args.j is not None and args.target != "iab-pow":
+        raise ValueError(f"--j applies to --target iab-pow only, not --target {args.target}")
     params = {"a": args.a, "b": args.b, "target": args.target}
     if args.target == "ix":
         res = power_locus_betti(
@@ -342,7 +344,7 @@ def _cmd_initial_ideal(args) -> int:
         "agree_through": kmax,
         "agree": agree,
     }
-    if ideal.weyl:
+    if ideal.sl2_stable:
         body["symmetry"] = SYMMETRY
     out = _envelope("initial-ideal", args, {"a": a, "b": b, "kmax": kmax}, status, body)
     lines = [

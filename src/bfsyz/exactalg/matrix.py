@@ -8,8 +8,8 @@ Deterministic building blocks used by every other module:
   Modular mode draws ``CERTIFICATE_PRIMES`` distinct random 50-62 bit primes
   and escalates to exact arithmetic whenever the per-prime ranks disagree, so a
   reported modular rank always carries agreeing primes in its provenance.
-* :func:`kernel_basis` -- primitive integer kernel vectors (content 1, first
-  nonzero entry positive).
+* :func:`kernel_basis` -- primitive integer kernel vectors (content 1,
+  lowest-index entry positive).
 
 All exact arithmetic runs through one engine, ``_echelon``: sparse
 fraction-free elimination over primitive integer rows (Bareiss-style
@@ -20,15 +20,19 @@ is unique, so results depend only on the input, not on that choice.  The rank
 alone (``bareiss_rank_rows``) eliminates along the shorter side, with the
 columns in ascending nonzero count; echelon forms keep the column order.
 
-Row-level engines (`bareiss_rank_rows`, `rref_rows`, `mod_p_rank_rows`, ...) are
-exposed for the modules that assemble large matrices blockwise and do not want
-to round-trip through ExactMatrix.  Label-preserving maps travel as
-:class:`WeightBlocks`, built block by block where they are made: Koszul
-slabs, graded-piece spanning matrices (which also serve as the minors span
-and the syzygy map of ``phi_matrix``) and substitution slices build each
-block the first time it is read, and the pieces of an explicit complex file
-each entry straight into its block; none is assembled with global indices
-only to be split again.
+The exact engine has one row format, in and out: a ``{col: value}`` dict.
+``bareiss_rank_rows`` and ``rref_rows`` take their rows so (a zero value is
+dropped), ``rref_rows`` returns its reduced rows so, and a kernel vector is
+a ``{col: int}`` dict; what the engine returns has ascending keys and no
+zero value.  Only ``mod_p_rank_rows``, outside the exact engine, takes
+dense rows.
+
+Label-preserving maps travel as :class:`WeightBlocks`, built block by
+block where they are made: Koszul slabs, graded-piece spanning matrices
+(which also serve as the minors span and the syzygy map of ``phi_matrix``)
+and substitution slices build each block the first time it is read, and the
+pieces of an explicit complex file each entry straight into its block; none
+is assembled with global indices only to be split again.
 Every echelon form of such a map runs through one blocked path,
 ``_blocked_echelon``, which takes the blocks and the labels that give their
 full indices: check each block against the dense memory budget, reduce it
@@ -173,16 +177,6 @@ class ExactMatrix:
     def entry(self, i: int, j: int):
         return self.entries.get((i, j), 0)
 
-    def to_rows(self, mem_mb: int | None = None) -> list[list]:
-        check_dense_budget(self.nrows, self.ncols, _EXACT_CELL_BYTES, mem_mb, "to_rows")
-        rows = [[0] * self.ncols for _ in range(self.nrows)]
-        for (i, j), v in self.entries.items():
-            rows[i][j] = v
-        return rows
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(self.ncols, self.nrows, {(j, i): v for (i, j), v in self.entries.items()})
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
@@ -208,10 +202,10 @@ def _trusted_matrix(nrows: int, ncols: int, entries: dict) -> ExactMatrix:
 def _sparse_rows(m: ExactMatrix, mem_mb: int | None = None) -> list[dict]:
     """``{col: value}`` rows of ``m`` for the exact engine.
 
-    The engine's work is bounded like that of dense rows, so the budget check
-    is the one of :meth:`ExactMatrix.to_rows`.
+    The engine's work is bounded like that of dense rows, so ``m`` is held
+    to the dense budget of exact rows.
     """
-    check_dense_budget(m.nrows, m.ncols, _EXACT_CELL_BYTES, mem_mb, "to_rows")
+    check_dense_budget(m.nrows, m.ncols, _EXACT_CELL_BYTES, mem_mb, "exact rows")
     rows: list[dict] = [{} for _ in range(m.nrows)]
     for (i, j), v in m.entries.items():
         rows[i][j] = v
@@ -229,42 +223,9 @@ class RankResult(NamedTuple):
 # row-level exact engines
 
 
-def clear_denominators(row) -> list[int]:
-    """Scale a row of int/Fraction by the lcm of denominators; returns ints."""
-    mult = 1
-    for v in row:
-        if isinstance(v, Fraction):
-            mult = lcm(mult, v.denominator)
-    if mult == 1:
-        return [int(v) for v in row]
-    return [int(v * mult) for v in row]
-
-
-def primitive_int_vector(vec) -> tuple[int, ...]:
-    """Clear denominators, divide by the content, make first nonzero positive."""
-    ints = clear_denominators(list(vec))
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    for v in ints:
-        if v:
-            if v < 0:
-                ints = [-x for x in ints]
-            break
-    return tuple(ints)
-
-
-def _sparse_int_row(row) -> dict[int, int]:
-    """Primitive ``{col: int}`` multiple of an int/Fraction row (zeros dropped).
-
-    ``row`` is a dense list or a ``{col: value}`` dict.
-    """
-    if type(row) is dict:
-        nz = {j: v for j, v in row.items() if v}
-    else:
-        nz = {j: v for j, v in enumerate(row) if v}
+def _sparse_int_row(row: dict) -> dict[int, int]:
+    """Primitive ``{col: int}`` multiple of a ``{col: int/Fraction}`` row, zeros dropped."""
+    nz = {j: v for j, v in row.items() if v}
     if all(type(v) is int for v in nz.values()):
         return _primitive(nz)
     den = 1
@@ -339,8 +300,8 @@ def _echelon(rows: list[dict[int, int]], ncols: int) -> tuple[list[int], list[di
 
 
 def bareiss_rank_rows(rows, ncols: int) -> int:
-    """Rank over QQ of int/Fraction rows, dense lists or ``{col: value}`` dicts
-    (not mutated): the pivot count of ``_echelon``.
+    """Rank over QQ of ``{col: value}`` rows of int/Fraction values (not
+    mutated): the pivot count of ``_echelon``.
 
     Two choices are made for the rank alone, the two that the mod-p kernel
     makes: the elimination runs along the shorter side, counted in nonzero
@@ -374,14 +335,15 @@ def bareiss_rank_rows(rows, ncols: int) -> int:
 def rref_rows(rows, ncols: int):
     """Fully reduced row echelon form over QQ.
 
-    ``rows`` is a list of int/Fraction rows, each a dense list or a
-    ``{col: value}`` dict; a *new* list of nonzero dense reduced rows is
-    returned together with the pivot column list, in increasing pivot order.
-    Pivots are 1, pivot columns are zero elsewhere, and an entry is an int
-    when it is integral and a Fraction otherwise.  The reduced echelon form of
-    a row space is unique, so the output depends only on the row span, not on
-    the pivot order of the sparse fraction-free elimination (see ``_echelon``)
-    that computes it.  The rows are not mutated.
+    ``rows`` is a list of ``{col: value}`` rows of int/Fraction values; a
+    *new* list of the nonzero reduced rows, each a ``{col: value}`` dict with
+    ascending keys and no zero value, is returned together with the pivot
+    column list, in increasing pivot order.  Pivots are 1, pivot columns are
+    zero elsewhere, and a value is an int when it is integral and a Fraction
+    otherwise.  The reduced echelon form of a row space is unique, so the
+    output depends only on the row span, not on the pivot order of the
+    sparse fraction-free elimination (see ``_echelon``) that computes it.
+    The rows are not mutated.
     """
     pivots, pivot_rows = _echelon(_int_rows(rows), ncols)
     # back substitution from the last pivot: a row used to clear its pivot
@@ -394,28 +356,12 @@ def rref_rows(rows, ncols: int):
     reduced = []
     for c, pr in zip(pivots, pivot_rows):
         lead = pr[c]
-        out = [0] * ncols
-        for j, v in pr.items():
+        out = {}
+        for j in sorted(pr):
+            v = pr[j]
             out[j] = v // lead if v % lead == 0 else Fraction(v, lead)
         reduced.append(out)
     return reduced, pivots
-
-
-def kernel_rows_from_rref(reduced, pivots, ncols: int) -> list[tuple[int, ...]]:
-    """Primitive integer kernel basis from a reduced echelon form."""
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        vec = [0] * ncols
-        vec[f] = 1
-        for k, pc in enumerate(pivots):
-            v = reduced[k][f]
-            if v:
-                vec[pc] = -v
-        basis.append(primitive_int_vector(vec))
-    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -543,12 +489,13 @@ def rank(m: ExactMatrix, mode: str = "auto", **kw) -> int:
     return rank_details(m, mode, **kw).rank
 
 
-def kernel_basis(m: ExactMatrix, mem_mb: int | None = None) -> list[tuple[int, ...]]:
+def kernel_basis(m: ExactMatrix, mem_mb: int | None = None) -> list[dict[int, int]]:
     """Primitive integer basis of the right kernel, free columns in order.
 
-    Each vector has content 1 and positive first nonzero entry; the identity
-    matrix yields [] and a full-space kernel yields unit vectors.  This is
-    the one-block case of :func:`blocked_kernel_basis` (every label 0).
+    Each vector is a ``{col: int}`` dict with ascending keys, no zero value,
+    content 1 and a positive lowest-index entry; the identity matrix yields
+    [] and a full-space kernel yields unit vectors ``{j: 1}``.  This is the
+    one-block case of :func:`blocked_kernel_basis` (every label 0).
     """
     return blocked_kernel_basis(WeightBlocks({0: (m.nrows, m.ncols, m.entries)}), [0] * m.ncols, mem_mb)
 
@@ -661,8 +608,7 @@ def _blocked_echelon(blocks: WeightBlocks, labels, mem_mb: int | None = None, *,
     ``reduced`` and ``pivots`` are ``rref_rows`` of its rows (pivots index
     ``ids``).  A block with no entries is not reduced: its ``reduced`` and
     ``pivots`` are empty.  Each reduced block is held to the dense budget of
-    :meth:`ExactMatrix.to_rows`, so one over ``mem_mb`` raises
-    ``ResourceLimitError``.
+    exact rows, so one over ``mem_mb`` raises ``ResourceLimitError``.
     """
     side = 0 if transpose else 1
     ids = _ids_by_label(labels)
@@ -674,7 +620,7 @@ def _blocked_echelon(blocks: WeightBlocks, labels, mem_mb: int | None = None, *,
         if not sub:
             yield ids.get(w, []), [], []
             continue
-        check_dense_budget(nrows, ncols, _EXACT_CELL_BYTES, mem_mb, "to_rows")
+        check_dense_budget(nrows, ncols, _EXACT_CELL_BYTES, mem_mb, "exact rows")
         rows: list[dict] = [{} for _ in range(nrows)]
         if transpose:
             for (j, i), v in sub.items():
@@ -701,7 +647,7 @@ def column_echelon(blocks: WeightBlocks, row_labels, mem_mb: int | None = None):
     found = []
     for ids, reduced, pivots in _blocked_echelon(blocks, row_labels, mem_mb, transpose=True):
         for row, p in zip(reduced, pivots):
-            found.append((ids[p], {ids[j]: v for j, v in enumerate(row) if v}))
+            found.append((ids[p], {ids[j]: v for j, v in row.items()}))
     found.sort(key=lambda t: t[0])
     return [vec for _p, vec in found], [p for p, _v in found]
 
@@ -714,23 +660,34 @@ def independent_columns(blocks: WeightBlocks, col_labels) -> list[int]:
     return sorted(ids[p] for ids, _reduced, pivots in _blocked_echelon(blocks, col_labels) for p in pivots)
 
 
-def blocked_kernel_basis(blocks: WeightBlocks, col_labels, mem_mb: int | None = None) -> list[tuple[int, ...]]:
+def blocked_kernel_basis(blocks: WeightBlocks, col_labels, mem_mb: int | None = None) -> list[dict[int, int]]:
     """Primitive integer kernel basis of a label-preserving map, blockwise.
 
     ``blocks`` is the map's :class:`WeightBlocks` and ``col_labels`` its
     column labels, which give the full column indices.  The kernel of a
-    block-diagonal matrix is the direct sum of the block kernels; vectors
-    come out ordered by (label, free column order within the block) and are
-    embedded back into the full column index space.
+    block-diagonal matrix is the direct sum of the block kernels: one vector
+    per free column of each block's reduced echelon form, ordered by (label,
+    free column).  Each vector is a ``{col: int}`` dict in full column
+    indices with ascending keys and no zero value; it has content 1 and a
+    positive lowest-index entry.
     """
-    ncols = len(col_labels)
-    out: list[tuple[int, ...]] = []
+    out: list[dict[int, int]] = []
     for ids, reduced, pivots in _blocked_echelon(blocks, col_labels, mem_mb):
-        for vec in kernel_rows_from_rref(reduced, pivots, len(ids)):
-            full = [0] * ncols
-            for k, v in enumerate(vec):
-                full[ids[k]] = v
-            out.append(tuple(full))
+        pivot_set = set(pivots)
+        # free column f's vector: 1 at f, minus column f of each reduced row
+        # at that row's pivot.  Pivots ascend and a row reaches only columns
+        # right of its pivot, so the keys come in ascending order.
+        free: dict[int, dict] = {f: {} for f in range(len(ids)) if f not in pivot_set}
+        for p, row in zip(pivots, reduced):
+            for j, v in row.items():
+                if j != p:
+                    free[j][ids[p]] = -v
+        for f, vec in free.items():
+            vec[ids[f]] = 1
+            vec = _sparse_int_row(vec)
+            if next(iter(vec.values())) < 0:
+                vec = {j: -v for j, v in vec.items()}
+            out.append(vec)
     return out
 
 

@@ -399,11 +399,10 @@ def ix_kernel_ideal(a: int, b: int, mem_mb=None, cache=None) -> GradedIdeal:
     """
     fh = foulkes_howe(a, b, b + 1, mem_mb, cache)
     sring = PolyRing(fh.d + 1, "z")
-    vectors = blocked_kernel_basis(fh, fh.col_weights, mem_mb)
-    gens = []
-    for vec in vectors:
-        terms = {fh.col_basis[i]: v for i, v in enumerate(vec) if v}
-        gens.append(MultiPoly(sring, terms))
+    gens = [
+        MultiPoly(sring, {fh.col_basis[i]: v for i, v in vec.items()})
+        for vec in blocked_kernel_basis(fh, fh.col_weights, mem_mb)
+    ]
     return GradedIdeal(sring, gens, sl2_stable=True)
 
 
@@ -616,7 +615,7 @@ def phi_matrix(a: int, b: int) -> PhiMatrix:
         )
     weighted = []
     for vec in vectors:
-        weights = {col_labels[t] for t, v in enumerate(vec) if v}
+        weights = {col_labels[t] for t in vec}
         if len(weights) != 1:
             raise ConventionError("syzygy vector mixes torus weights")
         weighted.append((weights.pop(), vec))
@@ -630,12 +629,11 @@ def phi_matrix(a: int, b: int) -> PhiMatrix:
         )
     phi_entries: dict = {}
     for colno, (_w, vec) in enumerate(weighted):
-        for t, v in enumerate(vec):
-            if v:
-                j, i = pairs[t]
-                key = (j, colno)
-                poly = phi_entries.get(key, ring.zero())
-                phi_entries[key] = poly + v * ring.variable(i)
+        for t, v in vec.items():
+            j, i = pairs[t]
+            key = (j, colno)
+            poly = phi_entries.get(key, ring.zero())
+            phi_entries[key] = poly + v * ring.variable(i)
     phi_entries = {k: p for k, p in phi_entries.items() if not p.is_zero()}
     return PhiMatrix(
         a, b, d, ring, d + 1, expected, phi_entries, tuple(w for w, _ in weighted)

@@ -84,8 +84,8 @@ class GradedModule:
     ``weyl`` is True when SL2 acts on the module compatibly with the ring,
     so that every Koszul differential is SL2-equivariant: ``power_quotient``
     always, ``from_ideal`` when the ideal is SL2-stable
-    (``GradedIdeal.weyl``).  Koszul homology then ranks only the weight >= 0
-    half of each differential (see ``tor_betti``).
+    (``GradedIdeal.sl2_stable``).  Koszul homology then ranks only the
+    weight >= 0 half of each differential (see ``tor_betti``).
     """
 
     __slots__ = (
@@ -128,7 +128,7 @@ class GradedModule:
         mod._mem_mb = mem_mb
         mod._cache = cache
         mod._min_degree = min(ideal.generator_degrees(), default=1)
-        mod.weyl = ideal.weyl
+        mod.weyl = ideal.sl2_stable
         return mod
 
     @classmethod
@@ -808,7 +808,7 @@ def initial_ideal_regularity(
         "hf_agree": hf_initial == hf_power,
         "value": None,
     }
-    if ideal.weyl:
+    if ideal.sl2_stable:
         report["symmetry"] = SYMMETRY
     if not report["hf_agree"]:
         return report
@@ -1294,8 +1294,8 @@ def resolution_check(
     position-0 homology dimensions must match the ideal's graded pieces; an
     augmentation-compatible surjection with matching dimensions pins the
     cokernel down to the ideal itself.  When the ideal's piece dimensions
-    are Weyl-halved (``GradedIdeal.weyl``) the certificate says so with
-    ``"symmetry": "sl2-weyl"``.
+    are Weyl-halved (``GradedIdeal.sl2_stable``) the certificate says so
+    with ``"symmetry": "sl2-weyl"``.
     """
     report = exactness_check(C, degree_window, mode, seed=seed, mem_mb=mem_mb)
     lo, hi = report["window"]
@@ -1314,7 +1314,7 @@ def resolution_check(
         "ideal_dimensions": dims,
         "homology": report,
     }
-    if ideal.weyl:
+    if ideal.sl2_stable:
         certificate["symmetry"] = SYMMETRY
     return certificate
 
@@ -1508,10 +1508,7 @@ def power_resolution(
 
     # the solution space of the d^2 = 0 equations, exactly
     entries = {(r, u): v for r, eq in enumerate(equations) for u, v in eq.items()}
-    basis_vectors = [
-        {u: v for u, v in enumerate(vec) if v}
-        for vec in kernel_basis(ExactMatrix(len(equations), len(unknowns), entries), mem_mb)
-    ]
+    basis_vectors = kernel_basis(ExactMatrix(len(equations), len(unknowns), entries), mem_mb)
 
     gens = power_generators(a, b)
     aug = []

@@ -335,8 +335,9 @@ class GradedIdeal:
     ``sl2_stable`` marks an ideal that SL2 maps to itself (the power ideal,
     its powers, the ideal of the power locus).  It is a claim about the
     ideal, not its generators, so it is not part of ``fingerprint()``: the
-    generators may be redundant.  The dimensions of a marked ideal's graded
-    pieces, and the maps of a Koszul-homology module built from it (see
+    generators may be redundant.  Each graded piece of a marked ideal is an
+    SL2-representation, so dim (I_k)_w = dim (I_k)_{-w}: its dimensions, and
+    the maps of a Koszul-homology module built from it (see
     ``homres.tor_betti``), are ranked on their weight >= 0 half only.  The
     rank driver still requires the weights of the products m * g of each
     degree to be symmetric under w -> -w, which refuses a wrongly marked
@@ -382,15 +383,6 @@ class GradedIdeal:
             separators=(",", ":"),
         )
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-    @property
-    def weyl(self) -> bool:
-        """True when graded pieces are ranked on their weight >= 0 half.
-
-        Each graded piece of an SL2-stable ideal is an SL2-representation, so
-        dim (I_k)_w = dim (I_k)_{-w}.
-        """
-        return self.sl2_stable
 
     def spanning_data(self, k: int) -> WeightBlocks:
         """The ``WeightBlocks`` of the degree-k spanning matrix.
@@ -475,7 +467,7 @@ class GradedIdeal:
         """dim I_k with provenance: the blocked rank of the spanning matrix.
 
         The mode is picked from the full shape, as for the unhalved matrix.
-        An ideal with ``weyl`` set is ranked on its weight >= 0 half
+        An ``sl2_stable`` ideal is ranked on its weight >= 0 half
         (``blocked_rank_details(..., weyl=True)``), upward, with the blocks
         above a surjective one of the same parity inferred; reports resting
         on such a dimension carry ``"symmetry": "sl2-weyl"``.  The columns
@@ -486,7 +478,8 @@ class GradedIdeal:
         if k < 0 or not self.generators or k < min(self.generator_degrees()):
             return RankResult(0, "exact")
         return blocked_rank_details(
-            self.spanning_data(k), mode, rng=rng, mem_mb=mem_mb, weyl=self.weyl, sl2_columns=False,
+            self.spanning_data(k), mode, rng=rng, mem_mb=mem_mb,
+            weyl=self.sl2_stable, sl2_columns=False,
         )
 
 

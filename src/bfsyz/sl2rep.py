@@ -12,8 +12,9 @@ Conventions used throughout the package:
   q^n.  Spaces isomorphic as sl2 representations can differ by a global power
   of q under this specialization (it remembers the ambient homogeneous
   degree); ``QChar.normalized`` strips that power and is what equality of
-  sl2 characters means here.  The wedge shift convention is pinned by
-  WEDGE_CHAR_SHIFT below and tested.
+  sl2 characters means here.  The raw specialization of Wedge^m(Sym^n U)
+  sits m(m-1)/2 powers of q above the Gaussian binomial [n+1 choose m]_q;
+  the tests pin that shift.
 * Two realizations of the sl2 action appear.  On basis vectors ("plain"),
   lowering is the derivation u_i -> (n-i) u_{i+1} and raising is
   u_i -> i u_{i-1}.  On coordinate functions ("dual"), which transform
@@ -269,10 +270,6 @@ class QChar:
     def degree(self) -> int:
         return len(self.coeffs) - 1 if self.coeffs else -1
 
-    def dimension(self) -> int:
-        """Value at q = 1 (dimension of the underlying space)."""
-        return sum(self.coeffs)
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -284,12 +281,6 @@ class QChar:
         while self.coeffs[low] == 0:
             low += 1
         return QChar(self.coeffs[low:])
-
-    def shifted(self, k: int) -> "QChar":
-        """Multiply by q^k."""
-        if not self.coeffs:
-            return self
-        return QChar((0,) * k + self.coeffs)
 
     def __add__(self, other: "QChar") -> "QChar":
         n = max(len(self.coeffs), len(other.coeffs))
@@ -329,60 +320,13 @@ class QChar:
         return "QChar(" + " + ".join(terms) + ")"
 
 
-def _qchar_divide(num: QChar, den: QChar) -> QChar:
-    """Exact polynomial division; raises if the remainder is nonzero."""
-    rem = list(num.coeffs)
-    d = list(den.coeffs)
-    if not d:
-        raise ZeroDivisionError("division by zero q-polynomial")
-    out = [0] * (len(rem) - len(d) + 1)
-    for k in range(len(out) - 1, -1, -1):
-        c = rem[k + len(d) - 1]
-        if c % d[-1]:
-            raise ArithmeticError("non-exact q-polynomial division")
-        q = c // d[-1]
-        out[k] = q
-        if q:
-            for i, dv in enumerate(d):
-                rem[k + i] -= q * dv
-    if any(rem):
-        raise ArithmeticError("non-exact q-polynomial division")
-    return QChar(out)
-
-
-def q_bracket(k: int) -> QChar:
-    """[k]_q = 1 + q + ... + q^(k-1)."""
-    return QChar((1,) * k)
-
-
-def q_factorial(n: int) -> QChar:
-    out = QChar((1,))
-    for k in range(1, n + 1):
-        out = out * q_bracket(k)
-    return out
-
-
-def q_binomial(n: int, m: int) -> QChar:
-    """Gaussian binomial [n choose m]_q via exact division of q-factorials."""
-    if m < 0 or m > n:
-        return QChar(())
-    return _qchar_divide(q_factorial(n), q_factorial(m) * q_factorial(n - m))
-
-
 def char_plethysm(m: int, n: int) -> QChar:
     """Character of Sym^m(Sym^n U) from ``plethysm_counts``.
 
-    The x1-degree of u^e is mn - sum_i i*e_i.  Equals q_binomial(m + n, m)
-    exactly (lowest weight already at q^0).
+    The x1-degree of u^e is mn - sum_i i*e_i.  Equals the Gaussian binomial
+    [m + n choose m]_q exactly (lowest weight already at q^0).
     """
     return QChar(plethysm_counts(m, n)[::-1])
-
-
-# char_wedge(m, n) == q_binomial(n+1, m).shifted(WEDGE_CHAR_SHIFT(m)): the raw
-# x1 -> q specialization of the wedge basis sits m(m-1)/2 powers of q above
-# the Gaussian binomial.  Pinned here and asserted in the test suite.
-def WEDGE_CHAR_SHIFT(m: int) -> int:
-    return m * (m - 1) // 2
 
 
 def char_wedge(m: int, n: int) -> QChar:

@@ -94,6 +94,14 @@ def test_iab_pow_requires_power(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("target", ["ix", "iab"])
+def test_power_outside_iab_pow_is_usage_error(capsys, target):
+    # --j names the power of --target iab-pow; elsewhere it would be ignored
+    code = main(["betti", "--target", target, "--a", "2", "--b", "2", "--j", "5"])
+    assert code == 3
+    assert "--j" in capsys.readouterr().err
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "bfsyz", "--version"], capture_output=True, text=True,

@@ -27,17 +27,26 @@ from bfsyz.exactalg import primes as primes_module
 from bfsyz.exactalg.matrix import (
     _BadPrime,
     bareiss_rank_rows,
-    clear_denominators,
     column_echelon,
     independent_columns,
     mod_p_rank_rows,
     mod_p_rank_sparse,
-    primitive_int_vector,
     rref_rows,
 )
 
 import numpy as np
-from blockref import split_blocks
+from blockref import (
+    assert_primitive,
+    clear_denominators,
+    dense_rows,
+    dict_rows,
+    reference_kernel,
+    reference_rref,
+    sparse_rows,
+    split_blocks,
+    transpose,
+    trim,
+)
 
 
 def matrix_from_rows(rows) -> ExactMatrix:
@@ -79,12 +88,12 @@ def planted_rank_matrix(rng, nrows, ncols, r):
 
 
 def test_rref_single_row():
-    assert rref_rows([[2, 4]], 2) == ([[1, 2]], [0])
+    assert rref_rows([{0: 2, 1: 4}], 2) == ([{0: 1, 1: 2}], [0])
 
 
 def test_kernel_of_sum_row():
     m = matrix_from_rows([[1, 1]])
-    assert kernel_basis(m) == [(1, -1)]
+    assert kernel_basis(m) == [{0: 1, 1: -1}]
 
 
 def test_kernel_of_identity_is_empty():
@@ -94,12 +103,12 @@ def test_kernel_of_identity_is_empty():
 
 def test_kernel_of_zero_matrix_is_unit_vectors():
     m = ExactMatrix(2, 3)
-    assert kernel_basis(m) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert kernel_basis(m) == [{0: 1}, {1: 1}, {2: 1}]
 
 
 def test_rref_idempotent_and_fraction_entries():
     rows = [[Fraction(1, 2), 1, 0], [1, 2, 1], [2, 4, 1]]
-    reduced, pivots = rref_rows(rows, 3)
+    reduced, pivots = rref_rows(sparse_rows(rows), 3)
     assert rref_rows(reduced, 3) == (reduced, pivots)
     assert pivots == [0, 2]
     assert rank(matrix_from_rows(rows), "exact") == 2
@@ -115,9 +124,18 @@ def test_kernel_vectors_are_primitive_and_annihilated():
         ker = kernel_basis(m)
         assert len(ker) == ncols - rank(m, "exact")
         for vec in ker:
-            assert primitive_int_vector(vec) == vec
+            assert_primitive(vec)
             for row in rows:
-                assert sum(a * b for a, b in zip(row, vec)) == 0
+                assert sum(row[j] * v for j, v in vec.items()) == 0
+
+
+def test_rref_rows_returns_sparse_dict_rows():
+    # keys come out ascending whatever order the input rows list them in
+    reduced, pivots = rref_rows([{3: 2, 0: 4, 1: 0}, {3: 1, 1: Fraction(1, 2)}], 5)
+    assert pivots == [0, 1]
+    assert reduced == [{0: 1, 3: Fraction(1, 2)}, {1: 1, 3: 2}]
+    assert [list(row) for row in reduced] == [[0, 3], [1, 3]]
+    assert type(reduced[1][3]) is int
 
 
 # ---------------------------------------------------------------------------
@@ -204,41 +222,6 @@ def reference_bareiss_rank(rows, ncols):
     return r
 
 
-def _trim(v):
-    return int(v) if isinstance(v, Fraction) and v.denominator == 1 else v
-
-
-def reference_rref(rows, ncols):
-    """Dense Fraction Gauss-Jordan, leftmost column / first nonzero row pivoting."""
-    work = [list(row) for row in rows]
-    nrows = len(work)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        piv = next((i for i in range(r, nrows) if work[i][c]), -1)
-        if piv < 0:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        pr = work[r]
-        lead = pr[c]
-        if lead != 1:
-            inv = Fraction(1) / Fraction(lead)
-            for j in range(c, ncols):
-                if pr[j]:
-                    pr[j] = _trim(pr[j] * inv)
-        for i in range(nrows):
-            f = work[i][c]
-            if i != r and f:
-                for j in range(c, ncols):
-                    if pr[j]:
-                        work[i][j] = _trim(work[i][j] - f * pr[j])
-        pivots.append(c)
-        r += 1
-    return work[:r], pivots
-
-
 def _random_exact_rows(rng, nrows=None, ncols=None, kind=None):
     """A small matrix of one of the shapes the exact engine must handle
     (random unless given).
@@ -255,7 +238,7 @@ def _random_exact_rows(rng, nrows=None, ncols=None, kind=None):
         if rng.random() >= density:
             return 0
         if kind == "fraction":
-            return _trim(Fraction(rng.randint(-20, 20), rng.randint(1, 12)))
+            return trim(Fraction(rng.randint(-20, 20), rng.randint(1, 12)))
         if kind == "huge":
             return rng.randint(-10**12, 10**12)
         return rng.randint(-9, 9)
@@ -279,9 +262,7 @@ def _random_exact_rows(rng, nrows=None, ncols=None, kind=None):
 
 
 def _typed(rows):
-    if rows and isinstance(rows[0], dict):
-        return [sorted((j, type(v), v) for j, v in row.items()) for row in rows]
-    return [[(type(v), v) for v in row] for row in rows]
+    return [sorted((j, type(v), v) for j, v in row.items()) for row in rows]
 
 
 def test_exact_engines_match_dense_references():
@@ -302,13 +283,15 @@ def test_exact_engines_match_dense_references():
         int_rows = [clear_denominators(row) for row in rows]
         want_rank = reference_bareiss_rank(int_rows, ncols)
         assert want_rank == len(want_pivots)
-        # the engines take dense rows and {col: value} rows (zero rows as {})
-        sparse = [{j: v for j, v in enumerate(row) if v} for row in rows]
-        for given in (rows, sparse):
+        # the engines take {col: value} rows, with zero values or without
+        # (zero rows as {}), and return reduced rows with ascending keys
+        with_zeros = [dict(enumerate(row)) for row in rows]
+        for given in (with_zeros, sparse_rows(rows)):
             snapshot = _typed(given)
             reduced, pivots = rref_rows(given, ncols)
             assert pivots == want_pivots
-            assert _typed(reduced) == _typed(want_reduced)
+            assert _typed(reduced) == _typed(sparse_rows(want_reduced))
+            assert all(list(row) == sorted(row) for row in reduced)
             assert bareiss_rank_rows(given, ncols) == want_rank
             assert _typed(given) == snapshot, "an exact engine mutated its input"
 
@@ -737,7 +720,7 @@ def test_random_prime_bit_range():
 def test_dense_budget_guard():
     m = ExactMatrix(100000, 100000, {(0, 0): 1})
     with pytest.raises(ResourceLimitError):
-        m.to_rows(mem_mb=1)
+        kernel_basis(m, mem_mb=1)
     with pytest.raises(ResourceLimitError):
         rank_details(m, "modular", rng=random.Random(0), mem_mb=1)
 
@@ -807,24 +790,25 @@ def test_blocked_kernel_matches_unblocked():
         blocks = split_blocks(entries, row_labels, col_labels)
         ker = blocked_kernel_basis(blocks, col_labels)
         assert len(ker) == ncols - rank(m, "exact")
-        rows = m.to_rows()
+        assert ker == reference_kernel(m, col_labels)
+        rows = dense_rows(m)
         for vec in ker:
-            assert primitive_int_vector(vec) == vec
+            assert_primitive(vec)
             for row in rows:
-                assert sum(a * b for a, b in zip(row, vec)) == 0
+                assert sum(row[j] * v for j, v in vec.items()) == 0
         # blocked kernel vectors are independent: stack and check rank
         if ker:
-            km = matrix_from_rows([list(v) for v in ker])
+            km = ExactMatrix(len(ker), ncols, {(k, j): v for k, vec in enumerate(ker) for j, v in vec.items()})
             assert rank(km, "exact") == len(ker)
         # the column span's echelon basis is the unique rref of the transpose,
         # so a block embedded at the wrong indices shows up here
         cols, pivots = column_echelon(blocks, row_labels)
-        reduced, full_pivots = rref_rows(m.transpose().to_rows(), nrows)
+        reduced, full_pivots = rref_rows(dict_rows(transpose(m)), nrows)
         assert pivots == full_pivots
         got = {(c, i): v for c, vec in enumerate(cols) for i, v in vec.items()}
-        assert got == {(c, i): v for c, row in enumerate(reduced) for i, v in enumerate(row) if v}
+        assert got == {(c, i): v for c, row in enumerate(reduced) for i, v in row.items()}
         # leftmost-greedy per block is leftmost-greedy over the whole matrix
-        assert independent_columns(blocks, col_labels) == rref_rows(rows, ncols)[1]
+        assert independent_columns(blocks, col_labels) == rref_rows(dict_rows(m), ncols)[1]
 
 
 def test_blocked_echelon_rejects_labels_that_miss_the_blocks():
@@ -836,7 +820,7 @@ def test_blocked_echelon_rejects_labels_that_miss_the_blocks():
             blocked_kernel_basis(blocks, labels)
     with pytest.raises(ValueError):
         column_echelon(blocks, [1, 1])
-    assert blocked_kernel_basis(blocks, [0, 1, 1]) == [(0, 0, 1)]
+    assert blocked_kernel_basis(blocks, [0, 1, 1]) == [{2: 1}]
     assert column_echelon(blocks, [0, 1]) == ([{0: 1}, {1: 1}], [0, 1])
 
 
@@ -884,8 +868,8 @@ def test_entries_share_the_callers_key_tuples():
 
 def test_transpose_roundtrip():
     m = matrix_from_rows([[1, 2, 3], [0, 0, 4]])
-    assert m.transpose().transpose() == m
-    assert m.transpose().shape == (3, 2)
+    assert transpose(transpose(m)) == m
+    assert transpose(m).shape == (3, 2)
 
 
 # ---------------------------------------------------------------------------

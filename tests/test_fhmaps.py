@@ -9,7 +9,7 @@ import pytest
 
 from bfsyz import fhmaps, homres, polyring, sl2rep
 from bfsyz.errors import ResourceLimitError
-from bfsyz.exactalg import ExactMatrix, dump_matrix, load_matrix, rank
+from bfsyz.exactalg import ExactMatrix, blocked_kernel_basis, dump_matrix, load_matrix, rank
 from bfsyz.exactalg.matrix import draw_primes
 from bfsyz.fhmaps import (
     fh_rank_report,
@@ -30,7 +30,7 @@ from bfsyz.fhmaps import (
 from bfsyz.polyring import GradedIdeal, MultiPoly
 from bfsyz.sl2rep import BinaryForm, plethysm_basis, plethysm_index
 
-from blockref import slice_matrix
+from blockref import assert_primitive, dict_rows, reference_kernel, slice_matrix, transpose
 
 
 # ---------------------------------------------------------------------------
@@ -614,6 +614,21 @@ def test_hw_triple_report(tmp_path):
     ]
 
 
+def test_slice_kernels_match_the_dense_reference():
+    # the slices of criterion 1's grid; those with k > b have a kernel
+    nonzero = 0
+    for a in (1, 2, 3):
+        for b in (1, 2, 3):
+            for k in range(b + 2):
+                fh = foulkes_howe(a, b, k)
+                kernel = blocked_kernel_basis(fh, fh.col_weights)
+                assert kernel == reference_kernel(slice_matrix(fh), fh.col_weights), (a, b, k)
+                for vec in kernel:
+                    assert_primitive(vec)
+                nonzero += bool(kernel)
+    assert nonzero
+
+
 def test_ix_kernel_ideal_2_2():
     ix = ix_kernel_ideal(2, 2)
     assert len(ix.generators) == 7
@@ -630,11 +645,9 @@ def test_minor_span_inside_ix_ideal():
     piece = ix.graded_piece(3)
     from bfsyz.exactalg.matrix import bareiss_rank_rows
 
-    base_rows = piece.transpose().to_rows()
+    base_rows = dict_rows(transpose(piece))
     for minor in maximal_minors(omega_matrix(2, 2)):
-        row = [0] * ring.dimension(3)
-        for exp, coeff in minor.terms.items():
-            row[index[exp]] = coeff
+        row = {index[exp]: coeff for exp, coeff in minor.terms.items()}
         assert bareiss_rank_rows(base_rows + [row], ring.dimension(3)) == piece.ncols
 
 

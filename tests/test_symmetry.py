@@ -182,7 +182,7 @@ def piece_ideals():
 def test_piece_dimensions_halved_equal_full(build, k_max, mode):
     halved, full = build(), build()
     full.sl2_stable = False
-    assert halved.weyl and not full.weyl
+    assert halved.sl2_stable and not full.sl2_stable
     got = hilbert_function_details(halved, k_max, mode, rng=random.Random(f"{k_max}:{mode}"))
     want = hilbert_function_details(full, k_max, mode, rng=random.Random(f"{k_max}:{mode}"))
     # values, modes, primes and escalation flags all agree
@@ -207,7 +207,7 @@ def test_initial_ideal_regularity_report_is_flagged(monkeypatch):
 
 def test_resolution_certificate_halved_equals_full():
     res = power_resolution(2, 2, seed=7)
-    assert res.ideal.weyl and res.certificate["symmetry"] == "sl2-weyl"
+    assert res.ideal.sl2_stable and res.certificate["symmetry"] == "sl2-weyl"
     full = fhmaps.power_ideal(2, 2)
     full.sl2_stable = False
     window = tuple(res.certificate["window"])
@@ -220,7 +220,7 @@ def test_wrongly_marked_ideal_is_refused():
     ring = PolyRing(3, "c")
     c0 = ring.variable(0)
     ideal = GradedIdeal(ring, [c0 * c0], sl2_stable=True)
-    assert ideal.weyl
+    assert ideal.sl2_stable
     with pytest.raises(EquivarianceError):
         ideal.piece_dimension_details(2)
     with pytest.raises(EquivarianceError):
@@ -529,7 +529,7 @@ def test_redundant_generators_infer_only_surjectivity(mode):
     # the image of a spanning matrix is a representation, its kernel need
     # not be: an injective weight-0 block says nothing about weight 2
     for ideal, k, dim in redundant_stable_ideals():
-        assert ideal.weyl
+        assert ideal.sl2_stable
         got = ideal.piece_dimension_details(k, mode, rng=random.Random(5))
         assert got.rank == dim and got.mode == mode
         ideal.sl2_stable = False
@@ -607,7 +607,7 @@ def test_weyl_betti_runs_build_only_the_eliminated_slab_blocks(monkeypatch, run)
 def test_weyl_piece_dimensions_build_only_the_eliminated_spanning_blocks(monkeypatch):
     ideal, full = fhmaps.power_ideal(3, 3), fhmaps.power_ideal(3, 3)
     full.sl2_stable = False
-    assert ideal.weyl and not full.weyl
+    assert ideal.sl2_stable and not full.sl2_stable
     want = [full.piece_dimension_details(k).rank for k in range(7)]
     maps, reads = spy_on_built_blocks(monkeypatch, GradedIdeal, "spanning_data", lambda out: out)
     assert [ideal.piece_dimension_details(k).rank for k in range(7)] == want
