@@ -34,6 +34,7 @@ from .fhmaps import (
     skew_normalizable,
 )
 from .homres import (
+    compare_hilbert_functions,
     compare_table,
     ia3_expected_table,
     initial_ideal_regularity,
@@ -45,12 +46,7 @@ from .homres import (
     regularity_formula,
     verify_explicit_betti,
 )
-from .polyring import (
-    cache_directory,
-    hilbert_function,
-    initial_ideal_Jab,
-    monomial_quotient_hf,
-)
+from .polyring import cache_directory, initial_ideal_Jab
 from .sl2rep import CLASSICAL_REFERENCE_TRIPLE, char_identity_check
 
 EXIT_VERIFIED = 0
@@ -328,11 +324,10 @@ def _cmd_initial_ideal(args) -> int:
     c = (b + 2) // 2
     kmax = args.kmax if args.kmax is not None else c * (a - 1) + 1
     J = initial_ideal_Jab(a, b)
-    hf_j = monomial_quotient_hf(J, kmax)
     rng = random.Random(f"{resolve_seed(args.seed)}:initial")
     ideal = power_ideal(a, b)
-    hf_i = hilbert_function(
-        ideal, kmax, args.mode, rng=rng, mem_mb=args.mem_mb,
+    hf_j, hf_i = compare_hilbert_functions(
+        ideal, J, kmax, args.mode, rng=rng, mem_mb=args.mem_mb,
     )
     agree = hf_j == hf_i
     status = "verified" if agree else "mismatch"
@@ -645,21 +640,23 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.out:
-            _check_out(args.out)
-        if "cache" in args:
-            # one reading of --cache / BFSYZ_CACHE: a path that names a file is a usage error
-            args.cache = cache_directory(args.cache)
-        return args.handler(args)
-    except (InconclusiveError, ResourceLimitError) as exc:
-        report = {
-            "command": args.subcommand,
-            "status": "inconclusive",
-            "reason": str(exc),
-            "version": __version__,
-        }
-        print(json.dumps(report, indent=2, sort_keys=True))
-        return EXIT_INCONCLUSIVE
+        try:
+            if args.out:
+                _check_out(args.out)
+            if "cache" in args:
+                # one reading of --cache / BFSYZ_CACHE: a path that names a file is a usage error
+                args.cache = cache_directory(args.cache)
+            return args.handler(args)
+        except (InconclusiveError, ResourceLimitError) as exc:
+            report = {
+                "command": args.subcommand,
+                "status": "inconclusive",
+                "reason": str(exc),
+                "version": __version__,
+            }
+            # a failed write of the report is a usage error, as for any other report
+            _emit(args, report)
+            return EXIT_INCONCLUSIVE
     except ValueError as exc:
         print(f"bfsyz {args.subcommand}: invalid parameters: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -5,9 +5,12 @@ Deterministic building blocks used by every other module:
 * :class:`ExactMatrix` -- immutable sparse-storage matrix over QQ, each entry
   an int where integral, else a Fraction.
 * :func:`rank` / :func:`rank_details` -- rank in exact, modular, or auto mode.
-  Modular mode draws ``CERTIFICATE_PRIMES`` distinct random 50-62 bit primes
-  and escalates to exact arithmetic whenever the per-prime ranks disagree, so a
-  reported modular rank always carries agreeing primes in its provenance.
+  Modular mode ranks modulo ``CERTIFICATE_PRIMES`` distinct random 50-62 bit
+  primes, or the primes handed in, and keeps them once they are chosen: a
+  prime that divides a denominator is an unlucky prime like any other, as a
+  rank mod p never exceeds the rank over QQ.  Whenever the per-prime ranks
+  disagree it escalates to exact arithmetic, so a reported modular rank
+  always carries agreeing primes, exactly the ones it used, in its provenance.
 * :func:`kernel_basis` -- primitive integer kernel vectors (content 1,
   lowest-index entry positive).
 
@@ -25,7 +28,9 @@ The exact engine has one row format, in and out: a ``{col: value}`` dict.
 dropped), ``rref_rows`` returns its reduced rows so, and a kernel vector is
 a ``{col: int}`` dict; what the engine returns has ascending keys and no
 zero value.  Only ``mod_p_rank_rows``, outside the exact engine, takes
-dense rows.
+dense rows.  A row that holds a Fraction is cleared by one rule, in the exact
+engine and on its way to the mod-p kernel alike (``_sparse_int_row``): its
+denominators are cleared and its content is divided out.
 
 Label-preserving maps travel as :class:`WeightBlocks`, built block by
 block where they are made: Koszul slabs, graded-piece spanning matrices
@@ -368,37 +373,8 @@ def rref_rows(rows, ncols: int):
 # modular engines
 
 
-class _BadPrime(Exception):
-    """A chosen prime divides a denominator; resample it."""
-
-
 # read once: ``np.iinfo``'s ``min`` and ``max`` are properties, recomputed per read
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
-
-
-def _cleared_values(entries, primes) -> np.ndarray:
-    """The values of ``entries``, each row holding a Fraction scaled by the lcm
-    of its denominators: int64, or object when a value does not fit.
-
-    Scaling a row by a unit mod p keeps the rank mod p.  The content is never
-    divided out, since a prime may divide it.  Raises ``_BadPrime(p)`` for the
-    first of ``primes`` that divides a denominator.
-    """
-    dens: dict[int, int] = {}
-    for (i, _j), v in entries.items():
-        if isinstance(v, Fraction):
-            dens[i] = lcm(dens.get(i, 1), v.denominator)
-    common = lcm(*dens.values())
-    for p in primes:
-        if common % p == 0:
-            raise _BadPrime(p)
-    values = [
-        v.numerator * (dens[i] // v.denominator) if isinstance(v, Fraction) else int(v) * dens.get(i, 1)
-        for (i, _j), v in entries.items()
-    ]
-    if all(_INT64_MIN <= v <= _INT64_MAX for v in values):
-        return np.array(values, dtype=np.int64)
-    return np.array(values, dtype=object)
 
 
 def mod_p_rank_rows(rows, ncols: int, primes, mem_mb: int | None = None) -> int:
@@ -410,19 +386,33 @@ def mod_p_rank_rows(rows, ncols: int, primes, mem_mb: int | None = None) -> int:
 def mod_p_rank_sparse(entries, nrows: int, ncols: int, primes, mem_mb: int | None = None) -> int:
     """Rank of a sparse entry dict {(i, j): value} modulo each of the distinct ``primes``.
 
-    The entries go to one kernel call as they are, as coordinate arrays; the
-    kernel builds a dense array only for what fills in, and raises
-    ``PrimesDisagree`` when the primes give different ranks.
+    The entries go to one kernel call as coordinate arrays, as they are,
+    except that a row holding a Fraction is cleared first (``_sparse_int_row``);
+    the kernel builds a dense array only for what fills in, and raises
+    ``PrimesDisagree`` when the primes give different ranks.  A prime that
+    divides a denominator only lowers the rank mod p, like any unlucky prime.
     """
     if nrows == 0 or ncols == 0:
         return 0
     check_dense_budget(nrows, ncols, _MOD_CELL_BYTES, mem_mb, "mod_p_rank")
-    ij = np.fromiter(chain.from_iterable(entries), dtype=np.intp, count=2 * len(entries)).reshape(-1, 2)
     # a list of ints that all fit infers int64; anything else (a Fraction, a
     # big int) takes the slow path
     values = np.array(list(entries.values()))
     if values.dtype != np.int64:
-        values = _cleared_values(entries, primes)
+        # each row holding a Fraction is cleared as the exact engine clears
+        # it; an integer row goes as it is, as on the fast path
+        rows: dict[int, dict] = {}
+        for (i, j), v in entries.items():
+            rows.setdefault(i, {})[j] = v
+        entries = {}
+        for i, row in rows.items():
+            if any(isinstance(v, Fraction) for v in row.values()):
+                row = _sparse_int_row(row)
+            entries.update(((i, j), int(v)) for j, v in row.items())
+        # an explicit check: numpy infers uint64, not object, for ints in [2**63, 2**64)
+        fits = all(_INT64_MIN <= v <= _INT64_MAX for v in entries.values())
+        values = np.array(list(entries.values()), dtype=np.int64 if fits else object)
+    ij = np.fromiter(chain.from_iterable(entries), dtype=np.intp, count=2 * len(entries)).reshape(-1, 2)
     return int(_kernel.rank_mod_p_dense(_kernel.Coo(ij[:, 0], ij[:, 1], values, (nrows, ncols)), primes))
 
 
@@ -453,12 +443,13 @@ def rank_details(
 ) -> RankResult:
     """Rank with provenance.
 
-    Modular mode computes the rank for ``CERTIFICATE_PRIMES`` distinct random
-    primes (or the given ``primes``) in one kernel call; a prime that divides a
-    denominator is replaced, in place, by a fresh draw before the call.  On
-    any disagreement it recomputes exactly (``escalated=True``).  Exact mode
-    is sparse fraction-free elimination over primitive integer rows with a
-    sparsest-row pivot (``bareiss_rank_rows``).
+    Modular mode computes the rank modulo ``CERTIFICATE_PRIMES`` distinct
+    random primes (or the given ``primes``) in one kernel call, and reports
+    exactly those primes.  A prime that divides a denominator is kept: it can
+    only lower the rank mod p, which the other prime or the escalation then
+    catches.  On any disagreement it recomputes exactly (``escalated=True``).
+    Exact mode is sparse fraction-free elimination over primitive integer
+    rows with a sparsest-row pivot (``bareiss_rank_rows``).
     """
     use = _resolve_mode(mode, m.nrows, m.ncols)
     if m.nnz == 0:
@@ -468,25 +459,36 @@ def rank_details(
 
     if rng is None:
         rng = default_rng()
-    chosen = list(primes) if primes else draw_primes(rng)
-    rejected: list[int] = []
-    while True:
-        try:
-            r = mod_p_rank_sparse(m.entries, m.nrows, m.ncols, chosen, mem_mb)
-        except _BadPrime as bad:
-            # the replacement avoids every chosen and every rejected prime
-            (p,) = bad.args
-            rejected.append(p)
-            chosen[chosen.index(p)] = _primes.distinct_random_primes(rng, 1, tuple(chosen + rejected))[0]
-            continue
-        except _kernel.PrimesDisagree:
-            exact = bareiss_rank_rows(_sparse_rows(m, mem_mb), m.ncols)
-            return RankResult(exact, "exact", tuple(chosen), escalated=True)
-        return RankResult(r, "modular", tuple(chosen))
+    chosen = tuple(primes) if primes else tuple(draw_primes(rng))
+    try:
+        r = mod_p_rank_sparse(m.entries, m.nrows, m.ncols, chosen, mem_mb)
+    except _kernel.PrimesDisagree:
+        exact = bareiss_rank_rows(_sparse_rows(m, mem_mb), m.ncols)
+        return RankResult(exact, "exact", chosen, escalated=True)
+    return RankResult(r, "modular", chosen)
 
 
 def rank(m: ExactMatrix, mode: str = "auto", **kw) -> int:
     return rank_details(m, mode, **kw).rank
+
+
+def escalate_deficit(result: RankResult, bound: int, exact_rank) -> tuple[RankResult, bool]:
+    """Settle a modular rank below ``bound`` exactly, before any negative verdict.
+
+    The one deficit-escalation rule.  Returns ``(result, settled)``.  A
+    modular rank below ``bound`` is recomputed by ``exact_rank()`` and
+    reported exact with the modular primes and ``escalated=True``.  If that
+    overruns the resource budget the modular result comes back with
+    ``settled`` False: it is only a lower bound, so the caller's verdict
+    turns inconclusive.
+    """
+    if result.mode != "modular" or result.rank >= bound:
+        return result, True
+    try:
+        exact = exact_rank()
+    except ResourceLimitError:
+        return result, False
+    return RankResult(exact.rank, "exact", result.primes, escalated=True), True
 
 
 def kernel_basis(m: ExactMatrix, mem_mb: int | None = None) -> list[dict[int, int]]:
@@ -746,8 +748,8 @@ def blocked_rank_details(
     of the block shapes (so provenance matches the unblocked computation);
     every block that is ranked runs in that mode with a shared prime set.
     Without ``weyl`` every block is ranked, in label order.  The reported
-    primes are those the blocks actually used, in first-use order: a block
-    resamples a prime that one of its denominators vanishes modulo.
+    primes are the shared ones when a block was ranked modulo them, followed
+    by those of a modular ``incoming`` rank that the result leans on.
 
     ``weyl=True`` declares the map SL2-equivariant with the labels as torus
     weights.  The Weyl element carries the weight-w block onto the weight -w
@@ -802,7 +804,7 @@ def blocked_rank_details(
     total = 0
     escalated = False
     leaned = False
-    used: dict[int, None] = {}
+    ranked_mod_p = False
     # the parities w % 2 known to be injective (surjective) from a lower
     # block, and those where the homology at the columns has vanished
     injective: set[int] = set()
@@ -829,7 +831,7 @@ def blocked_rank_details(
                 res = rank_details(block, "modular", rng=rng, primes=chosen, mem_mb=mem_mb)
                 r = res.rank
                 escalated = escalated or res.escalated
-                used.update(dict.fromkeys(res.primes))
+                ranked_mod_p = True
         if weyl:
             if r == ncols and sl2_columns:
                 injective.add(w % 2)
@@ -840,10 +842,11 @@ def blocked_rank_details(
         if r and block_ranks is not None:
             block_ranks[w] = r
         total += 2 * r if weyl and w > 0 else r
+    used = tuple(chosen) if ranked_mod_p else ()
     if leaned and incoming[0].mode == "modular":
-        used.update(dict.fromkeys(incoming[0].primes))
+        used += tuple(p for p in incoming[0].primes if p not in used)
     elif use == "exact":
         return RankResult(total, "exact")
     # blocks that disagreed were settled exactly; the rest carry double-prime
     # confidence, so the aggregate is reported at modular strength
-    return RankResult(total, "modular", tuple(used), escalated=escalated)
+    return RankResult(total, "modular", used, escalated=escalated)

@@ -50,12 +50,10 @@ def random_prime(rng: random.Random, lo_bits: int = MIN_PRIME_BITS, hi_bits: int
             return n
 
 
-def distinct_random_primes(rng: random.Random, count: int, avoid: tuple[int, ...] = ()) -> list[int]:
+def distinct_random_primes(rng: random.Random, count: int) -> list[int]:
     found: list[int] = []
-    seen = set(avoid)
     while len(found) < count:
         p = random_prime(rng)
-        if p not in seen:
-            seen.add(p)
+        if p not in found:
             found.append(p)
     return found

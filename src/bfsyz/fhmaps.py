@@ -39,7 +39,7 @@ from itertools import combinations
 from math import comb
 from typing import NamedTuple
 
-from .errors import ConventionError, ResourceLimitError
+from .errors import ConventionError
 from .exactalg import (
     ExactMatrix,
     WeightBlocks,
@@ -48,7 +48,7 @@ from .exactalg import (
     dump_matrix,  # noqa: F401 (unused; perfbench/spans.py REQUIRED_COPIES needs it)
     load_matrix,  # noqa: F401 (unused; perfbench/spans.py REQUIRED_COPIES needs it)
 )
-from .exactalg.matrix import RankResult, check_dense_budget, default_rng
+from .exactalg.matrix import RankResult, check_dense_budget, default_rng, escalate_deficit
 from .polyring import (
     GradedIdeal,
     MultiPoly,
@@ -295,9 +295,8 @@ def _rank_at_most(blocks: WeightBlocks, mode: str, bound, *, rng, mem_mb, weyl: 
     In ``auto`` the blocks are first ranked modulo ``FULL_RANK_PRIME`` alone.
     A rank mod p never exceeds the rank over QQ, so one that reaches
     ``bound`` is the rank over QQ: it comes back exact, with the prime as its
-    provenance.  The maps ranked here have integer entries, so the prime is
-    never resampled and nothing is drawn from ``rng``.  Below ``bound`` the
-    rank is taken in ``mode`` as if this had not been tried.
+    provenance, and nothing is drawn from ``rng``.  Below ``bound`` the rank
+    is taken in ``mode`` as if this had not been tried.
     """
     if mode == "auto" and bound is not None:
         one = blocked_rank_details(blocks, "modular", rng=rng, primes=[FULL_RANK_PRIME], mem_mb=mem_mb, weyl=weyl)
@@ -323,24 +322,6 @@ def fh_rank_details(fh: Slice, mode: str = "auto", *, rng=None, mem_mb=None) -> 
     return _rank_at_most(fh, mode, min(fh.shape), rng=rng, mem_mb=mem_mb, weyl=True)
 
 
-def _escalate(result: RankResult, bound: int, exact_rank) -> tuple[RankResult, bool]:
-    """Settle a modular rank below ``bound`` exactly, before any negative verdict.
-
-    Returns ``(result, settled)``.  A modular rank below ``bound`` is
-    recomputed by ``exact_rank()`` and reported exact with the modular
-    primes and ``escalated=True``.  If that overruns the resource budget the
-    modular result comes back with ``settled`` False: it is only a lower
-    bound, so the caller's status turns ``"inconclusive"``.
-    """
-    if result.mode != "modular" or result.rank >= bound:
-        return result, True
-    try:
-        exact = exact_rank()
-    except ResourceLimitError:
-        return result, False
-    return RankResult(exact.rank, "exact", result.primes, escalated=True), True
-
-
 def fh_rank_report(
     a: int, b: int, k: int, mode: str = "auto", *, rng=None, mem_mb=None, cache=None,
 ) -> dict:
@@ -358,7 +339,7 @@ def fh_rank_report(
     if rng is None:
         rng = default_rng()
     fh = foulkes_howe(a, b, k, mem_mb, cache)
-    result, settled = _escalate(
+    result, settled = escalate_deficit(
         fh_rank_details(fh, mode, rng=rng, mem_mb=mem_mb),
         min(fh.source_dim, fh.target_dim),
         lambda: fh_rank_details(fh, "exact", mem_mb=mem_mb),
@@ -418,15 +399,6 @@ class LinearFormMatrix(NamedTuple):
 
     def entry(self, r: int, j: int) -> MultiPoly:
         return self.entries.get((r, j), self.ring.zero())
-
-    def evaluate(self, point) -> ExactMatrix:
-        """Numeric matrix at a rational point of the z-space."""
-        out = {}
-        for (r, j), poly in self.entries.items():
-            v = poly.evaluate(point)
-            if v:
-                out[(r, j)] = v
-        return ExactMatrix(self.nrows, self.ncols, out)
 
 
 def omega_matrix(a: int, b: int) -> LinearFormMatrix:
@@ -511,11 +483,11 @@ def minors_generate_check(
     dimension comparison uses the configured rank mode.  With containment
     established, a modular span rank equal to the kernel dimension certifies
     equality; a modular deficit escalates to exact before any negative
-    verdict.  In ``auto``, once containment holds and alpha's rank is known
-    exactly (exact, or full), the span rank is at most the kernel dimension,
-    so a span rank reaching it modulo ``FULL_RANK_PRIME`` alone is exact; the
-    span then says ``"exact"`` with that prime and draws nothing from
-    ``rng``.
+    verdict.  In ``auto``, once containment holds, the span rank is at most
+    the kernel dimension, source_dim minus a rank of alpha that never
+    overshoots, whatever alpha's mode; so a span rank reaching it modulo
+    ``FULL_RANK_PRIME`` alone is exact.  The span then says ``"exact"`` with
+    that prime and draws nothing from ``rng``.
     """
     if a < 1 or b < 1:
         raise ValueError("need a >= 1 and b >= 1")
@@ -529,20 +501,18 @@ def minors_generate_check(
     contained = all(_annihilates(fh.entries(w), sub) for w, (_r, _c, sub) in span_blocks.items())
 
     rank_alpha = fh_rank_details(fh, mode, rng=rng, mem_mb=mem_mb)
+    # a rank of alpha never overshoots, so kernel_dim bounds dim ker alpha,
+    # and with it the rank of a span inside ker alpha, whatever alpha's mode
     kernel_dim = fh.source_dim - rank_alpha.rank
-    # a span inside ker alpha has rank at most its dimension, known once
-    # alpha's rank is: exact, or full (a modular rank never overshoots)
-    known = rank_alpha.mode == "exact" or rank_alpha.rank == min(fh.shape)
-    bound = kernel_dim if contained and known else None
-    span = _rank_at_most(span_blocks, mode, bound, rng=rng, mem_mb=mem_mb)
+    span = _rank_at_most(span_blocks, mode, kernel_dim if contained else None, rng=rng, mem_mb=mem_mb)
     span_settled = True
     if contained:
-        span, span_settled = _escalate(
+        span, span_settled = escalate_deficit(
             span, kernel_dim,
             lambda: blocked_rank_details(span_blocks, "exact", mem_mb=mem_mb),
         )
     # the kernel dimension rests on a non-maximal modular rank: escalate it too
-    rank_alpha, alpha_settled = _escalate(
+    rank_alpha, alpha_settled = escalate_deficit(
         rank_alpha, min(fh.source_dim, fh.target_dim),
         lambda: fh_rank_details(fh, "exact", mem_mb=mem_mb),
     )
@@ -577,9 +547,6 @@ class PhiMatrix(NamedTuple):
     ncols: int  # d+b-1
     entries: dict  # (j, col) -> degree-1 MultiPoly in c
     col_weights: tuple
-
-    def entry(self, j: int, col: int) -> MultiPoly:
-        return self.entries.get((j, col), self.ring.zero())
 
 
 def phi_matrix(a: int, b: int) -> PhiMatrix:

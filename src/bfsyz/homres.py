@@ -31,7 +31,7 @@ from .exactalg import (
     kernel_basis,
     memory_budget_mb,
 )
-from .exactalg.matrix import _normalize_scalar, column_echelon, resolve_seed
+from .exactalg.matrix import _normalize_scalar, column_echelon, escalate_deficit, resolve_seed
 from .exactalg.matrix import rref_rows  # noqa: F401 (unused; perfbench/spans.py REQUIRED_COPIES needs it)
 from .fhmaps import (
     SYMMETRY,
@@ -45,7 +45,8 @@ from .polyring import (
     GradedIdeal,
     MultiPoly,
     PolyRing,
-    hilbert_function,
+    MonomialIdeal,
+    hilbert_function_details,
     ideal_power,
     initial_ideal_Jab,
     monomial_quotient_hf,
@@ -780,6 +781,31 @@ def euler_characteristic_ok(module: GradedModule, table: BettiTable, j: int) -> 
     return lhs == rhs
 
 
+def compare_hilbert_functions(
+    ideal: GradedIdeal, model: MonomialIdeal, k_max: int, mode: str = "auto", *, rng=None, mem_mb=None,
+) -> tuple[list[int], list[int]]:
+    """HF of S/model and of S/ideal in degrees 0..k_max, settled for comparison.
+
+    A modular piece dimension of ``ideal`` is only a lower bound, so a degree
+    whose quotient value exceeds the model's rests on a modular deficit: it
+    is escalated to exact against the model's dim I_k before any negative
+    verdict (``escalate_deficit``).  An escalation over the resource budget
+    raises InconclusiveError.
+    """
+    hf_model = monomial_quotient_hf(model, k_max)
+    hf_ideal = []
+    for k, piece in enumerate(hilbert_function_details(ideal, k_max, mode, rng=rng, mem_mb=mem_mb)):
+        full = ideal.ring.dimension(k)
+        res, settled = escalate_deficit(
+            piece.rank, full - hf_model[k],
+            lambda: ideal.piece_dimension_details(k, "exact", mem_mb=mem_mb),
+        )
+        if not settled:
+            raise InconclusiveError(f"the exact rank of the degree-{k} piece is over the resource budget")
+        hf_ideal.append(full - res.rank)
+    return hf_model, hf_ideal
+
+
 def initial_ideal_regularity(
     a: int, b: int, mode: str = "auto", *, rng=None, mem_mb=None,
 ) -> dict:
@@ -790,15 +816,18 @@ def initial_ideal_regularity(
     Hilbert functions of the two ideals through one degree past the top; on
     agreement, vanishing there pins the quotient's length (zero in one
     degree stays zero in all later ones), so reg of the ideal is the top
-    degree plus one.  Disagreement leaves value None; a rank budget failure
-    raises InconclusiveError.  The power ideal's piece dimensions are ranked
-    on their weight >= 0 half, which ``"symmetry": "sl2-weyl"`` records.
+    degree plus one.  Disagreement, once every modular deficit behind it has
+    escalated (``compare_hilbert_functions``), leaves value None; a rank
+    budget failure raises InconclusiveError.  The power ideal's piece
+    dimensions are ranked on their weight >= 0 half, which ``"symmetry":
+    "sl2-weyl"`` records.
     """
     c = (b + 2) // 2
     top = c * (a - 1)
     ideal = power_ideal(a, b)
-    hf_initial = monomial_quotient_hf(initial_ideal_Jab(a, b), top + 1)
-    hf_power = hilbert_function(ideal, top + 1, mode, rng=rng, mem_mb=mem_mb)
+    hf_initial, hf_power = compare_hilbert_functions(
+        ideal, initial_ideal_Jab(a, b), top + 1, mode, rng=rng, mem_mb=mem_mb,
+    )
     report = {
         "a": a,
         "b": b,
@@ -1158,10 +1187,6 @@ class ExplicitComplex:
                     raise ConventionError(
                         f"d_{p + 1} composed with d_{p + 2} is nonzero at {key}"
                     )
-
-    @property
-    def length(self) -> int:
-        return len(self.gen_degrees) - 1
 
     def term_dimension(self, p: int, t: int) -> int:
         if not 0 <= p < len(self.gen_degrees):

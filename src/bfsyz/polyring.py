@@ -33,7 +33,7 @@ from .exactalg import (
     blocked_rank_details,
     dump_matrix,
     load_matrix,
-    rank_details,
+    rank_details,  # noqa: F401 (unused; perfbench/spans.py REQUIRED_COPIES needs it)
 )
 from .exactalg.matrix import RankResult, _normalize_scalar, column_echelon, independent_columns
 from .exactalg.matrix import rref_rows  # noqa: F401 (unused; perfbench/spans.py REQUIRED_COPIES needs it)

@@ -486,6 +486,33 @@ def test_failed_out_write_is_usage_error(capsys, monkeypatch, tmp_path):
     assert str(tmp_path) in capsys.readouterr().err
 
 
+def test_inconclusive_report_goes_to_out(capsys, tmp_path):
+    target = tmp_path / "report.json"
+    code, out = run_cli(capsys, "fh-rank", "--a", "2", "--b", "6", "--k", "7", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    rep = json.loads(target.read_text())
+    assert rep["command"] == "fh-rank" and rep["status"] == "inconclusive"
+
+
+def test_failed_out_write_of_an_inconclusive_report_is_usage_error(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "_check_out", lambda path: None)
+    assert main(["fh-rank", "--a", "2", "--b", "6", "--k", "7", "--out", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    assert str(tmp_path) in captured.err and captured.out == ""
+
+
+def test_initial_ideal_escalates_a_modular_deficit(capsys, monkeypatch):
+    from bfsyz.exactalg import _modp
+
+    argv = ("initial-ideal", "--a", "2", "--b", "3", "--mode", "modular")
+    _, want = run_cli(capsys, *argv)
+    real = _modp.rank_mod_p_dense
+    # every mod-p rank one short of the true rank, the primes agreeing
+    monkeypatch.setattr(_modp, "rank_mod_p_dense", lambda a, primes: max(real(a, primes) - 1, 0))
+    assert run_cli(capsys, *argv) == (0, want)
+
+
 def test_reports_have_no_timestamps(capsys):
     _, rep = run_json(capsys, "minors-check", "--a", "2", "--b", "2")
     flat = json.dumps(rep)

@@ -5,6 +5,7 @@ import random
 import struct
 import tracemalloc
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -23,9 +24,7 @@ from bfsyz.exactalg import (
     rank_details,
 )
 from bfsyz.exactalg import _modp
-from bfsyz.exactalg import primes as primes_module
 from bfsyz.exactalg.matrix import (
-    _BadPrime,
     bareiss_rank_rows,
     column_echelon,
     independent_columns,
@@ -166,20 +165,25 @@ def test_auto_mode_small_matrix_is_exact():
 
 
 def test_bad_prime_is_resampled():
-    # denominator 5 vanishes mod 5; a tiny "prime" list forces the resample path
+    # denominator 5 vanishes mod 5, and the prime is kept all the same: the
+    # cleared row [1] has rank 1 modulo 5 as well
     m = matrix_from_rows([[Fraction(1, 5)]])
     res = rank_details(m, "modular", rng=random.Random(3), primes=[5, 7])
-    assert res.rank == 1
-    assert 5 not in res.primes
+    assert res == (1, "modular", (5, 7), False)
 
 
-def test_resampled_prime_avoids_the_primes_still_queued(monkeypatch):
-    # the first draw repeats the queued 7; the replacement of 5 must not be it
-    draws = iter([7, 11])
-    monkeypatch.setattr(primes_module, "random_prime", lambda rng: next(draws))
-    m = ExactMatrix(1, 1, {(0, 0): Fraction(1, 5)})
-    res = rank_details(m, "modular", rng=random.Random(0), primes=[5, 7])
-    assert res == (1, "modular", (11, 7), False)
+def test_prime_dividing_a_denominator_escalates_on_disagreement():
+    # the cleared rows [1, 5], [1, 0] have rank 1 mod 5 and 2 mod 7
+    m = matrix_from_rows([[Fraction(1, 5), 1], [1, 0]])
+    res = rank_details(m, "modular", rng=random.Random(3), primes=[5, 7])
+    assert res == (2, "exact", (5, 7), True)
+
+
+def test_cleared_row_drops_its_content():
+    # [5/3, 10/3] clears to the primitive [1, 2], not to [5, 10], which vanishes mod 5
+    m = matrix_from_rows([[Fraction(5, 3), Fraction(10, 3)]])
+    res = rank_details(m, "modular", rng=random.Random(3), primes=[5, 7])
+    assert res == (1, "modular", (5, 7), False)
 
 
 def test_fraction_heavy_matrix_rank():
@@ -418,10 +422,14 @@ def sparse_kernel_cases(rng, p):
     return cases
 
 
-def residue(v, p):
-    if isinstance(v, Fraction):
-        return v.numerator * pow(v.denominator, -1, p) % p
-    return v % p
+def cleared(row):
+    """A dense row as the mod-p path takes it: a row holding a Fraction has
+    its denominators cleared and its content divided out; others are kept."""
+    if not any(isinstance(v, Fraction) for v in row):
+        return row
+    ints = clear_denominators(row)
+    g = gcd(*ints)
+    return [v // g for v in ints]
 
 
 def kernel_coo(rows, order=None):
@@ -444,16 +452,10 @@ def kernel_coo(rows, order=None):
 def check_ranks(rows, primes):
     """``mod_p_rank_rows`` and, for integer rows, the kernel itself give the
     reference rank when every prime's reference agrees, and otherwise raise
-    ``PrimesDisagree`` carrying the per-prime reference ranks.  A prime that
-    divides a denominator is rejected first, as ``_BadPrime``."""
-    dens = [v.denominator for row in rows for v in row if isinstance(v, Fraction)]
-    bad = [p for p in primes if any(d % p == 0 for d in dens)]
-    if bad:
-        with pytest.raises(_BadPrime) as err:
-            mod_p_rank_rows(rows, len(rows[0]), primes)
-        assert err.value.args == (bad[0],)
-        return
-    want = {p: reference_rank_mod_p([[residue(v, p) for v in row] for row in rows], p) for p in primes}
+    ``PrimesDisagree`` carrying the per-prime reference ranks.  The reference
+    reduces each row modulo p once it is ``cleared``, so a prime that divides
+    a denominator is ranked like any other."""
+    want = {p: reference_rank_mod_p([[v % p for v in cleared(row)] for row in rows], p) for p in primes}
     calls = [lambda: mod_p_rank_rows(rows, len(rows[0]), primes)]
     if all(type(v) is int for row in rows for v in row):
         calls.append(lambda: _modp.rank_mod_p_dense(kernel_coo(rows), primes))
@@ -825,16 +827,11 @@ def test_blocked_echelon_rejects_labels_that_miss_the_blocks():
 
 
 def test_blocked_rank_reports_resampled_primes():
-    # 5 divides a denominator in block 0, so that block resamples it; block 1 uses 5
+    # 5 divides a denominator in block 0; both blocks still rank modulo 5 and 7
     entries = {(0, 0): Fraction(1, 5), (1, 1): 3}
     blocks = split_blocks(entries, [0, 1], [0, 1])
     res = blocked_rank_details(blocks, "modular", rng=random.Random(4), primes=[5, 7])
-    block0 = rank_details(
-        ExactMatrix(1, 1, {(0, 0): Fraction(1, 5)}), "modular", rng=random.Random(4), primes=[5, 7]
-    )
-    assert 5 not in block0.primes and 7 in block0.primes
-    assert res.rank == 2
-    assert res.primes == block0.primes + (5,)
+    assert res == (2, "modular", (5, 7), False)
 
 
 def test_blocked_rank_empty_matrix():

@@ -7,8 +7,8 @@ from typing import NamedTuple
 import pytest
 
 from bfsyz import homres
-from bfsyz.errors import ConventionError, InconclusiveError
-from bfsyz.exactalg import RankResult, WeightBlocks, blocked_rank_details, default_rng, matrix
+from bfsyz.errors import ConventionError, InconclusiveError, ResourceLimitError
+from bfsyz.exactalg import RankResult, WeightBlocks, _modp, blocked_rank_details, default_rng, matrix
 from bfsyz.fhmaps import ix_kernel_ideal, power_ideal
 from bfsyz.homres import (
     BettiEntry,
@@ -21,6 +21,7 @@ from bfsyz.homres import (
     explicit_betti_formula,
     first_syzygy_table,
     ia3_expected_table,
+    initial_ideal_regularity,
     koszul_complex,
     power_ideal_betti,
     power_locus_betti,
@@ -541,6 +542,31 @@ def toy_table(entries, nvars=2, i_max=2, t_max=2, j_max=4, unknown=()):
     return BettiTable(nvars, i_max, t_max, j_max, full, set(unknown))
 
 
+def short_kernel(monkeypatch):
+    """Make every mod-p rank one short of the true rank, the primes agreeing."""
+    real = _modp.rank_mod_p_dense
+    monkeypatch.setattr(_modp, "rank_mod_p_dense", lambda a, primes: max(real(a, primes) - 1, 0))
+
+
+def test_initial_ideal_route_escalates_a_modular_deficit(monkeypatch):
+    want = initial_ideal_regularity(2, 3, "modular")
+    assert want["hf_agree"] and want["value"] == 3
+    short_kernel(monkeypatch)
+    # every modular piece dimension falls short, and each escalates to exact
+    assert initial_ideal_regularity(2, 3, "modular") == want
+
+
+def test_initial_ideal_route_over_budget_is_inconclusive(monkeypatch):
+    short_kernel(monkeypatch)
+
+    def over_budget(rows, ncols):
+        raise ResourceLimitError("exact rows over the budget")
+
+    monkeypatch.setattr(matrix, "bareiss_rank_rows", over_budget)
+    with pytest.raises(InconclusiveError):
+        initial_ideal_regularity(2, 3, "modular")
+
+
 def test_regularity_rejects_unknown_entries():
     table = toy_table({(0, 1): 1}, unknown=[(2, 4)])
     with pytest.raises(InconclusiveError):
@@ -715,7 +741,7 @@ def explicit_complexes():
 @pytest.mark.parametrize("build,t_max", explicit_complexes())
 def test_piece_blocks_equal_split_of_global_piece(build, t_max):
     C = build()
-    for p in range(C.length):
+    for p in range(len(C.gen_degrees) - 1):  # the complex's length
         for t in range(t_max + 1):
             blocks = C.piece_blocks(p, t)
             entries, rl, cl = global_piece(C, p, t)
