@@ -42,6 +42,7 @@ from .homres import (
     power_locus_betti,
     power_resolution,
     power_strand_formula,
+    provenance,
     regularity,
     regularity_formula,
     verify_explicit_betti,
@@ -170,9 +171,9 @@ def _table_primes(table) -> list[int]:
     return sorted({p for e in table.entries.values() for p in e.primes})
 
 
-def _symmetry(provenance: dict) -> dict:
+def _symmetry(record: dict) -> dict:
     """The ``symmetry`` field of a table's meta or a certificate whose ranks were halved, else {}."""
-    return {"symmetry": provenance["symmetry"]} if "symmetry" in provenance else {}
+    return {"symmetry": record["symmetry"]} if "symmetry" in record else {}
 
 
 def _banner(table, convention: str = "total") -> list[str]:
@@ -326,9 +327,10 @@ def _cmd_initial_ideal(args) -> int:
     J = initial_ideal_Jab(a, b)
     rng = random.Random(f"{resolve_seed(args.seed)}:initial")
     ideal = power_ideal(a, b)
-    hf_j, hf_i = compare_hilbert_functions(
+    hf_j, pieces = compare_hilbert_functions(
         ideal, J, kmax, args.mode, rng=rng, mem_mb=args.mem_mb,
     )
+    hf_i = [piece.value for piece in pieces]
     agree = hf_j == hf_i
     status = "verified" if agree else "mismatch"
     body = {
@@ -336,6 +338,7 @@ def _cmd_initial_ideal(args) -> int:
         "generator_count": len(J.generators),
         "hf_initial_quotient": hf_j,
         "hf_power_quotient": hf_i,
+        "hf_power_provenance": [provenance(piece.rank) for piece in pieces],
         "agree_through": kmax,
         "agree": agree,
     }

@@ -731,6 +731,7 @@ def blocked_rank_details(
     sl2_columns: bool = True,
     incoming: tuple[RankResult, dict] | None = None,
     block_ranks: dict | None = None,
+    strengths: dict | None = None,
 ) -> RankResult:
     """Rank of a label-preserving map as the sum of its block ranks.
 
@@ -742,7 +743,8 @@ def blocked_rank_details(
     the mode choice and inferred blocks read ``shapes()``, and the
     empty-map shortcut reads ``bool(blocks)``.  A ``block_ranks`` dict, when
     given, receives ``{label: rank}`` of every visited block of nonzero
-    rank, inferred ones included.
+    rank, inferred ones included.  A ``strengths`` dict, when given,
+    receives ``{label: strength}`` of every visited block (see below).
 
     The exact/modular decision is made once from the *full* shape, the sum
     of the block shapes (so provenance matches the unblocked computation);
@@ -788,6 +790,15 @@ def blocked_rank_details(
     The inferred ranks are exact when d_in is; when d_in is modular they
     are upper bounds, and the result is modular with d_in's primes, so the
     caller passes one only where nothing else reads this rank.
+
+    The strength of a visited block is ``"exact"`` when Bareiss found its
+    rank, or it has full rank modulo a prime, or it was inferred injective
+    or surjective, or the homology walk inferred it from an exact d_in;
+    ``"lower"`` when it was eliminated modulo a prime below full rank, so
+    that its rank is a lower bound; and ``"leaned"`` when the walk inferred
+    it as C_w - in_w from a modular d_in, so that it is no lower bound, and
+    exact once d_in's block at w is (``homres.tor_betti`` settles both
+    kinds through the homology at the map's ends).
     """
     if weyl:
         _check_weyl_shapes(blocks, sl2_columns)
@@ -814,9 +825,12 @@ def blocked_rank_details(
     labels = sorted(w for w in shapes if w >= 0) if weyl else list(shapes)
     for w in labels:
         nrows, ncols = shapes[w]
+        strength = "exact"
         if w % 2 in vanished:
             r = ncols - walk_in.get(w, 0)
             leaned = True
+            if incoming[0].mode != "exact":
+                strength = "leaned"
         elif w % 2 in injective:
             r = ncols
         elif w % 2 in surjective:
@@ -832,6 +846,10 @@ def blocked_rank_details(
                 r = res.rank
                 escalated = escalated or res.escalated
                 ranked_mod_p = True
+                if res.mode == "modular" and r < min(nrows, ncols):
+                    strength = "lower"
+        if strengths is not None:
+            strengths[w] = strength
         if weyl:
             if r == ncols and sl2_columns:
                 injective.add(w % 2)

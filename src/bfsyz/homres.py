@@ -46,6 +46,7 @@ from .polyring import (
     MultiPoly,
     PolyRing,
     MonomialIdeal,
+    PieceValue,
     hilbert_function_details,
     ideal_power,
     initial_ideal_Jab,
@@ -413,6 +414,17 @@ def _local_indices(wedge_weights, module_weights):
     return local.reshape(total.shape), dict(zip(weights[starts].tolist(), sizes.tolist()))
 
 
+def provenance(res) -> dict:
+    """The proof strength of a ``RankResult`` or ``BettiEntry`` as a report
+    record: its mode, then its primes and its escalation when it has any."""
+    rec = {"mode": res.mode}
+    if res.primes:
+        rec["primes"] = list(res.primes)
+    if res.escalated:
+        rec["escalated"] = True
+    return rec
+
+
 class BettiEntry(NamedTuple):
     value: int
     mode: str
@@ -427,12 +439,15 @@ class BettiTable:
     kept because a certified zero is the point of off-strand checks.
     unknown holds (i, j) pairs whose computation hit the resource budget.
     Window metadata: all (i, j) with 0 <= i <= i_max, i <= j <= min(j_max,
-    i + t_max) are present in entries or unknown.
+    i + t_max) are present in entries or unknown.  full_degree, for the
+    table of an ideal I, is the least k with I_k = S_k when ``tor_betti``
+    saw one (it looks up to degree t_max + 1), else None; ``regularity``
+    rests on it, and ``to_json`` does not write it.
     """
 
-    __slots__ = ("nvars", "i_max", "t_max", "j_max", "entries", "unknown", "meta")
+    __slots__ = ("nvars", "i_max", "t_max", "j_max", "entries", "unknown", "meta", "full_degree")
 
-    def __init__(self, nvars, i_max, t_max, j_max, entries, unknown, meta=None):
+    def __init__(self, nvars, i_max, t_max, j_max, entries, unknown, meta=None, full_degree=None):
         self.nvars = nvars
         self.i_max = i_max
         self.t_max = t_max
@@ -440,6 +455,7 @@ class BettiTable:
         self.entries = dict(entries)
         self.unknown = set(unknown)
         self.meta = dict(meta or {})
+        self.full_degree = full_degree
 
     def covers(self, i: int, j: int) -> bool:
         return (i, j) in self.entries or (i, j) in self.unknown
@@ -458,12 +474,7 @@ class BettiTable:
         items = []
         for key in sorted(self.entries):
             e = self.entries[key]
-            rec = {"i": key[0], "j": key[1], "value": e.value, "mode": e.mode}
-            if e.primes:
-                rec["primes"] = list(e.primes)
-            if e.escalated:
-                rec["escalated"] = True
-            items.append(rec)
+            items.append({"i": key[0], "j": key[1], "value": e.value, **provenance(e)})
         return {
             "nvars": self.nvars,
             "i_max": self.i_max,
@@ -541,7 +552,7 @@ def tor_betti(
     ``module.weyl`` only the weight >= 0 half of a slab is ranked
     (``weyl=True``), and ``meta["symmetry"]`` is ``"sl2-weyl"``.
 
-    Two theorems replace elimination.  (1) If M presents S/I as a cyclic
+    Three rules replace or certify elimination.  (1) If M presents S/I as a cyclic
     module (``power_quotient``, never an ideal) with dim M_u = dim S_u for
     u <= t + 1, d(i, t) is the Koszul differential of S, which is exact in
     degree j = i + t > 0 (Eisenbud, *Commutative Algebra*, Cor. 17.5); so
@@ -552,7 +563,18 @@ def tor_betti(
     i and hands the block ranks of d(i + 1, t - 1) to those of d(i, t)
     (``blocked_rank_details(..., incoming=...)``) when they are exact, or
     when (i - 1, i + t) lies outside the window, so that the upper bounds a
-    modular incoming rank gives reach no other entry.
+    modular incoming rank gives reach no other entry.  (3) In ``auto``, d o
+    d = 0 certifies modular ranks: H_w = C_w - r_out,w - r_in,w >= 0 over QQ
+    and a rank mod p never exceeds the true one, so where the homology mod p
+    vanishes at a weight both block ranks are exact (``_settle_by_homology``
+    runs this to a fixpoint after every rank).  A map whose blocks all
+    settle is exact, and so is an entry whose two ranks are, or whose
+    modular value is 0: H'_w >= H_w >= 0 at every weight, by rank mod p <=
+    rank at the eliminated ones and by (2) at the inferred ones.  The pass
+    changes no rank, prime or draw, only modes, so the entry keeps the primes
+    that were used.  The table's ``full_degree`` is, for a module of an
+    ideal I, the least k with I_k = S_k up to one past the window's top
+    strand, which ``regularity`` needs.
     """
     nv = module.ring.nvars
     base_seed = resolve_seed(seed)
@@ -586,10 +608,13 @@ def tor_betti(
     ):
         free += 1
     zero = RankResult(0, "exact")
-    # (i, t) -> (rank, block ranks), or the budget error; each task writes
-    # the keys of its own anti-diagonal only
+    # (i, t) -> (rank, block ranks), or the budget error, and the block
+    # strengths and shapes of each slab with entries; each task writes the
+    # keys of its own anti-diagonal only
     ranks: dict = {}
     failed: dict = {}
+    strengths: dict = {}
+    shapes: dict = {}
 
     def diagonal_task(keys):
         for i, t in keys:
@@ -602,9 +627,12 @@ def tor_betti(
                     block_ranks = koszul_image_weights(nv - 1, i, i + t)
                     res = RankResult(sum(block_ranks.values()), "exact")
                 elif blocks := koszul_slab(module, i, t, mem_mb)[2]:
+                    shapes[(i, t)] = blocks.shapes()
+                    strengths[(i, t)] = {}
                     res = blocked_rank_details(
                         blocks, mode, rng=random.Random(f"{base_seed}:koszul:{i}:{t}"), mem_mb=mem_mb,
                         weyl=module.weyl, incoming=incoming, block_ranks=block_ranks,
+                        strengths=strengths[(i, t)],
                     )
                 else:
                     res = zero
@@ -627,6 +655,9 @@ def tor_betti(
         for keys in diagonals.values():
             diagonal_task(keys)
 
+    if mode == "auto":
+        _settle_by_homology(nv, ranks, strengths, shapes)
+
     entries: dict = {}
     unknown = set()
     for i, j in window:
@@ -639,19 +670,92 @@ def tor_betti(
         if out_key in failed or in_key in failed:
             unknown.add((i, j))
             continue
+        # the gate above hands d(i, t) a modular incoming rank only when d(i,
+        # t) maps into no entry of the window, so no rank into an entry leans
+        if "leaned" in strengths.get(in_key, {}).values():
+            raise AssertionError(f"the rank into entry ({i}, {j}) leans on a modular rank")
         r_out = ranks.get(out_key, (zero,))[0]
         r_in = ranks.get(in_key, (zero,))[0]
         value = comb(nv, i) * module.dimension(t) - r_out.rank - r_in.rank
         if value < 0:
             raise ConventionError(f"negative Betti number at (i, j) = ({i}, {j})")
         used = [r for r in (r_out, r_in) if r.rank or r.primes]
-        entry_mode = "modular" if any(r.mode == "modular" for r in used) else "exact"
+        modular = any(r.mode == "modular" for r in used) and not (mode == "auto" and value == 0)
         primes = tuple(sorted({p for r in used for p in r.primes}))
-        entries[(i, j)] = BettiEntry(value, entry_mode, primes, any(r.escalated for r in used))
+        entries[(i, j)] = BettiEntry(
+            value, "modular" if modular else "exact", primes, any(r.escalated for r in used)
+        )
     meta = {"mode": mode, "module": module.kind, "seed": base_seed}
     if module.weyl:
         meta["symmetry"] = SYMMETRY
-    return BettiTable(nv, i_max, cap, j_max, entries, unknown, meta)
+    full_degree = None
+    if module.kind == "ideal":
+        full_degree = next(
+            (k for k in range(t_hi + 2) if module.dimension(k) == module.ring.dimension(k)), None
+        )
+    return BettiTable(nv, i_max, cap, j_max, entries, unknown, meta, full_degree)
+
+
+def _settle_by_homology(nv: int, ranks: dict, strengths: dict, shapes: dict) -> None:
+    """Certify the Koszul block ranks that d o d = 0 pins, in place.
+
+    At a spot (i, t) and weight w, H_w = C_w - r_out,w - r_in,w >= 0 over
+    QQ, with C_w = dim(Wedge^i V (x) M_t)_w, r_out,w the rank of d(i, t) and
+    r_in,w that of d(i + 1, t - 1) at w.  A ``"lower"`` block rank is at most
+    the true one, so when both blocks are exact or lower and C_w - r_out,w -
+    r_in,w = 0, then H_w = 0 and both are exact.  A ``"leaned"`` block of
+    d(i, t) is C_w - r_in,w where H_w = 0 (``blocked_rank_details``), so it
+    is exact once r_in,w is.  The zero maps (out of i = 0, into i = nv or
+    t = 0) are exact 0, and so is a missing block.  The two rules run to a
+    fixpoint over every spot either of whose maps was ranked (both only
+    ever turn a block exact, so the order of visits does not matter); a map
+    whose blocks all end exact turns exact, with its primes and escalation
+    kept.
+    No rank changes.  Under Weyl halving only the blocks of weight >= 0 are
+    visited, and they settle the rest, since rank_w = rank_-w over QQ.
+    """
+    spots = {spot for i, t in ranks for spot in ((i, t), (i - 1, t + 1))}
+    sides = []  # (out key, in key, C_w, weights) of the spots to settle
+    for i, t in spots:
+        keys = ((i, t) if i >= 1 else None, (i + 1, t - 1) if i < nv and t >= 1 else None)
+        if any(key is not None and key not in ranks for key in keys):
+            continue  # a map not computed, or over the budget
+        out_key, in_key = keys
+        if out_key in shapes:
+            cols = {w: shape[1] for w, shape in shapes[out_key].items()}
+        elif in_key in shapes:
+            cols = {w: shape[0] for w, shape in shapes[in_key].items()}
+        else:
+            continue  # both maps are exact by formula, or zero
+        weights = set(strengths.get(out_key, ())) | set(strengths.get(in_key, ()))
+        sides.append((out_key, in_key, cols, weights))
+
+    def strength(key, w):
+        return strengths[key].get(w, "exact") if key in strengths else "exact"
+
+    def block_rank(key, w):
+        return ranks[key][1].get(w, 0) if key is not None else 0
+
+    changed = True
+    while changed:
+        changed = False
+        for out_key, in_key, cols, weights in sides:
+            for w in weights:
+                s_out, s_in = strength(out_key, w), strength(in_key, w)
+                if s_out == "leaned":
+                    if s_in == "exact":
+                        strengths[out_key][w] = "exact"
+                        changed = True
+                elif "lower" in (s_out, s_in) and s_in != "leaned" and (
+                    cols.get(w, 0) == block_rank(out_key, w) + block_rank(in_key, w)
+                ):
+                    for key, s in ((out_key, s_out), (in_key, s_in)):
+                        if s == "lower":
+                            strengths[key][w] = "exact"
+                    changed = True
+    for key, (res, block_ranks) in ranks.items():
+        if res.mode == "modular" and all(s == "exact" for s in strengths.get(key, {}).values()):
+            ranks[key] = res._replace(mode="exact"), block_ranks
 
 
 def first_syzygy_table(table: BettiTable) -> BettiTable:
@@ -727,37 +831,58 @@ def power_locus_betti(
 # regularity, numerator, generator counts
 
 
-def regularity(table: BettiTable) -> int:
-    """max{j - i : beta_{i,j} != 0}, with an explicit sufficiency check.
-
-    Trusting the maximum needs: no unknown entries, i_max at least the
-    variable count (so every homological row of the resolution is visible),
-    and the strand one past the last nonzero strand fully computed and zero.
-    Anything short of that raises InconclusiveError rather than
-    underreporting.
-    """
+def _check_rows_visible(table: BettiTable) -> None:
+    """Raise InconclusiveError if an entry is unknown, or i_max is below the
+    variable count, so that a homological row of the resolution may be unseen."""
     if table.unknown:
         raise InconclusiveError(f"table has {len(table.unknown)} unknown entries")
     if table.i_max < table.nvars:
         raise InconclusiveError(
             f"window too narrow: i_max = {table.i_max} is below the variable count {table.nvars}"
         )
+
+
+def regularity(table: BettiTable) -> int:
+    """max{j - i : beta_{i,j} != 0} of an ideal's table, where the window is known to hold it.
+
+    If I_k = S_k then S/I vanishes from degree k on, so reg I = reg(S/I) + 1
+    <= k: no strand of I above k is nonzero.  The maximum is trusted only
+    when that k is known (``BettiTable.full_degree``), the window holds
+    every strand up to k for every i <= i_max, no entry is unknown, and
+    i_max is at least the variable count (so every homological row of the
+    resolution is visible).  Anything short of that raises
+    InconclusiveError rather than underreporting: a zero strand alone
+    proves nothing, as (x0^2, x1^5) shows, with only beta_{0,2} in strands
+    0-3 and regularity 6.
+    """
+    _check_rows_visible(table)
+    k = table.full_degree
+    if k is None:
+        raise InconclusiveError("no degree k with I_k = S_k is known, so no strand bounds the regularity")
+    for i in range(table.i_max + 1):
+        for t in range(k + 1):
+            if (i, i + t) not in table.entries:
+                raise InconclusiveError(
+                    f"window too narrow: I_{k} = S_{k}, and strand {t} is not fully computed"
+                )
     strands = [j - i for (i, j), e in table.entries.items() if e.value]
     if not strands:
         raise InconclusiveError("table has no nonzero entries")
-    r = max(strands)
-    for i in range(table.i_max + 1):
-        if (i, i + r + 1) not in table.entries:
-            raise InconclusiveError(
-                f"window too narrow: strand {r + 1} is not fully computed"
-            )
-    return r
+    return max(strands)
 
 
 def projective_dimension(table: BettiTable) -> int:
-    """max{i : some beta_{i,j} != 0}; the regularity check certifies coverage."""
-    regularity(table)
-    return max(i for (i, _j), e in table.entries.items() if e.value)
+    """max{i : some beta_{i,j} != 0} over the window.
+
+    The value is the window's: every homological row is visible (i_max is
+    at least the variable count) and no entry is unknown, but a nonzero
+    entry in a strand beyond the window would go unseen.
+    """
+    _check_rows_visible(table)
+    rows = [i for (i, _j), e in table.entries.items() if e.value]
+    if not rows:
+        raise InconclusiveError("table has no nonzero entries")
+    return max(rows)
 
 
 def euler_characteristic_ok(module: GradedModule, table: BettiTable, j: int) -> bool:
@@ -783,14 +908,16 @@ def euler_characteristic_ok(module: GradedModule, table: BettiTable, j: int) -> 
 
 def compare_hilbert_functions(
     ideal: GradedIdeal, model: MonomialIdeal, k_max: int, mode: str = "auto", *, rng=None, mem_mb=None,
-) -> tuple[list[int], list[int]]:
+) -> tuple[list[int], list[PieceValue]]:
     """HF of S/model and of S/ideal in degrees 0..k_max, settled for comparison.
 
-    A modular piece dimension of ``ideal`` is only a lower bound, so a degree
-    whose quotient value exceeds the model's rests on a modular deficit: it
-    is escalated to exact against the model's dim I_k before any negative
-    verdict (``escalate_deficit``).  An escalation over the resource budget
-    raises InconclusiveError.
+    The second list holds ``PieceValue(HF(S/ideal)(k), rank)``, the rank of
+    the degree-k piece with its provenance.  A modular piece dimension of
+    ``ideal`` is only a lower bound, so a degree whose quotient value
+    exceeds the model's rests on a modular deficit: it is escalated to exact
+    against the model's dim I_k before any negative verdict
+    (``escalate_deficit``).  An escalation over the resource budget raises
+    InconclusiveError.
     """
     hf_model = monomial_quotient_hf(model, k_max)
     hf_ideal = []
@@ -802,7 +929,7 @@ def compare_hilbert_functions(
         )
         if not settled:
             raise InconclusiveError(f"the exact rank of the degree-{k} piece is over the resource budget")
-        hf_ideal.append(full - res.rank)
+        hf_ideal.append(PieceValue(full - res.rank, res))
     return hf_model, hf_ideal
 
 
@@ -818,22 +945,25 @@ def initial_ideal_regularity(
     degree stays zero in all later ones), so reg of the ideal is the top
     degree plus one.  Disagreement, once every modular deficit behind it has
     escalated (``compare_hilbert_functions``), leaves value None; a rank
-    budget failure raises InconclusiveError.  The power ideal's piece
-    dimensions are ranked on their weight >= 0 half, which ``"symmetry":
-    "sl2-weyl"`` records.
+    budget failure raises InconclusiveError.  ``hf_power_provenance`` gives
+    the proof strength of each degree of ``hf_power`` (``provenance``).  The
+    power ideal's piece dimensions are ranked on their weight >= 0 half,
+    which ``"symmetry": "sl2-weyl"`` records.
     """
     c = (b + 2) // 2
     top = c * (a - 1)
     ideal = power_ideal(a, b)
-    hf_initial, hf_power = compare_hilbert_functions(
+    hf_initial, pieces = compare_hilbert_functions(
         ideal, initial_ideal_Jab(a, b), top + 1, mode, rng=rng, mem_mb=mem_mb,
     )
+    hf_power = [piece.value for piece in pieces]
     report = {
         "a": a,
         "b": b,
         "top_degree": top,
         "hf_initial": hf_initial,
         "hf_power": hf_power,
+        "hf_power_provenance": [provenance(piece.rank) for piece in pieces],
         "hf_agree": hf_initial == hf_power,
         "value": None,
     }

@@ -510,7 +510,15 @@ def test_initial_ideal_escalates_a_modular_deficit(capsys, monkeypatch):
     real = _modp.rank_mod_p_dense
     # every mod-p rank one short of the true rank, the primes agreeing
     monkeypatch.setattr(_modp, "rank_mod_p_dense", lambda a, primes: max(real(a, primes) - 1, 0))
-    assert run_cli(capsys, *argv) == (0, want)
+    code, got = run_cli(capsys, *argv)
+    want, got = json.loads(want), json.loads(got)
+    # each degree ranked modulo its primes escalates, and says so
+    assert [rec for rec in want["hf_power_provenance"] if rec["mode"] == "modular"]
+    assert got.pop("hf_power_provenance") == [
+        {**rec, "mode": "exact", "escalated": True} if rec["mode"] == "modular" else rec
+        for rec in want.pop("hf_power_provenance")
+    ]
+    assert (code, got) == (0, want)
 
 
 def test_reports_have_no_timestamps(capsys):

@@ -164,7 +164,7 @@ def test_auto_mode_small_matrix_is_exact():
     assert max(m.shape) <= EXACT_DIM_LIMIT
 
 
-def test_bad_prime_is_resampled():
+def test_prime_dividing_a_denominator_is_kept():
     # denominator 5 vanishes mod 5, and the prime is kept all the same: the
     # cleared row [1] has rank 1 modulo 5 as well
     m = matrix_from_rows([[Fraction(1, 5)]])
@@ -826,7 +826,7 @@ def test_blocked_echelon_rejects_labels_that_miss_the_blocks():
     assert column_echelon(blocks, [0, 1]) == ([{0: 1}, {1: 1}], [0, 1])
 
 
-def test_blocked_rank_reports_resampled_primes():
+def test_blocked_rank_keeps_a_prime_dividing_a_denominator():
     # 5 divides a denominator in block 0; both blocks still rank modulo 5 and 7
     entries = {(0, 0): Fraction(1, 5), (1, 1): 3}
     blocks = split_blocks(entries, [0, 1], [0, 1])

@@ -1,6 +1,7 @@
 """Homology layer: graded modules, Betti windows, regularity, explicit complexes."""
 
 import gc
+import json
 from math import comb
 from typing import NamedTuple
 
@@ -316,9 +317,12 @@ def test_power_locus_2_2_matches_direct_kernel_route():
 
 def test_power_locus_regularity_and_pd_2_2():
     res = power_locus_betti(2, 2, seed=7)
-    assert regularity(res.ideal_table) == 3
+    # I(X)_k is never S_k, so no window of the tables bounds their regularity
+    for table in (res.ideal_table, res.quotient_table):
+        assert table.full_degree is None
+        with pytest.raises(InconclusiveError):
+            regularity(table)
     assert projective_dimension(res.ideal_table) == 3
-    assert regularity(res.quotient_table) == 2
     assert projective_dimension(res.quotient_table) == 4
 
 
@@ -346,7 +350,7 @@ def test_verify_explicit_betti_3_2():
 
 
 def test_power_quotient_mixed_modes_at_3_2():
-    res = power_locus_betti(3, 2, seed=7, threads=2)
+    res = power_locus_betti(3, 2, "modular", seed=7, threads=2)
     modes = {e.mode for e in res.ideal_table.entries.values()}
     assert modes == {"exact", "modular"}
     modular = [e for e in res.ideal_table.entries.values() if e.mode == "modular"]
@@ -495,7 +499,15 @@ def test_rank_inferred_from_a_modular_incoming_rank_is_modular(monkeypatch, run)
         incoming = set(walk.incoming[0].primes)
         assert walk.result.mode == "modular" and incoming <= set(walk.result.primes)
         entry = table.entries[(i, i + t)]
-        assert entry.mode == "modular" and incoming <= set(entry.primes)
+        assert incoming <= set(entry.primes)
+        if table.meta["mode"] == "modular":
+            assert entry.mode == "modular"
+        elif entry.value == 0:
+            # in auto a modular 0 is an exact 0: H'_w >= H_w >= 0 at every weight
+            assert entry.mode == "exact"
+        else:
+            # the leaned blocks stay modular while their incoming block is
+            assert entry.mode == "modular"
 
 
 def test_power_locus_2_3_is_thread_independent():
@@ -504,6 +516,34 @@ def test_power_locus_2_3_is_thread_independent():
     two = power_locus_betti(2, 3, seed=1, threads=2)
     assert one.quotient_table.to_json() == two.quotient_table.to_json()
     assert one.ideal_table.to_json() == two.ideal_table.to_json()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_koszul_ranks_certify_each_other(threads):
+    # in auto, where the homology mod p vanishes, the ranks around it are
+    # exact: only the four nonzero strand entries of (2, 3) stay modular,
+    # which need the top-strand blocks that the walk infers
+    res = power_locus_betti(2, 3, seed=1, threads=threads)
+    entries = res.ideal_table.entries
+    modular = {key: e.value for key, e in entries.items() if e.mode == "modular"}
+    assert len(entries) == 48
+    assert modular == {(2, 6): 182, (3, 7): 126, (4, 8): 46, (5, 9): 7}
+    assert all(len(entries[key].primes) >= 2 for key in modular)
+    assert all(e.mode == "exact" for e in power_locus_betti(3, 2, seed=1, threads=threads).ideal_table.entries.values())
+    # the modular and exact modes are left as they are
+    assert {e.mode for e in power_locus_betti(3, 2, "modular", seed=1).ideal_table.entries.values()} == {"exact", "modular"}
+
+
+@pytest.mark.parametrize("a,b", [(3, 2), (2, 3)])
+def test_short_kernel_values_are_never_labelled_exact(monkeypatch, a, b):
+    honest = power_locus_betti(a, b, seed=1).quotient_table.entries
+    short_kernel(monkeypatch)
+    table = power_locus_betti(a, b, seed=1).quotient_table
+    wrong = {key for key, e in table.entries.items() if e.value != honest[key].value}
+    assert wrong
+    assert all(table.entries[key].mode == "modular" for key in wrong)
+    # the primes are drawn and kept as before
+    assert {key: e.primes for key, e in table.entries.items()} == {key: e.primes for key, e in honest.items()}
 
 
 def test_homology_walk_lends_the_incoming_strength():
@@ -526,20 +566,39 @@ def test_homology_walk_lends_the_incoming_strength():
     assert blocked_rank_details(blocks, weyl=True, sl2_columns=False, incoming=modular_in).mode == "exact"
 
 
+def test_block_strengths():
+    # the blocks of test_homology_walk_lends_the_incoming_strength
+    blocks = WeightBlocks({
+        -2: (1, 1, {}), 0: (1, 2, {(0, 0): 1}), 2: (1, 1, {(0, 0): 1}),
+    })
+    strengths: dict = {}
+    blocked_rank_details(blocks, weyl=True, incoming=(RankResult(1, "exact"), {0: 1}), strengths=strengths)
+    assert strengths == {0: "exact", 2: "exact"}
+    modular_in = (RankResult(1, "modular", (11, 13)), {0: 1})
+    blocked_rank_details(blocks, "modular", primes=[5, 7], weyl=True, incoming=modular_in, strengths=strengths)
+    assert strengths == {0: "exact", 2: "leaned"}
+    # below full rank mod p a rank is a lower bound; an empty block is exact
+    square = WeightBlocks({0: (2, 2, {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1}), 1: (1, 1, {})})
+    strengths = {}
+    assert blocked_rank_details(square, "modular", primes=[5, 7], strengths=strengths).rank == 1
+    assert strengths == {0: "lower", 1: "exact"}
+    strengths = {}
+    blocked_rank_details(square, "exact", strengths=strengths)
+    assert strengths == {0: "exact", 1: "exact"}
+
+
 # ---------------------------------------------------------------------------
 # regularity guard rails
 
 
-def toy_table(entries, nvars=2, i_max=2, t_max=2, j_max=4, unknown=()):
-    from bfsyz.homres import BettiEntry
-
+def toy_table(entries, nvars=2, i_max=2, t_max=2, j_max=4, unknown=(), full_degree=None):
     full = {}
     for i in range(i_max + 1):
         for j in range(i, min(j_max, i + t_max) + 1):
             full[(i, j)] = BettiEntry(entries.get((i, j), 0), "exact")
     for key in unknown:
         full.pop(key, None)
-    return BettiTable(nvars, i_max, t_max, j_max, full, set(unknown))
+    return BettiTable(nvars, i_max, t_max, j_max, full, set(unknown), full_degree=full_degree)
 
 
 def short_kernel(monkeypatch):
@@ -551,9 +610,17 @@ def short_kernel(monkeypatch):
 def test_initial_ideal_route_escalates_a_modular_deficit(monkeypatch):
     want = initial_ideal_regularity(2, 3, "modular")
     assert want["hf_agree"] and want["value"] == 3
+    ranked = [rec for rec in want["hf_power_provenance"] if rec["mode"] == "modular"]
+    assert ranked and all(len(rec["primes"]) == 2 for rec in ranked)
     short_kernel(monkeypatch)
     # every modular piece dimension falls short, and each escalates to exact
-    assert initial_ideal_regularity(2, 3, "modular") == want
+    got = initial_ideal_regularity(2, 3, "modular")
+    provenance = got.pop("hf_power_provenance")
+    assert got == {k: v for k, v in want.items() if k != "hf_power_provenance"}
+    assert provenance == [
+        {**rec, "mode": "exact", "escalated": True} if rec["mode"] == "modular" else rec
+        for rec in want["hf_power_provenance"]
+    ]
 
 
 def test_initial_ideal_route_over_budget_is_inconclusive(monkeypatch):
@@ -568,27 +635,51 @@ def test_initial_ideal_route_over_budget_is_inconclusive(monkeypatch):
 
 
 def test_regularity_rejects_unknown_entries():
-    table = toy_table({(0, 1): 1}, unknown=[(2, 4)])
-    with pytest.raises(InconclusiveError):
+    table = toy_table({(0, 1): 1}, unknown=[(2, 4)], full_degree=1)
+    with pytest.raises(InconclusiveError, match="unknown"):
         regularity(table)
 
 
 def test_regularity_rejects_short_homological_window():
-    table = toy_table({(0, 1): 1}, nvars=5)
-    with pytest.raises(InconclusiveError):
+    table = toy_table({(0, 1): 1}, nvars=5, full_degree=1)
+    with pytest.raises(InconclusiveError, match="variable count"):
         regularity(table)
 
 
 def test_regularity_rejects_missing_guard_strand():
-    table = toy_table({(0, 2): 1})  # top strand 2 = t_max, strand 3 absent
-    with pytest.raises(InconclusiveError):
+    # I_3 = S_3, and the window stops at strand t_max = 2
+    table = toy_table({(0, 2): 1}, full_degree=3)
+    with pytest.raises(InconclusiveError, match="strand 3"):
         regularity(table)
 
 
 def test_regularity_accepts_guarded_strand():
-    table = toy_table({(0, 1): 1, (1, 2): 1})
+    table = toy_table({(0, 1): 1, (1, 2): 1}, full_degree=1)
     assert regularity(table) == 1
     assert projective_dimension(table) == 1
+
+
+def test_regularity_needs_a_degree_where_the_ideal_is_everything():
+    # I = (x0^2, x1^5): strands 1-3 vanish, yet reg I = 6, since S/I lives
+    # up to degree 5 and I_6 = S_6
+    ring = PolyRing(2, "x")
+    module = GradedModule.from_ideal(GradedIdeal(ring, [ring.variable(0) ** 2, ring.variable(1) ** 5]))
+    short = tor_betti(module, 2, 5, "exact", t_max=3)
+    assert short.nonzero() == {(0, 2): 1} and short.full_degree is None
+    with pytest.raises(InconclusiveError):
+        regularity(short)
+    table = tor_betti(module, 2, 9, "exact", t_max=7)
+    assert table.nonzero() == {(0, 2): 1, (0, 5): 1, (1, 7): 1} and table.full_degree == 6
+    assert regularity(table) == 6
+    assert "full_degree" not in json.dumps(table.to_json())
+
+
+def test_projective_dimension_checks_its_own_window():
+    assert projective_dimension(toy_table({(0, 1): 1, (1, 2): 1})) == 1
+    with pytest.raises(InconclusiveError):
+        projective_dimension(toy_table({(0, 1): 1}, unknown=[(2, 4)]))
+    with pytest.raises(InconclusiveError):
+        projective_dimension(toy_table({(0, 1): 1}, nvars=5))
 
 
 # ---------------------------------------------------------------------------
