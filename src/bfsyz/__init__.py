@@ -41,6 +41,8 @@ from .homres import (  # noqa: E402,F401
     BettiTable,
     ExplicitComplex,
     GradedModule,
+    betti_reference,
+    check_betti,
     coker_hilbert,
     exactness_check,
     initial_ideal_regularity,
@@ -50,7 +52,4 @@ from .homres import (  # noqa: E402,F401
     power_resolution,
     regularity,
     tor_betti,
-    verify_explicit_betti,
-    verify_ia3_resolution,
-    verify_power_betti,
 )

@@ -27,15 +27,15 @@ from .fhmaps import (
     sr_wr_terms,
 )
 from .homres import (
+    betti_reference,
+    check_betti,
+    explicit_betti_formula,
     initial_ideal_regularity,
     koszul_complex,
     power_ideal_betti,
     power_locus_betti,
-    regularity,
+    projective_dimension,
     regularity_formula,
-    verify_explicit_betti,
-    verify_ia3_resolution,
-    verify_power_betti,
 )
 from .polyring import MultiPoly, PolyRing, hilbert_function, ideal_power
 from .sl2rep import BinaryForm, transvectant
@@ -46,6 +46,29 @@ def _check(ok, detail: str = "") -> None:
     which ``python -O`` strips, this check always runs."""
     if not ok:
         raise AssertionError(detail)
+
+
+def _power_ideal_verdict(ctx, a, b, power, mode="auto", *, t_max=None, **reference):
+    """A power-ideal table in ``mode``, and its ``check_betti`` verdict
+    against ``reference``, which reruns the table in ``"exact"`` to
+    escalate a failed check that read a modular entry."""
+    def table(mode):
+        return power_ideal_betti(
+            a, b, power, mode, t_max=t_max, seed=ctx["seed"], mem_mb=ctx["mem_mb"],
+            cache=ctx["cache"], threads=ctx["threads"],
+        )
+
+    first = table(mode)
+    return first, check_betti(first, exact_table=lambda: table("exact"), **reference)
+
+
+def _verified(verdict, mismatch: str) -> None:
+    """Take over a ``check_betti`` verdict: an inconclusive one leaves the
+    criterion inconclusive, and a mismatch fails it with ``mismatch``."""
+    if verdict.status == "inconclusive":
+        raise InconclusiveError(verdict.reason)
+    _check(verdict.status == "verified", mismatch)
+
 
 def _criterion_1(ctx) -> str:
     """Maximal rank over the small grid, plus the square 495-dimensional slice."""
@@ -88,9 +111,10 @@ def _criterion_3(ctx) -> str:
     got = {key: table.value(*key) for key in table.nonzero()}
     _check(got == expected, f"nonzero entries {got} != {expected}")
     _check(all(e.mode == "exact" for e in table.entries.values()), "non-exact entry found")
-    verify = verify_explicit_betti(2, 2, table)
-    _check(verify["off_strand"]["ok"], f"off-strand values {verify['off_strand']['violations']}")
-    _check(verify["projective_dimension"]["computed"] == 3, "projective dimension != 3")
+    # the rows hold every nonzero entry, so a verified table is zero off the strand
+    verdict = check_betti(table, entries=betti_reference("ix", 2, 2))
+    _verified(verdict, f"off the closed form: {verdict.entries}")
+    _check(projective_dimension(table) == 3, "projective dimension != 3")
     return "strand (7, 10, 5, 1) exact; off-strand zero over the window; pd 3"
 
 
@@ -98,19 +122,25 @@ def _criterion_4(ctx) -> str:
     """Computed power-locus tables against the three closed forms."""
     totals = []
     for a, b in ((2, 2), (3, 2), (2, 3), (4, 2)):
-        res = power_locus_betti(
-            a, b, seed=ctx["seed"], mem_mb=ctx["mem_mb"],
-            cache=ctx["cache"], threads=ctx["threads"],
+        def ideal_table(mode, a=a, b=b):
+            return power_locus_betti(
+                a, b, mode, seed=ctx["seed"], mem_mb=ctx["mem_mb"],
+                cache=ctx["cache"], threads=ctx["threads"],
+            ).ideal_table
+
+        verdict = check_betti(
+            ideal_table("auto"), entries=betti_reference("ix", a, b), exact_table=lambda: ideal_table("exact"),
         )
-        table = res.ideal_table
-        verify = verify_explicit_betti(a, b, table)
-        _check(verify["ok"], f"({a},{b}) disagrees: {verify}")
-        _check(verify["closed_forms"]["beta_1"]["match"], f"({a},{b}) beta_1 form off")
-        _check(verify["closed_forms"]["beta_d"]["match"], f"({a},{b}) beta_d form off")
-        for key, e in table.entries.items():
+        _verified(verdict, f"({a},{b}) disagrees: {verdict.entries}")
+        # the first and last closed forms against the alternating sum
+        d = a * b
+        formula = explicit_betti_formula(a, b)
+        _check(comb(d + b + 1, b + 1) - comb(d + a + b, b) == formula[1], f"({a},{b}) beta_1 form off")
+        _check(comb(d - a + b, b) - comb(d + b - 1, b - 1) == formula[d], f"({a},{b}) beta_d form off")
+        for key, e in verdict.table.entries.items():
             if e.mode == "modular":
                 _check(len(e.primes) >= 2 or e.escalated, f"single-prime entry {key}")
-        totals.append(f"({a},{b}) " + ", ".join(str(r["computed"]) for r in verify["entries"]))
+        totals.append(f"({a},{b}) " + ", ".join(str(r["computed"]) for r in verdict.entries))
     return "; ".join(totals)
 
 
@@ -132,12 +162,8 @@ def _criterion_6(ctx) -> str:
     for a in (1, 2, 3):
         for b in (1, 2, 3):
             formula = regularity_formula(a, b)
-            table = power_ideal_betti(
-                a, b, 1, t_max=formula + 1, seed=ctx["seed"], mem_mb=ctx["mem_mb"],
-                cache=ctx["cache"], threads=ctx["threads"],
-            )
-            value = regularity(table)
-            _check(value == formula, f"({a},{b}) Betti route {value} != {formula}")
+            _, verdict = _power_ideal_verdict(ctx, a, b, 1, t_max=formula + 1, regularity=formula)
+            _verified(verdict, f"({a},{b}) Betti route {verdict.regularity['computed']} != {formula}")
             direct += 1
     monomial = 0
     for a in (1, 2, 3, 4):
@@ -155,19 +181,18 @@ def _criterion_6(ctx) -> str:
 
 def _criterion_7(ctx) -> str:
     """Resolutions over the cubic range: a = 2 exact, a = 3 modular."""
-    rep2 = verify_ia3_resolution(
-        2, "exact", seed=ctx["seed"], mem_mb=ctx["mem_mb"],
-        cache=ctx["cache"], threads=ctx["threads"],
-    )
-    _check(rep2["ok"], f"a = 2 table off: {rep2['entries']}")
-    got2 = {(r["i"], r["j"]): r["computed"] for r in rep2["entries"]}
+    def cubic(a, mode):
+        return _power_ideal_verdict(
+            ctx, a, 3, 1, mode, t_max=2 * a, entries=betti_reference("iab", a, 3), regularity=regularity_formula(a, 3),
+        )
+
+    _, rep2 = cubic(2, "exact")
+    _verified(rep2, f"a = 2 table off: {rep2.report()}")
+    got2 = {(r["i"], r["j"]): r["computed"] for r in rep2.entries}
     _check(got2 == {(0, 2): 7, (1, 3): 8, (1, 4): 3, (2, 5): 8, (3, 6): 3}, f"a = 2 shape {got2}")
-    rep3 = verify_ia3_resolution(
-        3, "modular", seed=ctx["seed"], mem_mb=ctx["mem_mb"],
-        cache=ctx["cache"], threads=ctx["threads"],
-    )
-    _check(rep3["ok"], f"a = 3 table off: {rep3['entries']}")
-    _check("modular" in rep3["modes"], "a = 3 run did not exercise the modular path")
+    table3, rep3 = cubic(3, "modular")
+    _verified(rep3, f"a = 3 table off: {rep3.report()}")
+    _check(any(e.mode == "modular" for e in table3.entries.values()), "a = 3 run did not exercise the modular path")
     return "a = 2 exact (7, 8 | 3, 8, 3); a = 3 modular, regularity 5"
 
 
@@ -175,13 +200,12 @@ def _criterion_8(ctx) -> str:
     """Two-strand tables of the (b-1)-st power, with regularity d - 1."""
     seen = []
     for a, b in ((2, 2), (3, 2), (2, 3)):
-        table = power_ideal_betti(
-            a, b, b - 1, seed=ctx["seed"], mem_mb=ctx["mem_mb"],
-            cache=ctx["cache"], threads=ctx["threads"],
+        _, verdict = _power_ideal_verdict(
+            ctx, a, b, b - 1, entries=betti_reference("iab-pow", a, b, b - 1),
+            regularity=regularity_formula(a, b, b - 1),
         )
-        rep = verify_power_betti(a, b, table)
-        _check(rep["ok"], f"({a},{b}) power table off: {rep}")
-        seen.append(f"({a},{b}) reg {rep['regularity']['computed']}")
+        _verified(verdict, f"({a},{b}) power table off: {verdict.report()}")
+        seen.append(f"({a},{b}) reg {verdict.regularity['computed']}")
     return "both strands match; " + ", ".join(seen)
 
 

@@ -15,7 +15,6 @@ import json
 import random
 import sys
 from fractions import Fraction
-from math import comb
 from pathlib import Path
 
 from . import __version__
@@ -34,18 +33,15 @@ from .fhmaps import (
     skew_normalizable,
 )
 from .homres import (
+    betti_reference,
+    check_betti,
     compare_hilbert_functions,
-    compare_table,
-    ia3_expected_table,
     initial_ideal_regularity,
     power_ideal_betti,
     power_locus_betti,
     power_resolution,
-    power_strand_formula,
     provenance,
-    regularity,
     regularity_formula,
-    verify_explicit_betti,
 )
 from .polyring import cache_directory, initial_ideal_Jab
 from .sl2rep import CLASSICAL_REFERENCE_TRIPLE, char_identity_check
@@ -216,80 +212,71 @@ def _cmd_gens(args) -> int:
     return EXIT_VERIFIED
 
 
+def _power_ideal_table(args, power: int, t_max: int | None = None):
+    """``table(mode)``: the table of the power ``power`` of the command's power
+    ideal in ``mode``, under its seed, budget, cache and threads; a verdict
+    calls it again with ``"exact"`` to escalate."""
+    return lambda mode: power_ideal_betti(
+        args.a, args.b, power, mode, t_max=t_max, seed=resolve_seed(args.seed),
+        mem_mb=args.mem_mb, cache=args.cache, threads=args.threads,
+    )
+
+
 def _cmd_betti(args) -> int:
     if args.j is not None and args.target != "iab-pow":
         raise ValueError(f"--j applies to --target iab-pow only, not --target {args.target}")
-    params = {"a": args.a, "b": args.b, "target": args.target}
-    if args.target == "ix":
-        res = power_locus_betti(
-            args.a, args.b, args.mode, seed=resolve_seed(args.seed),
-            mem_mb=args.mem_mb, cache=args.cache, threads=args.threads,
-        )
-        table = res.ideal_table
-        verify = verify_explicit_betti(args.a, args.b, table)
-        status = "verified" if verify["ok"] else "mismatch"
-        body = {
-            "table": table.to_json(),
-            "quotient_table": res.quotient_table.to_json(),
-            "verification": verify,
-            "primes": _table_primes(table),
-        }
-        out = _envelope("betti", args, params, status, body)
-        lines = [f"Betti table of the power-locus ideal, a = {args.a}, b = {args.b}:"]
-        lines += _banner(table, args.convention)
-        lines.append(f"closed-form comparison: {'ok' if verify['ok'] else 'MISMATCH'}")
-        _emit(args, out, lines)
-        return _status_exit(status)
-
-    power = args.j if args.target == "iab-pow" else 1
     if args.target == "iab-pow" and args.j is None:
         raise ValueError("--target iab-pow needs --j")
-    table = power_ideal_betti(
-        args.a, args.b, power, args.mode, seed=resolve_seed(args.seed),
-        mem_mb=args.mem_mb, cache=args.cache, threads=args.threads,
-    )
-    params["power"] = power
-    expected = None
-    if args.b == 3 and power == 1:
-        expected = ia3_expected_table(args.a)
-    elif args.a >= 2 and args.b >= 2 and power == args.b - 1:
-        expected = power_strand_formula(args.a, args.b)
-    elif args.a == 1 and power == 1:
-        nv = args.b + 1
-        expected = {(i, i + 1): comb(nv, i + 1) for i in range(nv)}
-    if expected is None:
+    power = args.j or 1
+    params = {"a": args.a, "b": args.b, "target": args.target}
+    body: dict = {}
+
+    def locus_table(mode):
+        res = power_locus_betti(
+            args.a, args.b, mode, seed=resolve_seed(args.seed),
+            mem_mb=args.mem_mb, cache=args.cache, threads=args.threads,
+        )
+        body["quotient_table"] = res.quotient_table.to_json()
+        return res.ideal_table
+
+    compute = locus_table if args.target == "ix" else _power_ideal_table(args, power)
+    table = compute(args.mode)
+    reference = betti_reference(args.target, args.a, args.b, power)
+    if reference is None:
         # with nothing to compare against, an entry left unknown on the budget
         # leaves the table unfinished
         status = "inconclusive" if table.unknown else "computed"
-        body = {"table": table.to_json(), "reference": None, "primes": _table_primes(table)}
+        body["reference"] = None
     else:
-        ok, rows = compare_table(table, expected)
-        status = "verified" if ok else "mismatch"
-        body = {
-            "table": table.to_json(),
-            "reference": {"entries": rows},
-            "primes": _table_primes(table),
-        }
-    out = _envelope("betti", args, params, status, body)
-    name = "power ideal" if power == 1 else f"power-ideal power {power}"
-    lines = [f"Betti table of the {name}, a = {args.a}, b = {args.b}:"]
+        verdict = check_betti(table, entries=reference, exact_table=lambda: compute("exact"))
+        status, table = verdict.status, verdict.table
+        body["reference"] = verdict.report()
+    body.update({"table": table.to_json(), "primes": _table_primes(table)})
+    if args.target == "ix":
+        lines = [f"Betti table of the power-locus ideal, a = {args.a}, b = {args.b}:"]
+        label = "closed-form comparison"
+    else:
+        params["power"] = power
+        name = "power ideal" if power == 1 else f"power-ideal power {power}"
+        lines = [f"Betti table of the {name}, a = {args.a}, b = {args.b}:"]
+        label = "reference comparison"
     lines += _banner(table, args.convention)
-    if expected is not None:
-        lines.append(f"reference comparison: {'ok' if status == 'verified' else 'MISMATCH'}")
-    _emit(args, out, lines)
+    if reference is not None:
+        lines.append(f"{label}: " + {"verified": "ok", "mismatch": "MISMATCH"}.get(status, "INCONCLUSIVE"))
+    _emit(args, _envelope("betti", args, params, status, body), lines)
     return _status_exit(status)
 
 
-def _reg_betti_route(args) -> dict:
-    formula = regularity_formula(args.a, args.b)
-    table = power_ideal_betti(
-        args.a, args.b, 1, args.mode, t_max=formula + 1, seed=resolve_seed(args.seed),
-        mem_mb=args.mem_mb, cache=args.cache, threads=args.threads,
-    )
-    value = regularity(table)
-    route = {"route": "betti", "value": value, "primes": _table_primes(table)}
-    route.update(_symmetry(table.meta))
-    return route
+def _reg_betti_route(args, formula: int) -> tuple[dict, bool]:
+    compute = _power_ideal_table(args, 1, formula + 1)
+    verdict = check_betti(compute(args.mode), regularity=formula, exact_table=lambda: compute("exact"))
+    if verdict.status == "inconclusive":
+        raise InconclusiveError(verdict.reason)
+    route = {"route": "betti", "value": verdict.regularity["computed"], "primes": _table_primes(verdict.table)}
+    route.update(_symmetry(verdict.table.meta))
+    if verdict.escalated:
+        route["escalated"] = True
+    return route, verdict.status == "verified"
 
 
 def _reg_initial_route(args) -> dict:
@@ -304,11 +291,13 @@ def _reg_initial_route(args) -> dict:
 def _cmd_reg(args) -> int:
     formula = regularity_formula(args.a, args.b)
     routes = []
+    ok = True
     if args.route in ("betti", "both"):
-        routes.append(_reg_betti_route(args))
+        route, ok = _reg_betti_route(args, formula)
+        routes.append(route)
     if args.route in ("initial", "both"):
         routes.append(_reg_initial_route(args))
-    ok = all(r["value"] == formula for r in routes)
+        ok = ok and routes[-1]["value"] == formula
     status = "verified" if ok else "mismatch"
     body = {"formula": formula, "routes": routes}
     out = _envelope("reg", args, {"a": args.a, "b": args.b, "route": args.route}, status, body)
@@ -455,24 +444,25 @@ def _cmd_conjecture_scan(args) -> int:
     any_differs = False
     any_inconclusive = False
     for j in range(1, args.jmax + 1):
-        predicted = ((b + j + 1) // 2) * a - (b - j + 1) // 2
+        predicted = regularity_formula(a, b, j)
         entry = {"j": j, "predicted": predicted}
+        compute = _power_ideal_table(args, j, predicted + 2)
         try:
-            table = power_ideal_betti(
-                a, b, j, args.mode, t_max=predicted + 2, seed=resolve_seed(args.seed),
-                mem_mb=args.mem_mb, cache=args.cache, threads=args.threads,
-            )
-            value = regularity(table)
-            entry["computed"] = value
-            entry["primes"] = _table_primes(table)
-            entry.update(_symmetry(table.meta))
-            entry["status"] = "matches" if value == predicted else "differs"
-            any_differs = any_differs or entry["status"] == "differs"
+            verdict = check_betti(compute(args.mode), regularity=predicted, exact_table=lambda: compute("exact"))
+            reason = verdict.reason
         except (InconclusiveError, ResourceLimitError) as exc:
-            entry["computed"] = None
-            entry["status"] = "inconclusive"
-            entry["reason"] = str(exc)
+            verdict, reason = None, str(exc)
+        if verdict is None or verdict.status == "inconclusive":
+            entry.update({"computed": None, "status": "inconclusive", "reason": reason})
             any_inconclusive = True
+        else:
+            entry["computed"] = verdict.regularity["computed"]
+            entry["primes"] = _table_primes(verdict.table)
+            entry.update(_symmetry(verdict.table.meta))
+            if verdict.escalated:
+                entry["escalated"] = True
+            entry["status"] = "matches" if verdict.status == "verified" else "differs"
+            any_differs = any_differs or entry["status"] == "differs"
         entries.append(entry)
     if any_differs:
         status = "mismatch"
@@ -494,7 +484,7 @@ def _cmd_conjecture_scan(args) -> int:
 def _cmd_exactness(args) -> int:
     res = power_resolution(
         args.a, args.b, args.mode, seed=resolve_seed(args.seed),
-        mem_mb=args.mem_mb, max_attempts=args.max_attempts, window_hi=args.window_hi,
+        mem_mb=args.mem_mb, window_hi=args.window_hi,
     )
     cert = res.certificate
     status = "verified" if cert["resolves"] else "mismatch"
@@ -626,7 +616,6 @@ def build_parser() -> _Parser:
     p.add_argument("--a", type=_positive, required=True)
     p.add_argument("--b", type=_positive, required=True)
     p.add_argument("--window-hi", type=_nonnegative, default=None)
-    p.add_argument("--max-attempts", type=_positive, default=4)
     _add_common(p, "--mode", "--seed", "--mem-mb")
     p.set_defaults(handler=_cmd_exactness)
 

@@ -457,9 +457,6 @@ class BettiTable:
         self.meta = dict(meta or {})
         self.full_degree = full_degree
 
-    def covers(self, i: int, j: int) -> bool:
-        return (i, j) in self.entries or (i, j) in self.unknown
-
     def value(self, i: int, j: int) -> int:
         if (i, j) in self.unknown:
             raise InconclusiveError(f"entry ({i}, {j}) exceeded the resource budget")
@@ -765,11 +762,15 @@ def first_syzygy_table(table: BettiTable) -> BettiTable:
     resolution of the kernel ideal is the truncation: beta_{i,j}(ker) =
     beta_{i+1,j}(M) for all j > 0.  Strand-0 entries of the result are
     literal zeros (a module living in positive degrees has no Tor_i in
-    total degree i).
+    total degree i).  A row-0 entry off that shape raises ConventionError
+    when it is exact, and InconclusiveError when it is modular, since a
+    modular value is only an upper bound.
     """
-    for (i, j), e in table.entries.items():
-        if i == 0 and e.value != (1 if j == 0 else 0):
-            raise ConventionError("table is not the table of a cyclic module generated in degree 0")
+    off = {e.mode for (i, j), e in table.entries.items() if i == 0 and e.value != (1 if j == 0 else 0)}
+    if "exact" in off:
+        raise ConventionError("table is not the table of a cyclic module generated in degree 0")
+    if off:
+        raise InconclusiveError("a modular generator count exceeds that of a cyclic module generated in degree 0")
     entries = {}
     for (i, j), e in table.entries.items():
         if i >= 1 and j > 0:
@@ -1000,140 +1001,153 @@ def explicit_betti_formula(a: int, b: int) -> dict:
     return out
 
 
-def verify_explicit_betti(a: int, b: int, computed: BettiTable) -> dict:
-    """Compare a computed table against the closed-form Betti numbers.
+def betti_reference(target: str, a: int, b: int, power: int = 1) -> dict | None:
+    """The paper's closed-form Betti table of a target, keyed (i, total degree).
 
-    Accepts the coordinate-ring table (entries at (i, b+i)) or the ideal
-    table (entries at (i-1, b+i), one homological step down); which one is
-    detected from the shift flag in the table metadata.  Also evaluates the
-    first and last closed forms, the projective dimension, and off-strand
-    vanishing over the window.
+    The one holder of the closed forms.  Only nonzero values are listed, and
+    None means that no closed form covers the case.
 
-    The expected projective dimension comes from the closed form: the last i
-    with beta_i != 0 (one less for the ideal table), 0 for a quotient table
-    whose beta_i all vanish.  The top values vanish when b = 1, and every
-    value does when a = 1 (the zero ideal); an ideal table without a
-    nonzero value is then expected, fully computed, with pd ``None``.
+    - ``"ix"``, the ideal of the power locus: ``explicit_betti_formula``,
+      whose beta_i sits at (i - 1, b + i) of the ideal's table.
+    - ``"iab"`` and ``"iab-pow"``, the power ``power`` of the power ideal.
+      At a = 1 and power 1 the generators span the degree-1 piece, so the
+      table is the Koszul resolution of the maximal ideal of the b + 1
+      variables.  At b = 3 and power 1: 3a + 1 generators in degree a,
+      first syzygies 3a + 2 in degree a + 1 and C(a + 1, 2) in degree 2a,
+      then a^2 + a + 2 in degree 2a + 1 and C(a + 1, 2) in degree 2a + 2.
+      At power b - 1 (a, b >= 2): two strands, in internal degrees d - a
+      and d - 1.
     """
-    d = a * b
-    formula = explicit_betti_formula(a, b)
-    shifted = bool(computed.meta.get("shifted"))
-    rows = []
-    ok = True
-    for i in range(1, d + 1):
-        key = (i - 1, b + i) if shifted else (i, b + i)
-        value = computed.value(*key)
-        match = value == formula[i]
-        ok = ok and match
-        rows.append({"i": i, "total_degree": b + i, "expected": formula[i], "computed": value, "match": match})
-    beta1 = comb(d + b + 1, b + 1) - comb(d + a + b, b)
-    betad = comb(d - a + b, b) - comb(d + b - 1, b - 1)
-    closed = {
-        "beta_1": {"value": beta1, "match": beta1 == formula[1]},
-        "beta_d": {"value": betad, "match": betad == formula[d]},
-    }
-    ok = ok and closed["beta_1"]["match"] and closed["beta_d"]["match"]
-    strand = b + 1 if shifted else b
-    violations = []
-    for (i, j), e in computed.entries.items():
-        if not e.value:
-            continue
-        if not shifted and (i, j) == (0, 0):
-            continue
-        if j - i != strand:
-            violations.append([i, j, e.value])
-    off_strand_ok = not violations
-    ok = ok and off_strand_ok
-    top = max((i for i, v in formula.items() if v), default=0)
-    if shifted and not top:
-        # the zero ideal: a fully computed table with no nonzero entry
-        covered = not computed.unknown and not computed.nonzero()
-        pd_report = {"expected": None, "computed": None, "match": covered}
-        if computed.unknown:
-            pd_report["reason"] = f"table has {len(computed.unknown)} unknown entries"
-    else:
-        pd_expected = top - 1 if shifted else top
-        try:
-            pd_value = projective_dimension(computed)
-            pd_report = {"expected": pd_expected, "computed": pd_value, "match": pd_value == pd_expected}
-        except InconclusiveError as exc:
-            pd_report = {"expected": pd_expected, "computed": None, "match": False, "reason": str(exc)}
-    ok = ok and pd_report["match"]
-    return {
-        "a": a,
-        "b": b,
-        "d": d,
-        "table_kind": "ideal" if shifted else "quotient",
-        "entries": rows,
-        "closed_forms": closed,
-        "off_strand": {"ok": off_strand_ok, "violations": sorted(violations)},
-        "projective_dimension": pd_report,
-        "ok": ok,
-    }
-
-
-def power_strand_formula(a: int, b: int) -> dict:
-    """Expected nonzero table of the (b-1)-st power, keyed by (i, total degree)."""
+    if target == "ix":
+        return {(i - 1, b + i): v for i, v in explicit_betti_formula(a, b).items() if v}
+    if target not in ("iab", "iab-pow"):
+        raise ValueError(f"unknown target {target!r}")
     d = a * b
     out: dict = {}
-    for i in range(b):
-        out[(i, i + d - a)] = out.get((i, i + d - a), 0) + comb(d + b - 1 - i, d) * comb(d + b - 1, i)
-    for i in range(2, b + 1):
-        out[(i, i + d - 1)] = out.get((i, i + d - 1), 0) + comb(d + b - 1, b - i) * comb(d + i - 2, d)
+    if a == 1 and power == 1:
+        out = {(i, i + 1): comb(b + 1, i + 1) for i in range(b + 1)}
+    elif b == 3 and power == 1:
+        out = {
+            (0, a): 3 * a + 1,
+            (1, a + 1): 3 * a + 2,
+            (1, 2 * a): comb(a + 1, 2),
+            (2, 2 * a + 1): a * a + a + 2,
+            (3, 2 * a + 2): comb(a + 1, 2),
+        }
+    elif a >= 2 and b >= 2 and power == b - 1:
+        for i in range(b):
+            out[(i, i + d - a)] = comb(d + b - 1 - i, d) * comb(d + b - 1, i)
+        for i in range(2, b + 1):
+            out[(i, i + d - 1)] = comb(d + b - 1, b - i) * comb(d + i - 2, d)
+    else:
+        return None
     return {key: v for key, v in out.items() if v}
 
 
-def regularity_formula(a: int, b: int) -> int:
-    """Regularity of the power ideal for parameters (a, b) predicted by the paper."""
-    return ((b + 2) // 2) * a - b // 2
+def regularity_formula(a: int, b: int, j: int = 1) -> int:
+    """reg I^j of the power ideal I predicted by the paper:
+    floor((b + j + 1) / 2) a - floor((b - j + 1) / 2), at j = 1
+    floor((b + 2) / 2) a - floor(b / 2)."""
+    return ((b + j + 1) // 2) * a - (b - j + 1) // 2
 
 
-def compare_table(table: BettiTable, expected: dict):
-    """(ok, rows): ``table`` against a closed form keyed (i, total degree).
+class BettiVerdict(NamedTuple):
+    """A Betti table judged by ``check_betti``."""
 
-    The rows cover every expected key and every nonzero computed entry; an
-    entry outside the table's window is reported as computed None.
+    status: str  # "verified", "mismatch" or "inconclusive"
+    table: BettiTable  # the table judged: the exact rerun after an escalation
+    entries: list | None
+    regularity: dict | None
+    escalated: bool = False
+    reason: str | None = None
+
+    def report(self) -> dict:
+        """The comparison as a report record: the rows and the regularity
+        checked, then the escalation and the reason when there are any."""
+        rec = {}
+        if self.entries is not None:
+            rec["entries"] = self.entries
+        if self.regularity is not None:
+            rec["regularity"] = self.regularity
+        if self.escalated:
+            rec["escalated"] = True
+        if self.reason:
+            rec["reason"] = self.reason
+        return rec
+
+
+def _judge(table: BettiTable, entries, expected_reg) -> tuple:
+    """(status, rows, regularity record, reason) of one table; the status
+    ``"modular"`` means that a failed check read a modular entry."""
+    rows = None
+    read: set = set()
+    if entries is not None:
+        read = set(entries) | set(table.nonzero())
+        rows = []
+        for key in sorted(read):
+            want = entries.get(key, 0)
+            got = table.entries[key].value if key in table.entries else None
+            rows.append({"i": key[0], "j": key[1], "expected": want, "computed": got, "match": got == want})
+    reg = None
+    if expected_reg is not None:
+        read |= set(table.nonzero())
+        try:
+            value = regularity(table)
+            reg = {"expected": expected_reg, "computed": value, "match": value == expected_reg}
+        except InconclusiveError as exc:
+            reg = {"expected": expected_reg, "computed": None, "match": False, "reason": str(exc)}
+    outside = [(r["i"], r["j"]) for r in rows or () if r["computed"] is None]
+    if table.unknown:
+        return "inconclusive", rows, reg, f"table has {len(table.unknown)} unknown entries"
+    if outside:
+        return "inconclusive", rows, reg, f"entry {outside[0]} is outside the computed window"
+    if reg is not None and reg["computed"] is None:
+        return "inconclusive", rows, reg, reg["reason"]
+    if all(r["match"] for r in rows or ()) and (reg is None or reg["match"]):
+        return "verified", rows, reg, None
+    if any(table.entries[key].mode == "modular" for key in read):
+        return "modular", rows, reg, None
+    return "mismatch", rows, reg, None
+
+
+def check_betti(table: BettiTable, *, entries=None, regularity=None, exact_table=None) -> BettiVerdict:
+    """The one Betti verdict: ``table`` against a closed-form table and regularity.
+
+    ``entries`` is a closed form keyed (i, total degree), as from
+    ``betti_reference``.  Its rows cover every expected key and every
+    nonzero computed entry, each ``{"i", "j", "expected", "computed",
+    "match"}``, with computed None for an entry the table does not hold.
+    ``regularity`` is the expected value of ``regularity(table)``, reported
+    as ``{"expected", "computed", "match"}``, with computed None and a
+    ``"reason"`` when the table cannot decide it.
+
+    An unknown entry anywhere in the window, an expected entry outside it
+    or an undecided regularity makes the verdict inconclusive; otherwise it
+    is verified when everything matches.  A failed check is a mismatch only
+    on exact values.  A modular Betti value is dim - rank_out - rank_in
+    with ranks that are lower bounds, so it is only an upper bound: when a
+    failed check read a modular entry, ``exact_table()``, the caller's rerun
+    of the same table in ``"exact"``, is called once and judged in its place
+    (``escalated``).  An escalation over the resource budget, an exact table
+    with an unknown entry, or no ``exact_table`` leaves the verdict
+    inconclusive.
     """
-    rows = []
-    ok = True
-    for key in sorted(set(expected) | set(table.nonzero())):
-        want = expected.get(key, 0)
-        got = table.value(*key) if table.covers(*key) else None
-        match = got == want
-        ok = ok and match
-        rows.append({"i": key[0], "j": key[1], "expected": want, "computed": got, "match": match})
-    return ok, rows
-
-
-def _regularity_report(table: BettiTable, expected: int) -> dict:
-    """The regularity of ``table`` against ``expected``; an unknown entry leaves it undecided."""
+    status, rows, reg, reason = _judge(table, entries, regularity)
+    if status != "modular":
+        return BettiVerdict(status, table, rows, reg, reason=reason)
+    if exact_table is None:
+        return BettiVerdict(
+            "inconclusive", table, rows, reg,
+            reason="a modular value, an upper bound, disagrees with the closed form, and no exact rerun is at hand",
+        )
     try:
-        value = regularity(table)
-    except InconclusiveError as exc:
-        return {"expected": expected, "computed": None, "match": False, "reason": str(exc)}
-    return {"expected": expected, "computed": value, "match": value == expected}
-
-
-def verify_power_betti(a: int, b: int, computed: BettiTable) -> dict:
-    """Compare a computed table of the (b-1)-st power against its two strands.
-
-    The expected table is concentrated in internal degrees d-a and d-1; the
-    comparison (``compare_table``) covers every expected entry and every
-    other nonzero entry, which shows up as a row expecting 0, and the
-    regularity is recomputed (expected d-1).
-    """
-    if a < 2 or b < 2:
-        raise ValueError("the two-strand shape needs a >= 2 and b >= 2")
-    ok, rows = compare_table(computed, power_strand_formula(a, b))
-    reg_report = _regularity_report(computed, a * b - 1)
-    return {
-        "a": a,
-        "b": b,
-        "power": b - 1,
-        "entries": rows,
-        "regularity": reg_report,
-        "ok": ok and reg_report["match"],
-    }
+        exact = exact_table()
+    except (ResourceLimitError, InconclusiveError) as exc:
+        return BettiVerdict("inconclusive", table, rows, reg, True, f"the exact rerun failed: {exc}")
+    status, rows, reg, reason = _judge(exact, entries, regularity)
+    if status == "modular":
+        raise ConventionError("the exact rerun of a Betti table holds modular entries")
+    return BettiVerdict(status, exact, rows, reg, True, reason)
 
 
 def power_ideal_betti(
@@ -1166,64 +1180,6 @@ def power_ideal_betti(
     )
     table.meta.update({"a": a, "b": b, "power": power})
     return table
-
-
-def ia3_expected_table(a: int) -> dict:
-    """Closed-form table of the cubic-range power ideal, keyed (i, total degree).
-
-    For a = 1 the ideal degenerates to the maximal ideal of the quartic ring
-    and the honest reference is its Koszul resolution.
-    """
-    if a == 1:
-        return {(i, i + 1): comb(4, i + 1) for i in range(4)}
-    return {
-        (0, a): 3 * a + 1,
-        (1, a + 1): 3 * a + 2,
-        (1, 2 * a): comb(a + 1, 2),
-        (2, 2 * a + 1): a * a + a + 2,
-        (3, 2 * a + 2): comb(a + 1, 2),
-    }
-
-
-def verify_ia3_resolution(
-    a: int,
-    mode: str = "auto",
-    *,
-    seed=None,
-    mem_mb=None,
-    cache=None,
-    threads: int = 1,
-) -> dict:
-    """Compute the b = 3 power ideal's Betti table and compare the closed form.
-
-    The expected shape: 3a+1 generators in degree a, first syzygies 3a+2 in
-    degree a+1 and binom(a+1, 2) in degree 2a, then a^2+a+2 in degree 2a+1
-    and binom(a+1, 2) in degree 2a+2.  The a = 1 case collapses to the
-    maximal ideal; it is compared against the Koszul table instead and
-    flagged as outside the intended range of the closed form.
-    """
-    table = power_ideal_betti(
-        a, 3, 1, mode, t_max=2 * a if a > 1 else 2, seed=seed, mem_mb=mem_mb, cache=cache, threads=threads,
-    )
-    ok, rows = compare_table(table, ia3_expected_table(a))
-    reg_report = _regularity_report(table, 2 * a - 1 if a > 1 else 1)
-    ok = ok and reg_report["match"]
-    modes = sorted({e.mode for e in table.entries.values()})
-    report = {
-        "a": a,
-        "b": 3,
-        "in_closed_form_range": a >= 2,
-        "entries": rows,
-        "regularity": reg_report,
-        "modes": modes,
-        "ok": ok,
-    }
-    if a == 1:
-        report["note"] = (
-            "degenerate case: the generators span the full degree-1 piece, so the "
-            "reference table is the Koszul resolution of the maximal ideal"
-        )
-    return report
 
 
 def coker_hilbert(
@@ -1478,6 +1434,10 @@ def resolution_check(
 # the two-strand resolution of the (b-1)-st power
 
 
+# draws of the connecting map before ``power_resolution`` gives up
+RESOLUTION_ATTEMPTS = 4
+
+
 class PowerResolution(NamedTuple):
     a: int
     b: int
@@ -1496,7 +1456,6 @@ def power_resolution(
     *,
     seed=None,
     mem_mb=None,
-    max_attempts: int = 4,
     window_hi: int | None = None,
 ) -> PowerResolution:
     """Build and certify the two-strand resolution of the (b-1)-st power.
@@ -1509,8 +1468,8 @@ def power_resolution(
     the solution space is computed exactly (torus weights cut each entry to
     a small slice of monomials), a seeded random member is drawn, and the assembled complex is certified degreewise as a
     resolution of the power.  An unlucky member (the zero map is always a
-    solution) fails certification and is retried with a fresh draw; running
-    out of attempts raises InconclusiveError, never a verdict against the
+    solution) fails certification and is retried with a fresh draw; after
+    ``RESOLUTION_ATTEMPTS`` draws it raises InconclusiveError, never a verdict against the
     expected shape.  b = 2 reproduces the three-term shape with a single
     connecting column.  The certificate covers degrees 0..``window_hi``
     (default d + b); a window below d + b - 1, the top generator degree,
@@ -1677,7 +1636,7 @@ def power_resolution(
     hi = d + b if window_hi is None else window_hi
 
     certificate = None
-    for attempt in range(1, max_attempts + 1):
+    for attempt in range(1, RESOLUTION_ATTEMPTS + 1):
         rng = random.Random(f"{base_seed}:cone:{a}:{b}:{attempt}")
         coeffs = [rng.randint(-9, 9) for _ in basis_vectors]
         redraws = 0
@@ -1729,5 +1688,5 @@ def power_resolution(
                 a, b, cone, tuple(aug), ideal, attempt, len(basis_vectors), certificate
             )
     raise InconclusiveError(
-        f"no certified connecting map after {max_attempts} draws for (a, b) = ({a}, {b})"
+        f"no certified connecting map after {RESOLUTION_ATTEMPTS} draws for (a, b) = ({a}, {b})"
     )

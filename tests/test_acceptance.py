@@ -48,8 +48,8 @@ def test_criterion_11_kernel_bases_keep_the_memory_budget(monkeypatch):
 def test_a_mismatch_fails_under_python_O():
     # ``python -O`` strips assert statements; a wrong regularity must still fail
     code = (
-        "from bfsyz import acceptance\n"
-        "acceptance.regularity = lambda table: -1\n"
+        "from bfsyz import acceptance, homres\n"
+        "homres.regularity = lambda table: -1\n"
         "r = acceptance.run_one(6)\n"
         "print(r['status'], r['details'])\n"
     )

@@ -72,6 +72,8 @@ def test_unknown_subcommand_is_usage_error():
     pytest.param(("char-check", "--mem-mb", "64"), id="char-check-mem-mb"),
     pytest.param(("hw-triple", "--mode", "modular"), id="hw-triple-mode"),
     pytest.param(("repro", "--only", "2", "--mode", "modular"), id="repro-mode"),
+    # the resolution's draw count is fixed (homres.RESOLUTION_ATTEMPTS)
+    pytest.param(("exactness", "--a", "2", "--b", "2", "--max-attempts", "4"), id="exactness-max-attempts"),
 ])
 def test_options_a_command_does_not_read_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as err:
@@ -131,7 +133,10 @@ def test_betti_power_locus_2_2(capsys):
     assert rep["status"] == "verified"
     values = {(e["i"], e["j"]): e["value"] for e in rep["table"]["entries"] if e["value"]}
     assert values == {(0, 3): 7, (1, 4): 10, (2, 5): 5, (3, 6): 1}
-    assert rep["verification"]["ok"] is True
+    # the rows hold every nonzero entry: off-strand vanishing and pd are in them
+    assert rep["reference"] == {"entries": [
+        {"i": i, "j": j, "expected": v, "computed": v, "match": True} for (i, j), v in sorted(values.items())
+    ]}
 
 
 @pytest.mark.parametrize(
@@ -150,7 +155,10 @@ def test_betti_power_locus_degenerate_cases_verify(capsys, a, b, nonzero, pd):
     assert rep["status"] == "verified"
     values = {(e["i"], e["j"]): e["value"] for e in rep["table"]["entries"] if e["value"]}
     assert values == nonzero
-    assert rep["verification"]["projective_dimension"] == {"expected": pd, "computed": pd, "match": True}
+    rows = rep["reference"]["entries"]
+    assert all(row["match"] for row in rows)
+    assert {(row["i"], row["j"]): row["expected"] for row in rows} == nonzero
+    assert max((row["i"] for row in rows), default=None) == pd
 
 
 def test_betti_text_render_has_strand_row(capsys):
@@ -187,6 +195,17 @@ def test_betti_unreferenced_power_reports_computed(capsys):
     assert code == 0
     assert rep["status"] == "computed"
     assert rep["reference"] is None
+
+
+def test_betti_with_an_unknown_entry_off_the_strand_is_inconclusive(capsys):
+    # 1 MiB leaves (3, 7) unknown, off the strand: it might be nonzero, so
+    # the matching strand verifies nothing, and nothing is a mismatch either
+    code, rep = run_json(capsys, "betti", "--target", "ix", "--a", "3", "--b", "2", "--mem-mb", "1", "--seed", "1")
+    assert code == 2
+    assert rep["status"] == "inconclusive"
+    assert rep["table"]["unknown"] == [[3, 7]]
+    assert rep["reference"]["reason"] == "table has 1 unknown entries"
+    assert all(row["match"] for row in rep["reference"]["entries"])
 
 
 def test_betti_unreferenced_table_with_unknown_entries_is_inconclusive(capsys):
@@ -502,14 +521,10 @@ def test_failed_out_write_of_an_inconclusive_report_is_usage_error(capsys, monke
     assert str(tmp_path) in captured.err and captured.out == ""
 
 
-def test_initial_ideal_escalates_a_modular_deficit(capsys, monkeypatch):
-    from bfsyz.exactalg import _modp
-
+def test_initial_ideal_escalates_a_modular_deficit(capsys, short_kernel):
     argv = ("initial-ideal", "--a", "2", "--b", "3", "--mode", "modular")
     _, want = run_cli(capsys, *argv)
-    real = _modp.rank_mod_p_dense
-    # every mod-p rank one short of the true rank, the primes agreeing
-    monkeypatch.setattr(_modp, "rank_mod_p_dense", lambda a, primes: max(real(a, primes) - 1, 0))
+    short_kernel()
     code, got = run_cli(capsys, *argv)
     want, got = json.loads(want), json.loads(got)
     # each degree ranked modulo its primes escalates, and says so
@@ -519,6 +534,43 @@ def test_initial_ideal_escalates_a_modular_deficit(capsys, monkeypatch):
         for rec in want.pop("hf_power_provenance")
     ]
     assert (code, got) == (0, want)
+
+
+def betti_values(rep) -> dict:
+    """What a Betti-verdict report says, without the proof strength it says it with."""
+    if "routes" in rep:
+        return {"value": [route["value"] for route in rep["routes"]]}
+    if "entries" in rep:
+        return {"computed": [entry["computed"] for entry in rep["entries"]]}
+    values = {(e["i"], e["j"]): e["value"] for e in rep["table"]["entries"]}
+    return {"table": values, "rows": rep["reference"]["entries"]}
+
+
+@pytest.mark.parametrize("argv", [
+    ("betti", "--target", "iab", "--a", "2", "--b", "3", "--mode", "modular", "--seed", "1"),
+    ("betti", "--target", "ix", "--a", "2", "--b", "3", "--seed", "1"),
+    ("betti", "--target", "iab-pow", "--a", "2", "--b", "3", "--j", "2", "--mode", "modular", "--seed", "1"),
+    ("reg", "--a", "2", "--b", "3", "--route", "betti", "--mode", "modular", "--seed", "1"),
+    ("conjecture-scan", "--a", "2", "--b", "2", "--jmax", "2", "--mode", "modular", "--seed", "1"),
+], ids=["iab", "ix", "iab-pow", "reg", "conjecture-scan"])
+def test_betti_verdicts_escalate_a_modular_deficit(capsys, short_kernel, argv):
+    want_code, want = run_json(capsys, *argv)
+    short_kernel()
+    code, got = run_json(capsys, *argv)
+    # the modular values overshoot, the exact rerun gives the honest ones, and
+    # the report says that it escalated
+    assert (code, got["status"]) == (want_code, want["status"]) == (0, "verified")
+    assert betti_values(got) == betti_values(want)
+    assert "escalated" not in json.dumps(want) and '"escalated": true' in json.dumps(got)
+
+
+def test_modular_generator_count_is_inconclusive(capsys, short_kernel):
+    # an overshooting modular beta_{0,j} of the quotient is an upper bound,
+    # not a broken convention
+    short_kernel()
+    code, rep = run_json(capsys, "betti", "--target", "ix", "--a", "2", "--b", "3", "--mode", "modular", "--seed", "1")
+    assert (code, rep["status"]) == (2, "inconclusive")
+    assert "modular generator count" in rep["reason"]
 
 
 def test_reports_have_no_timestamps(capsys):

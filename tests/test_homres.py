@@ -9,32 +9,30 @@ import pytest
 
 from bfsyz import homres
 from bfsyz.errors import ConventionError, InconclusiveError, ResourceLimitError
-from bfsyz.exactalg import RankResult, WeightBlocks, _modp, blocked_rank_details, default_rng, matrix
+from bfsyz.exactalg import RankResult, WeightBlocks, blocked_rank_details, default_rng, matrix
 from bfsyz.fhmaps import ix_kernel_ideal, power_ideal
 from bfsyz.homres import (
     BettiEntry,
     BettiTable,
     ExplicitComplex,
     GradedModule,
+    betti_reference,
+    check_betti,
     coker_hilbert,
     euler_characteristic_ok,
     exactness_check,
     explicit_betti_formula,
     first_syzygy_table,
-    ia3_expected_table,
     initial_ideal_regularity,
     koszul_complex,
     power_ideal_betti,
     power_locus_betti,
     power_resolution,
-    power_strand_formula,
     projective_dimension,
     regularity,
+    regularity_formula,
     resolution_check,
     tor_betti,
-    verify_explicit_betti,
-    verify_ia3_resolution,
-    verify_power_betti,
 )
 from bfsyz.polyring import GradedIdeal, PolyRing
 from bfsyz.sl2rep import koszul_image_weights
@@ -163,8 +161,8 @@ def test_betti_generator_row_matches_piece_counts():
 def test_betti_window_and_strand_cap():
     mod = GradedModule.from_ideal(maximal_ideal(2))
     table = tor_betti(mod, 2, 6, t_max=1, seed=5)
-    assert table.covers(1, 2)
-    assert not table.covers(1, 4)
+    assert (1, 2) in table.entries
+    assert (1, 4) not in table.entries and (1, 4) not in table.unknown
     with pytest.raises(KeyError):
         table.value(1, 4)
 
@@ -311,7 +309,7 @@ def test_power_locus_2_2_matches_direct_kernel_route():
     ideal = ix_kernel_ideal(2, 2)
     direct = tor_betti(GradedModule.from_ideal(ideal), 5, 9, t_max=4, seed=7)
     for key, entry in direct.entries.items():
-        if res.ideal_table.covers(*key):
+        if key in res.ideal_table.entries:
             assert res.ideal_table.value(*key) == entry.value
 
 
@@ -328,12 +326,16 @@ def test_power_locus_regularity_and_pd_2_2():
 
 def test_verify_explicit_betti_2_2_both_tables():
     res = power_locus_betti(2, 2, seed=7)
-    for table, kind in [(res.ideal_table, "ideal"), (res.quotient_table, "quotient")]:
-        rep = verify_explicit_betti(2, 2, table)
-        assert rep["ok"], rep
-        assert rep["table_kind"] == kind
-        assert rep["closed_forms"]["beta_1"]["match"]
-        assert rep["closed_forms"]["beta_d"]["match"]
+    ideal = betti_reference("ix", 2, 2)
+    # the quotient's table is the ideal's, one homological step up, plus beta_{0,0}
+    quotient = {(i + 1, j): v for (i, j), v in ideal.items()} | {(0, 0): 1}
+    for table, expected in [(res.ideal_table, ideal), (res.quotient_table, quotient)]:
+        verdict = check_betti(table, entries=expected)
+        assert verdict.status == "verified", verdict
+    # the first and last closed forms agree with the alternating sum
+    formula = explicit_betti_formula(2, 2)
+    assert comb(7, 3) - comb(8, 2) == formula[1]
+    assert comb(4, 2) - comb(5, 1) == formula[4]
 
 
 def test_explicit_betti_formula_values():
@@ -343,10 +345,10 @@ def test_explicit_betti_formula_values():
 
 def test_verify_explicit_betti_3_2():
     res = power_locus_betti(3, 2, seed=7, threads=2)
-    rep = verify_explicit_betti(3, 2, res.ideal_table)
-    assert rep["ok"], rep
-    assert [r["computed"] for r in rep["entries"]] == [29, 84, 102, 64, 21, 3]
-    assert rep["projective_dimension"]["computed"] == 5
+    verdict = check_betti(res.ideal_table, entries=betti_reference("ix", 3, 2))
+    assert verdict.status == "verified", verdict
+    assert [r["computed"] for r in verdict.entries] == [29, 84, 102, 64, 21, 3]
+    assert projective_dimension(res.ideal_table) == 5
 
 
 def test_power_quotient_mixed_modes_at_3_2():
@@ -535,9 +537,9 @@ def test_koszul_ranks_certify_each_other(threads):
 
 
 @pytest.mark.parametrize("a,b", [(3, 2), (2, 3)])
-def test_short_kernel_values_are_never_labelled_exact(monkeypatch, a, b):
+def test_short_kernel_values_are_never_labelled_exact(short_kernel, a, b):
     honest = power_locus_betti(a, b, seed=1).quotient_table.entries
-    short_kernel(monkeypatch)
+    short_kernel()
     table = power_locus_betti(a, b, seed=1).quotient_table
     wrong = {key for key, e in table.entries.items() if e.value != honest[key].value}
     assert wrong
@@ -601,18 +603,12 @@ def toy_table(entries, nvars=2, i_max=2, t_max=2, j_max=4, unknown=(), full_degr
     return BettiTable(nvars, i_max, t_max, j_max, full, set(unknown), full_degree=full_degree)
 
 
-def short_kernel(monkeypatch):
-    """Make every mod-p rank one short of the true rank, the primes agreeing."""
-    real = _modp.rank_mod_p_dense
-    monkeypatch.setattr(_modp, "rank_mod_p_dense", lambda a, primes: max(real(a, primes) - 1, 0))
-
-
-def test_initial_ideal_route_escalates_a_modular_deficit(monkeypatch):
+def test_initial_ideal_route_escalates_a_modular_deficit(short_kernel):
     want = initial_ideal_regularity(2, 3, "modular")
     assert want["hf_agree"] and want["value"] == 3
     ranked = [rec for rec in want["hf_power_provenance"] if rec["mode"] == "modular"]
     assert ranked and all(len(rec["primes"]) == 2 for rec in ranked)
-    short_kernel(monkeypatch)
+    short_kernel()
     # every modular piece dimension falls short, and each escalates to exact
     got = initial_ideal_regularity(2, 3, "modular")
     provenance = got.pop("hf_power_provenance")
@@ -623,8 +619,8 @@ def test_initial_ideal_route_escalates_a_modular_deficit(monkeypatch):
     ]
 
 
-def test_initial_ideal_route_over_budget_is_inconclusive(monkeypatch):
-    short_kernel(monkeypatch)
+def test_initial_ideal_route_over_budget_is_inconclusive(monkeypatch, short_kernel):
+    short_kernel()
 
     def over_budget(rows, ncols):
         raise ResourceLimitError("exact rows over the budget")
@@ -687,7 +683,7 @@ def test_projective_dimension_checks_its_own_window():
 
 
 def test_power_strand_formula_2_3():
-    assert power_strand_formula(2, 3) == {
+    assert betti_reference("iab-pow", 2, 3, 2) == {
         (0, 4): 28,
         (1, 5): 56,
         (2, 6): 28,
@@ -696,35 +692,43 @@ def test_power_strand_formula_2_3():
     }
 
 
+def check_power(a, b, table):
+    """check_betti of a (b-1)-st power's table against its two strands and regularity d - 1."""
+    return check_betti(
+        table, entries=betti_reference("iab-pow", a, b, b - 1), regularity=regularity_formula(a, b, b - 1)
+    )
+
+
 def test_verify_power_betti_2_2():
     table = power_ideal_betti(2, 2, 1, seed=7)
-    rep = verify_power_betti(2, 2, table)
-    assert rep["ok"], rep
-    assert rep["regularity"]["computed"] == 3
+    verdict = check_power(2, 2, table)
+    assert verdict.status == "verified", verdict
+    assert verdict.regularity["computed"] == 3
 
 
 def test_verify_power_betti_2_3():
     table = power_ideal_betti(2, 3, 2, seed=7)
-    rep = verify_power_betti(2, 3, table)
-    assert rep["ok"], rep
+    verdict = check_power(2, 3, table)
+    assert verdict.status == "verified", verdict
     # every nonzero entry is an expected one: none is reported expecting 0
-    assert {(r["i"], r["j"]) for r in rep["entries"]} == set(power_strand_formula(2, 3))
-    assert rep["regularity"] == {"expected": 5, "computed": 5, "match": True}
+    assert {(r["i"], r["j"]) for r in verdict.entries} == set(betti_reference("iab-pow", 2, 3, 2))
+    assert verdict.regularity == {"expected": 5, "computed": 5, "match": True}
 
 
 def test_verify_power_betti_reports_an_unexpected_entry():
     table = power_ideal_betti(2, 2, 1, seed=7)
     key = next(k for k, e in sorted(table.entries.items()) if k[0] == 1 and not e.value)
     table.entries[key] = BettiEntry(1, "exact")
-    rep = verify_power_betti(2, 2, table)
-    assert not rep["ok"]
-    assert {"i": key[0], "j": key[1], "expected": 0, "computed": 1, "match": False} in rep["entries"]
+    verdict = check_power(2, 2, table)
+    assert verdict.status == "mismatch"
+    assert {"i": key[0], "j": key[1], "expected": 0, "computed": 1, "match": False} in verdict.entries
 
 
 def test_verify_power_betti_rejects_degenerate_range():
-    table = power_ideal_betti(2, 2, 1, seed=7)
+    # the two-strand shape needs a >= 2: at a = 1 no closed form covers the power
+    assert betti_reference("iab-pow", 1, 3, 2) is None
     with pytest.raises(ValueError):
-        verify_power_betti(1, 2, table)
+        betti_reference("iab-cube", 2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -732,23 +736,125 @@ def test_verify_power_betti_rejects_degenerate_range():
 
 
 def test_ia3_expected_table_values():
-    assert ia3_expected_table(2) == {(0, 2): 7, (1, 3): 8, (1, 4): 3, (2, 5): 8, (3, 6): 3}
-    assert ia3_expected_table(1) == {(0, 1): 4, (1, 2): 6, (2, 3): 4, (3, 4): 1}
+    assert betti_reference("iab", 2, 3) == {(0, 2): 7, (1, 3): 8, (1, 4): 3, (2, 5): 8, (3, 6): 3}
+    assert betti_reference("iab", 1, 3) == {(0, 1): 4, (1, 2): 6, (2, 3): 4, (3, 4): 1}
+
+
+def check_ia3(a, seed):
+    """check_betti of the b = 3 power ideal's table, strands up to 2a (2 at a = 1)."""
+    table = power_ideal_betti(a, 3, 1, t_max=max(2 * a, 2), seed=seed)
+    return check_betti(table, entries=betti_reference("iab", a, 3), regularity=regularity_formula(a, 3))
 
 
 def test_verify_ia3_resolution_a2():
-    rep = verify_ia3_resolution(2, seed=7)
-    assert rep["ok"], rep
-    assert rep["in_closed_form_range"]
-    assert rep["regularity"]["computed"] == 3
+    verdict = check_ia3(2, 7)
+    assert verdict.status == "verified", verdict
+    assert verdict.regularity["computed"] == 3
 
 
 def test_verify_ia3_resolution_a1_boundary():
-    rep = verify_ia3_resolution(1, seed=7)
-    assert rep["ok"], rep
-    assert not rep["in_closed_form_range"]
-    assert "note" in rep
-    assert rep["regularity"]["computed"] == 1
+    # a = 1: the generators span the degree-1 piece, and the reference is the
+    # Koszul resolution of the maximal ideal of the four variables
+    verdict = check_ia3(1, 7)
+    assert verdict.status == "verified", verdict
+    assert betti_reference("iab", 1, 3) == {(i, i + 1): comb(4, i + 1) for i in range(4)}
+    assert verdict.regularity["computed"] == 1
+
+
+# ---------------------------------------------------------------------------
+# the Betti verdict
+
+
+def test_an_unknown_entry_off_the_reference_is_inconclusive():
+    # every expected entry is held, and (2, 7), which the reference does not
+    # name, is unknown: it might be nonzero, so nothing is verified
+    table = power_ideal_betti(2, 3, 1, t_max=5, seed=1)
+    assert set(betti_reference("iab", 2, 3)) <= set(table.entries)
+    del table.entries[(2, 7)]
+    table.unknown.add((2, 7))
+    verdict = check_betti(table, entries=betti_reference("iab", 2, 3))
+    assert (verdict.status, verdict.reason) == ("inconclusive", "table has 1 unknown entries")
+    assert all(row["match"] for row in verdict.entries)
+
+
+def modular(table, key, value):
+    """``table`` with entry ``key`` replaced by a modular ``value``."""
+    table.entries[key] = BettiEntry(value, "modular", (11, 13))
+    return table
+
+
+def test_a_modular_failure_escalates_once():
+    expected = {(0, 1): 1, (1, 2): 1}
+    honest = toy_table(expected, full_degree=1)
+    calls = []
+
+    def exact_table():
+        calls.append(1)
+        return toy_table(expected, full_degree=1)
+
+    # a modular value over the reference is an upper bound: the exact rerun decides
+    verdict = check_betti(modular(toy_table(expected), (1, 2), 2), entries=expected, exact_table=exact_table)
+    assert (verdict.status, verdict.escalated, len(calls)) == ("verified", True, 1)
+    assert verdict.table.to_json() == honest.to_json()
+    assert verdict.report() == {"entries": check_betti(honest, entries=expected).entries, "escalated": True}
+    # so does a regularity raised by a modular nonzero entry off the strand
+    verdict = check_betti(
+        modular(toy_table(expected, full_degree=1), (1, 3), 1), regularity=1, exact_table=exact_table
+    )
+    assert (verdict.status, verdict.regularity["computed"], len(calls)) == ("verified", 1, 2)
+    # an exact mismatch is certified, and nothing is rerun
+    verdict = check_betti(toy_table({(0, 1): 1, (1, 2): 2}), entries=expected, exact_table=exact_table)
+    assert (verdict.status, verdict.escalated, len(calls)) == ("mismatch", False, 2)
+
+
+def test_a_modular_failure_without_an_exact_verdict_is_inconclusive():
+    expected = {(0, 1): 1, (1, 2): 1}
+
+    def over_budget():
+        raise ResourceLimitError("exact rows over the budget")
+
+    for exact_table, escalated in [
+        (None, False),
+        (over_budget, True),
+        (lambda: toy_table(expected, unknown=[(2, 4)]), True),
+    ]:
+        verdict = check_betti(modular(toy_table(expected), (1, 2), 2), entries=expected, exact_table=exact_table)
+        assert (verdict.status, verdict.escalated) == ("inconclusive", escalated)
+        assert verdict.reason
+
+
+def test_an_undecided_check_is_inconclusive():
+    expected = {(0, 1): 1, (1, 2): 1}
+    # an expected entry outside the window
+    verdict = check_betti(toy_table(expected), entries={**expected, (0, 7): 1})
+    assert verdict.status == "inconclusive" and "outside" in verdict.reason
+    assert {"i": 0, "j": 7, "expected": 1, "computed": None, "match": False} in verdict.entries
+    # a regularity the window cannot bound
+    verdict = check_betti(toy_table(expected), regularity=1)
+    assert verdict.status == "inconclusive"
+    assert verdict.regularity["computed"] is None and verdict.reason == verdict.regularity["reason"]
+
+
+def test_a_modular_generator_count_is_no_convention_error():
+    quotient = power_locus_betti(2, 2, "exact", seed=1).quotient_table
+    for mode, error in [("modular", InconclusiveError), ("exact", ConventionError)]:
+        table = BettiTable(quotient.nvars, quotient.i_max, quotient.t_max, quotient.j_max, quotient.entries, ())
+        table.entries[(0, 2)] = BettiEntry(1, mode, (11, 13) if mode == "modular" else ())
+        with pytest.raises(error):
+            first_syzygy_table(table)
+
+
+def test_a_short_kernel_escalates_to_the_honest_table(short_kernel):
+    honest = power_locus_betti(2, 3, seed=1).ideal_table
+    short_kernel()
+    table = power_locus_betti(2, 3, seed=1).ideal_table
+    assert table.nonzero() != honest.nonzero()
+    verdict = check_betti(
+        table, entries=betti_reference("ix", 2, 3),
+        exact_table=lambda: power_locus_betti(2, 3, "exact", seed=1).ideal_table,
+    )
+    assert (verdict.status, verdict.escalated) == ("verified", True)
+    assert verdict.table.nonzero() == honest.nonzero()
 
 
 # ---------------------------------------------------------------------------
@@ -875,7 +981,7 @@ def test_power_resolution_2_3_shape_matches_strands():
     shapes = [dict(Counter(degs)) for degs in C.gen_degrees]
     assert shapes == [{4: 28}, {5: 56}, {6: 28, 7: 8}, {8: 7}]
     assert res.certificate["resolves"]
-    expected = power_strand_formula(2, 3)
+    expected = betti_reference("iab-pow", 2, 3, 2)
     for (i, j), count in expected.items():
         assert shapes[i].get(j, 0) == count
 

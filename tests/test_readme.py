@@ -16,4 +16,4 @@ def test_library_example_runs():
             values.append(eval(compile(ast.Expression(stmt.value), "README", "eval"), namespace))
         else:
             exec(compile(ast.Module([stmt], type_ignores=[]), "README", "exec"), namespace)
-    assert values == [True, {(0, 3): 7, (1, 4): 10, (2, 5): 5, (3, 6): 1}, 5]
+    assert values == [True, {(0, 3): 7, (1, 4): 10, (2, 5): 5, (3, 6): 1}, 5, "verified"]

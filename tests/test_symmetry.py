@@ -25,6 +25,8 @@ from bfsyz.exactalg import WeightBlocks, blocked_rank_details, matrix
 from bfsyz.exactalg.matrix import bareiss_rank_rows, draw_primes, mod_p_rank_sparse
 from bfsyz.homres import (
     GradedModule,
+    betti_reference,
+    check_betti,
     exactness_check,
     initial_ideal_regularity,
     koszul_complex,
@@ -32,8 +34,8 @@ from bfsyz.homres import (
     power_ideal_betti,
     power_locus_betti,
     power_resolution,
+    regularity_formula,
     resolution_check,
-    verify_ia3_resolution,
 )
 from bfsyz.polyring import (
     GradedIdeal,
@@ -138,13 +140,21 @@ def test_power_ideal_halved_equals_full(a, b, power, halved_ideal_tables, unmark
     assert entry_values(halved) == entry_values(full)
 
 
+def ia3_verdict(seed):
+    """The b = 3, a = 2 power ideal's table, strands up to 2a = 4, against its
+    closed form and regularity: the verdict, its report and the entry modes."""
+    table = power_ideal_betti(2, 3, 1, t_max=4, seed=seed)
+    verdict = check_betti(table, entries=betti_reference("iab", 2, 3), regularity=regularity_formula(2, 3))
+    return verdict.status, verdict.report(), sorted({e.mode for e in table.entries.values()})
+
+
 def test_ia3_resolution_halved_equals_full(monkeypatch):
-    halved = verify_ia3_resolution(2, seed=2)
+    halved = ia3_verdict(2)
     ideal = fhmaps.power_ideal(2, 3)
     ideal.sl2_stable = False
     monkeypatch.setattr(homres, "power_ideal", lambda a, b: ideal)
-    assert verify_ia3_resolution(2, seed=2) == halved
-    assert halved["ok"]
+    assert ia3_verdict(2) == halved
+    assert halved[0] == "verified"
 
 
 def criterion_1_slices():
@@ -345,7 +355,7 @@ def slab_cases():
             return GradedModule.from_ideal(ideal_power(ideal, power) if power > 1 else ideal)
 
         cases.append(pytest.param(build, a * b, id=f"ideal-{a}-{b}-power-{power}"))
-    # verify_ia3_resolution(2) reads strands up to 2a = 4
+    # criterion 7 reads the a = 2 table's strands up to 2a = 4
     cases.append(pytest.param(lambda: GradedModule.from_ideal(fhmaps.power_ideal(2, 3)), 4, id="ia3-2"))
     return cases
 
