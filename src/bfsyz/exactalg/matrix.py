@@ -22,6 +22,8 @@ not depend on the pivot order and the reduced row echelon form of a row space
 is unique, so results depend only on the input, not on that choice.  The rank
 alone (``bareiss_rank_rows``) eliminates along the shorter side, with the
 columns in ascending nonzero count; echelon forms keep the column order.
+A rank of a matrix or a block reads its entries into rows in that order at
+once (``_rank_rows``), so a primitive row of ints reaches the engine as it is.
 
 The exact engine has one row format, in and out: a ``{col: value}`` dict.
 ``bareiss_rank_rows`` and ``rref_rows`` take their rows so (a zero value is
@@ -56,6 +58,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -67,7 +70,13 @@ from . import primes as _primes
 # the kernel's name in the CLI report envelope (``kernel_backend``)
 KERNEL_BACKEND = "python"
 
-# auto mode: matrices whose larger dimension exceeds this go modular
+# auto mode: a rank whose largest eliminable block has a side above this goes
+# modular.  Timed from the entries on the blocks that auto runs eliminate
+# (benchmarks/bench_modrank.py, its last table), Bareiss takes 1.06-1.32 times
+# one two-prime kernel call on the Koszul and spanning blocks up to a side of
+# 2000, and 1.44-1.89 times above it, where 88% of the Koszul blocks' kernel
+# time lies.  Random blocks fill in, and there Bareiss loses from a side of
+# 100-250 on (2-56 times), which the package's blocks never showed.
 EXACT_DIM_LIMIT = 2000
 
 # distinct primes that must agree on every modular rank
@@ -204,17 +213,29 @@ def _trusted_matrix(nrows: int, ncols: int, entries: dict) -> ExactMatrix:
     return m
 
 
-def _sparse_rows(m: ExactMatrix, mem_mb: int | None = None) -> list[dict]:
-    """``{col: value}`` rows of ``m`` for the exact engine.
+def _rank_rows(m: ExactMatrix, mem_mb: int | None = None) -> tuple[list[dict], int]:
+    """``(rows, ncols)`` for ``bareiss_rank_rows(rows, ncols)``, the exact rank of ``m``.
 
+    The rows run along the shorter side of ``m`` (the transpose has the
+    same rank), and the columns that hold an entry are renumbered in
+    ascending order of their entry count, ties in index order, the order
+    in which the rank takes them, so that it does not renumber them again.
     The engine's work is bounded like that of dense rows, so ``m`` is held
     to the dense budget of exact rows.
     """
     check_dense_budget(m.nrows, m.ncols, _EXACT_CELL_BYTES, mem_mb, "exact rows")
-    rows: list[dict] = [{} for _ in range(m.nrows)]
-    for (i, j), v in m.entries.items():
-        rows[i][j] = v
-    return rows
+    entries = m.entries
+    tall = m.nrows > m.ncols
+    counts = Counter(map(itemgetter(0 if tall else 1), entries))
+    at = dict(zip(sorted(sorted(counts), key=counts.__getitem__), range(len(counts))))
+    rows: list[dict] = [{} for _ in range(m.ncols if tall else m.nrows)]
+    if tall:
+        for (i, j), v in entries.items():
+            rows[j][at[i]] = v
+    else:
+        for (i, j), v in entries.items():
+            rows[i][at[j]] = v
+    return rows, len(counts)
 
 
 class RankResult(NamedTuple):
@@ -229,15 +250,23 @@ class RankResult(NamedTuple):
 
 
 def _sparse_int_row(row: dict) -> dict[int, int]:
-    """Primitive ``{col: int}`` multiple of a ``{col: int/Fraction}`` row, zeros dropped."""
-    nz = {j: v for j, v in row.items() if v}
-    if all(type(v) is int for v in nz.values()):
-        return _primitive(nz)
-    den = 1
-    for v in nz.values():
-        if isinstance(v, Fraction):
-            den = lcm(den, v.denominator)
-    return _primitive({j: int(v * den) for j, v in nz.items()})
+    """Primitive ``{col: int}`` multiple of a ``{col: int/Fraction}`` row,
+    zeros dropped; a primitive int row with no zero is returned as it is."""
+    values = row.values()
+    try:
+        # gcd takes ints only, and stops computing at the first unit
+        g = gcd(*values)
+    except TypeError:
+        den = 1
+        for v in values:
+            if isinstance(v, Fraction):
+                den = lcm(den, v.denominator)
+        return _sparse_int_row({j: int(v * den) for j, v in row.items()})
+    if not all(values):
+        row = {j: v for j, v in row.items() if v}
+    if g > 1:
+        return {j: v // g for j, v in row.items()}
+    return row
 
 
 def _int_rows(rows) -> list[dict[int, int]]:
@@ -252,21 +281,24 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
     return row
 
 
-def _eliminate(pr: dict[int, int], c: int, ri: dict[int, int]) -> dict[int, int]:
-    """Primitive ``(pc/g)*ri - (f/g)*pr`` with ``g = gcd(pc, f)``; zero in column ``c``."""
-    pc = pr[c]
+def _eliminate(pc: int, tail, c: int, ri: dict[int, int]) -> dict[int, int]:
+    """Primitive ``(pc/g)*ri - (f/g)*pr`` with ``f = ri[c]`` and ``g =
+    gcd(pc, f)``, for the pivot row ``pr`` with ``pr[c] = pc`` and its other
+    entries ``tail``; it has no entry in column ``c``.  ``ri`` is not mutated."""
     f = ri[c]
     g = gcd(pc, f)
     a = pc // g
     b = f // g
     out = dict(ri) if a == 1 else {j: a * v for j, v in ri.items()}
-    for j, v in pr.items():
-        w = out.get(j, 0) - b * v
+    del out[c]
+    get = out.get
+    for j, v in tail:
+        w = get(j, 0) - b * v
         if w:
             out[j] = w
         else:
             del out[j]
-    return _primitive(out)
+    return _primitive(out) if out else out
 
 
 def _echelon(rows: list[dict[int, int]], ncols: int) -> tuple[list[int], list[dict[int, int]]]:
@@ -293,14 +325,19 @@ def _echelon(rows: list[dict[int, int]], ncols: int) -> tuple[list[int], list[di
         if bucket is None:
             continue
         pr = min(bucket, key=len)
-        for ri in bucket:
-            if ri is pr:
-                continue
-            ri = _eliminate(pr, c, ri)
-            if ri:
-                buckets.setdefault(min(ri), []).append(ri)
+        if len(bucket) > 1:
+            pc = pr[c]
+            tail = [(j, v) for j, v in pr.items() if j != c]
+            for ri in bucket:
+                if ri is pr:
+                    continue
+                ri = _eliminate(pc, tail, c, ri)
+                if ri:
+                    buckets.setdefault(min(ri), []).append(ri)
         pivots.append(c)
         pivot_rows.append(pr)
+        if not buckets:
+            break
     return pivots, pivot_rows
 
 
@@ -309,21 +346,25 @@ def bareiss_rank_rows(rows, ncols: int) -> int:
     mutated): the pivot count of ``_echelon``.
 
     Two choices are made for the rank alone, the two that the mod-p kernel
-    makes: the elimination runs along the shorter side, counted in nonzero
-    rows and columns (the transpose has the same rank, and every row beyond
-    the rank costs updates until it vanishes), and the columns are taken in
-    ascending order of their nonzero count, ties in column order, which
-    keeps the fill-in low.
+    makes: the elimination runs along the shorter side, counted in the rows
+    and columns that hold an entry (the transpose has the same rank, and
+    every row beyond the rank costs updates until it vanishes), and the
+    columns are taken in ascending order of their entry count, ties in
+    column order, which keeps the fill-in low.  Rows whose columns come in
+    that order already, numbered from 0 (``_rank_rows``), are not
+    renumbered, so a row of ints that is primitive and has no zero value
+    goes to the engine as it is.
     """
+    counts = Counter(chain.from_iterable(rows))
     int_rows = _int_rows(rows)
-    counts = Counter(chain.from_iterable(int_rows))
     transpose = len(int_rows) > len(counts)
     if transpose:
         counts = {i: len(row) for i, row in enumerate(int_rows)}
-    position = {j: p for p, j in enumerate(sorted(sorted(counts), key=counts.__getitem__))}
+    order = sorted(sorted(counts), key=counts.__getitem__)
     # the rows are renumbered (or transposed) one at a time, each dropped
     # once it is copied, so a single copy of the matrix is held
     if transpose:
+        position = dict(zip(order, range(len(order))))
         by_col: dict[int, dict[int, int]] = {}
         for i in range(len(int_rows) - 1, -1, -1):
             p = position[i]
@@ -331,10 +372,11 @@ def bareiss_rank_rows(rows, ncols: int) -> int:
                 by_col.setdefault(j, {})[p] = v
         int_rows = [_primitive(col) for col in by_col.values()]
         del by_col
-    else:
+    elif order != list(range(len(order))):
+        position = dict(zip(order, range(len(order))))
         for k, row in enumerate(int_rows):
             int_rows[k] = {position[j]: v for j, v in row.items()}
-    return len(_echelon(int_rows, len(position))[0])
+    return len(_echelon(int_rows, len(order))[0])
 
 
 def rref_rows(rows, ncols: int):
@@ -355,9 +397,10 @@ def rref_rows(rows, ncols: int):
     # column is already zero in every later pivot column
     for k in range(len(pivots) - 1, 0, -1):
         c, pr = pivots[k], pivot_rows[k]
+        tail = [(j, v) for j, v in pr.items() if j != c]
         for i in range(k):
             if c in pivot_rows[i]:
-                pivot_rows[i] = _eliminate(pr, c, pivot_rows[i])
+                pivot_rows[i] = _eliminate(pr[c], tail, c, pivot_rows[i])
     reduced = []
     for c, pr in zip(pivots, pivot_rows):
         lead = pr[c]
@@ -425,12 +468,27 @@ def draw_primes(rng: random.Random) -> list[int]:
 # public rank / kernel operations
 
 
-def _resolve_mode(mode: str, nrows: int, ncols: int) -> str:
-    if mode == "auto":
-        return "exact" if max(nrows, ncols) <= EXACT_DIM_LIMIT else "modular"
-    if mode not in ("exact", "modular"):
+def _check_mode(mode: str) -> None:
+    if mode not in ("auto", "exact", "modular"):
         raise ValueError(f"unknown mode {mode!r}")
-    return mode
+
+
+def _pick_mode(mode: str, shapes, mem_mb: int | None) -> str:
+    """The one mode of a rank whose eliminable blocks have ``shapes``.
+
+    ``auto`` is exact when every block has both sides within
+    ``EXACT_DIM_LIMIT`` and fits the dense budget of exact rows, and
+    modular otherwise, so that no block is refused for a budget that the
+    modular path meets; ``exact`` and ``modular`` stay as they are.
+    """
+    if mode != "auto":
+        return mode
+    budget = memory_budget_mb(mem_mb) * 1024 * 1024
+    fits = all(
+        max(nrows, ncols) <= EXACT_DIM_LIMIT and nrows * ncols * _EXACT_CELL_BYTES <= budget
+        for nrows, ncols in shapes
+    )
+    return "exact" if fits else "modular"
 
 
 def rank_details(
@@ -449,13 +507,15 @@ def rank_details(
     only lower the rank mod p, which the other prime or the escalation then
     catches.  On any disagreement it recomputes exactly (``escalated=True``).
     Exact mode is sparse fraction-free elimination over primitive integer
-    rows with a sparsest-row pivot (``bareiss_rank_rows``).
+    rows with a sparsest-row pivot (``bareiss_rank_rows``).  ``auto`` takes
+    ``m`` as one block (see ``blocked_rank_details``).
     """
-    use = _resolve_mode(mode, m.nrows, m.ncols)
+    _check_mode(mode)
     if m.nnz == 0:
         return RankResult(0, "exact")
+    use = _pick_mode(mode, [m.shape], mem_mb)
     if use == "exact":
-        return RankResult(bareiss_rank_rows(_sparse_rows(m, mem_mb), m.ncols), "exact")
+        return RankResult(bareiss_rank_rows(*_rank_rows(m, mem_mb)), "exact")
 
     if rng is None:
         rng = default_rng()
@@ -463,7 +523,7 @@ def rank_details(
     try:
         r = mod_p_rank_sparse(m.entries, m.nrows, m.ncols, chosen, mem_mb)
     except _kernel.PrimesDisagree:
-        exact = bareiss_rank_rows(_sparse_rows(m, mem_mb), m.ncols)
+        exact = bareiss_rank_rows(*_rank_rows(m, mem_mb))
         return RankResult(exact, "exact", chosen, escalated=True)
     return RankResult(r, "modular", chosen)
 
@@ -746,12 +806,16 @@ def blocked_rank_details(
     rank, inferred ones included.  A ``strengths`` dict, when given,
     receives ``{label: strength}`` of every visited block (see below).
 
-    The exact/modular decision is made once from the *full* shape, the sum
-    of the block shapes (so provenance matches the unblocked computation);
-    every block that is ranked runs in that mode with a shared prime set.
-    Without ``weyl`` every block is ranked, in label order.  The reported
-    primes are the shared ones when a block was ranked modulo them, followed
-    by those of a modular ``incoming`` rank that the result leans on.
+    The exact/modular decision is made once per map, so that provenance is
+    uniform: in ``auto`` from the largest block the rank may eliminate (the
+    blocks of weight >= 0 under ``weyl``, every block otherwise), exact when
+    each of them has both sides within ``EXACT_DIM_LIMIT`` and fits the dense
+    budget of exact rows, else modular, so a block the exact budget refuses
+    goes modular rather than unknown.  Every block that is ranked runs in
+    that mode with a shared prime set.  Without ``weyl`` every block is
+    ranked, in label order.  The reported primes are the shared ones when a
+    block was ranked modulo them, followed by those of a modular
+    ``incoming`` rank that the result leans on.
 
     ``weyl=True`` declares the map SL2-equivariant with the labels as torus
     weights.  The Weyl element carries the weight-w block onto the weight -w
@@ -802,9 +866,12 @@ def blocked_rank_details(
     """
     if weyl:
         _check_weyl_shapes(blocks, sl2_columns)
-    use = _resolve_mode(mode, *blocks.shape)
+    _check_mode(mode)
     if not blocks:
         return RankResult(0, "exact")
+    shapes = blocks.shapes()
+    labels = sorted(w for w in shapes if w >= 0) if weyl else list(shapes)
+    use = _pick_mode(mode, [shapes[w] for w in labels], mem_mb)
     if use == "modular":
         if rng is None:
             rng = default_rng()
@@ -821,8 +888,6 @@ def blocked_rank_details(
     injective: set[int] = set()
     surjective: set[int] = set()
     vanished: set[int] = set()
-    shapes = blocks.shapes()
-    labels = sorted(w for w in shapes if w >= 0) if weyl else list(shapes)
     for w in labels:
         nrows, ncols = shapes[w]
         strength = "exact"
@@ -840,7 +905,7 @@ def blocked_rank_details(
         else:
             block = _trusted_matrix(nrows, ncols, sub)
             if use == "exact":
-                r = bareiss_rank_rows(_sparse_rows(block, mem_mb), ncols)
+                r = bareiss_rank_rows(*_rank_rows(block, mem_mb))
             else:
                 res = rank_details(block, "modular", rng=rng, primes=chosen, mem_mb=mem_mb)
                 r = res.rank

@@ -316,7 +316,7 @@ def fh_rank_details(fh: Slice, mode: str = "auto", *, rng=None, mem_mb=None) -> 
     cache); on the bench slices that is the weight-0 block alone.  In
     ``auto`` a rank of min(source_dim, target_dim) modulo
     ``FULL_RANK_PRIME`` is exact (``_rank_at_most``); below it, the
-    exact/modular choice is made on the full shape.  Reports resting on
+    exact/modular choice is made on the largest block the rank may eliminate.  Reports resting on
     this rank say so with ``"symmetry": "sl2-weyl"``.
     """
     return _rank_at_most(fh, mode, min(fh.shape), rng=rng, mem_mb=mem_mb, weyl=True)
@@ -331,7 +331,7 @@ def fh_rank_report(
     drop under reduction).  So in ``auto`` a rank of
     min(source_dim, target_dim) modulo ``FULL_RANK_PRIME`` alone is reported
     ``"exact"`` with ``primes == [FULL_RANK_PRIME]``, and nothing is drawn
-    from ``rng``; a lower one is retaken in the mode the full shape chooses.
+    from ``rng``; a lower one is retaken in the mode its largest block chooses.
     A modular rank deficit is never reported as a verdict: it forces exact
     escalation, and if that exceeds the resource budget the report is marked
     inconclusive.

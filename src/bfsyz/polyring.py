@@ -466,7 +466,7 @@ class GradedIdeal:
     ) -> RankResult:
         """dim I_k with provenance: the blocked rank of the spanning matrix.
 
-        The mode is picked from the full shape, as for the unhalved matrix.
+        The mode is picked from the largest block the rank may eliminate.
         An ``sl2_stable`` ideal is ranked on its weight >= 0 half
         (``blocked_rank_details(..., weyl=True)``), upward, with the blocks
         above a surjective one of the same parity inferred; reports resting

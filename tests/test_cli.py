@@ -11,6 +11,7 @@ import pytest
 from bfsyz import __version__, cli
 from bfsyz.cli import main
 from bfsyz.exactalg import load_matrix
+from bfsyz.homres import power_locus_betti
 
 
 def run_cli(capsys, *argv):
@@ -548,7 +549,7 @@ def betti_values(rep) -> dict:
 
 @pytest.mark.parametrize("argv", [
     ("betti", "--target", "iab", "--a", "2", "--b", "3", "--mode", "modular", "--seed", "1"),
-    ("betti", "--target", "ix", "--a", "2", "--b", "3", "--seed", "1"),
+    ("betti", "--target", "ix", "--a", "2", "--b", "3", "--mode", "modular", "--seed", "1"),
     ("betti", "--target", "iab-pow", "--a", "2", "--b", "3", "--j", "2", "--mode", "modular", "--seed", "1"),
     ("reg", "--a", "2", "--b", "3", "--route", "betti", "--mode", "modular", "--seed", "1"),
     ("conjecture-scan", "--a", "2", "--b", "2", "--jmax", "2", "--mode", "modular", "--seed", "1"),
@@ -564,13 +565,19 @@ def test_betti_verdicts_escalate_a_modular_deficit(capsys, short_kernel, argv):
     assert "escalated" not in json.dumps(want) and '"escalated": true' in json.dumps(got)
 
 
-def test_modular_generator_count_is_inconclusive(capsys, short_kernel):
-    # an overshooting modular beta_{0,j} of the quotient is an upper bound,
-    # not a broken convention
+def test_modular_generator_count_escalates_to_the_honest_table(capsys, short_kernel):
+    argv = ("betti", "--target", "ix", "--a", "2", "--b", "3", "--mode", "modular", "--seed", "1")
+    _, want = run_json(capsys, *argv)
     short_kernel()
-    code, rep = run_json(capsys, "betti", "--target", "ix", "--a", "2", "--b", "3", "--mode", "modular", "--seed", "1")
-    assert (code, rep["status"]) == (2, "inconclusive")
-    assert "modular generator count" in rep["reason"]
+    # the short ranks give the quotient generators beyond the cyclic one ...
+    quotient = power_locus_betti(2, 3, "modular", seed=1).quotient_table
+    assert any(e.value for (i, j), e in quotient.entries.items() if i == 0 and j > 0)
+    # ... an upper bound, which the exact rerun of the table settles
+    code, rep = run_json(capsys, *argv)
+    assert (code, rep["status"], rep["reference"]["escalated"]) == (0, "verified", True)
+    assert betti_values(rep) == betti_values(want)
+    quotients = [[e["value"] for e in r["quotient_table"]["entries"]] for r in (rep, want)]
+    assert quotients[0] == quotients[1]
 
 
 def test_reports_have_no_timestamps(capsys):

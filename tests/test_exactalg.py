@@ -14,6 +14,7 @@ from bfsyz.exactalg import (
     EXACT_DIM_LIMIT,
     KERNEL_BACKEND,
     ExactMatrix,
+    WeightBlocks,
     blocked_rank_details,
     dump_matrix,
     is_prime,
@@ -23,7 +24,7 @@ from bfsyz.exactalg import (
     rank,
     rank_details,
 )
-from bfsyz.exactalg import _modp
+from bfsyz.exactalg import _modp, matrix
 from bfsyz.exactalg.matrix import (
     bareiss_rank_rows,
     column_echelon,
@@ -282,6 +283,16 @@ def test_exact_engines_match_dense_references():
     for _ in range(20):
         perm = rng.sample(range(ncols), ncols)
         cases.append(([[row[j] for j in perm] for row in base], ncols))
+    # int rows with content > 1, zero values beside units, and rows all zero
+    cases.append(([[6, 0, -12, 0], [0, 0, 0, 0], [1, 0, 2, -1], [35, 70, 0, 0], [0, -1, 0, 3]], 4))
+    ints = random.Random(29)
+    for _ in range(30):
+        nrows, ncols = ints.randint(1, 12), ints.randint(1, 12)
+        content = [ints.choice((1, 2, 6, 35)) for _ in range(nrows)]
+        rows = [[c * ints.randint(-4, 4) * (ints.random() < 0.6) for _ in range(ncols)] for c in content]
+        for row in ints.sample(rows, nrows // 3):
+            row[ints.randrange(ncols)] = ints.choice((-1, 1))
+        cases.append((rows, ncols))
     for rows, ncols in cases:
         want_reduced, want_pivots = reference_rref(rows, ncols)
         int_rows = [clear_denominators(row) for row in rows]
@@ -837,6 +848,69 @@ def test_blocked_rank_keeps_a_prime_dividing_a_denominator():
 def test_blocked_rank_empty_matrix():
     res = blocked_rank_details(split_blocks({}, [0, 1, 2], [0, 1, 2]))
     assert res.rank == 0 and res.mode == "exact"
+
+
+def counted_ranks(monkeypatch) -> dict:
+    """Count the exact ranks and the kernel calls of every later rank."""
+    calls = {"bareiss": 0, "kernel": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(matrix, "bareiss_rank_rows", counted("bareiss", matrix.bareiss_rank_rows))
+    monkeypatch.setattr(_modp, "rank_mod_p_dense", counted("kernel", _modp.rank_mod_p_dense))
+    return calls
+
+
+def test_blocks_within_the_limit_rank_exactly_whatever_the_full_shape(monkeypatch, exact_dim_limit):
+    # three 2 x 2 blocks: the full shape, 6 x 6, is over a limit of 3, and no
+    # block is, so auto ranks every block by Bareiss
+    exact_dim_limit(3)
+    calls = counted_ranks(monkeypatch)
+    block = {(0, 0): 1, (0, 1): 2, (1, 0): 3, (1, 1): 4}
+    blocks = WeightBlocks({w: (2, 2, dict(block)) for w in (-2, 0, 2)})
+    assert blocked_rank_details(blocks, rng=random.Random(1)) == (6, "exact", (), False)
+    assert calls == {"bareiss": 3, "kernel": 0}
+    # under the Weyl halving the blocks of weight >= 0 decide; weight 0 has
+    # full rank, so weight 2 is inferred
+    assert blocked_rank_details(blocks, rng=random.Random(1), weyl=True) == (6, "exact", (), False)
+    assert calls == {"bareiss": 4, "kernel": 0}
+
+
+def test_one_block_over_the_limit_ranks_the_whole_map_modularly(monkeypatch, exact_dim_limit):
+    # a 2 x 2 block and a 4 x 4 one, over a limit of 3: both are ranked modulo
+    # the same two primes, so the map has one mode and one prime set
+    exact_dim_limit(3)
+    calls = counted_ranks(monkeypatch)
+    blocks = WeightBlocks({
+        0: (2, 2, {(0, 0): 1, (1, 1): 1}),
+        1: (4, 4, {(i, i): i + 1 for i in range(4)}),
+    })
+    strengths: dict = {}
+    res = blocked_rank_details(blocks, rng=random.Random(1), primes=[5, 7], strengths=strengths)
+    assert res == (6, "modular", (5, 7), False)
+    assert calls == {"bareiss": 0, "kernel": 2}
+    # each block has full rank modulo the primes, so each is exact on its own
+    assert strengths == {0: "exact", 1: "exact"}
+
+
+def test_a_block_over_the_exact_budget_goes_modular_not_unknown():
+    # a 200 x 200 block within the limit: as exact rows its 40,000 cells need
+    # ~1.8 MiB, over a budget of 1 MiB, and mod p ~0.6 MiB, within it
+    entries = {(i, i): 1 for i in range(200)} | {(i, i + 1): 2 for i in range(199)}
+    blocks = WeightBlocks({0: (200, 200, entries)})
+    res = blocked_rank_details(blocks, rng=random.Random(1), mem_mb=1)
+    assert (res.rank, res.mode, len(res.primes)) == (200, "modular", 2)
+    assert rank_details(ExactMatrix(200, 200, entries), rng=random.Random(1), mem_mb=1) == res
+    # the exact mode is held to the exact budget as before
+    with pytest.raises(ResourceLimitError):
+        blocked_rank_details(blocks, "exact", mem_mb=1)
+    with pytest.raises(ResourceLimitError):
+        rank_details(ExactMatrix(200, 200, entries), "exact", mem_mb=1)
 
 
 # ---------------------------------------------------------------------------

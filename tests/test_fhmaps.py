@@ -405,10 +405,12 @@ def one_prime_short(monkeypatch):
 
 
 @pytest.mark.parametrize("abk, fallback", [((3, 4, 5), "modular"), ((3, 4, 4), "exact")])
-def test_fh_short_one_prime_rank_takes_the_full_path(monkeypatch, abk, fallback):
+def test_fh_short_one_prime_rank_takes_the_full_path(monkeypatch, exact_dim_limit, abk, fallback):
     """Below the bound the one-prime rank proves nothing: the report is the
-    one the full shape's mode gives, two drawn primes at (3,4,5) and Bareiss
-    at (3,4,4), with the same verdict."""
+    one the largest eliminable block's mode gives, with the same verdict: at
+    a limit of 100, two drawn primes at (3,4,5), whose weight-0 block is
+    150 x 252, and Bareiss at (3,4,4), whose blocks are at most 86 x 86."""
+    exact_dim_limit(100)
     calls = one_prime_short(monkeypatch)
     r = fh_rank_report(*abk, rng=random.Random(2))
     assert calls[0] == 1

@@ -485,7 +485,10 @@ def test_exact_homology_walk_equals_elimination(monkeypatch, run):
     [pytest.param(lambda: power_locus_betti(2, 3, seed=1).quotient_table, id="locus-2-3"),
      pytest.param(lambda: power_ideal_betti(2, 3, 1, "modular", seed=1), id="ideal-2-3-1-modular")],
 )
-def test_rank_inferred_from_a_modular_incoming_rank_is_modular(monkeypatch, run):
+def test_rank_inferred_from_a_modular_incoming_rank_is_modular(monkeypatch, exact_dim_limit, run):
+    # at a limit of 200 the slabs of (2, 3) whose blocks reach 584 x 393 go
+    # modular in auto, as the slabs of larger cases do at the default limit
+    exact_dim_limit(200)
     walks = spy_on_walks(monkeypatch)
     table = run()
     # a modular incoming rank reaches only the slabs that border no other
@@ -521,10 +524,13 @@ def test_power_locus_2_3_is_thread_independent():
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_koszul_ranks_certify_each_other(threads):
+def test_koszul_ranks_certify_each_other(exact_dim_limit, threads):
     # in auto, where the homology mod p vanishes, the ranks around it are
     # exact: only the four nonzero strand entries of (2, 3) stay modular,
-    # which need the top-strand blocks that the walk infers
+    # which need the top-strand blocks that the walk infers.  At a limit of
+    # 200 the slabs of (2, 3) with a block above it go modular, as the slabs
+    # of larger cases do at the default limit
+    exact_dim_limit(200)
     res = power_locus_betti(2, 3, seed=1, threads=threads)
     entries = res.ideal_table.entries
     modular = {key: e.value for key, e in entries.items() if e.mode == "modular"}
@@ -536,8 +542,47 @@ def test_koszul_ranks_certify_each_other(threads):
     assert {e.mode for e in power_locus_betti(3, 2, "modular", seed=1).ideal_table.entries.values()} == {"exact", "modular"}
 
 
+def test_a_koszul_map_is_ranked_in_the_mode_of_its_largest_block(monkeypatch, exact_dim_limit):
+    # at a limit of 200 the slabs of (2, 3) split: one with a block of weight
+    # >= 0 above it is ranked modulo two primes, every block of it, and one
+    # without is ranked by Bareiss, every block of it, whatever its full shape
+    exact_dim_limit(200)
+    calls = {"bareiss": 0, "kernel": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(matrix, "bareiss_rank_rows", counted("bareiss", matrix.bareiss_rank_rows))
+    monkeypatch.setattr(matrix._kernel, "rank_mod_p_dense", counted("kernel", matrix._kernel.rank_mod_p_dense))
+    maps = []
+    rank = homres.blocked_rank_details
+
+    def spy(blocks, mode, **kw):
+        before = dict(calls)
+        res = rank(blocks, mode, **kw)
+        largest = max(max(shape) for w, shape in blocks.shapes().items() if w >= 0)
+        maps.append((largest, max(blocks.shape), {k: calls[k] - before[k] for k in calls}))
+        return res
+
+    monkeypatch.setattr(homres, "blocked_rank_details", spy)
+    power_locus_betti(2, 3, seed=1)
+    over = [m for m in maps if m[0] > 200]
+    within = [m for m in maps if m[0] <= 200]
+    assert over and all(m[2]["bareiss"] == 0 and m[2]["kernel"] for m in over)
+    assert all(m[2]["kernel"] == 0 for m in within)
+    # some of the maps ranked exactly are over the limit in full
+    assert any(m[1] > 200 and m[2]["bareiss"] for m in within)
+
+
 @pytest.mark.parametrize("a,b", [(3, 2), (2, 3)])
-def test_short_kernel_values_are_never_labelled_exact(short_kernel, a, b):
+def test_short_kernel_values_are_never_labelled_exact(short_kernel, exact_dim_limit, a, b):
+    # at a limit of 0 auto ranks every slab modularly, and settles what the
+    # homology mod p allows
+    exact_dim_limit(0)
     honest = power_locus_betti(a, b, seed=1).quotient_table.entries
     short_kernel()
     table = power_locus_betti(a, b, seed=1).quotient_table
@@ -837,17 +882,21 @@ def test_an_undecided_check_is_inconclusive():
 
 def test_a_modular_generator_count_is_no_convention_error():
     quotient = power_locus_betti(2, 2, "exact", seed=1).quotient_table
-    for mode, error in [("modular", InconclusiveError), ("exact", ConventionError)]:
-        table = BettiTable(quotient.nvars, quotient.i_max, quotient.t_max, quotient.j_max, quotient.entries, ())
-        table.entries[(0, 2)] = BettiEntry(1, mode, (11, 13) if mode == "modular" else ())
-        with pytest.raises(error):
-            first_syzygy_table(table)
+    table = BettiTable(quotient.nvars, quotient.i_max, quotient.t_max, quotient.j_max, dict(quotient.entries), ())
+    table.entries[(0, 2)] = BettiEntry(1, "exact")
+    with pytest.raises(ConventionError):
+        first_syzygy_table(table)
+    # a modular one is an upper bound, dropped with the rest of row 0: a rank
+    # short enough to give it also lifts beta_{1,2}, the result's entry (0, 2),
+    # which a verdict escalates
+    table.entries[(0, 2)] = BettiEntry(1, "modular", (11, 13))
+    assert first_syzygy_table(table).entries == first_syzygy_table(quotient).entries
 
 
 def test_a_short_kernel_escalates_to_the_honest_table(short_kernel):
     honest = power_locus_betti(2, 3, seed=1).ideal_table
     short_kernel()
-    table = power_locus_betti(2, 3, seed=1).ideal_table
+    table = power_locus_betti(2, 3, "modular", seed=1).ideal_table
     assert table.nonzero() != honest.nonzero()
     verdict = check_betti(
         table, entries=betti_reference("ix", 2, 3),
